@@ -1,9 +1,9 @@
 """Crossbar-aware neural-network simulator: quantized noisy inference,
 batchnorm adaptation, training-free scoring and a tiny trainer."""
 
-from .crossbar import IDEAL_NOISE, NoiseSpec, crossbar_matvec
+from .crossbar import IDEAL_NOISE, NoiseSpec
 from .data import DATA_VERSION, make_blobs, make_patterns, split_batches
-from .inference import AdcRange, bn_adapt, noisy_forward
+from .inference import AdcRange, WalkState, bn_adapt, noisy_forward, walk_layers
 from .network import (
     RefNet,
     TensorBatch,
@@ -27,13 +27,13 @@ __all__ = [
     "RefNet",
     "TensorBatch",
     "TrainingDiverged",
+    "WalkState",
     "accuracy",
     "adc_quantize",
     "bit_serialize_inputs",
     "bn_adapt",
     "build_refnet",
     "cross_entropy",
-    "crossbar_matvec",
     "hd_score",
     "load_net",
     "make_blobs",
@@ -44,4 +44,5 @@ __all__ = [
     "save_net",
     "split_batches",
     "train_tiny",
+    "walk_layers",
 ]

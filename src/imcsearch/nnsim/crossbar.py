@@ -1,15 +1,16 @@
-"""Crossbar matrix-vector products with device-variation noise.
+"""Crossbar cell programming with device-variation noise.
 
 Cells hold unsigned slice values; signed weights map onto a positive and
 a negative column set that are converted separately and subtracted after
 the ADC.  Device variation multiplies every cell by N(1, sigma/mu); with
 a pinned seed the draw is frozen per (seed, key), which models one
-programmed chip instance reused across forward passes.
+programmed chip instance reused across forward passes.  Phase 2 therefore
+programs each layer's cells once per run and reuses them for every probe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,44 +57,35 @@ def chunk_rows(n_rows: int, xbar_size: int) -> list[slice]:
             for r in range(0, n_rows, xbar_size)]
 
 
-def crossbar_matvec(weight_cells: np.ndarray, input_plane: np.ndarray,
-                    noise: NoiseSpec, xbar_size: int,
-                    key: tuple[int, ...] = (0,)) -> np.ndarray:
-    """Per-chunk analog column sums of one cell matrix against a bit plane.
-
-    ``weight_cells`` is (rows, cols) of unsigned slice values,
-    ``input_plane`` is (batch, rows) binary.  Rows are split into
-    crossbar-sized chunks; the result is (chunks, batch, cols).  With
-    variation disabled the sums are exact integer dot products.
-    """
-    weight_cells = np.asarray(weight_cells, dtype=float)
-    input_plane = np.asarray(input_plane, dtype=float)
-    if input_plane.ndim == 1:
-        input_plane = input_plane[None, :]
-    if input_plane.shape[1] != weight_cells.shape[0]:
-        raise ValueError(f"plane width {input_plane.shape[1]} != weight rows "
-                         f"{weight_cells.shape[0]}")
-    mult = noise.multipliers(weight_cells.shape, key)
-    effective = weight_cells if mult is None else weight_cells * mult
-    chunks = chunk_rows(weight_cells.shape[0], xbar_size)
-    out = np.empty((len(chunks), input_plane.shape[0], weight_cells.shape[1]))
-    for c, sl in enumerate(chunks):
-        out[c] = input_plane[:, sl] @ effective[sl]
-    return out
-
-
-@dataclass
+@dataclass(frozen=True)
 class CellArrays:
-    """Signed weight matrix prepared for the crossbar path."""
+    """Signed weight matrix programmed onto crossbar cells.
 
-    pos_effective: list[np.ndarray] = field(default_factory=list)
-    neg_effective: list[np.ndarray] = field(default_factory=list)
+    ``columns`` is (rows, slices * 2 * cols): for each weight slice, least
+    significant first, its positive cell columns followed by its negative
+    ones.  One matmul of an input bit plane against it thus yields every
+    slice and sign polarity at once.
+    """
+
+    columns: np.ndarray
+    n_slices: int
     scale: float = 1.0
     slice_bits: int = 4
 
     @property
-    def n_slices(self) -> int:
-        return len(self.pos_effective)
+    def n_cols(self) -> int:
+        return self.columns.shape[1] // (2 * self.n_slices)
+
+    def _split(self) -> np.ndarray:
+        return self.columns.reshape(-1, self.n_slices, 2, self.n_cols)
+
+    @property
+    def pos_effective(self) -> list[np.ndarray]:
+        return [self._split()[:, s, 0] for s in range(self.n_slices)]
+
+    @property
+    def neg_effective(self) -> list[np.ndarray]:
+        return [self._split()[:, s, 1] for s in range(self.n_slices)]
 
 
 def prepare_cells(weight_matrix: np.ndarray, noise: NoiseSpec,
@@ -110,12 +102,13 @@ def prepare_cells(weight_matrix: np.ndarray, noise: NoiseSpec,
     sliced = quantize_slice_weights(weight_matrix, weight_bits, slice_bits)
     pos_mask = (sliced.sign > 0)
     neg_mask = (sliced.sign < 0)
-    arrays = CellArrays(scale=sliced.scale, slice_bits=slice_bits)
+    rows, cols = sliced.sign.shape
+    n_slices = len(sliced.slices)
+    columns = np.empty((rows, n_slices, 2, cols))
     for s, sl in enumerate(sliced.slices):
-        pos = np.where(pos_mask, sl, 0).astype(float)
-        neg = np.where(neg_mask, sl, 0).astype(float)
-        mp = noise.multipliers(pos.shape, key + (s, 0))
-        mn = noise.multipliers(neg.shape, key + (s, 1))
-        arrays.pos_effective.append(pos if mp is None else pos * mp)
-        arrays.neg_effective.append(neg if mn is None else neg * mn)
-    return arrays
+        for polarity, mask in enumerate((pos_mask, neg_mask)):
+            cells = np.where(mask, sl, 0).astype(float)
+            mult = noise.multipliers(cells.shape, key + (s, polarity))
+            columns[:, s, polarity] = cells if mult is None else cells * mult
+    return CellArrays(columns=columns.reshape(rows, -1), n_slices=n_slices,
+                      scale=sliced.scale, slice_bits=slice_bits)

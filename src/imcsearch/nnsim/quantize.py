@@ -93,8 +93,10 @@ def quantize_inputs(activations: np.ndarray, ip: int) -> tuple[np.ndarray, float
     qmax = 2 ** ip - 1
     amax = float(activations.max()) if activations.size else 0.0
     scale = amax / qmax if amax > 0 else 1.0
-    codes = np.clip(np.round(activations / scale), 0, qmax).astype(np.int64)
-    return codes, scale
+    levels = np.divide(activations, scale, out=np.empty(np.shape(activations)))
+    np.round(levels, out=levels)
+    np.clip(levels, 0, qmax, out=levels)
+    return levels.astype(np.int64), scale
 
 
 def adc_quantize(column_sum: np.ndarray | float, ap: int,
@@ -111,9 +113,14 @@ def adc_quantize(column_sum: np.ndarray | float, ap: int,
     step = full_range / (2 ** ap)
     scalar = np.isscalar(column_sum)
     x = np.asarray(column_sum, dtype=float)
-    codes = np.clip(np.floor(x / step + 0.5), 0, 2 ** ap - 1).astype(np.int64)
+    # one float temporary, shifted and clipped in place; truncating the
+    # clipped, non-negative levels is the floor of round-half-up
+    levels = np.divide(x, step, out=np.empty(x.shape))
+    levels += 0.5
+    np.clip(levels, 0, 2 ** ap - 1, out=levels)
+    codes = levels.astype(np.int64)
     return int(codes) if scalar else codes
 
 
 def adc_dequantize(codes: np.ndarray, ap: int, full_range: float) -> np.ndarray:
-    return np.asarray(codes, dtype=float) * (full_range / (2 ** ap))
+    return np.multiply(codes, full_range / (2 ** ap), dtype=float)

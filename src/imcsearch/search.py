@@ -27,11 +27,11 @@ from .nnsim import (
     NoiseSpec,
     RefNet,
     TensorBatch,
-    bn_adapt,
+    WalkState,
     build_refnet,
     cross_entropy,
     hd_score,
-    noisy_forward,
+    walk_layers,
 )
 from .relax import (
     CostTables,
@@ -285,7 +285,12 @@ def phase2_run(trained_net: RefNet, phase1_model: CandidateModel,
     re-adapted per option), forms the soft-mixture loss for that layer
     plus the differentiable delay penalty for all layers, and takes one
     SGD step on the option logits.  Weights, CD, CS and AT are never
-    modified; batchnorm adaptation happens on private copies.
+    modified; batchnorm statistics are adapted in the walk's own state.
+
+    Cross-entropies are memoized per assignment.  On a step's first miss
+    the argmax plan is walked up to the probed layer once; every probe
+    that misses resumes from there.  Each layer's cells are programmed
+    on first use and reused for the rest of the run.
     """
     options = enumerate_options(space, 0, phase=2)
     n_layers = len(phase1_model.layers)
@@ -299,19 +304,14 @@ def phase2_run(trained_net: RefNet, phase1_model: CandidateModel,
                       rng_seed=config.seed)
     rng = np.random.default_rng(config.seed)
     ce_cache: dict[tuple, float] = {}
+    cells: dict = {}  # programmed cells per layer key, kept for the run
+    start = WalkState.begin(data.adapt_batches, data.eval_batch)
 
-    def ce_for(assignment: tuple[tuple[int, int], ...]) -> float:
-        if assignment in ce_cache:
-            return ce_cache[assignment]
-        plan = list(assignment)
-        adapted = bn_adapt(trained_net, data.adapt_batches, plan, noise,
-                           platform, momentum=config.adapt_momentum,
-                           adc_range=adc_range)
-        logits_out = noisy_forward(adapted, data.eval_batch, plan, noise,
-                                   platform, adc_range=adc_range)
-        ce = cross_entropy(logits_out, data.eval_batch.labels)
-        ce_cache[assignment] = ce
-        return ce
+    def walk(state: WalkState, plan: list[tuple[int, int]],
+             stop: int | None = None) -> WalkState:
+        return walk_layers(trained_net, state, plan, noise, platform, stop,
+                           momentum=config.adapt_momentum,
+                           adc_range=adc_range, cells=cells)
 
     trace: list[dict] = []
     for step in range(config.n2_steps):
@@ -319,11 +319,18 @@ def phase2_run(trained_net: RefNet, phase1_model: CandidateModel,
         argmax = logits.argmax()
         layer = int(rng.integers(n_layers))
         base = [options[i] for i in argmax]
+        prefix = None  # ``base`` walked up to ``layer``, on the first miss
         ce_values = np.empty(n_opts)
         for i in range(n_opts):
             probe = list(base)
             probe[layer] = options[i]
-            ce_values[i] = ce_for(tuple(probe))
+            key = tuple(probe)
+            if key not in ce_cache:
+                if prefix is None:
+                    prefix = walk(start, base, stop=layer)
+                ce_cache[key] = cross_entropy(walk(prefix, probe).eval,
+                                              data.eval_batch.labels)
+            ce_values[i] = ce_cache[key]
         e_delay = float(sum(p @ d for p, d in zip(probs, delays)))
         mixture_ce = float(probs[layer] @ ce_values)
         loss = phase2_loss(mixture_ce, e_delay, delay_ref, config.lambda2)

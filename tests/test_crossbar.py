@@ -1,13 +1,17 @@
 import numpy as np
-import pytest
 
 from imcsearch.nnsim.crossbar import (
     IDEAL_NOISE,
     NoiseSpec,
     chunk_rows,
-    crossbar_matvec,
     prepare_cells,
 )
+from imcsearch.nnsim.inference import _noisy_matmul
+from imcsearch.nnsim.quantize import adc_dequantize, adc_quantize
+
+#: Cells exact, ADC on: with full_range = 2^ap the ADC step is 1, so every
+#: integer chunk sum below 2^ap - 1 converts to itself.
+EXACT_ADC = NoiseSpec(sigma_over_mu=0.0, rng_seed=0, variation=False)
 
 
 def test_chunk_rows_partitions_exactly():
@@ -17,56 +21,101 @@ def test_chunk_rows_partitions_exactly():
 
 
 def test_noiseless_matvec_is_exact_integer_dot():
+    # |codes| <= 127 with a 127 present: the weight scale is exactly 1
     rng = np.random.default_rng(1)
-    cells = rng.integers(0, 16, size=(40, 6)).astype(float)
-    plane = rng.integers(0, 2, size=(5, 40)).astype(float)
-    out = crossbar_matvec(cells, plane, IDEAL_NOISE, xbar_size=16)
-    assert out.shape == (3, 5, 6)
-    want = np.stack([plane[:, sl] @ cells[sl] for sl in chunk_rows(40, 16)])
-    assert np.array_equal(out, want)
-    assert out.sum(axis=0) == pytest.approx(plane @ cells)
+    codes = rng.integers(-127, 128, size=(40, 6))
+    codes[0, 0] = 127
+    cells = prepare_cells(codes.astype(float), IDEAL_NOISE, weight_bits=8,
+                          slice_bits=4)
+    assert cells.scale == 1.0
+    inputs = rng.integers(0, 8, size=(5, 40))
+    for noise in (IDEAL_NOISE, EXACT_ADC):
+        # 16-row chunks of 4-bit cells sum to at most 240 < 2^8 - 1
+        out = _noisy_matmul(cells, ap=8, ip=3, in_codes=inputs, noise=noise,
+                            xbar_size=16, full_range=256.0)
+        assert out.shape == (5, 6)
+        assert np.array_equal(out, inputs @ codes)
+
+
+def loop_matmul(cells, ap, ip, in_codes, noise, xbar_size, full_range):
+    """Reference kernel: one matmul and ADC pass per plane, slice, sign, chunk."""
+    acc = np.zeros((in_codes.shape[0], cells.n_cols))
+    for b in range(ip):
+        plane = ((in_codes >> b) & 1).astype(float)
+        for s in range(cells.n_slices):
+            for sl in chunk_rows(in_codes.shape[1], xbar_size):
+                pos = plane[:, sl] @ cells.pos_effective[s][sl]
+                neg = plane[:, sl] @ cells.neg_effective[s][sl]
+                if noise.quantization:
+                    pos = adc_dequantize(adc_quantize(pos, ap, full_range),
+                                         ap, full_range)
+                    neg = adc_dequantize(adc_quantize(neg, ap, full_range),
+                                         ap, full_range)
+                acc += (pos - neg) * (2 ** (cells.slice_bits * s)) * (2 ** b)
+    return acc
+
+
+def test_kernel_matches_per_slice_loop_bit_for_bit():
+    # a full range that is not a power of two makes the sums round, so a
+    # change of accumulation order shows in the last bits
+    rng = np.random.default_rng(2)
+    cells = prepare_cells(rng.standard_normal((40, 6)),
+                          NoiseSpec(sigma_over_mu=0.2, rng_seed=5), 8, 4)
+    codes = rng.integers(0, 64, size=(30, 40))
+    for quantization in (True, False):
+        noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=5,
+                          quantization=quantization)
+        for ap in (4, 8):
+            want = loop_matmul(cells, ap, 6, codes, noise, 16, 37.3)
+            got = _noisy_matmul(cells, ap, 6, codes, noise, 16, 37.3)
+            assert np.array_equal(got, want)
 
 
 def test_zero_input_plane_is_zero_regardless_of_noise():
-    cells = np.full((64, 3), 15.0)
-    plane = np.zeros((2, 64))
     noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=0)
-    out = crossbar_matvec(cells, plane, noise, xbar_size=64)
+    cells = prepare_cells(np.full((64, 3), 0.5), noise, 8, 4)
+    out = _noisy_matmul(cells, ap=6, ip=4,
+                        in_codes=np.zeros((2, 64), dtype=np.int64),
+                        noise=noise, xbar_size=64, full_range=64 * 15.0)
     assert np.all(out == 0.0)
 
 
 def test_variation_monte_carlo_mean():
-    # all-ones 64-row column, all-ones plane: mean over many draws ~ 64
-    cells = np.ones((64, 1))
-    plane = np.ones((1, 64))
-    total = 0.0
-    trials = 10_000
-    noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=1234)
-    for t in range(trials):
-        out = crossbar_matvec(cells, plane, noise, xbar_size=64, key=(t,))
-        total += float(out[0, 0, 0])
-    mean = total / trials
-    assert abs(mean - 64.0) / 64.0 < 0.01
+    # all-ones weights quantize to code 127 = 7 * 16 + 15; with an all-ones
+    # input plane each column sums 64 noisy cells per slice, mean 64 * 127
+    noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=1234,
+                      quantization=False)
+    plane = np.ones((1, 64), dtype=np.int64)
+    sums = [_noisy_matmul(prepare_cells(np.ones((64, 100)), noise, 8, 4,
+                                        key=(t,)),
+                          ap=8, ip=1, in_codes=plane, noise=noise,
+                          xbar_size=64, full_range=1.0)
+            for t in range(100)]
+    mean = float(np.mean(sums))
+    assert abs(mean - 64.0 * 127) / (64.0 * 127) < 0.01
 
 
 def test_seeded_variation_is_frozen_per_key():
-    cells = np.ones((16, 4))
-    plane = np.ones((1, 16))
+    w = np.ones((16, 4))
     noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=7)
-    a = crossbar_matvec(cells, plane, noise, xbar_size=16, key=(3,))
-    b = crossbar_matvec(cells, plane, noise, xbar_size=16, key=(3,))
-    c = crossbar_matvec(cells, plane, noise, xbar_size=16, key=(4,))
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    a = prepare_cells(w, noise, 8, 4, key=(3,))
+    b = prepare_cells(w, noise, 8, 4, key=(3,))
+    c = prepare_cells(w, noise, 8, 4, key=(4,))
+    assert np.array_equal(a.columns, b.columns)
+    assert not np.array_equal(a.columns, c.columns)
+    plane = np.ones((1, 16), dtype=np.int64)
+    outs = [_noisy_matmul(cells, ap=6, ip=1, in_codes=plane, noise=noise,
+                          xbar_size=16, full_range=16 * 15.0)
+            for cells in (a, b)]
+    assert np.array_equal(*outs)
 
 
 def test_unseeded_variation_resamples():
-    cells = np.ones((16, 4))
-    plane = np.ones((1, 16))
+    w = np.ones((16, 4))
     noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=None)
-    a = crossbar_matvec(cells, plane, noise, xbar_size=16)
-    b = crossbar_matvec(cells, plane, noise, xbar_size=16)
-    assert not np.array_equal(a, b)
+    a = prepare_cells(w, noise, 8, 4)
+    b = prepare_cells(w, noise, 8, 4)
+    assert not np.array_equal(a.columns, b.columns)
 
 
 def test_prepare_cells_signed_split():
