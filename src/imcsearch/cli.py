@@ -34,6 +34,7 @@ from .io import (
 )
 from .nnsim import TensorBatch, load_net, make_blobs, make_patterns, split_batches
 from .search import (
+    ADMISSION_MARGIN,
     EmptyPoolError,
     Phase2Data,
     SearchConfig,
@@ -135,8 +136,9 @@ def _phase1_into(run: _RunDir, cfg: AppConfig):
         write_pool(result.pool, run.path / "pool.json")
         run.record("pool.json")
         run.finish()
-        print(f"error: no candidate fell within the {100 * 0.02:.0f}% area "
-              f"margin of {cfg.search.area_constraint} mm^2 after "
+        print(f"error: no candidate fell within the "
+              f"{100 * ADMISSION_MARGIN:.0f}% area margin of "
+              f"{cfg.search.area_constraint} mm^2 after "
               f"{cfg.search.n1_steps} steps", file=sys.stderr)
         return result, None
     hd_batch = _fixture_batch(cfg.fixture, cfg.space, cfg.search.hd_batch_size,

@@ -5,6 +5,12 @@ delay and energy per hardware component.  All functions are pure and
 deterministic; the only inputs are the candidate assignment, the layer
 geometry and the platform's unit-cost calibration table.
 
+The cost formula is written once (``_layer_terms``) and evaluates on
+Python numbers or on broadcast numpy arrays.  ``layer_cost`` is its
+scalar view, with a per-component breakdown; ``layer_cost_arrays`` costs
+many choices of one layer at once, bit-identical to ``layer_cost``, and
+fills the phase-1 cost tables and the phase-2 delay vectors.
+
 Conventions:
   * area in mm^2, delay in ns, energy in pJ
   * one ADC serves xbar_size/cs columns; conversions within a round run
@@ -17,7 +23,11 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import astuple, dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .designspace import (
     ADCType,
@@ -76,28 +86,37 @@ def adc_profile(at: ADCType, ap: int, platform: PlatformParams) -> ADCProfile:
     )
 
 
-def tiles_for_layer(cd_in: int, shape: LayerShape, choice: LayerChoice,
-                    platform: PlatformParams) -> int:
-    """Number of tiles a layer occupies.
+def _ceil_div(a, b):
+    """ceil(a / b) for a >= 0 and b > 0, on Python numbers or numpy arrays.
 
-    Row chunks hold cd_in * k^2 inputs in groups of xbar_size; column
-    chunks hold cd_out * weight_slices outputs in groups of xbar_size.
-    Tiles are physical, so the crossbar count rounds up to whole tiles
-    (minimum 1).
+    Ints stay ints and Python floats stay Python floats.  For the integer
+    counts and eighth-byte data volumes costed here it equals
+    ``math.ceil(a / b)``.
     """
-    x = platform.xbar_size
-    rows = cd_in * shape.kernel ** 2
-    cols = choice.cd_out * platform.weight_slices
-    xbars = math.ceil(rows / x) * math.ceil(cols / x)
-    return max(1, math.ceil(xbars / platform.xbars_per_tile))
+    return -(-a // b)
 
 
 def active_xbars(cd_in: int, shape: LayerShape, choice: LayerChoice,
                  platform: PlatformParams) -> int:
+    """Number of crossbars a layer's weights fill.
+
+    Row chunks hold cd_in * k^2 inputs in groups of xbar_size; column
+    chunks hold cd_out * weight_slices outputs in groups of xbar_size.
+    """
     x = platform.xbar_size
-    rows = cd_in * shape.kernel ** 2
-    cols = choice.cd_out * platform.weight_slices
-    return math.ceil(rows / x) * math.ceil(cols / x)
+    return (_ceil_div(cd_in * shape.kernel ** 2, x)
+            * _ceil_div(choice.cd_out * platform.weight_slices, x))
+
+
+def tiles_for_layer(cd_in: int, shape: LayerShape, choice: LayerChoice,
+                    platform: PlatformParams) -> int:
+    """Number of tiles a layer occupies.
+
+    Tiles are physical, so the crossbar count rounds up to whole tiles;
+    every layer fills at least one crossbar, hence at least one tile.
+    """
+    return _ceil_div(active_xbars(cd_in, shape, choice, platform),
+                     platform.xbars_per_tile)
 
 
 def read_cycles(choice: LayerChoice, platform: PlatformParams) -> int:
@@ -129,22 +148,29 @@ class LayerCost:
         }
 
 
-def layer_cost(cd_in: int, shape: LayerShape, choice: LayerChoice,
-               platform: PlatformParams) -> LayerCost:
-    """Full area/delay/energy of one layer, with a per-component breakdown.
+def _layer_terms(cd_in, shape: LayerShape, choice, adc: ADCProfile,
+                 platform: PlatformParams):
+    """The cost formula: per-component area, delay and energy of one layer.
 
     Area counts whole tiles (a tile's crossbars, converters, buffers and
     trees exist whether or not the layer fills them); energy counts only
     the active crossbars.
+
+    Takes a ``LayerChoice`` with its ``adc_profile``, or a
+    ``_ChoiceColumns`` with the profiles gathered per choice; ``cd_in``
+    is an int or an integer array that broadcasts against the columns.
+    Only +, *, / and floor division appear, each in one fixed order, so an
+    array entry equals the scalar evaluation of its choice bit for bit.
+    Returns (tiles, read cycles, area, delay, energy), the last three as
+    {component: value}.
     """
-    uc = platform.unit_costs
+    uc = platform.unit_costs.components
     hier = platform.hierarchy
     x = platform.xbar_size
 
-    tiles = tiles_for_layer(cd_in, shape, choice, platform)
     n_active = active_xbars(cd_in, shape, choice, platform)
-    adcs_per_xbar = math.ceil(x / choice.cs)
-    adc = adc_profile(choice.at, choice.ap, platform)
+    tiles = _ceil_div(n_active, platform.xbars_per_tile)
+    adcs_per_xbar = _ceil_div(x, choice.cs)
     rounds = read_cycles(choice, platform)
     out_h, out_w = shape.out_spatial()
     positions = out_h * out_w
@@ -172,7 +198,7 @@ def layer_cost(cd_in: int, shape: LayerShape, choice: LayerChoice,
     )
     htree_area_tile = hops * hier.htree_bus_bytes * uc["htree"].area
 
-    area_b = {
+    area = {
         "XbarArray": tiles * platform.xbars_per_tile * x * x * uc["xbar_cell"].area,
         "ADC": tiles * platform.xbars_per_tile * adcs_per_xbar * adc.area,
         "Mux": tiles * platform.xbars_per_tile * x * uc["mux"].area,
@@ -188,18 +214,11 @@ def layer_cost(cd_in: int, shape: LayerShape, choice: LayerChoice,
     # drives the rows, settles the array, switches the mux, converts and
     # shift-adds.  The accumulation chain and data transfers pipeline per
     # position / per byte respectively.
-    per_round = (
-        uc["switch_matrix"].latency
-        + uc["xbar_cell"].latency
-        + uc["mux"].latency
-        + adc.latency_per_conversion
-        + choice.ap * uc["shift_add"].latency
-    )
     acc_chain = (uc["accumulator_pe"].latency + uc["accumulator_tile"].latency
                  + uc["accumulator_global"].latency)
     buffer_lat_per_byte = (uc["buffer_pe"].latency + uc["buffer_tile"].latency
                            + uc["buffer_global"].latency)
-    delay_b = {
+    delay = {
         "XbarArray": positions * rounds * uc["xbar_cell"].latency,
         "SwitchMatrix": positions * rounds * uc["switch_matrix"].latency,
         "Mux": positions * rounds * uc["mux"].latency,
@@ -207,13 +226,13 @@ def layer_cost(cd_in: int, shape: LayerShape, choice: LayerChoice,
         "Accumulators": positions * (rounds * choice.ap * uc["shift_add"].latency
                                      + acc_chain),
         "Buffers": xfer_bytes * buffer_lat_per_byte,
-        "HTree": math.ceil(xfer_bytes / hier.htree_bus_bytes) * hops
+        "HTree": _ceil_div(xfer_bytes, hier.htree_bus_bytes) * hops
                  * uc["htree"].latency,
     }
 
     # --- energy ---
     conversions = positions * rounds * n_active * adcs_per_xbar
-    energy_b = {
+    energy = {
         "XbarArray": positions * rounds * n_active * x * x * uc["xbar_cell"].energy,
         "SwitchMatrix": positions * rounds * n_active * x
                         * uc["switch_matrix"].energy,
@@ -227,23 +246,60 @@ def layer_cost(cd_in: int, shape: LayerShape, choice: LayerChoice,
                                  + uc["buffer_global"].energy),
         "HTree": xfer_bytes * hops * uc["htree"].energy,
     }
+    return tiles, rounds, area, delay, energy
 
+
+def _total(parts: dict):
+    """Sum of a component map, in ``COMPONENTS`` order from 0."""
+    return sum(parts[comp] for comp in COMPONENTS)
+
+
+def layer_cost(cd_in: int, shape: LayerShape, choice: LayerChoice,
+               platform: PlatformParams) -> LayerCost:
+    """Full area/delay/energy of one layer, with a per-component breakdown."""
+    tiles, rounds, area, delay, energy = _layer_terms(
+        cd_in, shape, choice, adc_profile(choice.at, choice.ap, platform),
+        platform)
     breakdown = {
-        comp: {
-            "area": area_b.get(comp, 0.0),
-            "delay": delay_b.get(comp, 0.0),
-            "energy": energy_b.get(comp, 0.0),
-        }
+        comp: {"area": area[comp], "delay": delay[comp], "energy": energy[comp]}
         for comp in COMPONENTS
     }
     return LayerCost(
         tiles=tiles,
         read_cycles_per_activation=rounds,
-        area=sum(v["area"] for v in breakdown.values()),
-        delay=sum(v["delay"] for v in breakdown.values()),
-        energy=sum(v["energy"] for v in breakdown.values()),
+        area=_total(area),
+        delay=_total(delay),
+        energy=_total(energy),
         breakdown=breakdown,
     )
+
+
+class _ChoiceColumns(NamedTuple):
+    """The integer fields of a sequence of layer choices, as arrays."""
+
+    cd_out: np.ndarray
+    cs: np.ndarray
+    ap: np.ndarray
+    ip: np.ndarray
+
+
+def layer_cost_arrays(cd_in, shape: LayerShape, choices: Sequence[LayerChoice],
+                      platform: PlatformParams
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Area, delay and energy of one layer for every choice, as float64 arrays.
+
+    The broadcast view of ``layer_cost``: ``cd_in`` is an int or an
+    integer array broadcasting against the choice axis, so a column of P
+    input depths gives (P, len(choices)) arrays.  Each entry equals the
+    matching ``layer_cost`` field bit for bit.
+    """
+    columns = _ChoiceColumns(*(np.array([getattr(c, name) for c in choices])
+                               for name in _ChoiceColumns._fields))
+    profiles = {key: astuple(adc_profile(*key, platform))
+                for key in {(c.at, c.ap) for c in choices}}
+    adc = ADCProfile(*np.array([profiles[c.at, c.ap] for c in choices]).T)
+    _, _, area, delay, energy = _layer_terms(cd_in, shape, columns, adc, platform)
+    return _total(area), _total(delay), _total(energy)
 
 
 def layer_macs(cd_in: int, shape: LayerShape, choice: LayerChoice) -> int:

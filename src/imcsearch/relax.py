@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costmodel import layer_cost
+from .costmodel import layer_cost_arrays
 from .designspace import DesignSpace, LayerChoice, PlatformParams, enumerate_options
 
 
@@ -106,22 +106,23 @@ class CostTables:
 
 def build_cost_tables(space: DesignSpace, platform: PlatformParams,
                       ap: int, ip: int) -> CostTables:
-    """Precompute every (cd_in option, layer option) cost at fixed (ap, ip)."""
+    """Precompute every (cd_in option, layer option) cost at fixed (ap, ip).
+
+    Each layer's tables come from one broadcast call of the cost formula
+    (``layer_cost_arrays``) over the previous layer's CD options and this
+    layer's options; every entry equals the scalar ``layer_cost`` bit for
+    bit.
+    """
     areas: list[np.ndarray] = []
     delays: list[np.ndarray] = []
     option_cds: list[np.ndarray] = []
     prev_cds = np.array([space.input_channels])
     for layer in range(space.num_layers):
         options = enumerate_options(space, layer, phase=1)
-        shape = space.layer_shapes[layer]
-        a = np.empty((len(prev_cds), len(options)))
-        d = np.empty_like(a)
-        for j, (cd, cs, at) in enumerate(options):
-            choice = LayerChoice(cd_out=cd, cs=cs, at=at, ap=ap, ip=ip)
-            for i, cd_in in enumerate(prev_cds):
-                lc = layer_cost(int(cd_in), shape, choice, platform)
-                a[i, j] = lc.area
-                d[i, j] = lc.delay
+        choices = [LayerChoice(cd_out=cd, cs=cs, at=at, ap=ap, ip=ip)
+                   for cd, cs, at in options]
+        a, d, _ = layer_cost_arrays(prev_cds[:, None], space.layer_shapes[layer],
+                                    choices, platform)
         areas.append(a)
         delays.append(d)
         cds = np.array([opt[0] for opt in options])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costmodel import CostReport, LayerCost, layer_cost, model_cost
+from .costmodel import CostReport, layer_cost_arrays, model_cost
 from .designspace import (
     CandidateModel,
     DesignSpace,
@@ -34,10 +34,10 @@ from .nnsim import (
     walk_layers,
 )
 from .relax import (
-    CostTables,
     LogitMatrix,
     OptState,
     build_cost_tables,
+    expected_model_cost,
     phase1_loss_grad,
     sgd_step,
     softmax_probs,
@@ -144,6 +144,10 @@ def phase1_run(space: DesignSpace, platform: PlatformParams,
     discrete argmax candidate (admitting it to the pool when its area is
     within the margin), then applies one SGD update to the logits.  The
     run is deterministic given the config.
+
+    Each distinct argmax is costed once: its option indices fix its
+    choices and the constraint is fixed for the run, so a repeat reuses
+    the pool entry's report and admission.
     """
     tables = build_cost_tables(space, platform, config.phase1_ap,
                                config.phase1_ip)
@@ -151,49 +155,41 @@ def phase1_run(space: DesignSpace, platform: PlatformParams,
     logits = LogitMatrix.uniform(counts, config.temperature)
     opt = OptState(learning_rate=config.lr1, rng_seed=config.seed)
     pool = CandidatePool()
+    costed: dict[tuple[int, ...], PoolEntry] = {}  # argmax indices -> entry
     trace: list[dict] = []
-    delay_ref = None
+    # self-normalization: reference delay is the step-0 expectation
+    delay_ref = expected_model_cost(logits, space, platform, tables=tables)[1]
     candidate = _candidate_from_indices(space, logits.argmax(),
                                         config.phase1_ap, config.phase1_ip)
     for step in range(config.n1_steps):
-        if delay_ref is None:
-            # self-normalization: reference delay is the step-0 expectation
-            delay_ref = _expected_only(logits, tables)[1]
         loss, e_area, e_delay, grads = phase1_loss_grad(
             logits, space, platform, config.area_constraint, config.lambda1,
             delay_ref, tables=tables)
-        candidate = _candidate_from_indices(space, logits.argmax(),
-                                            config.phase1_ap, config.phase1_ip)
-        report = model_cost(candidate, platform)
-        admitted = admit(report, config.area_constraint)
-        is_new = pool.record(PoolEntry(model=candidate, report=report,
-                                       step=step, admitted=admitted))
+        indices = tuple(logits.argmax())
+        entry = costed.get(indices)
+        is_new = entry is None
+        if is_new:
+            model = _candidate_from_indices(space, indices, config.phase1_ap,
+                                            config.phase1_ip)
+            report = model_cost(model, platform)
+            entry = costed[indices] = PoolEntry(
+                model=model, report=report, step=step,
+                admitted=admit(report, config.area_constraint))
+            pool.record(entry)
+        candidate = entry.model
         trace.append({
             "step": step,
             "loss": loss,
             "expected_area_mm2": e_area,
             "expected_delay_ns": e_delay,
-            "argmax_area_mm2": report.area,
-            "argmax_delay_ns": report.delay,
-            "admitted": int(admitted),
+            "argmax_area_mm2": entry.report.area,
+            "argmax_delay_ns": entry.report.delay,
+            "admitted": int(entry.admitted),
             "new_candidate": int(is_new),
         })
         logits = sgd_step(logits, grads, opt)
-    if delay_ref is None:
-        delay_ref = _expected_only(logits, tables)[1]
     return Phase1Result(pool=pool, trace=trace, logits=logits,
                         delay_ref=delay_ref, final_candidate=candidate)
-
-
-def _expected_only(logits: LogitMatrix, tables: CostTables) -> tuple[float, float]:
-    probs = logits.probs()
-    e_area = 0.0
-    e_delay = 0.0
-    for l, (a, d) in enumerate(zip(tables.areas, tables.delays)):
-        p_prev = np.ones(1) if l == 0 else probs[l - 1]
-        e_area += float(p_prev @ a @ probs[l])
-        e_delay += float(p_prev @ d @ probs[l])
-    return e_area, e_delay
 
 
 def _minmax_normalize(values: list[float]) -> list[float]:
@@ -249,29 +245,23 @@ class Phase2Result:
 
 
 def _phase2_delays(model: CandidateModel, space: DesignSpace,
-                   platform: PlatformParams) -> list[np.ndarray]:
-    """Per-layer delay vector over the (ap, ip) option grid."""
-    options = enumerate_options(space, 0, phase=2)
-    out = []
-    for l, (shape, choice) in enumerate(model.layers):
-        cd_in = model.cd_in(l)
-        d = np.empty(len(options))
-        for i, (ap, ip) in enumerate(options):
-            c = LayerChoice(cd_out=choice.cd_out, cs=choice.cs, at=choice.at,
-                            ap=ap, ip=ip)
-            d[i] = layer_cost(cd_in, shape, c, platform).delay
-        out.append(d)
-    return out
+                   platform: PlatformParams, ref_ap: int,
+                   ref_ip: int) -> tuple[list[np.ndarray], float]:
+    """Per-layer delay vectors over the (ap, ip) grid, and the reference delay.
 
-
-def _frozen_delay(model: CandidateModel, platform: PlatformParams,
-                  ap: int, ip: int) -> float:
-    total = 0.0
+    One broadcast cost call per layer covers the grid plus the (ref_ap,
+    ref_ip) point; the model's delay there is summed layer by layer.
+    """
+    points = enumerate_options(space, 0, phase=2) + [(ref_ap, ref_ip)]
+    delays = []
+    delay_ref = 0.0
     for l, (shape, choice) in enumerate(model.layers):
-        c = LayerChoice(cd_out=choice.cd_out, cs=choice.cs, at=choice.at,
-                        ap=ap, ip=ip)
-        total += layer_cost(model.cd_in(l), shape, c, platform).delay
-    return total
+        choices = [LayerChoice(cd_out=choice.cd_out, cs=choice.cs, at=choice.at,
+                               ap=ap, ip=ip) for ap, ip in points]
+        _, d, _ = layer_cost_arrays(model.cd_in(l), shape, choices, platform)
+        delays.append(d[:-1])
+        delay_ref += float(d[-1])
+    return delays, delay_ref
 
 
 def phase2_run(trained_net: RefNet, phase1_model: CandidateModel,
@@ -297,9 +287,8 @@ def phase2_run(trained_net: RefNet, phase1_model: CandidateModel,
     n_opts = len(options)
     logits = LogitMatrix.uniform([n_opts] * n_layers, config.temperature)
     opt = OptState(learning_rate=config.lr2, rng_seed=config.seed)
-    delays = _phase2_delays(phase1_model, space, platform)
-    delay_ref = _frozen_delay(phase1_model, platform, config.phase1_ap,
-                              config.phase1_ip)
+    delays, delay_ref = _phase2_delays(phase1_model, space, platform,
+                                       config.phase1_ap, config.phase1_ip)
     noise = NoiseSpec(sigma_over_mu=platform.sigma_over_mu,
                       rng_seed=config.seed)
     rng = np.random.default_rng(config.seed)

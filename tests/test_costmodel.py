@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from imcsearch.config import load_unit_costs
 from imcsearch.costmodel import (
     adc_profile,
     edap_from_totals,
     layer_cost,
+    layer_cost_arrays,
     model_cost,
     psi,
     read_cycles,
@@ -15,9 +17,12 @@ from imcsearch.costmodel import (
 from imcsearch.designspace import (
     ADCType,
     CandidateModel,
+    HierarchyParams,
     LayerChoice,
     LayerShape,
     PlatformParams,
+    enumerate_options,
+    vgg16_space,
 )
 
 from conftest import make_platform, zero_cost_table
@@ -196,6 +201,36 @@ def test_unit_cost_scaling_is_linear():
     assert big.area == pytest.approx(3.0 * base.area, rel=1e-12)
     assert big.energy == pytest.approx(3.0 * base.energy, rel=1e-12)
     assert big.delay == pytest.approx(3.0 * base.delay, rel=1e-12)
+
+
+@pytest.mark.parametrize("platform", [
+    make_platform(),
+    PlatformParams(unit_costs=load_unit_costs().scaled(1.7), xbar_size=128,
+                   xbars_per_tile=16, clock_period=1.3,
+                   hierarchy=HierarchyParams(xbars_per_pe=3, htree_bus_bytes=24)),
+], ids=["default", "scaled-128"])
+def test_broadcast_formula_matches_layer_cost_bit_for_bit(platform):
+    space = vgg16_space()
+    grid = enumerate_options(space, 0, phase=2)
+    prev_cds = [space.input_channels]
+    for layer, shape in enumerate(space.layer_shapes):
+        choices = [LayerChoice(cd_out=cd, cs=cs, at=at, ap=ap, ip=ip)
+                   for cd, cs, at in enumerate_options(space, layer, phase=1)
+                   for ap, ip in grid]
+        assert {c.at for c in choices} == {ADCType.SAR, ADCType.FLASH}
+        arrays = layer_cost_arrays(np.array(prev_cds)[:, None], shape, choices,
+                                   platform)
+        for a in arrays:
+            assert a.shape == (len(prev_cds), len(choices))
+            assert a.dtype == np.float64
+        for i, cd_in in enumerate(prev_cds):
+            for j, c in enumerate(choices):
+                lc = layer_cost(cd_in, shape, c, platform)
+                assert (arrays[0][i, j], arrays[1][i, j], arrays[2][i, j]) \
+                    == (lc.area, lc.delay, lc.energy)
+        prev_cds = list(space.cd_options_per_layer[layer])
+    assert type(lc.tiles) is int
+    assert all(type(v) is float for v in (lc.area, lc.delay, lc.energy))
 
 
 def test_determinism_bit_identical():

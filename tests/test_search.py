@@ -1,14 +1,18 @@
-"""Phase-2 search: the shared-prefix layer walk and a pinned search run."""
+"""Phase 1 (pinned run, argmax costing) and phase 2 (shared-prefix layer walk,
+pinned run)."""
 
 import numpy as np
 import pytest
 
+from imcsearch import search
 from imcsearch.designspace import (
     ADCType,
     CandidateModel,
     DesignSpace,
     LayerChoice,
     LayerShape,
+    enumerate_options,
+    vgg16_space,
 )
 from imcsearch.nnsim import (
     AdcRange,
@@ -23,9 +27,163 @@ from imcsearch.nnsim import (
     walk_layers,
 )
 from imcsearch.nnsim import inference
-from imcsearch.search import Phase2Data, SearchConfig, phase2_run
+from imcsearch.search import Phase2Data, SearchConfig, phase1_run, phase2_run
 
 from conftest import make_platform
+
+# ---------------------------------------------------------------------------
+# phase 1
+# ---------------------------------------------------------------------------
+
+#: A short VGG16 run with a strong area term: 10 distinct argmax candidates
+#: in 14 steps, the last one admitted and seen again at step 13.
+PHASE1_CONFIG = SearchConfig(area_constraint=30.0, n1_steps=14, lambda1=30.0)
+
+#: Captured before phase 1 costed each distinct argmax once.  Pool entries
+#: are (option index per layer, step, admitted, area, delay).
+PHASE1_DELAY_REF = 1765077.8939999999
+PHASE1_TRACE = [
+    {"step": 0, "loss": 45.287133527730326, "expected_area_mm2": 66.45015783,
+     "expected_delay_ns": 1765077.8939999999,
+     "argmax_area_mm2": 9.236507999999999, "argmax_delay_ns": 432142.486,
+     "admitted": 0, "new_candidate": 1},
+    {"step": 1, "loss": 15.061160938976244,
+     "expected_area_mm2": 9.61229531705886,
+     "expected_delay_ns": 2128467.7728668866, "argmax_area_mm2": 6.1444888,
+     "argmax_delay_ns": 1264185.6859999998, "admitted": 0, "new_candidate": 1},
+    {"step": 2, "loss": 12.810930939510994,
+     "expected_area_mm2": 11.209171191458042,
+     "expected_delay_ns": 1837603.8193331282,
+     "argmax_area_mm2": 10.480744799999998,
+     "argmax_delay_ns": 500150.48600000003, "admitted": 0, "new_candidate": 1},
+    {"step": 3, "loss": 9.961390783018123,
+     "expected_area_mm2": 13.534455831497135,
+     "expected_delay_ns": 1631377.8754248417, "argmax_area_mm2": 15.1893784,
+     "argmax_delay_ns": 577505.6860000003, "admitted": 0, "new_candidate": 1},
+    {"step": 4, "loss": 6.441761241494378,
+     "expected_area_mm2": 17.00582096266462,
+     "expected_delay_ns": 1435840.7615325442,
+     "argmax_area_mm2": 21.503029599999998,
+     "argmax_delay_ns": 653907.2860000001, "admitted": 0, "new_candidate": 1},
+    {"step": 5, "loss": 4.153923042092737,
+     "expected_area_mm2": 19.834229774573096,
+     "expected_delay_ns": 1251723.050372496,
+     "argmax_area_mm2": 22.699573599999997, "argmax_delay_ns": 646944.086,
+     "admitted": 0, "new_candidate": 1},
+    {"step": 6, "loss": 2.6969408140038604,
+     "expected_area_mm2": 22.09891134794683,
+     "expected_delay_ns": 1087348.1443551197,
+     "argmax_area_mm2": 23.896117599999997, "argmax_delay_ns": 639980.886,
+     "admitted": 0, "new_candidate": 1},
+    {"step": 7, "loss": 2.101049403671169,
+     "expected_area_mm2": 23.171453178201553,
+     "expected_delay_ns": 965052.2443075546,
+     "argmax_area_mm2": 25.391797599999997,
+     "argmax_delay_ns": 611692.8859999999, "admitted": 0, "new_candidate": 1},
+    {"step": 8, "loss": 1.4245830975640945,
+     "expected_area_mm2": 24.685431279707107,
+     "expected_delay_ns": 852700.437241947,
+     "argmax_area_mm2": 25.391797599999997,
+     "argmax_delay_ns": 611692.8859999999, "admitted": 0, "new_candidate": 0},
+    {"step": 9, "loss": 1.0124860460977572,
+     "expected_area_mm2": 25.869772411068855,
+     "expected_delay_ns": 783447.5591408211,
+     "argmax_area_mm2": 26.588341599999996, "argmax_delay_ns": 604729.686,
+     "admitted": 0, "new_candidate": 1},
+    {"step": 10, "loss": 0.8354315009658767,
+     "expected_area_mm2": 26.451061038423497,
+     "expected_delay_ns": 733565.0357575892,
+     "argmax_area_mm2": 26.588341599999996, "argmax_delay_ns": 604729.686,
+     "admitted": 0, "new_candidate": 0},
+    {"step": 11, "loss": 0.7058033284495804,
+     "expected_area_mm2": 26.915966822105812,
+     "expected_delay_ns": 686193.989095043,
+     "argmax_area_mm2": 26.588341599999996, "argmax_delay_ns": 604729.686,
+     "admitted": 0, "new_candidate": 0},
+    {"step": 12, "loss": 0.5893618438921112,
+     "expected_area_mm2": 27.38470873239132,
+     "expected_delay_ns": 637846.6046599671,
+     "argmax_area_mm2": 30.177973599999994, "argmax_delay_ns": 354054.486,
+     "admitted": 1, "new_candidate": 1},
+    {"step": 13, "loss": 0.4923347929896138,
+     "expected_area_mm2": 27.829562750042992,
+     "expected_delay_ns": 591845.0875953716,
+     "argmax_area_mm2": 30.177973599999994, "argmax_delay_ns": 354054.486,
+     "admitted": 1, "new_candidate": 0},
+]
+PHASE1_POOL = [
+    ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+     0, False, 9.236507999999999, 432142.486),
+    ((2, 2, 4, 4, 6, 6, 6, 8, 8, 8, 8, 8, 8, 8),
+     1, False, 6.1444888, 1264185.6859999998),
+    ((0, 0, 0, 0, 7, 7, 7, 9, 0, 0, 0, 0, 0, 2),
+     2, False, 10.480744799999998, 500150.48600000003),
+    ((0, 0, 7, 5, 5, 5, 5, 7, 9, 9, 9, 9, 9, 0),
+     3, False, 15.1893784, 577505.6860000003),
+    ((5, 5, 5, 5, 5, 5, 5, 5, 7, 7, 7, 7, 7, 9),
+     4, False, 21.503029599999998, 653907.2860000001),
+    ((5, 5, 5, 5, 3, 5, 5, 5, 7, 7, 7, 7, 7, 9),
+     5, False, 22.699573599999997, 646944.086),
+    ((5, 5, 5, 5, 3, 5, 3, 5, 7, 7, 7, 7, 7, 9),
+     6, False, 23.896117599999997, 639980.886),
+    ((5, 5, 5, 3, 3, 5, 3, 5, 7, 7, 7, 7, 7, 7),
+     7, False, 25.391797599999997, 611692.8859999999),
+    ((5, 5, 5, 3, 3, 3, 3, 5, 7, 7, 7, 7, 7, 7),
+     9, False, 26.588341599999996, 604729.686),
+    ((3, 3, 3, 3, 3, 3, 3, 5, 7, 7, 7, 7, 7, 7),
+     12, True, 30.177973599999994, 354054.486),
+]
+
+
+def _option_indices(space, key):
+    return tuple(
+        [(cd, cs, at.value) for cd, cs, at in enumerate_options(space, l, 1)]
+        .index(k) for l, k in enumerate(key))
+
+
+@pytest.fixture(scope="module")
+def vgg16():
+    return vgg16_space(), make_platform()
+
+
+def test_phase1_run_golden(vgg16):
+    space, platform = vgg16
+    result = phase1_run(space, platform, PHASE1_CONFIG)
+    assert result.delay_ref == PHASE1_DELAY_REF
+    assert result.trace == PHASE1_TRACE
+    pool = [(_option_indices(space, e.choice_key()), e.step, e.admitted,
+             e.report.area, e.report.delay) for e in result.pool.entries]
+    assert pool == PHASE1_POOL
+    assert result.final_candidate == result.pool.entries[-1].model
+
+
+def test_phase1_costs_each_distinct_argmax_once(vgg16, monkeypatch):
+    space, platform = vgg16
+    calls = []
+    model_cost = search.model_cost
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return model_cost(*args, **kwargs)
+
+    monkeypatch.setattr(search, "model_cost", counting)
+    config = SearchConfig(area_constraint=30.0, n1_steps=60, lambda1=30.0)
+    result = phase1_run(space, platform, config)
+    assert len(calls) == len(result.pool.entries) < config.n1_steps
+    assert sum(row["new_candidate"] for row in result.trace) == len(calls)
+
+
+def test_phase1_without_steps_keeps_the_step0_reference(vgg16):
+    space, platform = vgg16
+    config = SearchConfig(area_constraint=30.0, n1_steps=0, lambda1=30.0)
+    result = phase1_run(space, platform, config)
+    assert result.delay_ref == PHASE1_DELAY_REF
+    assert result.trace == [] and result.pool.entries == []
+
+
+# ---------------------------------------------------------------------------
+# phase 2
+# ---------------------------------------------------------------------------
 
 CAL = AdcRange("calibrated")
 #: One (ap, ip) per quantizable layer, all different, from the phase-2 grid.
