@@ -38,7 +38,6 @@ from .designspace import (
 )
 from .relax import (
     LogitMatrix,
-    OptState,
     argmax_select,
     expected_model_cost,
     phase1_loss,
@@ -66,7 +65,6 @@ __all__ = [
     "LayerCost",
     "LayerShape",
     "LogitMatrix",
-    "OptState",
     "PlatformParams",
     "SearchConfig",
     "UnitCost",

@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import AppConfig, ConfigError, FixtureConfig, load_config
-from .costmodel import InvalidModelError, model_cost
-from .designspace import DesignSpace, PlatformParams, validate_candidate
+from .config import AppConfig, ConfigError, FixtureConfig, check_cs_fits, load_config
+from .costmodel import model_cost
+from .designspace import ADCType, CandidateModel, DesignSpace, validate_candidate
 from .io import (
     load_model,
     model_to_dict,
@@ -106,16 +106,20 @@ def _apply_seed(cfg: AppConfig, seed: int | None) -> AppConfig:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_eval(config_path: Path, model_path: Path, out_dir: Path,
-             seed: int | None = None) -> int:
-    cfg = _apply_seed(load_config(config_path), seed)
+def _load_valid_model(model_path: Path, cfg: AppConfig) -> CandidateModel:
+    """The model at ``model_path``; a ConfigError lists every violation of ``cfg``."""
     model = load_model(model_path)
     violations = validate_candidate(model, cfg.space, cfg.platform)
     if violations:
-        for v in violations:
-            print(f"error: layer {v.layer} [{v.field}]: {v.message}",
-                  file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("; ".join(f"layer {v.layer} [{v.field}]: {v.message}"
+                                    for v in violations))
+    return model
+
+
+def cmd_eval(config_path: Path, model_path: Path, out_dir: Path,
+             seed: int | None = None) -> int:
+    cfg = _apply_seed(load_config(config_path), seed)
+    model = _load_valid_model(model_path, cfg)
     run = _RunDir(out_dir, "eval", config_path, cfg.search.seed)
     report = model_cost(model, cfg.platform)
     write_report(report, run.path / "report.json", run.path / "report.csv")
@@ -225,13 +229,16 @@ def _sweep_point(args: tuple) -> dict:
                 cfg, search=dataclasses.replace(cfg.search,
                                                 area_constraint=float(value)))
         elif axis == "xbar_size":
+            if value != int(value):
+                raise ConfigError(f"xbar_size must be an integer, got {value:g}")
             platform = dataclasses.replace(cfg.platform, xbar_size=int(value))
+            check_cs_fits(cfg.space, platform)
             cfg = dataclasses.replace(cfg, platform=platform)
         else:
             raise ConfigError(f"unknown sweep axis {axis!r}")
 
         if model_path is not None:
-            model = load_model(model_path)
+            model = _load_valid_model(model_path, cfg)
             report = model_cost(model, cfg.platform)
             selected_model = model
         else:
@@ -246,7 +253,6 @@ def _sweep_point(args: tuple) -> dict:
             report = selected.report
             selected_model = selected.model
         n = len(selected_model.layers)
-        from .designspace import ADCType
         row.update({
             "area_mm2": report.area,
             "delay_ns": report.delay,
@@ -360,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_CONFIG
             return cmd_sweep(args.config, args.axis, values, args.out_dir,
                              args.workers, args.model, args.seed)
-    except (ConfigError, FileNotFoundError, InvalidModelError) as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EmptyPoolError as exc:

@@ -1,14 +1,17 @@
-"""YAML configuration loading: platform, design_space and search sections.
+"""YAML configuration loading: platform, design_space, search and fixture sections.
 
-The unit-cost calibration table lives in its own data file (units in the
-header); a packaged desk-calibration default is used when neither the
-config nor the IMCSEARCH_UNIT_COSTS environment variable names one.
+Each section is read through one table of its keys (``_read``): a value
+that does not cast, a key the table does not know and a missing required
+key each raise a ``ConfigError`` that names the section and the key.  The
+unit-cost calibration table lives in its own data file (units in the
+header); the packaged desk-calibration default is used when the config
+names none.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -25,9 +28,6 @@ from .designspace import (
     vgg16_space,
 )
 from .search import SearchConfig
-
-#: Environment variable naming the default calibration file.
-UNIT_COSTS_ENV = "IMCSEARCH_UNIT_COSTS"
 
 
 class ConfigError(ValueError):
@@ -49,9 +49,9 @@ class FixtureConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in ("blobs", "patterns"):
-            raise ConfigError(f"fixture.kind must be blobs|patterns, got {self.kind!r}")
+            raise ValueError(f"kind must be blobs|patterns, got {self.kind!r}")
         if not 0 < self.adapt_fraction <= 1:
-            raise ConfigError("fixture.adapt_fraction must be in (0, 1]")
+            raise ValueError("adapt_fraction must be in (0, 1]")
 
 
 @dataclass
@@ -68,22 +68,139 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _read(section, keys: dict, name: str, required: tuple[str, ...] = ()) -> dict:
+    """Cast one section's values through its key table.
+
+    ``keys`` maps each YAML key to (field name, cast); the result maps
+    field names to cast values.  A cast may itself read a nested section
+    and raise a ``ConfigError`` that names it.
+    """
+    if section is None:
+        section = {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name}: must be a mapping, got {section!r}")
+    kwargs = {}
+    for key, value in section.items():
+        if key not in keys:
+            raise ConfigError(f"{name}.{key}: unknown key")
+        field_name, cast = keys[key]
+        try:
+            kwargs[field_name] = cast(value)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{name}.{key}: {exc}") from exc
+    for key in required:
+        _require(section, key, name)
+    return kwargs
+
+
+def _build(cls, name: str, **kwargs):
+    """``cls(**kwargs)``, its validation errors reported against section ``name``."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _int(value) -> int:
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _float(value) -> float:
+    if isinstance(value, bool) or not math.isfinite(float(value)):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(_int(v) for v in values)
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _same(cast, *names: str) -> dict:
+    """Key-table entries for YAML keys named like their fields."""
+    return {name: (name, cast) for name in names}
+
+
+def _hierarchy(section) -> HierarchyParams:
+    keys = _same(_int, *(f.name for f in fields(HierarchyParams)))
+    return _build(HierarchyParams, "platform.hierarchy",
+                  **_read(section, keys, "platform.hierarchy"))
+
+
+def _layers(entries) -> list[tuple[LayerShape, tuple[int, ...]]]:
+    if not isinstance(entries, list):
+        raise ConfigError(f"design_space.layers: must be a list, got {entries!r}")
+    layers = []
+    for i, entry in enumerate(entries):
+        ctx = f"design_space.layers[{i}]"
+        kw = _read(entry, _LAYER_KEYS, ctx, required=("cd_options",))
+        if kw.get("is_fc", False):
+            shape = LayerShape.fc()
+        else:
+            h = _require(kw, "in_h", ctx)
+            shape = _build(LayerShape, ctx, kernel=kw.get("kernel", 3),
+                           in_spatial=(h, kw.get("in_w", h)),
+                           stride=kw.get("stride", 1))
+        layers.append((shape, kw["cd_options"]))
+    return layers
+
+
+_PLATFORM_KEYS = {
+    **_same(_int, "xbar_size", "xbars_per_tile", "weight_bits", "weight_slice_bits"),
+    **_same(_float, "sigma_over_mu", "clock_period"),
+    "unit_costs_file": ("unit_costs_file", Path),
+    "hierarchy": ("hierarchy", _hierarchy),
+}
+_SPACE_KEYS = {
+    **_same(_int, "input_channels", "class_count"),
+    **_same(_ints, "cs_options", "ap_options", "ip_options"),
+    "at_options": ("at_options", lambda v: tuple(ADCType(a) for a in v)),
+    "preset": ("preset", str),
+    "layers": ("layers", _layers),
+}
+_LAYER_KEYS = {
+    **_same(_int, "in_h", "in_w", "kernel", "stride"),
+    "is_fc": ("is_fc", _bool),
+    "cd_options": ("cd_options", _ints),
+}
+_SEARCH_KEYS = {
+    **_same(_int, "seed", "phase1_ap", "phase1_ip", "hd_batch_size"),
+    **_same(_float, "lambda1", "lambda2", "adapt_momentum", "temperature"),
+    "area_constraint_mm2": ("area_constraint", _float),
+    "phase1_steps": ("n1_steps", _int),
+    "phase2_steps": ("n2_steps", _int),
+    "lr_phase1": ("lr1", _float),
+    "lr_phase2": ("lr2", _float),
+}
+_FIXTURE_KEYS = {
+    **_same(_int, "train_samples", "eval_samples", "adapt_batch_size", "train_epochs"),
+    **_same(_float, "adapt_fraction", "noise", "train_lr"),
+    "kind": ("kind", str),
+}
+_SECTIONS = ("platform", "design_space", "search", "fixture")
+
+
 def load_unit_costs(path: str | Path | None = None) -> UnitCostTable:
-    """Load a calibration table; falls back to env var, then packaged default."""
-    if path is None:
-        path = os.environ.get(UNIT_COSTS_ENV)
+    """Load a calibration table; without a path, the packaged default."""
     if path is None:
         ref = resources.files("imcsearch").joinpath("data/default_unit_costs.yaml")
-        raw = yaml.safe_load(ref.read_text())
-        source = "packaged default"
+        text, source = ref.read_text(), "packaged default"
     else:
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"unit-cost file not found: {path}")
-        with open(path) as f:
-            raw = yaml.safe_load(f)
-        source = str(path)
+        text, source = path.read_text(), str(path)
     try:
+        raw = yaml.safe_load(text)
         components = {
             name: UnitCost(area=float(entry["area"]), energy=float(entry["energy"]),
                            latency=float(entry["latency"]))
@@ -91,117 +208,43 @@ def load_unit_costs(path: str | Path | None = None) -> UnitCostTable:
         }
         return UnitCostTable(calibration_id=str(raw["calibration_id"]),
                              components=components)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, yaml.YAMLError) as exc:
         raise ConfigError(f"invalid unit-cost table ({source}): {exc}") from exc
 
 
-def _parse_platform(section: dict, base_dir: Path) -> PlatformParams:
-    cost_path = section.get("unit_costs_file")
-    if cost_path is not None:
-        cost_path = base_dir / cost_path if not Path(cost_path).is_absolute() \
-            else Path(cost_path)
-    unit_costs = load_unit_costs(cost_path)
-    hier_raw = section.get("hierarchy", {})
+def _parse_platform(section, base_dir: Path) -> PlatformParams:
+    kw = _read(section, _PLATFORM_KEYS, "platform")
+    path = kw.pop("unit_costs_file", None)
     try:
-        hierarchy = HierarchyParams(**hier_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"platform.hierarchy: {exc}") from exc
-    kwargs = {}
-    for key, cast in (("xbar_size", int), ("xbars_per_tile", int),
-                      ("device_bits", int), ("sigma_over_mu", float),
-                      ("r_on", float), ("on_off_ratio", float),
-                      ("weight_bits", int), ("weight_slice_bits", int),
-                      ("input_slice_bits", int), ("clock_period", float)):
-        if key in section:
-            kwargs[key] = cast(section[key])
-    try:
-        return PlatformParams(unit_costs=unit_costs, hierarchy=hierarchy, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"platform: {exc}") from exc
+        unit_costs = load_unit_costs(None if path is None else base_dir / path)
+    except ConfigError as exc:
+        raise ConfigError(f"platform.unit_costs_file: {exc}") from exc
+    return _build(PlatformParams, "platform", unit_costs=unit_costs, **kw)
 
 
-def _parse_space(section: dict) -> DesignSpace:
-    preset = section.get("preset")
+def _parse_space(section) -> DesignSpace:
+    kw = _read(section, _SPACE_KEYS, "design_space")
+    preset, layers = kw.pop("preset", None), kw.pop("layers", None)
     if preset is not None:
         if preset != "vgg16_cifar":
             raise ConfigError(f"design_space.preset: unknown preset {preset!r}")
-        return vgg16_space(
-            input_channels=int(section.get("input_channels", 3)),
-            class_count=int(section.get("class_count", 10)))
-    layers_raw = _require(section, "layers", "design_space")
-    shapes = []
-    cd_opts = []
-    for i, entry in enumerate(layers_raw):
-        ctx = f"design_space.layers[{i}]"
-        try:
-            if entry.get("is_fc", False):
-                shapes.append(LayerShape.fc())
-            else:
-                h = int(_require(entry, "in_h", ctx))
-                w = int(entry.get("in_w", h))
-                shapes.append(LayerShape(kernel=int(entry.get("kernel", 3)),
-                                         in_spatial=(h, w),
-                                         stride=int(entry.get("stride", 1))))
-            cd_opts.append(tuple(int(c) for c in _require(entry, "cd_options", ctx)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{ctx}: {exc}") from exc
-    kwargs = {}
-    if "cs_options" in section:
-        kwargs["cs_options"] = tuple(int(v) for v in section["cs_options"])
-    if "at_options" in section:
-        try:
-            kwargs["at_options"] = tuple(ADCType(v) for v in section["at_options"])
-        except ValueError as exc:
-            raise ConfigError(f"design_space.at_options: {exc}") from exc
-    if "ap_options" in section:
-        kwargs["ap_options"] = tuple(int(v) for v in section["ap_options"])
-    if "ip_options" in section:
-        kwargs["ip_options"] = tuple(int(v) for v in section["ip_options"])
-    try:
-        return DesignSpace(
-            layer_shapes=tuple(shapes),
-            cd_options_per_layer=tuple(cd_opts),
-            input_channels=int(section.get("input_channels", 3)),
-            class_count=int(section.get("class_count", 10)),
-            **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"design_space: {exc}") from exc
+        if layers is not None:
+            raise ConfigError("design_space.layers: the preset defines the layers")
+        base = vgg16_space(class_count=kw.get("class_count", 10))
+        layers = list(zip(base.layer_shapes, base.cd_options_per_layer))
+    elif layers is None:
+        raise ConfigError("design_space: missing required key 'layers'")
+    return _build(DesignSpace, "design_space",
+                  layer_shapes=tuple(shape for shape, _ in layers),
+                  cd_options_per_layer=tuple(cds for _, cds in layers), **kw)
 
 
-def _parse_search(section: dict) -> SearchConfig:
-    kwargs = {"area_constraint": float(_require(section, "area_constraint_mm2",
-                                                "search"))}
-    for key, name, cast in (("phase1_steps", "n1_steps", int),
-                            ("phase2_steps", "n2_steps", int),
-                            ("lambda1", "lambda1", float),
-                            ("lambda2", "lambda2", float),
-                            ("lr_phase1", "lr1", float),
-                            ("lr_phase2", "lr2", float),
-                            ("seed", "seed", int),
-                            ("phase1_ap", "phase1_ap", int),
-                            ("phase1_ip", "phase1_ip", int),
-                            ("hd_batch_size", "hd_batch_size", int),
-                            ("adapt_momentum", "adapt_momentum", float),
-                            ("temperature", "temperature", float)):
-        if key in section:
-            kwargs[name] = cast(section[key])
-    try:
-        return SearchConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"search: {exc}") from exc
-
-
-def _parse_fixture(section: dict) -> FixtureConfig:
-    kwargs = {}
-    for key, cast in (("kind", str), ("train_samples", int), ("eval_samples", int),
-                      ("adapt_fraction", float), ("adapt_batch_size", int),
-                      ("noise", float), ("train_epochs", int), ("train_lr", float)):
-        if key in section:
-            kwargs[key] = cast(section[key])
-    try:
-        return FixtureConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"fixture: {exc}") from exc
+def check_cs_fits(space: DesignSpace, platform: PlatformParams) -> None:
+    """Every column-sharing option must fit one crossbar's columns."""
+    if max(space.cs_options) > platform.xbar_size:
+        raise ConfigError(
+            f"design_space.cs_options: max cs {max(space.cs_options)} exceeds "
+            f"platform.xbar_size {platform.xbar_size}")
 
 
 def load_config(path: str | Path) -> AppConfig:
@@ -216,13 +259,16 @@ def load_config(path: str | Path) -> AppConfig:
         raise ConfigError(f"{path}: YAML parse error: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    platform = _parse_platform(raw.get("platform", {}), path.parent)
+    for name in raw:
+        if name not in _SECTIONS:
+            raise ConfigError(f"{name}: unknown section")
+    platform = _parse_platform(raw.get("platform"), path.parent)
     space = _parse_space(_require(raw, "design_space", str(path)))
-    search = _parse_search(_require(raw, "search", str(path)))
-    fixture = _parse_fixture(raw.get("fixture", {}))
-    if max(space.cs_options) > platform.xbar_size:
-        raise ConfigError(
-            f"design_space.cs_options: max cs {max(space.cs_options)} exceeds "
-            f"platform.xbar_size {platform.xbar_size}")
+    search = _build(SearchConfig, "search",
+                    **_read(_require(raw, "search", str(path)), _SEARCH_KEYS,
+                            "search", required=("area_constraint_mm2",)))
+    fixture = _build(FixtureConfig, "fixture",
+                     **_read(raw.get("fixture"), _FIXTURE_KEYS, "fixture"))
+    check_cs_fits(space, platform)
     return AppConfig(platform=platform, space=space, search=search,
                      fixture=fixture)

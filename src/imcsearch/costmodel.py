@@ -32,20 +32,14 @@ import numpy as np
 from .designspace import (
     ADCType,
     CandidateModel,
-    DesignSpace,
     LayerChoice,
     LayerShape,
     PlatformParams,
-    validate_candidate,
 )
 
 #: Breakdown keys, in reporting order.
 COMPONENTS = ("XbarArray", "ADC", "Mux", "SwitchMatrix", "Accumulators",
               "Buffers", "HTree")
-
-
-class InvalidModelError(ValueError):
-    """Raised when a cost operation receives a model that fails validation."""
 
 
 @dataclass(frozen=True)
@@ -119,13 +113,13 @@ def tiles_for_layer(cd_in: int, shape: LayerShape, choice: LayerChoice,
                      platform.xbars_per_tile)
 
 
-def read_cycles(choice: LayerChoice, platform: PlatformParams) -> int:
+def read_cycles(choice: LayerChoice) -> int:
     """ADC-conversion rounds per crossbar activation.
 
     Inputs are processed bit-serially (ip cycles) and each ADC is
     time-multiplexed over cs columns.
     """
-    return (choice.ip // platform.input_slice_bits) * choice.cs
+    return choice.ip * choice.cs
 
 
 @dataclass(frozen=True)
@@ -171,7 +165,7 @@ def _layer_terms(cd_in, shape: LayerShape, choice, adc: ADCProfile,
     n_active = active_xbars(cd_in, shape, choice, platform)
     tiles = _ceil_div(n_active, platform.xbars_per_tile)
     adcs_per_xbar = _ceil_div(x, choice.cs)
-    rounds = read_cycles(choice, platform)
+    rounds = read_cycles(choice)
     out_h, out_w = shape.out_spatial()
     positions = out_h * out_w
     pes_per_tile = math.ceil(platform.xbars_per_tile / hier.xbars_per_pe)
@@ -373,19 +367,8 @@ class CostReport:
         return rows
 
 
-def model_cost(model: CandidateModel, platform: PlatformParams,
-               space: DesignSpace | None = None) -> CostReport:
-    """Whole-network cost report: per-layer sums plus derived metrics.
-
-    When a design space is given the model is validated first and an
-    ``InvalidModelError`` lists every violation.
-    """
-    if space is not None:
-        violations = validate_candidate(model, space, platform)
-        if violations:
-            raise InvalidModelError(
-                "; ".join(f"layer {v.layer} [{v.field}]: {v.message}"
-                          for v in violations))
+def model_cost(model: CandidateModel, platform: PlatformParams) -> CostReport:
+    """Whole-network cost report: per-layer sums plus derived metrics."""
     per_layer = []
     op_count = 0
     for idx, (shape, choice) in enumerate(model.layers):

@@ -188,31 +188,25 @@ class PlatformParams:
     unit_costs: UnitCostTable
     xbar_size: int = 64
     xbars_per_tile: int = 64
-    device_bits: int = 4
     sigma_over_mu: float = 0.20
-    r_on: float = 6000.0  # ohm
-    on_off_ratio: float = 150.0
     weight_bits: int = 8
     weight_slice_bits: int = 4
-    input_slice_bits: int = 1
     clock_period: float = 1.0  # ns
     hierarchy: HierarchyParams = field(default_factory=HierarchyParams)
 
     def __post_init__(self) -> None:
         if self.xbar_size < 1 or self.xbars_per_tile < 1:
             raise ValueError("xbar_size and xbars_per_tile must be >= 1")
-        if self.weight_bits % self.weight_slice_bits != 0:
+        # signed weights need a sign and at least one magnitude bit
+        if self.weight_slice_bits < 1 or self.weight_bits < 2 \
+                or self.weight_bits % self.weight_slice_bits != 0:
             raise ValueError(
-                f"weight_bits ({self.weight_bits}) must be divisible by "
-                f"weight_slice_bits ({self.weight_slice_bits})")
-        if self.input_slice_bits != 1:
-            raise ValueError("input slicing is bit-serial: input_slice_bits must be 1")
+                f"weight_bits ({self.weight_bits}) must be at least 2 and a "
+                f"multiple of weight_slice_bits ({self.weight_slice_bits})")
         if self.clock_period <= 0:
             raise ValueError("clock_period must be positive")
         if self.sigma_over_mu < 0:
             raise ValueError("sigma_over_mu must be >= 0")
-        if self.r_on <= 0 or self.on_off_ratio <= 0:
-            raise ValueError("r_on and on_off_ratio must be positive")
 
     @property
     def weight_slices(self) -> int:
@@ -258,6 +252,8 @@ class DesignSpace:
             raise ValueError("ap/ip options must lie in [1, 8]")
         if not self.at_options:
             raise ValueError("at_options must be non-empty")
+        if self.input_channels < 1 or self.class_count < 1:
+            raise ValueError("input_channels and class_count must be >= 1")
 
     @property
     def num_layers(self) -> int:

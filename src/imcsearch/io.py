@@ -78,13 +78,7 @@ def load_model(path: str | Path) -> CandidateModel:
 
 def write_report(report: CostReport, json_path: Path, csv_path: Path) -> None:
     write_json(json_path, report.to_dict())
-    rows = report.csv_rows()
-    with open(csv_path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (repr(v) if isinstance(v, float) else v)
-                             for k, v in row.items()})
+    write_trace(report.csv_rows(), csv_path)
 
 
 def pool_entry_to_dict(entry: PoolEntry) -> dict:
@@ -112,11 +106,10 @@ def write_pool(pool: CandidatePool, path: Path,
 
 
 def write_trace(rows: list[dict], path: Path) -> None:
-    if not rows:
-        with open(path, "w", newline="") as f:
-            f.write("")
-        return
+    """CSV with the first row's keys as header; an empty file for no rows."""
     with open(path, "w", newline="") as f:
+        if not rows:
+            return
         writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         for row in rows:

@@ -16,7 +16,7 @@ from .network import (
     save_net,
     train_tiny,
 )
-from .quantize import adc_quantize, bit_serialize_inputs, quantize_slice_weights
+from .quantize import adc_quantize, quantize_slice_weights
 from .score import hd_score
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "WalkState",
     "accuracy",
     "adc_quantize",
-    "bit_serialize_inputs",
     "bn_adapt",
     "build_refnet",
     "cross_entropy",

@@ -2,10 +2,10 @@
 
 Cells hold unsigned slice values; signed weights map onto a positive and
 a negative column set that are converted separately and subtracted after
-the ADC.  Device variation multiplies every cell by N(1, sigma/mu); with
-a pinned seed the draw is frozen per (seed, key), which models one
-programmed chip instance reused across forward passes.  Phase 2 therefore
-programs each layer's cells once per run and reuses them for every probe.
+the ADC.  Device variation multiplies every cell by N(1, sigma/mu); the
+draw is seeded and frozen per (seed, key), which models one programmed
+chip instance reused across forward passes.  Phase 2 therefore programs
+each layer's cells once per run and reuses them for every probe.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ class NoiseSpec:
     """Noise-source switches for crossbar inference."""
 
     sigma_over_mu: float = 0.20
-    rng_seed: int | None = None
+    rng_seed: int = 0
     quantization: bool = True
     variation: bool = True
 
@@ -32,16 +32,12 @@ class NoiseSpec:
                     key: tuple[int, ...] = (0,)) -> np.ndarray | None:
         """Per-cell conductance multipliers, or None when variation is off.
 
-        With a seed set, the same (seed, key) always yields the same
-        draw; without one, every call resamples.
+        The same (seed, key) always yields the same draw.
         """
         if not self.variation or self.sigma_over_mu == 0:
             return None
-        if self.rng_seed is None:
-            rng = np.random.default_rng()
-        else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(self.rng_seed, spawn_key=tuple(key)))
+        rng = np.random.default_rng(
+            np.random.SeedSequence(self.rng_seed, spawn_key=tuple(key)))
         return 1.0 + self.sigma_over_mu * rng.standard_normal(shape)
 
 

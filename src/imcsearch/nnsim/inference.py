@@ -9,9 +9,9 @@ and row chunks.  Everything else (batchnorm, ReLU, pooling) stays ideal.
 ``walk_layers`` is the one noisy layer walk: it carries the adaptation
 activations, the adapted batchnorm statistics and the evaluation
 activation from one quantizable layer to the next, so a walk can stop at
-any quantizable layer and later walks can resume from there.  Under
-seeded noise the programmed cells of each layer can be kept across walks;
-phase 2 programs them once per run.
+any quantizable layer and later walks can resume from there.  The
+programmed cells of each layer can be kept across walks; phase 2
+programs them once per run.
 """
 
 from __future__ import annotations
@@ -107,9 +107,8 @@ def _quantized_layer_output(layer: Conv2D | Dense, x: np.ndarray, ap: int,
                             cells: dict[tuple[int, ...], CellArrays] | None = None):
     """Run one conv/dense layer through the crossbar path.
 
-    ``cells`` memoizes programmed cells per key.  It is filled only under
-    seeded noise, whose device variation is frozen per key; unseeded noise
-    draws fresh cells for every evaluation.
+    ``cells`` memoizes programmed cells per key; the device variation is
+    frozen per key, so a memoized entry equals a fresh one.
     """
     if isinstance(layer, Conv2D):
         cols, (oh, ow) = im2col(x, layer.kernel, layer.stride, layer.pad)
@@ -120,7 +119,7 @@ def _quantized_layer_output(layer: Conv2D | Dense, x: np.ndarray, ap: int,
         w = layer.weight_matrix() if isinstance(layer, Conv2D) else layer.weight
         programmed = prepare_cells(w, noise, platform.weight_bits,
                                    platform.weight_slice_bits, key)
-        if cells is not None and noise.rng_seed is not None:
+        if cells is not None:
             cells[key] = programmed
     codes, in_scale = quantize_inputs(np.maximum(cols, 0.0), ip)
     full_range = _layer_full_range(programmed, codes, platform.xbar_size,

@@ -286,21 +286,6 @@ class AvgPool2D(Layer):
         return {"kind": "avgpool", "size": self.size}
 
 
-class Flatten(Layer):
-    def __init__(self):
-        self._in_shape = None
-
-    def forward(self, x, train=False):
-        self._in_shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, dout):
-        return dout.reshape(self._in_shape)
-
-    def spec(self):
-        return {"kind": "flatten"}
-
-
 class GlobalAvgPool(Layer):
     """Collapse remaining spatial extent to 1x1 before the classifier."""
 
@@ -326,7 +311,6 @@ _LAYER_KINDS = {
     "bn": lambda s: BatchNorm(s["num_features"], s["momentum"], s["eps"]),
     "relu": lambda s: ReLU(),
     "avgpool": lambda s: AvgPool2D(s["size"]),
-    "flatten": lambda s: Flatten(),
     "gap": lambda s: GlobalAvgPool(),
 }
 

@@ -1,4 +1,4 @@
-"""Weight slicing, input bit-serialization and ADC partial-sum quantization.
+"""Weight slicing, input quantization and ADC partial-sum quantization.
 
 All decompositions round-trip exactly on their integer code spaces; the
 test suite verifies this exhaustively.
@@ -68,24 +68,6 @@ def slice_codes(codes: np.ndarray, weight_bits: int, slice_bits: int,
                    for s in range(n_slices))
     return SlicedWeights(slices=slices, sign=sign, scale=scale,
                          weight_bits=weight_bits, slice_bits=slice_bits)
-
-
-def bit_serialize_inputs(activations: np.ndarray,
-                         ip: int) -> tuple[list[np.ndarray], float]:
-    """Unsigned ip-bit quantization into binary planes (LSB first).
-
-    Activations must be non-negative (they follow a ReLU; the raw network
-    input is clipped at zero by the caller).  ``sum_b planes[b] * 2^b``
-    recovers the quantized code.
-    """
-    activations = np.asarray(activations, dtype=float)
-    if not 1 <= ip <= 8:
-        raise ValueError(f"ip must be in [1, 8], got {ip}")
-    if activations.size and float(activations.min()) < 0:
-        raise ValueError("activations must be non-negative")
-    codes, scale = quantize_inputs(activations, ip)
-    planes = [((codes >> b) & 1).astype(np.int64) for b in range(ip)]
-    return planes, scale
 
 
 def quantize_inputs(activations: np.ndarray, ip: int) -> tuple[np.ndarray, float]:

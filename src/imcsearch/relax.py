@@ -10,7 +10,7 @@ is still exact, and its gradients are available in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,22 +62,9 @@ class LogitMatrix:
         return LogitMatrix([r.copy() for r in self.rows], self.temperature)
 
 
-@dataclass
-class OptState:
-    """Plain SGD state; ``rng_seed`` is recorded for provenance only."""
-
-    learning_rate: float
-    step_count: int = 0
-    rng_seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-
-
 def sgd_step(logits: LogitMatrix, grads: list[np.ndarray],
-             opt: OptState) -> LogitMatrix:
-    """One SGD update: logits - lr * grad.  Increments opt.step_count."""
+             learning_rate: float) -> LogitMatrix:
+    """One SGD update: logits - learning_rate * grad."""
     if len(grads) != len(logits.rows):
         raise ValueError(f"gradient rows {len(grads)} != logit rows "
                          f"{len(logits.rows)}")
@@ -86,8 +73,7 @@ def sgd_step(logits: LogitMatrix, grads: list[np.ndarray],
         g = np.asarray(g, dtype=float)
         if g.shape != row.shape:
             raise ValueError(f"gradient shape {g.shape} != logits shape {row.shape}")
-        new_rows.append(row - opt.learning_rate * g)
-    opt.step_count += 1
+        new_rows.append(row - learning_rate * g)
     return LogitMatrix(new_rows, logits.temperature)
 
 
@@ -101,7 +87,6 @@ class CostTables:
 
     areas: list[np.ndarray]
     delays: list[np.ndarray]
-    option_cds: list[np.ndarray] = field(default_factory=list)
 
 
 def build_cost_tables(space: DesignSpace, platform: PlatformParams,
@@ -115,7 +100,6 @@ def build_cost_tables(space: DesignSpace, platform: PlatformParams,
     """
     areas: list[np.ndarray] = []
     delays: list[np.ndarray] = []
-    option_cds: list[np.ndarray] = []
     prev_cds = np.array([space.input_channels])
     for layer in range(space.num_layers):
         options = enumerate_options(space, layer, phase=1)
@@ -125,10 +109,8 @@ def build_cost_tables(space: DesignSpace, platform: PlatformParams,
                                     choices, platform)
         areas.append(a)
         delays.append(d)
-        cds = np.array([opt[0] for opt in options])
-        option_cds.append(cds)
-        prev_cds = cds
-    return CostTables(areas=areas, delays=delays, option_cds=option_cds)
+        prev_cds = np.array([opt[0] for opt in options])
+    return CostTables(areas=areas, delays=delays)
 
 
 def _expectation_with_grad(tables: list[np.ndarray],

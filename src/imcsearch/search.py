@@ -35,12 +35,11 @@ from .nnsim import (
 )
 from .relax import (
     LogitMatrix,
-    OptState,
+    _chain_softmax,
     build_cost_tables,
     expected_model_cost,
     phase1_loss_grad,
     sgd_step,
-    softmax_probs,
 )
 
 #: Relative area margin for pool admission.
@@ -78,6 +77,8 @@ class SearchConfig:
         # zero disables the respective penalty term; negative flips its sign
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("lambda1 and lambda2 must be >= 0")
+        if not (1 <= self.phase1_ap <= 8 and 1 <= self.phase1_ip <= 8):
+            raise ValueError("phase1_ap and phase1_ip must lie in [1, 8]")
 
 
 def admit(report: CostReport, area_constraint: float) -> bool:
@@ -153,7 +154,6 @@ def phase1_run(space: DesignSpace, platform: PlatformParams,
                                config.phase1_ip)
     counts = [tables.areas[l].shape[1] for l in range(space.num_layers)]
     logits = LogitMatrix.uniform(counts, config.temperature)
-    opt = OptState(learning_rate=config.lr1, rng_seed=config.seed)
     pool = CandidatePool()
     costed: dict[tuple[int, ...], PoolEntry] = {}  # argmax indices -> entry
     trace: list[dict] = []
@@ -187,7 +187,7 @@ def phase1_run(space: DesignSpace, platform: PlatformParams,
             "admitted": int(entry.admitted),
             "new_candidate": int(is_new),
         })
-        logits = sgd_step(logits, grads, opt)
+        logits = sgd_step(logits, grads, config.lr1)
     return Phase1Result(pool=pool, trace=trace, logits=logits,
                         delay_ref=delay_ref, final_candidate=candidate)
 
@@ -286,7 +286,6 @@ def phase2_run(trained_net: RefNet, phase1_model: CandidateModel,
     n_layers = len(phase1_model.layers)
     n_opts = len(options)
     logits = LogitMatrix.uniform([n_opts] * n_layers, config.temperature)
-    opt = OptState(learning_rate=config.lr2, rng_seed=config.seed)
     delays, delay_ref = _phase2_delays(phase1_model, space, platform,
                                        config.phase1_ap, config.phase1_ip)
     noise = NoiseSpec(sigma_over_mu=platform.sigma_over_mu,
@@ -304,7 +303,7 @@ def phase2_run(trained_net: RefNet, phase1_model: CandidateModel,
 
     trace: list[dict] = []
     for step in range(config.n2_steps):
-        probs = [softmax_probs(r, logits.temperature) for r in logits.rows]
+        probs = logits.probs()
         argmax = logits.argmax()
         layer = int(rng.integers(n_layers))
         base = [options[i] for i in argmax]
@@ -323,14 +322,9 @@ def phase2_run(trained_net: RefNet, phase1_model: CandidateModel,
         e_delay = float(sum(p @ d for p, d in zip(probs, delays)))
         mixture_ce = float(probs[layer] @ ce_values)
         loss = phase2_loss(mixture_ce, e_delay, delay_ref, config.lambda2)
-        grads = []
-        dl_ddelay = config.lambda2 / delay_ref
-        for l in range(n_layers):
-            g_p = dl_ddelay * delays[l]
-            if l == layer:
-                g_p = g_p + ce_values
-            p = probs[l]
-            grads.append(p * (g_p - float(p @ g_p)) / logits.temperature)
+        dprobs = [config.lambda2 / delay_ref * d for d in delays]
+        dprobs[layer] += ce_values
+        grads = _chain_softmax(probs, dprobs, logits.temperature)
         trace.append({
             "step": step,
             "layer": layer,
@@ -338,7 +332,7 @@ def phase2_run(trained_net: RefNet, phase1_model: CandidateModel,
             "expected_delay_ns": e_delay,
             "loss": loss,
         })
-        logits = sgd_step(logits, grads, opt)
+        logits = sgd_step(logits, grads, config.lr2)
     assignment = [options[i] for i in logits.argmax()]
     return Phase2Result(assignment=assignment, trace=trace, logits=logits,
                         delay_ref=delay_ref)

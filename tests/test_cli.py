@@ -1,10 +1,14 @@
 """Command-line exit codes and messages on a small phase-1 configuration."""
 
+import csv
 import json
 
 import yaml
 
 from imcsearch import cli, search
+from imcsearch.config import load_config
+from imcsearch.designspace import ADCType, homogeneous_model
+from imcsearch.io import model_to_dict, write_json
 
 #: Two toy conv layers, a few phase-1 steps; the constraint is filled in.
 CONFIG = {
@@ -49,3 +53,45 @@ def test_phase1_missing_area_constraint_exits_2_naming_the_field(tmp_path,
                      str(tmp_path / "run")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "search" in err and "area_constraint_mm2" in err
+
+
+def read_sweep(out) -> list[dict]:
+    with open(out / "sweep.csv", newline="") as f:
+        return list(csv.DictReader(f))
+
+
+def test_sweep_xbar_size_below_max_cs_exits_2_naming_the_field(tmp_path,
+                                                               capsys):
+    raw = dict(CONFIG, design_space=dict(CONFIG["design_space"],
+                                         cs_options=[4, 32]),
+               search=dict(CONFIG["search"], area_constraint_mm2=1.0))
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(path), "--axis", "xbar_size",
+                     "--values", "16,40.5", "--out-dir", str(out)]) == cli.EXIT_CONFIG
+    small, fractional = read_sweep(out)
+    assert small["status"] == fractional["status"] == "config_error"
+    assert ("design_space.cs_options: max cs 32 exceeds platform.xbar_size 16"
+            in small["message"])
+    assert "xbar_size must be an integer, got 40.5" in fractional["message"]
+    assert not (out / "point_16").exists()
+
+
+def test_sweep_model_outside_the_space_exits_2_like_eval(tmp_path, capsys):
+    path = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=1.0))
+    space = load_config(path).space
+    model_path = tmp_path / "model.json"
+    write_json(model_path, model_to_dict(
+        homogeneous_model(space, cs=32, at=ADCType.SAR, ap=6, ip=8)))
+    assert cli.main(["eval", "--config", str(path), "--model", str(model_path),
+                     "--out-dir", str(tmp_path / "eval")]) == cli.EXIT_CONFIG
+    assert "layer 0 [cs]" in capsys.readouterr().err
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(path), "--axis", "area_constraint",
+                     "--values", "1", "--model", str(model_path),
+                     "--out-dir", str(out)]) == cli.EXIT_CONFIG
+    (row,) = read_sweep(out)
+    assert row["status"] == "config_error"
+    assert "layer 0 [cs]: cs 32 not in (4, 8)" in row["message"]
+    assert row["area_mm2"] == ""

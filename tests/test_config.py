@@ -1,0 +1,261 @@
+"""Config loading: every key cast and checked through its section's table."""
+
+import copy
+
+import pytest
+import yaml
+
+from imcsearch import cli
+from imcsearch.config import AppConfig, FixtureConfig, load_config, load_unit_costs
+from imcsearch.designspace import (
+    ADCType,
+    DesignSpace,
+    HierarchyParams,
+    LayerShape,
+    PlatformParams,
+)
+from imcsearch.search import SearchConfig
+
+#: Sets every key of every section, each to a value other than its default.
+FULL = {
+    "platform": {
+        "unit_costs_file": "costs.yaml",
+        "xbar_size": 128,
+        "xbars_per_tile": 32,
+        "sigma_over_mu": 0.1,
+        "weight_bits": 6,
+        "weight_slice_bits": 2,
+        "clock_period": 2.5,
+        "hierarchy": {
+            "xbars_per_pe": 4,
+            "pe_buffer_bytes": 1024,
+            "tile_buffer_bytes": 16384,
+            "global_buffer_bytes": 65536,
+            "htree_bus_bytes": 16,
+            "htree_global_hops": 3,
+        },
+    },
+    "design_space": {
+        "input_channels": 2,
+        "class_count": 3,
+        "cs_options": [4, 8],
+        "at_options": ["flash"],
+        "ap_options": [4, 7],
+        "ip_options": [2, 5],
+        "layers": [
+            {"in_h": 8, "in_w": 6, "kernel": 5, "stride": 2,
+             "cd_options": [8, 16]},
+            {"is_fc": True, "cd_options": [3]},
+        ],
+    },
+    "search": {
+        "area_constraint_mm2": 12.5,
+        "phase1_steps": 7,
+        "phase2_steps": 3,
+        "lambda1": 0.5,
+        "lambda2": 0.25,
+        "lr_phase1": 2.0,
+        "lr_phase2": 0.3,
+        "seed": 11,
+        "phase1_ap": 5,
+        "phase1_ip": 4,
+        "hd_batch_size": 16,
+        "adapt_momentum": 0.2,
+        "temperature": 1.5,
+    },
+    "fixture": {
+        "kind": "blobs",
+        "train_samples": 64,
+        "eval_samples": 32,
+        "adapt_fraction": 0.5,
+        "adapt_batch_size": 8,
+        "noise": 0.3,
+        "train_epochs": 5,
+        "train_lr": 0.01,
+    },
+}
+
+
+def _costs_document() -> dict:
+    table = load_unit_costs()
+    return {"calibration_id": "test-costs",
+            "components": {name: {"area": c.area, "energy": c.energy,
+                                  "latency": c.latency}
+                           for name, c in table.components.items()}}
+
+
+def write_config(tmp_path, raw) -> str:
+    (tmp_path / "costs.yaml").write_text(yaml.safe_dump(_costs_document()))
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    return str(path)
+
+
+def with_value(path, value) -> dict:
+    """A copy of ``FULL`` with the key or list entry at ``path`` set to ``value``."""
+    raw = copy.deepcopy(FULL)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
+def run_phase1(tmp_path, raw, capsys) -> tuple[int, str]:
+    code = cli.main(["phase1", "--config", write_config(tmp_path, raw),
+                     "--out-dir", str(tmp_path / "run")])
+    return code, capsys.readouterr().err
+
+
+def _paths(node, path=()):
+    """Every key of ``FULL``'s sections and every layer entry, as paths."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, dict) or key == "layers":
+            yield from _paths(value, path + (key,))
+
+
+def _dotted(path) -> str:
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
+                   for p in path).lstrip(".")
+
+
+def test_every_key_loads_into_its_field(tmp_path):
+    cfg = load_config(write_config(tmp_path, FULL))
+    assert cfg.platform.unit_costs.calibration_id == "test-costs"
+    assert cfg == AppConfig(
+        platform=PlatformParams(
+            unit_costs=cfg.platform.unit_costs, xbar_size=128,
+            xbars_per_tile=32, sigma_over_mu=0.1, weight_bits=6,
+            weight_slice_bits=2, clock_period=2.5,
+            hierarchy=HierarchyParams(
+                xbars_per_pe=4, pe_buffer_bytes=1024, tile_buffer_bytes=16384,
+                global_buffer_bytes=65536, htree_bus_bytes=16,
+                htree_global_hops=3)),
+        space=DesignSpace(
+            layer_shapes=(LayerShape(kernel=5, in_spatial=(8, 6), stride=2),
+                          LayerShape.fc()),
+            cd_options_per_layer=((8, 16), (3,)), cs_options=(4, 8),
+            at_options=(ADCType.FLASH,), ap_options=(4, 7), ip_options=(2, 5),
+            input_channels=2, class_count=3),
+        search=SearchConfig(
+            area_constraint=12.5, n1_steps=7, n2_steps=3, lambda1=0.5,
+            lambda2=0.25, lr1=2.0, lr2=0.3, seed=11, phase1_ap=5, phase1_ip=4,
+            hd_batch_size=16, adapt_momentum=0.2, temperature=1.5),
+        fixture=FixtureConfig(
+            kind="blobs", train_samples=64, eval_samples=32,
+            adapt_fraction=0.5, adapt_batch_size=8, noise=0.3, train_epochs=5,
+            train_lr=0.01))
+
+
+#: Where the cast succeeds and the dataclass rejects the value, the
+#: message names the section, then the field.
+_VALIDATED = {"fixture.kind": "fixture: kind must be blobs|patterns"}
+
+
+@pytest.mark.parametrize("path", list(_paths(FULL)), ids=_dotted)
+def test_malformed_value_anywhere_exits_2_naming_it(tmp_path, capsys, path):
+    code, err = run_phase1(tmp_path, with_value(path, "abc"), capsys)
+    assert code == cli.EXIT_CONFIG
+    assert _VALIDATED.get(_dotted(path), f"{_dotted(path)}:") in err
+
+
+@pytest.mark.parametrize("path, value", [
+    (("platform", "xbar_size"), [64]),
+    (("platform", "xbar_size"), None),
+    (("platform", "hierarchy", "xbars_per_pe"), 2.5e400),
+    (("design_space", "cs_options"), ["a"]),
+    (("design_space", "cs_options"), 4),
+    (("design_space", "at_options"), ["sar", "pipelined"]),
+    (("design_space", "layers", 0, "cd_options"), [8, "x"]),
+    (("design_space", "layers", 1, "is_fc"), "false"),
+    (("search", "phase1_steps"), float("inf")),
+    (("search", "phase1_steps"), 7.5),
+    (("search", "seed"), {"value": 1}),
+    (("search", "seed"), True),
+    (("search", "area_constraint_mm2"), float("nan")),
+    (("search", "lr_phase1"), float("nan")),
+    (("platform", "sigma_over_mu"), float("inf")),
+], ids=lambda v: _dotted(v) if isinstance(v, tuple) else repr(v))
+def test_malformed_value_kinds_exit_2_naming_the_key(tmp_path, capsys, path,
+                                                      value):
+    code, err = run_phase1(tmp_path, with_value(path, value), capsys)
+    assert code == cli.EXIT_CONFIG
+    assert f"{_dotted(path)}:" in err
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("search", "phase1_ap"), 9, "search: phase1_ap and phase1_ip"),
+    (("search", "phase1_ip"), 0, "search: phase1_ap and phase1_ip"),
+    (("platform", "weight_slice_bits"), 0, "platform: weight_bits (6)"),
+    (("platform", "weight_bits"), 0, "platform: weight_bits (0)"),
+    (("platform", "weight_bits"), 1, "platform: weight_bits (1)"),
+    (("design_space", "input_channels"), 0, "design_space: input_channels"),
+], ids=lambda v: _dotted(v) if isinstance(v, tuple) else repr(v))
+def test_out_of_range_value_exits_2_naming_the_section(tmp_path, capsys,
+                                                       path, value, message):
+    code, err = run_phase1(tmp_path, with_value(path, value), capsys)
+    assert code == cli.EXIT_CONFIG
+    assert message in err
+
+
+@pytest.mark.parametrize("path", [
+    ("platform", "xbar_sise"),
+    # removed settings: nothing in the program read them
+    ("platform", "device_bits"),
+    ("platform", "r_on"),
+    ("platform", "on_off_ratio"),
+    ("platform", "input_slice_bits"),
+    ("platform", "hierarchy", "xbars_per_tile"),
+    ("design_space", "layers", 0, "padding"),
+    ("search", "area_constraint"),
+    ("fixture", "samples"),
+    ("fixtures",),
+], ids=_dotted)
+def test_unknown_key_exits_2_naming_it(tmp_path, capsys, path):
+    code, err = run_phase1(tmp_path, with_value(path, 1), capsys)
+    assert code == cli.EXIT_CONFIG
+    assert f"{_dotted(path)}: unknown" in err
+
+
+def test_missing_required_key_is_named(tmp_path, capsys):
+    raw = copy.deepcopy(FULL)
+    del raw["design_space"]["layers"][0]["in_h"]
+    code, err = run_phase1(tmp_path, raw, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert "design_space.layers[0]: missing required key 'in_h'" in err
+
+
+def test_preset_takes_the_other_design_space_keys(tmp_path, capsys):
+    raw = {"design_space": {"preset": "vgg16_cifar", "cs_options": [2, 4],
+                            "class_count": 5},
+           "search": {"area_constraint_mm2": 20.0}}
+    space = load_config(write_config(tmp_path, raw)).space
+    assert space.num_layers == 14
+    assert space.cs_options == (2, 4)
+    assert space.cd_options_per_layer[-1] == (5,)
+    raw["design_space"]["layers"] = FULL["design_space"]["layers"]
+    code, err = run_phase1(tmp_path, raw, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert "design_space.layers: the preset defines the layers" in err
+
+
+@pytest.mark.parametrize("text", ["components: [", "components: {}\n",
+                                  "just text\n"])
+def test_malformed_unit_cost_file_exits_2_naming_the_key(tmp_path, capsys,
+                                                         text):
+    (tmp_path / "bad_costs.yaml").write_text(text)
+    raw = with_value(("platform", "unit_costs_file"), "bad_costs.yaml")
+    code, err = run_phase1(tmp_path, raw, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert "platform.unit_costs_file: invalid unit-cost table" in err
+
+
+def test_unit_costs_env_var_is_ignored(tmp_path, monkeypatch):
+    monkeypatch.setenv("IMCSEARCH_UNIT_COSTS", str(tmp_path / "missing.yaml"))
+    assert load_unit_costs().calibration_id == "desk32nm-v1"
+    raw = copy.deepcopy(FULL)
+    del raw["platform"]["unit_costs_file"]
+    cfg = load_config(write_config(tmp_path, raw))
+    assert cfg.platform.unit_costs.calibration_id == "desk32nm-v1"

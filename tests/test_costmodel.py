@@ -117,10 +117,9 @@ def test_doubling_cd_out_doubles_column_term():
 # ---------------------------------------------------------------------------
 
 def test_read_cycles():
-    platform = make_platform()
-    assert read_cycles(choice(ip=8, cs=8), platform) == 64
-    assert read_cycles(choice(ip=1, cs=1), platform) == 1
-    assert read_cycles(choice(ip=4, cs=16), platform) == 64
+    assert read_cycles(choice(ip=8, cs=8)) == 64
+    assert read_cycles(choice(ip=1, cs=1)) == 1
+    assert read_cycles(choice(ip=4, cs=16)) == 64
 
 
 def test_adc_profile_flash_comparator_count():

@@ -132,5 +132,5 @@ def test_validated_model_accepted_downstream():
     platform = make_platform()
     model = homogeneous_model(space, cs=4, at=ADCType.FLASH, ap=6, ip=8)
     assert validate_candidate(model, space, platform) == []
-    report = model_cost(model, platform, space)
+    report = model_cost(model, platform)
     assert report.area > 0 and report.delay > 0 and report.energy > 0

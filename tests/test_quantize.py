@@ -4,7 +4,7 @@ import pytest
 from imcsearch.nnsim.quantize import (
     adc_dequantize,
     adc_quantize,
-    bit_serialize_inputs,
+    quantize_inputs,
     quantize_slice_weights,
     slice_codes,
 )
@@ -51,36 +51,26 @@ def test_quantize_rejects_nonfinite():
 
 
 def test_bit_serialize_binary_expansion():
-    # code 9 at ip=4 -> planes (1, 0, 0, 1) LSB first
-    acts = np.array([9.0, 0.0, 15.0])
-    planes, scale = bit_serialize_inputs(acts / 15.0 * 15.0, ip=4)
-    # max activation 15 -> scale 1 -> codes (9, 0, 15)
+    # max activation 15 at ip=4 -> scale 1 -> codes (9, 0, 15); the kernel
+    # reads code 9 as the bit planes (1, 0, 0, 1), LSB first
+    codes, scale = quantize_inputs(np.array([9.0, 0.0, 15.0]), ip=4)
     assert scale == pytest.approx(1.0)
-    got = [int(p[0]) for p in planes]
-    assert got == [1, 0, 0, 1]
-    assert [int(p[1]) for p in planes] == [0, 0, 0, 0]
-    assert [int(p[2]) for p in planes] == [1, 1, 1, 1]
+    assert codes.tolist() == [9, 0, 15]
+    assert [int(codes[0] >> b) & 1 for b in range(4)] == [1, 0, 0, 1]
 
 
 def test_bit_serialize_single_plane():
-    acts = np.array([0.0, 0.2, 0.9, 1.0])
-    planes, scale = bit_serialize_inputs(acts, ip=1)
-    assert len(planes) == 1
-    assert np.array_equal(planes[0], np.array([0, 0, 1, 1]))
+    codes, _ = quantize_inputs(np.array([0.0, 0.2, 0.9, 1.0]), ip=1)
+    assert np.array_equal(codes, np.array([0, 0, 1, 1]))
 
 
 @pytest.mark.parametrize("ip", range(1, 9))
 def test_bit_serialize_recomposition_exhaustive(ip):
-    codes = np.arange(2 ** ip, dtype=float)
-    planes, scale = bit_serialize_inputs(codes, ip=ip)
+    # input quantization maps its own code grid onto itself
+    grid = np.arange(2 ** ip, dtype=float)
+    codes, scale = quantize_inputs(grid, ip=ip)
     assert scale == pytest.approx(1.0)
-    recomposed = sum(p * (1 << b) for b, p in enumerate(planes))
-    assert np.array_equal(recomposed, codes.astype(np.int64))
-
-
-def test_bit_serialize_rejects_negative():
-    with pytest.raises(ValueError):
-        bit_serialize_inputs(np.array([-0.1, 0.5]), ip=4)
+    assert np.array_equal(codes, grid.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from imcsearch.costmodel import model_cost
 from imcsearch.designspace import CandidateModel, LayerChoice, enumerate_options
 from imcsearch.relax import (
     LogitMatrix,
-    OptState,
     argmax_select,
     build_cost_tables,
     expected_model_cost,
@@ -212,27 +211,23 @@ def test_phase1_loss_grad_matches_finite_differences():
 
 def test_sgd_zero_gradient_keeps_logits():
     logits = LogitMatrix([np.array([1.0, 2.0]), np.array([0.5, -0.5])])
-    opt = OptState(learning_rate=13.0)
-    out = sgd_step(logits, [np.zeros(2), np.zeros(2)], opt)
+    out = sgd_step(logits, [np.zeros(2), np.zeros(2)], 13.0)
     assert np.array_equal(out.rows[0], logits.rows[0])
     assert np.array_equal(out.rows[1], logits.rows[1])
-    assert opt.step_count == 1
 
 
 def test_sgd_arithmetic():
     logits = LogitMatrix([np.array([1.0])])
-    opt = OptState(learning_rate=0.1)
-    out = sgd_step(logits, [np.array([0.5])], opt)
+    out = sgd_step(logits, [np.array([0.5])], 0.1)
     assert out.rows[0][0] == pytest.approx(0.95)
 
 
 def test_sgd_shape_mismatch_raises():
     logits = LogitMatrix([np.array([1.0, 2.0])])
-    opt = OptState(learning_rate=1.0)
     with pytest.raises(ValueError):
-        sgd_step(logits, [np.zeros(3)], opt)
+        sgd_step(logits, [np.zeros(3)], 1.0)
     with pytest.raises(ValueError):
-        sgd_step(logits, [np.zeros(2), np.zeros(2)], opt)
+        sgd_step(logits, [np.zeros(2), np.zeros(2)], 1.0)
 
 
 def test_default_learning_rates_are_paper_settings():

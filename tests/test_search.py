@@ -249,7 +249,7 @@ def test_walk_cut_equivalence(toy):
                                         platform, adc_range=CAL), whole.eval)
 
 
-def test_unseeded_noise_draws_fresh_cells_per_evaluation(toy, monkeypatch):
+def test_cells_memo_programs_each_layer_once(toy, monkeypatch):
     _, _, net, data, platform = toy
     calls = []
     prepare = inference.prepare_cells
@@ -260,16 +260,15 @@ def test_unseeded_noise_draws_fresh_cells_per_evaluation(toy, monkeypatch):
 
     monkeypatch.setattr(inference, "prepare_cells", counting)
     start = WalkState.begin(data.adapt_batches, data.eval_batch)
-    # 4 quantizable layers x (2 adapt batches + 1 eval batch)
-    for seed, per_walk in ((None, [12, 12]), (9, [4, 0])):
-        noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=seed)
-        cells = {}
-        for want in per_walk:
-            calls.clear()
-            walk_layers(net, start, PLAN, noise, platform, adc_range=CAL,
-                        cells=cells)
-            assert len(calls) == want
-        assert len(cells) == (0 if seed is None else 4)
+    noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=9)
+    cells = {}
+    # the first walk programs the 4 quantizable layers, the second none
+    for want in (4, 0):
+        calls.clear()
+        walk_layers(net, start, PLAN, noise, platform, adc_range=CAL,
+                    cells=cells)
+        assert len(calls) == want
+    assert len(cells) == 4
 
 
 #: Captured from the search before it shared prefixes and cells; the seed
