@@ -20,7 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import AppConfig, ConfigError, FixtureConfig, check_cs_fits, load_config
+from .config import (
+    AppConfig,
+    ConfigError,
+    FixtureConfig,
+    check_class_count,
+    check_cs_fits,
+    load_config,
+)
 from .costmodel import model_cost
 from .designspace import ADCType, CandidateModel, DesignSpace, validate_candidate
 from .io import (
@@ -161,6 +168,7 @@ def _phase1_into(run: _RunDir, cfg: AppConfig):
 
 def cmd_phase1(config_path: Path, out_dir: Path, seed: int | None = None) -> int:
     cfg = _apply_seed(load_config(config_path), seed)
+    check_class_count(cfg.space)
     run = _RunDir(out_dir, "phase1", config_path, cfg.search.seed)
     _, selected = _phase1_into(run, cfg)
     if selected is None:
@@ -242,6 +250,7 @@ def _sweep_point(args: tuple) -> dict:
             report = model_cost(model, cfg.platform)
             selected_model = model
         else:
+            check_class_count(cfg.space)
             run = _RunDir(Path(point_dir), f"sweep:{axis}", config_path,
                           cfg.search.seed)
             _, selected = _phase1_into(run, cfg)

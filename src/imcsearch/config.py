@@ -247,6 +247,20 @@ def check_cs_fits(space: DesignSpace, platform: PlatformParams) -> None:
             f"platform.xbar_size {platform.xbar_size}")
 
 
+def check_class_count(space: DesignSpace) -> None:
+    """The last layer's only width must be ``class_count``.
+
+    Ranking builds each admitted candidate's reference network, whose
+    classifier outputs one channel per class.
+    """
+    last = space.num_layers - 1
+    options = space.cd_options_per_layer[last]
+    if tuple(options) != (space.class_count,):
+        raise ConfigError(
+            f"design_space.layers[{last}].cd_options: {list(options)} must be "
+            f"[{space.class_count}], the design_space.class_count")
+
+
 def load_config(path: str | Path) -> AppConfig:
     """Parse a run configuration file into validated parameter objects."""
     path = Path(path)

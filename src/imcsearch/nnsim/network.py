@@ -14,6 +14,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class TrainingDiverged(RuntimeError):
@@ -46,19 +47,27 @@ class TensorBatch:
 
 def im2col(x: np.ndarray, kernel: int, stride: int,
            pad: int) -> tuple[np.ndarray, tuple[int, int]]:
-    """(N, C, H, W) -> (N * outH * outW, C * k * k) patch matrix."""
+    """(N, C, H, W) -> (N * outH * outW, C * k * k) patch matrix.
+
+    Rows run over (n, out_y, out_x) and columns over (c, ky, kx), and the
+    matrix is C-contiguous.  The input is zero-padded into a channels-last
+    (N, H + 2p, W + 2p, C) buffer; a conv layer's output is channels-last
+    in memory, so filling that buffer is a plain copy.  The strided window
+    view of the buffer is already in (n, out_y, out_x, c, ky, kx) order,
+    and reshaping it to the matrix is the only copy of the patches.
+    """
     n, c, h, w = x.shape
+    xt = x.transpose(0, 2, 3, 1)
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out_h = (h + 2 * pad - kernel) // stride + 1
-    out_w = (w + 2 * pad - kernel) // stride + 1
-    cols = np.empty((n, c, kernel, kernel, out_h, out_w), dtype=x.dtype)
-    for i in range(kernel):
-        for j in range(kernel):
-            cols[:, :, i, j] = x[:, :, i:i + stride * out_h:stride,
-                                 j:j + stride * out_w:stride]
-    cols = cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1)
-    return cols, (out_h, out_w)
+        # np.pad gives the same array but costs ~30 us more per call, ~10%
+        # of im2col at the phase-2 toy shapes (64 x 8 x 8 x 8)
+        padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+        padded[:, pad:pad + h, pad:pad + w] = xt
+        xt = padded
+    windows = sliding_window_view(xt, (kernel, kernel),
+                                  axis=(1, 2))[:, ::stride, ::stride]
+    out_h, out_w = windows.shape[1:3]
+    return windows.reshape(n * out_h * out_w, -1), (out_h, out_w)
 
 
 def col2im(cols: np.ndarray, x_shape: tuple[int, ...], kernel: int,
@@ -212,8 +221,13 @@ class BatchNorm(Layer):
 
     def normalize(self, x: np.ndarray, mean: np.ndarray,
                   var: np.ndarray) -> np.ndarray:
-        xhat = (x - self._shape(x, mean)) / np.sqrt(self._shape(x, var) + self.eps)
-        return self._shape(x, self.gamma) * xhat + self._shape(x, self.beta)
+        # gamma * (x - mean) / sqrt(var + eps) + beta on one fresh array,
+        # each operation in the expression's order, so the bits match it
+        out = x - self._shape(x, mean)
+        out /= np.sqrt(self._shape(x, var) + self.eps)
+        out *= self._shape(x, self.gamma)
+        out += self._shape(x, self.beta)
+        return out
 
     def forward(self, x, train=False):
         if train:

@@ -15,14 +15,30 @@ from .network import RefNet, TensorBatch
 
 #: Regularizer weight relative to the code length.
 LAMBDA_RATIO = 1e-3
+#: Code columns per float32 Gram product.  A partial sum of 0/1 products
+#: counts at most this many ones, and float32 holds every integer up to
+#: 2**24 exactly, so each chunk's product is exact in any summation order.
+GRAM_CHUNK = 1 << 14
 
 
 def hamming_kernel(codes: np.ndarray) -> np.ndarray:
-    """K[i, j] = code_length - hamming(c_i, c_j) for binary code rows."""
-    c = np.asarray(codes, dtype=float)
-    ones = c @ c.T
-    zeros = (1.0 - c) @ (1.0 - c).T
-    return ones + zeros
+    """K[i, j] = code_length - hamming(c_i, c_j) for binary code rows.
+
+    K counts the bits on which two codes agree: the shared ones,
+    G = c c^T, plus the shared zeros, (1 - c)(1 - c)^T, which expands to
+    bits - s_i - s_j + G with s = diag(G).  So K = 2G - s_i - s_j + bits
+    from one Gram product.  G is summed over float32 products of column
+    chunks, each exact (see ``GRAM_CHUNK``), in float64, where integer
+    sums stay exact; every entry of K is an integer, so K is exact too.
+    """
+    codes = np.asarray(codes)
+    n, bits = codes.shape
+    gram = np.zeros((n, n))
+    for start in range(0, bits, GRAM_CHUNK):
+        chunk = codes[:, start:start + GRAM_CHUNK].astype(np.float32)
+        gram += chunk @ chunk.T
+    ones = np.diag(gram)
+    return 2.0 * gram - ones[:, None] - ones[None, :] + bits
 
 
 def hd_score(net: RefNet, batch: TensorBatch | np.ndarray, rng_seed: int) -> float:
@@ -34,10 +50,20 @@ def hd_score(net: RefNet, batch: TensorBatch | np.ndarray, rng_seed: int) -> flo
     code bits.  Duplicate inputs make K rank-deficient; the regularizer
     keeps the score finite (at its floor).
     """
-    x = batch.data if isinstance(batch, TensorBatch) else np.asarray(batch, float)
     scored = net.clone()
     scored.init_weights(np.random.default_rng(rng_seed))
-    _, codes = scored.forward_with_codes(x)
+    return _score_initialized(scored, batch)
+
+
+def _score_initialized(net: RefNet, batch: TensorBatch | np.ndarray) -> float:
+    """``hd_score`` of ``net`` with the weights it holds: no clone, no draw.
+
+    For a net whose weights were just drawn from ``rng_seed``, as
+    ``build_refnet`` draws them, this equals ``hd_score(net, batch,
+    rng_seed)`` without drawing every weight a second time.
+    """
+    x = batch.data if isinstance(batch, TensorBatch) else np.asarray(batch, float)
+    _, codes = net.forward_with_codes(x)
     n_a = codes.shape[1]
     k = hamming_kernel(codes)
     reg = k + LAMBDA_RATIO * n_a * np.eye(k.shape[0])

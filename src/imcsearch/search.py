@@ -30,9 +30,9 @@ from .nnsim import (
     WalkState,
     build_refnet,
     cross_entropy,
-    hd_score,
     walk_layers,
 )
+from .nnsim.score import _score_initialized
 from .relax import (
     LogitMatrix,
     _chain_softmax,
@@ -206,13 +206,23 @@ def rank_candidates(pool: CandidatePool, hd_batch: TensorBatch, seed: int,
     The two objectives are min-max normalized over the admitted pool and
     combined with equal weight; ties resolve to the earliest entry.  Every
     admitted entry gets its hd_score field filled in.
+
+    The score is ``hd_score(build_refnet(model, class_count, seed),
+    hd_batch, seed)``, computed without its clone and second weight draw:
+    ``build_refnet`` already draws the weights from ``seed``.  It depends
+    only on the layer geometry and widths, not on CS or AT, so entries
+    that differ only there share one network and one score.
     """
     admitted = pool.admitted()
     if not admitted:
         raise EmptyPoolError("no admitted candidates to rank")
+    scored: dict[tuple, float] = {}  # (shape, cd_out) per layer -> score
     for entry in admitted:
-        net = build_refnet(entry.model, class_count, seed=seed)
-        entry.hd_score = hd_score(net, hd_batch, rng_seed=seed)
+        key = tuple((shape, choice.cd_out) for shape, choice in entry.model.layers)
+        if key not in scored:
+            net = build_refnet(entry.model, class_count, seed=seed)
+            scored[key] = _score_initialized(net, hd_batch)
+        entry.hd_score = scored[key]
     hd_n = _minmax_normalize([e.hd_score for e in admitted])
     delay_n = _minmax_normalize([e.report.delay for e in admitted])
     scores = [h - d for h, d in zip(hd_n, delay_n)]

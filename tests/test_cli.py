@@ -18,7 +18,7 @@ CONFIG = {
         "cs_options": [4, 8],
         "layers": [
             {"in_h": 8, "kernel": 3, "cd_options": [8, 16]},
-            {"in_h": 8, "kernel": 3, "cd_options": [8, 16]},
+            {"in_h": 8, "kernel": 3, "cd_options": [2]},  # class_count
         ],
     },
     "search": {"phase1_steps": 5, "seed": 0},
@@ -58,6 +58,30 @@ def test_phase1_missing_area_constraint_exits_2_naming_the_field(tmp_path,
 def read_sweep(out) -> list[dict]:
     with open(out / "sweep.csv", newline="") as f:
         return list(csv.DictReader(f))
+
+
+def test_last_layer_wider_than_class_count_exits_2_naming_the_field(tmp_path,
+                                                                   capsys):
+    first, last = CONFIG["design_space"]["layers"]
+    raw = dict(CONFIG, design_space=dict(
+        CONFIG["design_space"], layers=[first, dict(last, cd_options=[2, 8])]),
+               search=dict(CONFIG["search"], area_constraint_mm2=1.0))
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    message = ("design_space.layers[1].cd_options: [2, 8] must be [2], "
+               "the design_space.class_count")
+    out = tmp_path / "run"
+    assert cli.main(["phase1", "--config", str(path),
+                     "--out-dir", str(out)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(path), "--axis", "area_constraint",
+                     "--values", "1", "--out-dir", str(out)]) == cli.EXIT_CONFIG
+    (row,) = read_sweep(out)
+    assert row["status"] == "config_error"
+    assert message in row["message"]
+    assert not (out / "point_1").exists()
 
 
 def test_sweep_xbar_size_below_max_cs_exits_2_naming_the_field(tmp_path,

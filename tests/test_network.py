@@ -24,6 +24,7 @@ from imcsearch.nnsim.network import (
     Dense,
     ReLU,
     cross_entropy_grad,
+    im2col,
 )
 
 
@@ -93,6 +94,35 @@ def _layer_fd_check(layer, x, seed=0):
         assert dx.reshape(-1)[idx] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
 
+def _naive_im2col(x, kernel, stride, pad):
+    """One row per output pixel: its (c, ky, kx) patch of the padded input."""
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out_h = (h + 2 * pad - kernel) // stride + 1
+    out_w = (w + 2 * pad - kernel) // stride + 1
+    rows = [xp[b, :, i * stride:i * stride + kernel,
+               j * stride:j * stride + kernel].ravel()
+            for b in range(n) for i in range(out_h) for j in range(out_w)]
+    return np.array(rows), (out_h, out_w)
+
+
+@pytest.mark.parametrize("channels_last", [False, True])
+@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("kernel", [1, 3])
+def test_im2col_matches_per_pixel_loop(kernel, stride, pad, channels_last):
+    rng = np.random.default_rng(9)
+    if channels_last:  # the memory order a conv layer's output has
+        x = rng.standard_normal((2, 5, 6, 3)).transpose(0, 3, 1, 2)
+    else:
+        x = rng.standard_normal((2, 3, 5, 6))
+    cols, out_hw = im2col(x, kernel, stride, pad)
+    want, want_hw = _naive_im2col(x, kernel, stride, pad)
+    assert out_hw == want_hw
+    assert np.array_equal(cols, want)
+    assert cols.flags.c_contiguous
+
+
 def test_conv_backward():
     rng = np.random.default_rng(3)
     layer = Conv2D(2, 3, kernel=3, stride=1)
@@ -124,6 +154,22 @@ def test_batchnorm_running_stats_update():
     layer.forward(x, train=True)
     assert layer.running_mean == pytest.approx([2.0, 20.0])
     assert layer.running_var == pytest.approx([1.0, 100.0])
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (4, 3, 2, 5)])
+def test_batchnorm_normalize_matches_the_expression_bit_for_bit(shape):
+    rng = np.random.default_rng(8)
+    layer = BatchNorm(3)
+    layer.gamma, layer.beta = rng.random(3) + 0.5, rng.standard_normal(3)
+    x = rng.standard_normal(shape)
+    mean, var = layer.batch_stats(x)
+    before = x.copy()
+    out = layer.normalize(x, mean, var)
+    v = (lambda a: a.reshape(1, -1, 1, 1)) if x.ndim == 4 else (lambda a: a)
+    xhat = (x - v(mean)) / np.sqrt(v(var) + layer.eps)
+    want = v(layer.gamma) * xhat + v(layer.beta)
+    assert np.array_equal(out, want)
+    assert np.array_equal(x, before)
 
 
 # ---------------------------------------------------------------------------

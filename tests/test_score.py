@@ -5,7 +5,7 @@ import pytest
 
 from imcsearch.nnsim import TensorBatch, hd_score, make_blobs, make_mlp
 from imcsearch.nnsim.network import Dense, RefNet, ReLU
-from imcsearch.nnsim.score import LAMBDA_RATIO, hamming_kernel
+from imcsearch.nnsim.score import GRAM_CHUNK, LAMBDA_RATIO, hamming_kernel
 
 
 def test_hamming_kernel_against_hand_counts():
@@ -21,6 +21,18 @@ def test_hamming_kernel_against_hand_counts():
         [1, 1, 4],
     ], dtype=float)
     assert np.array_equal(hamming_kernel(codes), want)
+
+
+def test_hamming_kernel_equals_agreeing_ones_plus_agreeing_zeros():
+    # wider than two Gram chunks, the last one partial
+    rng = np.random.default_rng(2)
+    codes = rng.random((7, 2 * GRAM_CHUNK + 37)) < 0.3
+    c = codes.astype(float)
+    want = c @ c.T + (1.0 - c) @ (1.0 - c).T
+    for given in (codes, codes.astype(np.int64)):
+        k = hamming_kernel(given)
+        assert k.dtype == np.float64
+        assert np.array_equal(k, want)
 
 
 def test_hand_set_weights_reproduce_hand_determinant():

@@ -1,10 +1,11 @@
-"""Phase 1 (pinned run, argmax costing) and phase 2 (shared-prefix layer walk,
-pinned run)."""
+"""Phase 1 (pinned run, argmax costing), HD ranking and phase 2 (shared-prefix
+layer walk, pinned run)."""
 
 import numpy as np
 import pytest
 
 from imcsearch import search
+from imcsearch.costmodel import model_cost
 from imcsearch.designspace import (
     ADCType,
     CandidateModel,
@@ -21,6 +22,7 @@ from imcsearch.nnsim import (
     bn_adapt,
     build_refnet,
     cross_entropy,
+    hd_score,
     make_patterns,
     noisy_forward,
     train_tiny,
@@ -179,6 +181,91 @@ def test_phase1_without_steps_keeps_the_step0_reference(vgg16):
     result = phase1_run(space, platform, config)
     assert result.delay_ref == PHASE1_DELAY_REF
     assert result.trace == [] and result.pool.entries == []
+
+
+# ---------------------------------------------------------------------------
+# ranking
+# ---------------------------------------------------------------------------
+
+#: Two 3x3 convs at 8x8, one at 4x4, then the 2-class fc layer.
+RANK_SHAPES = (LayerShape(kernel=3, in_spatial=(8, 8)),
+               LayerShape(kernel=3, in_spatial=(8, 8)),
+               LayerShape(kernel=3, in_spatial=(4, 4)), LayerShape.fc())
+#: (widths, cs, admitted) per pool entry; entry 2 is entry 0 with another CS.
+RANK_SPECS = [((4, 4, 8, 2), 4, True), ((8, 4, 8, 2), 4, True),
+              ((4, 4, 8, 2), 8, True), ((8, 8, 8, 2), 4, False),
+              ((4, 8, 8, 2), 8, True)]
+RANK_SEED = 11
+#: Captured before the ranking drew each candidate's weights once.
+RANK_SCORES = [75.18752731142024, 81.54072054047039, 75.18752731142024, None,
+               80.76895215277882]
+RANK_SELECTED_STEP = 1
+
+
+def rank_pool(specs) -> search.CandidatePool:
+    platform = make_platform()
+    pool = search.CandidatePool()
+    for step, (widths, cs, admitted) in enumerate(specs):
+        model = CandidateModel(
+            layers=tuple((shape, LayerChoice(cd_out=cd, cs=cs, at=ADCType.SAR,
+                                             ap=6, ip=8))
+                         for shape, cd in zip(RANK_SHAPES, widths)),
+            input_channels=1)
+        pool.entries.append(search.PoolEntry(
+            model=model, report=model_cost(model, platform), step=step,
+            admitted=admitted))
+    return pool
+
+
+@pytest.fixture(scope="module")
+def rank_batch():
+    return make_patterns(16, channels=1, height=8, width=8, n_classes=2, seed=5)
+
+
+def test_rank_candidates_golden(rank_batch):
+    pool = rank_pool(RANK_SPECS)
+    selected = search.rank_candidates(pool, rank_batch, RANK_SEED, 2)
+    assert [e.hd_score for e in pool.entries] == RANK_SCORES
+    assert selected.step == RANK_SELECTED_STEP
+
+
+def test_rank_scores_equal_hd_score_of_the_built_net(rank_batch):
+    pool = rank_pool(RANK_SPECS)
+    search.rank_candidates(pool, rank_batch, RANK_SEED, 2)
+    for entry in pool.admitted():
+        net = build_refnet(entry.model, 2, seed=RANK_SEED)
+        assert entry.hd_score == hd_score(net, rank_batch, RANK_SEED)
+
+
+def test_rank_builds_one_net_per_width_vector(rank_batch, monkeypatch):
+    built = []
+
+    def counting(model, class_count, seed=0):
+        built.append(tuple(c.cd_out for _, c in model.layers))
+        return build_refnet(model, class_count, seed=seed)
+
+    monkeypatch.setattr(search, "build_refnet", counting)
+    pool = rank_pool(RANK_SPECS)
+    search.rank_candidates(pool, rank_batch, RANK_SEED, 2)
+    assert sorted(built) == [(4, 4, 8, 2), (4, 8, 8, 2), (8, 4, 8, 2)]
+    twin, cs_twin = pool.entries[0], pool.entries[2]
+    assert twin.model.layers != cs_twin.model.layers
+    assert twin.hd_score == cs_twin.hd_score
+
+
+def test_rank_tie_resolves_to_the_earliest_step(rank_batch):
+    # identical candidates tie on both objectives; listed latest step first
+    pool = rank_pool([RANK_SPECS[1]] * 3)
+    for entry, step in zip(pool.entries, (7, 3, 5)):
+        entry.step = step
+    assert search.rank_candidates(pool, rank_batch, RANK_SEED, 2).step == 3
+
+
+def test_rank_without_admitted_entries_raises(rank_batch):
+    for pool in (search.CandidatePool(), rank_pool([RANK_SPECS[3]])):
+        with pytest.raises(search.EmptyPoolError):
+            search.rank_candidates(pool, rank_batch, RANK_SEED, 2)
+    assert pool.entries[0].hd_score is None
 
 
 # ---------------------------------------------------------------------------
