@@ -3,7 +3,14 @@ batchnorm adaptation, training-free scoring and a tiny trainer."""
 
 from .crossbar import IDEAL_NOISE, NoiseSpec
 from .data import DATA_VERSION, make_blobs, make_patterns, split_batches
-from .inference import AdcRange, WalkState, bn_adapt, noisy_forward, walk_layers
+from .inference import (
+    AdcRange,
+    WalkState,
+    bn_adapt,
+    noisy_forward,
+    probe_layer,
+    walk_layers,
+)
 from .network import (
     RefNet,
     TensorBatch,
@@ -39,6 +46,7 @@ __all__ = [
     "make_mlp",
     "make_patterns",
     "noisy_forward",
+    "probe_layer",
     "quantize_slice_weights",
     "save_net",
     "split_batches",

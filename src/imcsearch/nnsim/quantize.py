@@ -86,7 +86,9 @@ def adc_quantize(column_sum: np.ndarray | float, ap: int,
     """Uniform quantization of a partial sum to a 2^ap-level integer code.
 
     The step is full_range / 2^ap; values round to the nearest code
-    (ties up) and clip to [0, 2^ap - 1].
+    (ties up) and clip to [0, 2^ap - 1].  An array comes back as a fresh
+    float64 array of integer-valued codes, which a caller may scale by
+    the step in place to dequantize; a scalar comes back as an ``int``.
     """
     if not 1 <= ap <= 8:
         raise ValueError(f"ap must be in [1, 8], got {ap}")
@@ -95,13 +97,13 @@ def adc_quantize(column_sum: np.ndarray | float, ap: int,
     step = full_range / (2 ** ap)
     scalar = np.isscalar(column_sum)
     x = np.asarray(column_sum, dtype=float)
-    # one float temporary, shifted and clipped in place; truncating the
-    # clipped, non-negative levels is the floor of round-half-up
+    # one float array, shifted, clipped and truncated in place; truncating
+    # the clipped, non-negative levels is the floor of round-half-up
     levels = np.divide(x, step, out=np.empty(x.shape))
     levels += 0.5
     np.clip(levels, 0, 2 ** ap - 1, out=levels)
-    codes = levels.astype(np.int64)
-    return int(codes) if scalar else codes
+    np.trunc(levels, out=levels)
+    return int(levels) if scalar else levels
 
 
 def adc_dequantize(codes: np.ndarray, ap: int, full_range: float) -> np.ndarray:

@@ -48,6 +48,14 @@ class LogitMatrix:
             if r.ndim != 1 or not np.all(np.isfinite(r)):
                 raise ValueError("logit rows must be finite 1-D arrays")
 
+    @classmethod
+    def _of_fresh_rows(cls, rows: list[np.ndarray],
+                       temperature: float) -> "LogitMatrix":
+        """Wrap rows the caller has just computed and checked, uncopied."""
+        logits = cls.__new__(cls)
+        logits.rows, logits.temperature = rows, temperature
+        return logits
+
     @staticmethod
     def uniform(option_counts: list[int], temperature: float = 1.0) -> "LogitMatrix":
         return LogitMatrix([np.zeros(n) for n in option_counts], temperature)
@@ -64,7 +72,12 @@ class LogitMatrix:
 
 def sgd_step(logits: LogitMatrix, grads: list[np.ndarray],
              learning_rate: float) -> LogitMatrix:
-    """One SGD update: logits - learning_rate * grad."""
+    """One SGD update: logits - learning_rate * grad.
+
+    The updated rows are fresh arrays, so they are checked for finiteness
+    in one pass and kept as they are, without the copy that building a
+    ``LogitMatrix`` from outside rows makes.
+    """
     if len(grads) != len(logits.rows):
         raise ValueError(f"gradient rows {len(grads)} != logit rows "
                          f"{len(logits.rows)}")
@@ -74,7 +87,10 @@ def sgd_step(logits: LogitMatrix, grads: list[np.ndarray],
         if g.shape != row.shape:
             raise ValueError(f"gradient shape {g.shape} != logits shape {row.shape}")
         new_rows.append(row - learning_rate * g)
-    return LogitMatrix(new_rows, logits.temperature)
+    # a non-finite gradient makes its updated row non-finite
+    if new_rows and not np.isfinite(np.concatenate(new_rows)).all():
+        raise ValueError("logit rows must be finite 1-D arrays")
+    return LogitMatrix._of_fresh_rows(new_rows, logits.temperature)
 
 
 @dataclass

@@ -30,6 +30,7 @@ from .nnsim import (
     WalkState,
     build_refnet,
     cross_entropy,
+    probe_layer,
     walk_layers,
 )
 from .nnsim.score import _score_initialized
@@ -287,10 +288,14 @@ def phase2_run(trained_net: RefNet, phase1_model: CandidateModel,
     SGD step on the option logits.  Weights, CD, CS and AT are never
     modified; batchnorm statistics are adapted in the walk's own state.
 
-    Cross-entropies are memoized per assignment.  On a step's first miss
-    the argmax plan is walked up to the probed layer once; every probe
-    that misses resumes from there.  Each layer's cells are programmed
-    on first use and reused for the rest of the run.
+    Cross-entropies are memoized per assignment.  A step with misses
+    walks the argmax plan up to the probed layer once.  Its misses are
+    grouped by input precision: ``probe_layer`` runs the probed layer
+    once per IP for all of that IP's ADC precisions, and each miss
+    resumes the walk from its own output.  One IP group's walks finish
+    before the next group's layer outputs are made, so only one group's
+    outputs are held at a time.  Each layer's cells are programmed on
+    first use and reused for the rest of the run.
     """
     options = enumerate_options(space, 0, phase=2)
     n_layers = len(phase1_model.layers)
@@ -317,18 +322,25 @@ def phase2_run(trained_net: RefNet, phase1_model: CandidateModel,
         argmax = logits.argmax()
         layer = int(rng.integers(n_layers))
         base = [options[i] for i in argmax]
-        prefix = None  # ``base`` walked up to ``layer``, on the first miss
-        ce_values = np.empty(n_opts)
-        for i in range(n_opts):
+        probes = []
+        for option in options:
             probe = list(base)
-            probe[layer] = options[i]
-            key = tuple(probe)
-            if key not in ce_cache:
-                if prefix is None:
-                    prefix = walk(start, base, stop=layer)
-                ce_cache[key] = cross_entropy(walk(prefix, probe).eval,
-                                              data.eval_batch.labels)
-            ce_values[i] = ce_cache[key]
+            probe[layer] = option
+            probes.append(tuple(probe))
+        misses = [i for i, key in enumerate(probes) if key not in ce_cache]
+        if misses:
+            prefix = walk(start, base, stop=layer)
+            for ip in dict.fromkeys(options[i][1] for i in misses):
+                group = [i for i in misses if options[i][1] == ip]
+                states = probe_layer(trained_net, prefix,
+                                     [options[i] for i in group], noise,
+                                     platform, adc_range=adc_range, cells=cells)
+                for i in group:
+                    # popped, so each output is freed once its walk is done
+                    ce_cache[probes[i]] = cross_entropy(
+                        walk(states.pop(0), probes[i]).eval,
+                        data.eval_batch.labels)
+        ce_values = np.array([ce_cache[key] for key in probes])
         e_delay = float(sum(p @ d for p, d in zip(probs, delays)))
         mixture_ce = float(probs[layer] @ ce_values)
         loss = phase2_loss(mixture_ce, e_delay, delay_ref, config.lambda2)

@@ -35,8 +35,8 @@ def test_noiseless_matvec_is_exact_integer_dot():
         inputs = (np.arange(2 ** ip)[:, None] + offsets) % 2 ** ip
         for noise in (IDEAL_NOISE, EXACT_ADC):
             # 16-row chunks of 4-bit cells sum to at most 240 < 2^8 - 1
-            out = _noisy_matmul(cells, ap=8, ip=ip, in_codes=inputs,
-                                noise=noise, xbar_size=16, full_range=256.0)
+            [out] = _noisy_matmul(cells, aps=(8,), ip=ip, in_codes=inputs,
+                                  noise=noise, xbar_size=16, full_range=256.0)
             assert out.shape == (2 ** ip, 6)
             assert np.array_equal(out, inputs @ codes)
 
@@ -71,16 +71,34 @@ def test_kernel_matches_per_slice_loop_bit_for_bit():
                           quantization=quantization)
         for ap in (4, 8):
             want = loop_matmul(cells, ap, 6, codes, noise, 16, 37.3)
-            got = _noisy_matmul(cells, ap, 6, codes, noise, 16, 37.3)
+            [got] = _noisy_matmul(cells, (ap,), 6, codes, noise, 16, 37.3)
             assert np.array_equal(got, want)
+
+
+def test_kernel_shares_matmuls_across_aps_bit_for_bit():
+    # one call for both APs returns, per AP, exactly the reference kernel
+    rng = np.random.default_rng(3)
+    cells = prepare_cells(rng.standard_normal((40, 6)),
+                          NoiseSpec(sigma_over_mu=0.2, rng_seed=6), 8, 4)
+    codes = rng.integers(0, 64, size=(30, 40))
+    for quantization in (True, False):
+        noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=6,
+                          quantization=quantization)
+        got = _noisy_matmul(cells, (4, 8), 6, codes, noise, 16, 37.3)
+        assert len(got) == 2
+        for ap, out in zip((4, 8), got):
+            assert np.array_equal(out, loop_matmul(cells, ap, 6, codes, noise,
+                                                   16, 37.3))
+        # the APs differ only through the ADC
+        assert np.array_equal(*got) == (not quantization)
 
 
 def test_zero_input_plane_is_zero_regardless_of_noise():
     noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=0)
     cells = prepare_cells(np.full((64, 3), 0.5), noise, 8, 4)
-    out = _noisy_matmul(cells, ap=6, ip=4,
-                        in_codes=np.zeros((2, 64), dtype=np.int64),
-                        noise=noise, xbar_size=64, full_range=64 * 15.0)
+    [out] = _noisy_matmul(cells, aps=(6,), ip=4,
+                          in_codes=np.zeros((2, 64), dtype=np.int64),
+                          noise=noise, xbar_size=64, full_range=64 * 15.0)
     assert np.all(out == 0.0)
 
 
@@ -92,8 +110,8 @@ def test_variation_monte_carlo_mean():
     plane = np.ones((1, 64), dtype=np.int64)
     sums = [_noisy_matmul(prepare_cells(np.ones((64, 100)), noise, 8, 4,
                                         key=(t,)),
-                          ap=8, ip=1, in_codes=plane, noise=noise,
-                          xbar_size=64, full_range=1.0)
+                          aps=(8,), ip=1, in_codes=plane, noise=noise,
+                          xbar_size=64, full_range=1.0)[0]
             for t in range(100)]
     mean = float(np.mean(sums))
     assert abs(mean - 64.0 * 127) / (64.0 * 127) < 0.01
@@ -108,8 +126,8 @@ def test_seeded_variation_is_frozen_per_key():
     assert np.array_equal(a.columns, b.columns)
     assert not np.array_equal(a.columns, c.columns)
     plane = np.ones((1, 16), dtype=np.int64)
-    outs = [_noisy_matmul(cells, ap=6, ip=1, in_codes=plane, noise=noise,
-                          xbar_size=16, full_range=16 * 15.0)
+    outs = [_noisy_matmul(cells, aps=(6,), ip=1, in_codes=plane, noise=noise,
+                          xbar_size=16, full_range=16 * 15.0)[0]
             for cells in (a, b)]
     assert np.array_equal(*outs)
 

@@ -14,8 +14,11 @@ from imcsearch.nnsim import (
     split_batches,
     train_tiny,
 )
-from imcsearch.nnsim.inference import _quantized_layer_output
-from imcsearch.nnsim.network import BatchNorm, Dense, RefNet
+from imcsearch.nnsim.inference import (
+    _quantized_layer_output,
+    _quantized_layer_outputs,
+)
+from imcsearch.nnsim.network import BatchNorm, Conv2D, Dense, RefNet
 from imcsearch.nnsim.quantize import quantize_inputs, quantize_slice_weights
 
 from conftest import make_platform
@@ -116,6 +119,44 @@ def test_low_input_precision_does_not_beat_high(trained_mlp, blob_data):
             outs.append(accuracy(logits, blob_data.labels))
         accs[ip] = float(np.median(outs))
     assert accs[1] <= accs[8]
+
+
+# ---------------------------------------------------------------------------
+# one layer under several (ap, ip) options
+# ---------------------------------------------------------------------------
+
+#: 2 APs x 2 IPs in the AP-major order of the phase-2 grid.
+OPTIONS = [(5, 3), (5, 8), (6, 3), (6, 8)]
+
+
+@pytest.mark.parametrize("mode", ["worst_case", "calibrated"])
+@pytest.mark.parametrize("kind", ["conv", "dense"])
+def test_multi_option_layer_equals_one_option_runs(kind, mode):
+    rng = np.random.default_rng(21)
+    if kind == "conv":
+        layer, shape = Conv2D(2, 3), (2, 4, 4)  # 18 rows: three 8-row chunks
+        layer.init_weights(rng)
+    else:
+        layer, shape = Dense(12, 3), (12,)  # 12 rows: two chunks
+        layer.init_weights(rng)
+        layer.bias = rng.standard_normal(3)
+    adapt_x = np.abs(rng.standard_normal((8,) + shape))
+    eval_x = rng.standard_normal((5,) + shape)  # negatives clip at zero
+    noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=4)
+    platform = small_platform()
+    adc_range = AdcRange(mode)
+    cells = {}
+    for x in (adapt_x, eval_x):
+        outs = _quantized_layer_outputs(layer, x, OPTIONS, noise, platform,
+                                        adc_range, key=(0,), cells=cells)
+        assert len(outs) == len(OPTIONS)
+        for (ap, ip), out in zip(OPTIONS, outs):
+            want = _quantized_layer_output(layer, x, ap=ap, ip=ip, noise=noise,
+                                           platform=platform,
+                                           adc_range=adc_range, key=(0,))
+            assert np.array_equal(out, want)
+        # the APs of one IP share matmuls but not their ADC pass
+        assert not np.array_equal(outs[0], outs[2])
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,33 @@ def test_adc_dequantize_roundtrip_when_step_divides():
     assert np.allclose(adc_dequantize(codes, 8, 64.0), sums)
 
 
+def int64_adc_codes(sums, ap, full_range):
+    """The ADC codes as int64, the way the quantizer once returned them."""
+    step = full_range / (2 ** ap)
+    levels = np.clip(np.asarray(sums, dtype=float) / step + 0.5, 0, 2 ** ap - 1)
+    return levels.astype(np.int64)
+
+
+@pytest.mark.parametrize("ap", range(1, 9))
+def test_adc_in_place_round_trip_matches_int64_codes(ap):
+    rng = np.random.default_rng(ap)
+    for full_range in (37.3, 64.0, 960.0):
+        step = full_range / (2 ** ap)
+        half_steps = (np.arange(2 ** ap + 2) + 0.5) * step
+        sums = np.concatenate([
+            [-1e9, -full_range, -0.5 * step, -0.0, 0.0],
+            half_steps, np.nextafter(half_steps, 0), np.nextafter(half_steps, 2e9),
+            [full_range, 2 * full_range, 1e9],
+            rng.uniform(-0.1 * full_range, 1.1 * full_range, size=500)])
+        codes = adc_quantize(sums, ap, full_range)
+        assert codes.dtype == np.float64
+        old = int64_adc_codes(sums, ap, full_range)
+        assert np.array_equal(codes, old)
+        codes *= step  # the kernel's in-place dequantization
+        assert np.array_equal(codes, adc_dequantize(old, ap, full_range))
+        assert not np.signbit(codes).any()
+
+
 def test_adc_quantize_validates_inputs():
     with pytest.raises(ValueError):
         adc_quantize(1.0, ap=0, full_range=64.0)

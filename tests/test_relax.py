@@ -230,6 +230,19 @@ def test_sgd_shape_mismatch_raises():
         sgd_step(logits, [np.zeros(2), np.zeros(2)], 1.0)
 
 
+def test_sgd_nonfinite_gradient_raises():
+    logits = LogitMatrix([np.array([1.0, 2.0]), np.array([0.5])])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            sgd_step(logits, [np.array([0.0, bad]), np.zeros(1)], 13.0)
+    # the input logits are untouched and the update owns its rows
+    out = sgd_step(logits, [np.ones(2), np.ones(1)], 1.0)
+    assert np.array_equal(logits.rows[0], [1.0, 2.0])
+    assert np.array_equal(out.rows[0], [0.0, 1.0])
+    assert not np.shares_memory(out.rows[0], logits.rows[0])
+    assert out.temperature == logits.temperature
+
+
 def test_default_learning_rates_are_paper_settings():
     from imcsearch.search import SearchConfig
 

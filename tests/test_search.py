@@ -25,6 +25,7 @@ from imcsearch.nnsim import (
     hd_score,
     make_patterns,
     noisy_forward,
+    probe_layer,
     train_tiny,
     walk_layers,
 )
@@ -336,6 +337,41 @@ def test_walk_cut_equivalence(toy):
                                         platform, adc_range=CAL), whole.eval)
 
 
+def test_probe_layer_states_resume_to_whole_walks(toy):
+    _, _, net, data, platform = toy
+    noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=9)
+    start = WalkState.begin(data.adapt_batches, data.eval_batch)
+    options = [(5, 3), (5, 8), (6, 3), (6, 8)]
+    cells = {}
+    for q in range(len(PLAN)):
+        prefix = walk_layers(net, start, PLAN, noise, platform, stop=q,
+                             momentum=0.3, adc_range=CAL, cells=cells)
+        states = probe_layer(net, prefix, options, noise, platform,
+                             adc_range=CAL, cells=cells)
+        assert len(states) == len(options)
+        for option, state in zip(options, states):
+            assert state.cut == q and state.past_cut
+            plan = list(PLAN)
+            plan[q] = option
+            whole = walk_layers(net, start, plan, noise, platform,
+                                momentum=0.3, adc_range=CAL, cells=cells)
+            resumed = walk_layers(net, state, plan, noise, platform,
+                                  momentum=0.3, adc_range=CAL, cells=cells)
+            assert not resumed.past_cut
+            for a, b in zip(resumed.adapt, whole.adapt):
+                assert np.array_equal(a, b)
+            assert np.array_equal(resumed.eval, whole.eval)
+            assert resumed.bn_stats.keys() == whole.bn_stats.keys()
+            for i, (mean, var) in whole.bn_stats.items():
+                assert np.array_equal(resumed.bn_stats[i][0], mean)
+                assert np.array_equal(resumed.bn_stats[i][1], var)
+        # a state past its cut neither probes again nor walks back to its cut
+        with pytest.raises(ValueError):
+            probe_layer(net, states[0], options, noise, platform)
+        with pytest.raises(ValueError):
+            walk_layers(net, states[0], PLAN, noise, platform, stop=q)
+
+
 def test_cells_memo_programs_each_layer_once(toy, monkeypatch):
     _, _, net, data, platform = toy
     calls = []
@@ -386,3 +422,97 @@ def test_phase2_run_golden(toy):
     assert {row["layer"] for row in result.trace} >= {0, len(PLAN) - 1}
     assert result.trace == GOLDEN_TRACE
     assert result.assignment == GOLDEN_ASSIGNMENT
+
+
+#: Captured from the search before it shared the probed layer across
+#: options: steps 1-3 and 5-7 each find one of their 12 probes in the CE
+#: cache, step 4 finds all of them.
+PARTIAL_CONFIG = SearchConfig(area_constraint=1.0, n2_steps=8, seed=2, lr2=2.0)
+PARTIAL_MISSES = [12, 11, 11, 11, 0, 11, 11, 11]
+PARTIAL_TRACE = [
+    {"step": 0, "layer": 3, "mixture_ce": 0.6623010646283661,
+     "expected_delay_ns": 18418.570249999997, "loss": 0.6629525007338283},
+    {"step": 1, "layer": 1, "mixture_ce": 0.6519810824653077,
+     "expected_delay_ns": 18418.52155597407, "loss": 0.6526325168485382},
+    {"step": 2, "layer": 0, "mixture_ce": 0.6359348926492504,
+     "expected_delay_ns": 18418.270034523342, "loss": 0.6365863181365594},
+    {"step": 3, "layer": 1, "mixture_ce": 0.636284581456917,
+     "expected_delay_ns": 18418.16383917403, "loss": 0.636936003188262},
+    {"step": 4, "layer": 1, "mixture_ce": 0.6362728221412768,
+     "expected_delay_ns": 18417.715042340074, "loss": 0.6369242279993778},
+    {"step": 5, "layer": 3, "mixture_ce": 0.6253324624839683,
+     "expected_delay_ns": 18417.2692384375, "loss": 0.6259838525746805},
+    {"step": 6, "layer": 1, "mixture_ce": 0.6358565665282324,
+     "expected_delay_ns": 18417.206862761257, "loss": 0.6365079544128142},
+    {"step": 7, "layer": 0, "mixture_ce": 0.6355470649051762,
+     "expected_delay_ns": 18416.822037182574, "loss": 0.6361984391790774},
+]
+PARTIAL_ASSIGNMENT = [(6, 4), (5, 6), (5, 3), (6, 5)]
+
+
+def _count_per_step(monkeypatch):
+    """Per-step counts of CE evaluations, prefix walks and probed-layer
+    input quantizations (with their IPs) of a phase-2 run."""
+    steps, current = [], {"ce": 0, "prefix": 0, "ips": []}
+    probing = [False]
+
+    def wrap(module, name, before):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            before(*args, **kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    def ce(*args):
+        current["ce"] += 1
+
+    def walk(net, state, plan, noise, platform, stop=None, **kwargs):
+        current["prefix"] += stop is not None
+
+    def quantize(activations, ip):
+        if probing[0]:
+            current["ips"].append(ip)
+
+    def step(*args):
+        steps.append(dict(current, ips=sorted(current["ips"])))
+        current.update(ce=0, prefix=0, ips=[])
+
+    original_probe = search.probe_layer
+
+    def probe(*args, **kwargs):
+        probing[0] = True
+        try:
+            return original_probe(*args, **kwargs)
+        finally:
+            probing[0] = False
+
+    wrap(search, "cross_entropy", ce)
+    wrap(search, "walk_layers", walk)
+    wrap(inference, "quantize_inputs", quantize)
+    wrap(search, "sgd_step", step)
+    monkeypatch.setattr(search, "probe_layer", probe)
+    return steps
+
+
+def test_phase2_partial_cache_hits_match_the_captured_run(toy, monkeypatch):
+    space, model, net, data, platform = toy
+    steps = _count_per_step(monkeypatch)
+    result = phase2_run(net, model, space, platform, PARTIAL_CONFIG, data, CAL)
+    assert [s["ce"] for s in steps] == PARTIAL_MISSES
+    assert result.trace == PARTIAL_TRACE
+    assert result.assignment == PARTIAL_ASSIGNMENT
+
+
+def test_phase2_walks_the_prefix_once_and_quantizes_per_ip(toy, monkeypatch):
+    space, model, net, data, platform = toy
+    steps = _count_per_step(monkeypatch)
+    phase2_run(net, model, space, platform, PARTIAL_CONFIG, data, CAL)
+    n_batches = len(data.adapt_batches) + 1
+    ips = sorted(list(space.ip_options) * n_batches)
+    assert len(steps) == PARTIAL_CONFIG.n2_steps
+    for s in steps:
+        # every step with misses still misses all six IPs
+        assert s["prefix"] == (s["ce"] > 0)
+        assert s["ips"] == (ips if s["ce"] else [])
