@@ -21,7 +21,6 @@ from .costmodel import (
     model_cost,
     psi,
     read_cycles,
-    tiles_for_layer,
 )
 from .designspace import (
     ADCType,
@@ -86,7 +85,6 @@ __all__ = [
     "read_cycles",
     "sgd_step",
     "softmax_probs",
-    "tiles_for_layer",
     "validate_candidate",
     "vgg16_space",
 ]

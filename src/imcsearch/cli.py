@@ -294,6 +294,8 @@ def cmd_sweep(config_path: Path, axis: str, values: list[float], out_dir: Path,
     run = _RunDir(out_dir, f"sweep:{axis}", config_path, cfg.search.seed)
     tasks = [(config_path, axis, v, str(run.path / f"point_{v:g}"), model_path,
               cfg.search.seed) for v in values]
+    # the executor starts every worker it may use, so use no more than points
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))
@@ -372,6 +374,10 @@ def main(argv: list[str] | None = None) -> int:
             values = [float(v) for v in args.values.split(",") if v.strip()]
             if not values:
                 print("error: --values is empty", file=sys.stderr)
+                return EXIT_CONFIG
+            if args.workers < 1:
+                print(f"error: --workers must be >= 1, got {args.workers}",
+                      file=sys.stderr)
                 return EXIT_CONFIG
             return cmd_sweep(args.config, args.axis, values, args.out_dir,
                              args.workers, args.model, args.seed)

@@ -102,17 +102,6 @@ def active_xbars(cd_in: int, shape: LayerShape, choice: LayerChoice,
             * _ceil_div(choice.cd_out * platform.weight_slices, x))
 
 
-def tiles_for_layer(cd_in: int, shape: LayerShape, choice: LayerChoice,
-                    platform: PlatformParams) -> int:
-    """Number of tiles a layer occupies.
-
-    Tiles are physical, so the crossbar count rounds up to whole tiles;
-    every layer fills at least one crossbar, hence at least one tile.
-    """
-    return _ceil_div(active_xbars(cd_in, shape, choice, platform),
-                     platform.xbars_per_tile)
-
-
 def read_cycles(choice: LayerChoice) -> int:
     """ADC-conversion rounds per crossbar activation.
 
@@ -163,6 +152,7 @@ def _layer_terms(cd_in, shape: LayerShape, choice, adc: ADCProfile,
     x = platform.xbar_size
 
     n_active = active_xbars(cd_in, shape, choice, platform)
+    # tiles are physical: whole tiles, and at least one per layer
     tiles = _ceil_div(n_active, platform.xbars_per_tile)
     adcs_per_xbar = _ceil_div(x, choice.cs)
     rounds = read_cycles(choice)

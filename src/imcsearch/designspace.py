@@ -252,16 +252,15 @@ class DesignSpace:
             raise ValueError("ap/ip options must lie in [1, 8]")
         if not self.at_options:
             raise ValueError("at_options must be non-empty")
+        # a repeated type would split its softmax mass over equal options
+        if len(set(self.at_options)) != len(self.at_options):
+            raise ValueError("at_options must not repeat a converter type")
         if self.input_channels < 1 or self.class_count < 1:
             raise ValueError("input_channels and class_count must be >= 1")
 
     @property
     def num_layers(self) -> int:
         return len(self.layer_shapes)
-
-    def phase1_option_count(self, layer: int) -> int:
-        return (len(self.cd_options_per_layer[layer])
-                * len(self.cs_options) * len(self.at_options))
 
     def phase2_option_count(self) -> int:
         return len(self.ap_options) * len(self.ip_options)

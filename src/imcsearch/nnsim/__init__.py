@@ -19,7 +19,6 @@ from .network import (
     build_refnet,
     cross_entropy,
     load_net,
-    make_mlp,
     save_net,
     train_tiny,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "hd_score",
     "load_net",
     "make_blobs",
-    "make_mlp",
     "make_patterns",
     "noisy_forward",
     "probe_layer",

@@ -166,15 +166,6 @@ def _quantized_layer_outputs(layer: Conv2D | Dense, x: np.ndarray,
     return [outs[option] for option in options]
 
 
-def _quantized_layer_output(layer: Conv2D | Dense, x: np.ndarray, ap: int,
-                            ip: int, noise: NoiseSpec, platform,
-                            adc_range: AdcRange, key: tuple[int, ...],
-                            cells: dict[tuple[int, ...], CellArrays] | None = None):
-    """``_quantized_layer_outputs`` of the one option (ap, ip)."""
-    return _quantized_layer_outputs(layer, x, [(ap, ip)], noise, platform,
-                                    adc_range, key, cells)[0]
-
-
 def _as_array(batch: TensorBatch | np.ndarray) -> np.ndarray:
     return batch.data if isinstance(batch, TensorBatch) else np.asarray(batch, float)
 
@@ -222,7 +213,8 @@ def walk_layers(net: RefNet, state: WalkState, plan: list[tuple[int, int]],
     order; ``stop`` defaults to the end of the network.  From a state
     past its cut the walk starts just after the cut's layer, whose plan
     entry it does not read.  Conv/dense layers run every activation
-    through the crossbar path.  A batchnorm normalizes each adaptation
+    through the crossbar path, ``_quantized_layer_outputs`` with the
+    layer's one plan option.  A batchnorm normalizes each adaptation
     activation with its batch statistics while blending them into the
     running statistics with ``momentum``, then normalizes the evaluation
     activation with the blended statistics.  A walk over every layer, in
@@ -268,16 +260,15 @@ def walk_layers(net: RefNet, state: WalkState, plan: list[tuple[int, int]],
                 x_eval = layer.normalize(x_eval, mean_r, var_r)
             continue
         if isinstance(layer, (Conv2D, Dense)):
-            ap, ip = plan[qi]
-            run = partial(_quantized_layer_output, layer, ap=ap, ip=ip,
+            run = partial(_quantized_layer_outputs, layer, options=[plan[qi]],
                           noise=noise, platform=platform, adc_range=adc_range,
                           key=(qi,), cells=cells)
             qi += 1
+            adapt = [run(x)[0] for x in adapt]
+            x_eval = None if x_eval is None else run(x_eval)[0]
         else:
-            run = partial(layer.forward, train=False)
-        adapt = [run(x) for x in adapt]
-        if x_eval is not None:
-            x_eval = run(x_eval)
+            adapt = [layer.forward(x) for x in adapt]
+            x_eval = None if x_eval is None else layer.forward(x_eval)
     return WalkState(cut=stop, adapt=tuple(adapt), eval=x_eval,
                      bn_stats=bn_stats)
 

@@ -355,12 +355,6 @@ class RefNet:
             raise ValueError("network has no ReLU layers to encode")
         return x, np.concatenate(codes, axis=1)
 
-    def quantizable(self) -> list[Conv2D | Dense]:
-        return [l for l in self.layers if isinstance(l, (Conv2D, Dense))]
-
-    def batchnorms(self) -> list[BatchNorm]:
-        return [l for l in self.layers if isinstance(l, BatchNorm)]
-
     def init_weights(self, rng: np.random.Generator) -> None:
         for layer in self.layers:
             if isinstance(layer, (Conv2D, Dense)):
@@ -434,20 +428,6 @@ def train_tiny(net: RefNet, dataset: TensorBatch, epochs: int, lr: float,
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
-
-def make_mlp(widths: list[int], seed: int = 0) -> RefNet:
-    """Dense-BN-ReLU stack ending in a linear classifier."""
-    if len(widths) < 2:
-        raise ValueError("need at least an input and an output width")
-    layers: list[Layer] = []
-    for i in range(len(widths) - 2):
-        layers += [Dense(widths[i], widths[i + 1]),
-                   BatchNorm(widths[i + 1]), ReLU()]
-    layers.append(Dense(widths[-2], widths[-1]))
-    net = RefNet(layers=layers, class_count=widths[-1])
-    net.init_weights(np.random.default_rng(seed))
-    return net
-
 
 def build_refnet(model, class_count: int, seed: int = 0) -> RefNet:
     """Reference network matching a candidate's layer widths.

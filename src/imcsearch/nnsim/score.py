@@ -4,7 +4,9 @@ An untrained (randomly initialized) network maps each input to the binary
 pattern of its ReLU activations; inputs that land in different linear
 regions get codes far apart in Hamming distance.  The log-determinant of
 the code-similarity kernel rewards architectures that separate the batch
-well, without training any weights.
+well, without training any weights.  ``hd_score`` scores the weights a
+network holds, so the caller fixes the draw: ranking scores each
+candidate as ``build_refnet`` initializes it from the search seed.
 """
 
 from __future__ import annotations
@@ -41,26 +43,14 @@ def hamming_kernel(codes: np.ndarray) -> np.ndarray:
     return 2.0 * gram - ones[:, None] - ones[None, :] + bits
 
 
-def hd_score(net: RefNet, batch: TensorBatch | np.ndarray, rng_seed: int) -> float:
-    """Log-determinant Hamming-distance score of an architecture.
+def hd_score(net: RefNet, batch: TensorBatch | np.ndarray) -> float:
+    """Log-determinant Hamming-distance score of a network's weights.
 
-    Weights are re-initialized from ``rng_seed`` (the input net is not
-    modified), the batch is forwarded once, binary ReLU codes are
-    collected and scored as log|K + lambda*I| where K counts agreeing
+    The batch is forwarded once through the weights ``net`` holds (for
+    ranking, the fresh draw ``build_refnet`` makes), binary ReLU codes
+    are collected and scored as log|K + lambda*I| where K counts agreeing
     code bits.  Duplicate inputs make K rank-deficient; the regularizer
     keeps the score finite (at its floor).
-    """
-    scored = net.clone()
-    scored.init_weights(np.random.default_rng(rng_seed))
-    return _score_initialized(scored, batch)
-
-
-def _score_initialized(net: RefNet, batch: TensorBatch | np.ndarray) -> float:
-    """``hd_score`` of ``net`` with the weights it holds: no clone, no draw.
-
-    For a net whose weights were just drawn from ``rng_seed``, as
-    ``build_refnet`` draws them, this equals ``hd_score(net, batch,
-    rng_seed)`` without drawing every weight a second time.
     """
     x = batch.data if isinstance(batch, TensorBatch) else np.asarray(batch, float)
     _, codes = net.forward_with_codes(x)

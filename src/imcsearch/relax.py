@@ -154,17 +154,14 @@ def _chain_softmax(probs: list[np.ndarray], dprobs: list[np.ndarray],
     return out
 
 
-def expected_model_cost(logits: LogitMatrix, space: DesignSpace,
-                        platform: PlatformParams, ap: int = 6, ip: int = 8,
-                        tables: CostTables | None = None):
+def expected_model_cost(logits: LogitMatrix, tables: CostTables):
     """Expected area and delay of the relaxed model, with logit gradients.
 
+    ``tables`` come from ``build_cost_tables`` at the search's (ap, ip).
     Returns (expected_area, expected_delay, d_area/d_logits,
     d_delay/d_logits).  With one-hot probabilities the expectation equals
     the discrete candidate's cost exactly.
     """
-    if tables is None:
-        tables = build_cost_tables(space, platform, ap, ip)
     probs = logits.probs()
     for l, p in enumerate(probs):
         if p.shape[0] != tables.areas[l].shape[1]:
@@ -198,13 +195,10 @@ def phase1_loss(expected_delay: float, expected_area: float,
     return loss, dloss_ddelay, dloss_darea
 
 
-def phase1_loss_grad(logits: LogitMatrix, space: DesignSpace,
-                     platform: PlatformParams, area_constraint: float,
-                     lambda1: float, delay_ref: float,
-                     tables: CostTables | None = None):
+def phase1_loss_grad(logits: LogitMatrix, tables: CostTables,
+                     area_constraint: float, lambda1: float, delay_ref: float):
     """Loss value plus its full gradient w.r.t. the logits."""
-    e_area, e_delay, darea, ddelay = expected_model_cost(
-        logits, space, platform, tables=tables)
+    e_area, e_delay, darea, ddelay = expected_model_cost(logits, tables)
     loss, dl_ddelay, dl_darea = phase1_loss(
         e_delay, e_area, area_constraint, lambda1, delay_ref)
     grads = [dl_ddelay * gd + dl_darea * ga for gd, ga in zip(ddelay, darea)]

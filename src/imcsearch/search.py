@@ -30,10 +30,10 @@ from .nnsim import (
     WalkState,
     build_refnet,
     cross_entropy,
+    hd_score,
     probe_layer,
     walk_layers,
 )
-from .nnsim.score import _score_initialized
 from .relax import (
     LogitMatrix,
     _chain_softmax,
@@ -135,7 +135,6 @@ class Phase1Result:
     trace: list[dict]
     logits: LogitMatrix
     delay_ref: float
-    final_candidate: CandidateModel
 
 
 def phase1_run(space: DesignSpace, platform: PlatformParams,
@@ -159,13 +158,10 @@ def phase1_run(space: DesignSpace, platform: PlatformParams,
     costed: dict[tuple[int, ...], PoolEntry] = {}  # argmax indices -> entry
     trace: list[dict] = []
     # self-normalization: reference delay is the step-0 expectation
-    delay_ref = expected_model_cost(logits, space, platform, tables=tables)[1]
-    candidate = _candidate_from_indices(space, logits.argmax(),
-                                        config.phase1_ap, config.phase1_ip)
+    delay_ref = expected_model_cost(logits, tables)[1]
     for step in range(config.n1_steps):
         loss, e_area, e_delay, grads = phase1_loss_grad(
-            logits, space, platform, config.area_constraint, config.lambda1,
-            delay_ref, tables=tables)
+            logits, tables, config.area_constraint, config.lambda1, delay_ref)
         indices = tuple(logits.argmax())
         entry = costed.get(indices)
         is_new = entry is None
@@ -177,7 +173,6 @@ def phase1_run(space: DesignSpace, platform: PlatformParams,
                 model=model, report=report, step=step,
                 admitted=admit(report, config.area_constraint))
             pool.record(entry)
-        candidate = entry.model
         trace.append({
             "step": step,
             "loss": loss,
@@ -190,7 +185,7 @@ def phase1_run(space: DesignSpace, platform: PlatformParams,
         })
         logits = sgd_step(logits, grads, config.lr1)
     return Phase1Result(pool=pool, trace=trace, logits=logits,
-                        delay_ref=delay_ref, final_candidate=candidate)
+                        delay_ref=delay_ref)
 
 
 def _minmax_normalize(values: list[float]) -> list[float]:
@@ -209,10 +204,10 @@ def rank_candidates(pool: CandidatePool, hd_batch: TensorBatch, seed: int,
     admitted entry gets its hd_score field filled in.
 
     The score is ``hd_score(build_refnet(model, class_count, seed),
-    hd_batch, seed)``, computed without its clone and second weight draw:
-    ``build_refnet`` already draws the weights from ``seed``.  It depends
-    only on the layer geometry and widths, not on CS or AT, so entries
-    that differ only there share one network and one score.
+    hd_batch)``: each candidate is scored at the weights ``build_refnet``
+    draws from ``seed``.  It depends only on the layer geometry and
+    widths, not on CS or AT, so entries that differ only there share one
+    network and one score.
     """
     admitted = pool.admitted()
     if not admitted:
@@ -222,7 +217,7 @@ def rank_candidates(pool: CandidatePool, hd_batch: TensorBatch, seed: int,
         key = tuple((shape, choice.cd_out) for shape, choice in entry.model.layers)
         if key not in scored:
             net = build_refnet(entry.model, class_count, seed=seed)
-            scored[key] = _score_initialized(net, hd_batch)
+            scored[key] = hd_score(net, hd_batch)
         entry.hd_score = scored[key]
     hd_n = _minmax_normalize([e.hd_score for e in admitted])
     delay_n = _minmax_normalize([e.report.delay for e in admitted])

@@ -6,13 +6,15 @@ import pytest
 from imcsearch.config import load_unit_costs
 from imcsearch.designspace import (
     ADCType,
+    CandidateModel,
     DesignSpace,
+    LayerChoice,
     LayerShape,
     PlatformParams,
     UnitCost,
     UnitCostTable,
 )
-from imcsearch.nnsim import make_blobs, make_mlp, train_tiny
+from imcsearch.nnsim import build_refnet, make_blobs, train_tiny
 
 
 def make_platform(**overrides) -> PlatformParams:
@@ -34,6 +36,16 @@ def zero_cost_table(**nonzero) -> UnitCostTable:
         else:
             components[name] = UnitCost(0.0, 0.0, 0.0)
     return UnitCostTable("zeros-test", components)
+
+
+def fc_net(widths: list[int], seed: int):
+    """``build_refnet`` of an all-FC candidate: input ``widths[0]``, then
+    Dense-BN-ReLU blocks of ``widths[1:-1]`` and a linear classifier."""
+    fc = LayerShape.fc()
+    layers = tuple((fc, LayerChoice(cd_out=w, cs=4, at=ADCType.SAR, ap=6, ip=8))
+                   for w in widths[1:])
+    model = CandidateModel(layers=layers, input_channels=widths[0])
+    return build_refnet(model, class_count=widths[-1], seed=seed)
 
 
 def toy_space(num_layers: int = 2, spatial: int = 8) -> DesignSpace:
@@ -61,7 +73,7 @@ def blob_data():
 @pytest.fixture(scope="session")
 def trained_mlp(blob_data):
     """2 quantizable layers, >=95% train accuracy on separable blobs."""
-    net = make_mlp([2, 16, 2], seed=3)
+    net = fc_net([2, 16, 2], seed=3)
     net = train_tiny(net, blob_data, epochs=40, lr=0.05, batch_size=32, seed=3)
     assert net.train_accuracy >= 0.95
     return net

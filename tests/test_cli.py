@@ -119,3 +119,54 @@ def test_sweep_model_outside_the_space_exits_2_like_eval(tmp_path, capsys):
     assert row["status"] == "config_error"
     assert "layer 0 [cs]: cs 32 not in (4, 8)" in row["message"]
     assert row["area_mm2"] == ""
+
+
+def test_sweep_workers_below_one_exits_2_naming_the_flag(tmp_path, capsys):
+    path = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=1.0))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(path), "--axis", "area_constraint",
+                     "--values", "1,2", "--workers", "0",
+                     "--out-dir", str(out)]) == cli.EXIT_CONFIG
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch):
+    started = []
+
+    class SerialExecutor:
+        """Records the pool size and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialExecutor)
+    path = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=1.0))
+    for values, want in (("0.78,5.38", [2]), ("0.78", [])):
+        started.clear()
+        cli.main(["sweep", "--config", str(path), "--axis", "area_constraint",
+                  "--values", values, "--workers", "64",
+                  "--out-dir", str(tmp_path / values)])
+        assert started == want
+
+
+def test_sweep_rows_do_not_depend_on_the_worker_count(tmp_path):
+    path = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=1.0))
+    rows = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers_{workers}"
+        cli.main(["sweep", "--config", str(path), "--axis", "area_constraint",
+                  "--values", "0.78,5.38", "--workers", workers,
+                  "--out-dir", str(out)])
+        rows.append(read_sweep(out))
+    assert [r["status"] for r in rows[0]] == ["ok", "ok"]
+    assert rows[0] == rows[1]

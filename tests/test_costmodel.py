@@ -12,7 +12,6 @@ from imcsearch.costmodel import (
     model_cost,
     psi,
     read_cycles,
-    tiles_for_layer,
 )
 from imcsearch.designspace import (
     ADCType,
@@ -63,19 +62,19 @@ def conv_shape(k=3, spatial=8, stride=1):
 def test_tiles_first_conv_layer():
     # 27 rows -> 1 chunk; 64*2 sliced columns -> 2 chunks; 2 xbars -> 1 tile
     platform = make_platform()
-    assert tiles_for_layer(3, conv_shape(), choice(cd_out=64), platform) == 1
+    assert layer_cost(3, conv_shape(), choice(cd_out=64), platform).tiles == 1
 
 
 def test_tiles_wide_mid_layer():
     # 512*9/64 = 72 row chunks x 512*2/64 = 16 col chunks = 1152 xbars -> 18
     platform = make_platform()
-    assert tiles_for_layer(512, conv_shape(), choice(cd_out=512), platform) == 18
+    assert layer_cost(512, conv_shape(), choice(cd_out=512), platform).tiles == 18
 
 
 def test_tiles_minimal_layer_is_one():
     platform = make_platform(weight_bits=4, weight_slice_bits=4)
     shape = LayerShape(kernel=1, in_spatial=(1, 1))
-    assert tiles_for_layer(1, shape, choice(cd_out=1), platform) == 1
+    assert layer_cost(1, shape, choice(cd_out=1), platform).tiles == 1
 
 
 def test_tiles_match_brute_force_enumerator():
@@ -90,7 +89,7 @@ def test_tiles_match_brute_force_enumerator():
         platform = make_platform(xbar_size=x, xbars_per_tile=per_tile,
                                  weight_bits=8, weight_slice_bits=slice_bits)
         shape = LayerShape(kernel=k, in_spatial=(4, 4))
-        got = tiles_for_layer(cd_in, shape, choice(cd_out=cd_out, cs=4), platform)
+        got = layer_cost(cd_in, shape, choice(cd_out=cd_out, cs=4), platform).tiles
         want = brute_force_tiles(cd_in, k, cd_out, x, per_tile,
                                  8 // slice_bits)
         assert got == want

@@ -9,19 +9,15 @@ from imcsearch.nnsim import (
     accuracy,
     bn_adapt,
     make_blobs,
-    make_mlp,
     noisy_forward,
     split_batches,
     train_tiny,
 )
-from imcsearch.nnsim.inference import (
-    _quantized_layer_output,
-    _quantized_layer_outputs,
-)
+from imcsearch.nnsim.inference import _quantizable_index, _quantized_layer_outputs
 from imcsearch.nnsim.network import BatchNorm, Conv2D, Dense, RefNet
 from imcsearch.nnsim.quantize import quantize_inputs, quantize_slice_weights
 
-from conftest import make_platform
+from conftest import fc_net, make_platform
 
 CAL = AdcRange("calibrated")
 
@@ -52,8 +48,8 @@ def test_quantized_path_matches_integer_oracle_bit_for_bit():
     layer.bias = rng.standard_normal(4)
     x = np.abs(rng.standard_normal((9, 6)))
     platform = small_platform()
-    got = _quantized_layer_output(layer, x, ap=8, ip=8, noise=IDEAL_NOISE,
-                                  platform=platform, adc_range=CAL, key=(0,))
+    got, = _quantized_layer_outputs(layer, x, [(8, 8)], noise=IDEAL_NOISE,
+                                    platform=platform, adc_range=CAL, key=(0,))
     want = ideal_quantized_dense(x, layer, ip=8)
     assert np.array_equal(got, want)
 
@@ -65,7 +61,7 @@ def test_noisy_forward_ideal_settings_match_layerwise_oracle(trained_mlp):
                         platform, adc_range=CAL)
     # oracle: walk the network, applying the integer-exact path per layer
     x = data.data
-    q_iter = iter(trained_mlp.quantizable())
+    q_iter = iter(_quantizable_index(trained_mlp))
     for layer in trained_mlp.layers:
         if isinstance(layer, Dense):
             x = ideal_quantized_dense(x, layer, ip=8)
@@ -90,7 +86,7 @@ def test_noisy_forward_near_ideal_at_max_precision(trained_mlp, blob_data):
 
 
 def test_noisy_forward_zero_weight_net_constant_logits():
-    net = make_mlp([2, 4, 2], seed=0)
+    net = fc_net([2, 4, 2], seed=0)
     for layer in net.layers:
         for p in layer.params():
             p[...] = 0.0
@@ -151,9 +147,9 @@ def test_multi_option_layer_equals_one_option_runs(kind, mode):
                                         adc_range, key=(0,), cells=cells)
         assert len(outs) == len(OPTIONS)
         for (ap, ip), out in zip(OPTIONS, outs):
-            want = _quantized_layer_output(layer, x, ap=ap, ip=ip, noise=noise,
-                                           platform=platform,
-                                           adc_range=adc_range, key=(0,))
+            want, = _quantized_layer_outputs(layer, x, [(ap, ip)], noise=noise,
+                                             platform=platform,
+                                             adc_range=adc_range, key=(0,))
             assert np.array_equal(out, want)
         # the APs of one IP share matmuls but not their ADC pass
         assert not np.array_equal(outs[0], outs[2])
@@ -172,9 +168,9 @@ def test_bn_adapt_momentum_one_single_batch_exact():
     noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=11)
     adapted = bn_adapt(net, [batch], [(6, 6)], noise, platform, momentum=1.0,
                        adc_range=CAL)
-    pre_bn = _quantized_layer_output(net.layers[0], batch.data, ap=6, ip=6,
-                                     noise=noise, platform=platform,
-                                     adc_range=CAL, key=(0,))
+    pre_bn, = _quantized_layer_outputs(net.layers[0], batch.data, [(6, 6)],
+                                       noise=noise, platform=platform,
+                                       adc_range=CAL, key=(0,))
     bn = adapted.layers[1]
     assert bn.running_mean == pytest.approx(pre_bn.mean(axis=0))
     assert bn.running_var == pytest.approx(pre_bn.var(axis=0))
@@ -183,11 +179,15 @@ def test_bn_adapt_momentum_one_single_batch_exact():
 def test_bn_adapt_does_not_touch_weights(trained_mlp, blob_data):
     platform = small_platform()
     batches = split_batches(blob_data, 32)[:2]
-    before = [p.copy() for l in trained_mlp.quantizable() for p in l.params()]
+
+    def weights(net):
+        return [p for i in _quantizable_index(net) for p in net.layers[i].params()]
+
+    before = [p.copy() for p in weights(trained_mlp)]
     adapted = bn_adapt(trained_mlp, batches, [(5, 4), (5, 4)],
                        NoiseSpec(sigma_over_mu=0.2, rng_seed=1), platform)
-    after_orig = [p for l in trained_mlp.quantizable() for p in l.params()]
-    after_copy = [p for l in adapted.quantizable() for p in l.params()]
+    after_orig = weights(trained_mlp)
+    after_copy = weights(adapted)
     for b, a in zip(before, after_orig):
         assert np.array_equal(b, a)  # input net untouched
     for b, a in zip(before, after_copy):
@@ -208,7 +208,8 @@ def test_bn_adapt_noise_off_matches_clean_stats(trained_mlp, blob_data):
             x = layer.normalize(x, *clean_stats[-1])
         else:
             x = layer.forward(x)
-    for bn, (mean, var) in zip(adapted.batchnorms(), clean_stats):
+    bns = [l for l in adapted.layers if isinstance(l, BatchNorm)]
+    for bn, (mean, var) in zip(bns, clean_stats):
         assert bn.running_mean == pytest.approx(mean, rel=0.05, abs=0.05)
         assert bn.running_var == pytest.approx(var, rel=0.05, abs=0.05)
 

@@ -12,7 +12,6 @@ from imcsearch.nnsim import (
     cross_entropy,
     load_net,
     make_blobs,
-    make_mlp,
     make_patterns,
     save_net,
     train_tiny,
@@ -26,6 +25,8 @@ from imcsearch.nnsim.network import (
     cross_entropy_grad,
     im2col,
 )
+
+from conftest import fc_net
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +183,7 @@ def test_train_tiny_separable_blobs(trained_mlp):
 
 def test_train_tiny_zero_lr_keeps_weights():
     data = make_blobs(64, seed=1)
-    net = make_mlp([2, 8, 2], seed=1)
+    net = fc_net([2, 8, 2], seed=1)
     before = [p.copy() for layer in net.layers for p in layer.params()]
     train_tiny(net, data, epochs=3, lr=0.0, batch_size=16, seed=1)
     after = [p for layer in net.layers for p in layer.params()]
@@ -194,7 +195,7 @@ def test_train_tiny_loss_decreases():
     data = make_blobs(128, seed=2)
     finals = []
     for seed in (0, 1, 2):
-        net = make_mlp([2, 12, 2], seed=seed)
+        net = fc_net([2, 12, 2], seed=seed)
         first = cross_entropy(net.forward(data.data), data.labels)
         train_tiny(net, data, epochs=25, lr=0.05, batch_size=32, seed=seed)
         last = cross_entropy(net.forward(data.data), data.labels)
@@ -218,7 +219,7 @@ def test_train_tiny_reports_divergence():
 
 
 def test_zero_weight_net_constant_logits():
-    net = make_mlp([2, 4, 2], seed=0)
+    net = fc_net([2, 4, 2], seed=0)
     for layer in net.layers:
         for p in layer.params():
             p[...] = 0.0 if p.ndim > 1 else p * 0.0
@@ -287,7 +288,7 @@ def test_build_refnet_from_conv_candidate():
     x = make_patterns(6, channels=1, height=8, width=8, n_classes=3, seed=0)
     logits = net.forward(x.data)
     assert logits.shape == (6, 3)
-    assert len(net.quantizable()) == 3
+    assert sum(isinstance(l, (Conv2D, Dense)) for l in net.layers) == 3
 
 
 def test_build_refnet_rejects_class_mismatch():

@@ -78,13 +78,14 @@ def _discrete_cost(space, platform, indices, ap=6, ip=8):
 def test_one_hot_probabilities_collapse_to_discrete_cost():
     space = toy_space()
     platform = make_platform(xbar_size=16, xbars_per_tile=4)
-    n = space.phase1_option_count(0)
+    tables = build_cost_tables(space, platform, 6, 8)
+    n = len(enumerate_options(space, 0, 1))
     for target in (0, 3, n - 1):
         rows = [np.full(n, -60.0) for _ in range(space.num_layers)]
         for r in rows:
             r[target] = 60.0
         logits = LogitMatrix(rows)
-        e_area, e_delay, _, _ = expected_model_cost(logits, space, platform)
+        e_area, e_delay, _, _ = expected_model_cost(logits, tables)
         area, delay = _discrete_cost(space, platform,
                                      [target] * space.num_layers)
         assert e_area == pytest.approx(area, rel=1e-9)
@@ -94,7 +95,8 @@ def test_one_hot_probabilities_collapse_to_discrete_cost():
 def test_expectation_matches_brute_force_enumeration():
     space = toy_space()
     platform = make_platform(xbar_size=16, xbars_per_tile=4)
-    n = space.phase1_option_count(0)
+    tables = build_cost_tables(space, platform, 6, 8)
+    n = len(enumerate_options(space, 0, 1))
     rng = np.random.default_rng(5)
     logits = LogitMatrix([rng.standard_normal(n) for _ in range(2)])
     probs = logits.probs()
@@ -103,7 +105,7 @@ def test_expectation_matches_brute_force_enumeration():
         area, delay = _discrete_cost(space, platform, [i, j])
         want_area += probs[0][i] * probs[1][j] * area
         want_delay += probs[0][i] * probs[1][j] * delay
-    e_area, e_delay, _, _ = expected_model_cost(logits, space, platform)
+    e_area, e_delay, _, _ = expected_model_cost(logits, tables)
     assert e_area == pytest.approx(want_area, rel=1e-9)
     assert e_delay == pytest.approx(want_delay, rel=1e-9)
 
@@ -111,7 +113,8 @@ def test_expectation_matches_brute_force_enumeration():
 def test_expectation_bounded_by_discrete_extremes():
     space = toy_space()
     platform = make_platform(xbar_size=16, xbars_per_tile=4)
-    n = space.phase1_option_count(0)
+    tables = build_cost_tables(space, platform, 6, 8)
+    n = len(enumerate_options(space, 0, 1))
     costs = [_discrete_cost(space, platform, [i, j])
              for i, j in itertools.product(range(n), range(n))]
     areas = [c[0] for c in costs]
@@ -119,7 +122,7 @@ def test_expectation_bounded_by_discrete_extremes():
     rng = np.random.default_rng(11)
     for _ in range(10):
         logits = LogitMatrix([2.0 * rng.standard_normal(n) for _ in range(2)])
-        e_area, e_delay, _, _ = expected_model_cost(logits, space, platform)
+        e_area, e_delay, _, _ = expected_model_cost(logits, tables)
         assert min(areas) - 1e-9 <= e_area <= max(areas) + 1e-9
         assert min(delays) - 1e-9 <= e_delay <= max(delays) + 1e-9
 
@@ -142,19 +145,18 @@ def test_expected_cost_gradients_match_finite_differences():
     space = toy_space()
     platform = make_platform(xbar_size=16, xbars_per_tile=4)
     tables = build_cost_tables(space, platform, 6, 8)
-    n = space.phase1_option_count(0)
+    n = len(enumerate_options(space, 0, 1))
     rng = np.random.default_rng(23)
     for _ in range(10):
         logits = LogitMatrix([rng.standard_normal(n) for _ in range(2)],
                              temperature=float(rng.uniform(0.5, 2.0)))
-        _, _, darea, ddelay = expected_model_cost(logits, space, platform,
-                                                  tables=tables)
+        _, _, darea, ddelay = expected_model_cost(logits, tables)
 
         def area_of(lg):
-            return expected_model_cost(lg, space, platform, tables=tables)[0]
+            return expected_model_cost(lg, tables)[0]
 
         def delay_of(lg):
-            return expected_model_cost(lg, space, platform, tables=tables)[1]
+            return expected_model_cost(lg, tables)[1]
 
         fd_area = _fd_grad(area_of, logits)
         fd_delay = _fd_grad(delay_of, logits)
@@ -186,18 +188,16 @@ def test_phase1_loss_grad_matches_finite_differences():
     space = toy_space()
     platform = make_platform(xbar_size=16, xbars_per_tile=4)
     tables = build_cost_tables(space, platform, 6, 8)
-    n = space.phase1_option_count(0)
+    n = len(enumerate_options(space, 0, 1))
     rng = np.random.default_rng(31)
     a_c = 0.5
     delay_ref = 1e5
     for _ in range(5):
         logits = LogitMatrix([rng.standard_normal(n) for _ in range(2)])
-        _, _, _, grads = phase1_loss_grad(logits, space, platform, a_c, 0.01,
-                                          delay_ref, tables=tables)
+        _, _, _, grads = phase1_loss_grad(logits, tables, a_c, 0.01, delay_ref)
 
         def loss_of(lg):
-            return phase1_loss_grad(lg, space, platform, a_c, 0.01, delay_ref,
-                                    tables=tables)[0]
+            return phase1_loss_grad(lg, tables, a_c, 0.01, delay_ref)[0]
 
         fd = _fd_grad(loss_of, logits)
         for got, want in zip(grads, fd):

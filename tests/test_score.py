@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from imcsearch.nnsim import TensorBatch, hd_score, make_blobs, make_mlp
+from imcsearch.nnsim import TensorBatch, hd_score, make_blobs
 from imcsearch.nnsim.network import Dense, RefNet, ReLU
 from imcsearch.nnsim.score import GRAM_CHUNK, LAMBDA_RATIO, hamming_kernel
+
+from conftest import fc_net
 
 
 def test_hamming_kernel_against_hand_counts():
@@ -66,18 +68,18 @@ def test_hand_set_weights_reproduce_hand_determinant():
 
 
 def test_single_sample_score_closed_form():
-    net = make_mlp([2, 6, 2], seed=0)
+    net = fc_net([2, 6, 2], seed=4)
     batch = TensorBatch(np.array([[1.0, 2.0]]))
-    score = hd_score(net, batch, rng_seed=4)
+    score = hd_score(net, batch)
     assert score == pytest.approx(math.log(6 + LAMBDA_RATIO * 6))
 
 
 def test_duplicate_inputs_hit_regularization_floor():
-    net = make_mlp([2, 8, 2], seed=0)
+    net = fc_net([2, 8, 2], seed=4)
     dup = TensorBatch(np.array([[1.0, 2.0], [1.0, 2.0]]))
     distinct = TensorBatch(np.array([[1.0, 2.0], [3.0, 0.5]]))
-    floor = hd_score(net, dup, rng_seed=4)
-    spread = hd_score(net, distinct, rng_seed=4)
+    floor = hd_score(net, dup)
+    spread = hd_score(net, distinct)
     assert np.isfinite(floor)
     assert floor < spread
     # rank-deficient kernel: the floor sits near log(2*N_A) + log(lambda)
@@ -88,28 +90,27 @@ def test_duplicate_inputs_hit_regularization_floor():
 
 
 def test_hd_score_deterministic_and_seed_sensitive():
-    net = make_mlp([2, 8, 2], seed=0)
     batch = make_blobs(16, seed=3)
-    a = hd_score(net, batch, rng_seed=7)
-    b = hd_score(net, batch, rng_seed=7)
-    c = hd_score(net, batch, rng_seed=8)
+    a = hd_score(fc_net([2, 8, 2], seed=7), batch)
+    b = hd_score(fc_net([2, 8, 2], seed=7), batch)
+    c = hd_score(fc_net([2, 8, 2], seed=8), batch)
     assert a == b
     assert a != c
 
 
 def test_hd_score_permutation_invariant():
-    net = make_mlp([2, 8, 2], seed=0)
+    net = fc_net([2, 8, 2], seed=1)
     batch = make_blobs(12, seed=5)
-    base = hd_score(net, batch, rng_seed=1)
+    base = hd_score(net, batch)
     perm = np.random.default_rng(0).permutation(12)
     shuffled = TensorBatch(batch.data[perm], batch.labels[perm])
-    assert hd_score(net, shuffled, rng_seed=1) == pytest.approx(base, rel=1e-12)
+    assert hd_score(net, shuffled) == pytest.approx(base, rel=1e-12)
 
 
 def test_hd_score_does_not_mutate_input_net():
-    net = make_mlp([2, 8, 2], seed=0)
+    net = fc_net([2, 8, 2], seed=2)
     before = [p.copy() for l in net.layers for p in l.params()]
-    hd_score(net, make_blobs(8, seed=1), rng_seed=2)
+    hd_score(net, make_blobs(8, seed=1))
     after = [p for l in net.layers for p in l.params()]
     for b, a in zip(before, after):
         assert np.array_equal(b, a)

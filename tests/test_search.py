@@ -157,7 +157,6 @@ def test_phase1_run_golden(vgg16):
     pool = [(_option_indices(space, e.choice_key()), e.step, e.admitted,
              e.report.area, e.report.delay) for e in result.pool.entries]
     assert pool == PHASE1_POOL
-    assert result.final_candidate == result.pool.entries[-1].model
 
 
 def test_phase1_costs_each_distinct_argmax_once(vgg16, monkeypatch):
@@ -234,8 +233,9 @@ def test_rank_scores_equal_hd_score_of_the_built_net(rank_batch):
     pool = rank_pool(RANK_SPECS)
     search.rank_candidates(pool, rank_batch, RANK_SEED, 2)
     for entry in pool.admitted():
-        net = build_refnet(entry.model, 2, seed=RANK_SEED)
-        assert entry.hd_score == hd_score(net, rank_batch, RANK_SEED)
+        net = build_refnet(entry.model, 2, seed=RANK_SEED).clone()
+        net.init_weights(np.random.default_rng(RANK_SEED))
+        assert entry.hd_score == hd_score(net, rank_batch)
 
 
 def test_rank_builds_one_net_per_width_vector(rank_batch, monkeypatch):
