@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import struct
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -113,9 +113,17 @@ def _apply_seed(cfg: AppConfig, seed: int | None) -> AppConfig:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _load(loader, path: Path):
+    """``loader(path)``; a malformed file raises a ConfigError naming it."""
+    try:
+        return loader(path)
+    except (KeyError, TypeError, ValueError, struct.error) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _load_valid_model(model_path: Path, cfg: AppConfig) -> CandidateModel:
     """The model at ``model_path``; a ConfigError lists every violation of ``cfg``."""
-    model = load_model(model_path)
+    model = _load(load_model, model_path)
     violations = validate_candidate(model, cfg.space, cfg.platform)
     if violations:
         raise ConfigError("; ".join(f"layer {v.layer} [{v.field}]: {v.message}"
@@ -193,8 +201,8 @@ def cmd_phase2(config_path: Path, phase1_dir: Path, weights_path: Path,
         print(f"error: network weights file not found: {weights_path}",
               file=sys.stderr)
         return EXIT_CONFIG
-    model = load_model(model_file)
-    net = load_net(weights_path)
+    model = _load(load_model, model_file)
+    net = _load(load_net, weights_path)
     run = _RunDir(out_dir, "phase2", config_path, cfg.search.seed)
 
     fixture = cfg.fixture

@@ -52,6 +52,9 @@ class FixtureConfig:
             raise ValueError(f"kind must be blobs|patterns, got {self.kind!r}")
         if not 0 < self.adapt_fraction <= 1:
             raise ValueError("adapt_fraction must be in (0, 1]")
+        for name in ("train_samples", "eval_samples", "adapt_batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass

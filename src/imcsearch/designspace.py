@@ -311,7 +311,6 @@ def validate_candidate(model: CandidateModel, space: DesignSpace,
         violations.append(Violation(
             0, "input_channels",
             f"input_channels {model.input_channels} != space {space.input_channels}"))
-    prev_cd = model.input_channels
     for idx, (shape, choice) in enumerate(model.layers):
         if shape != space.layer_shapes[idx]:
             violations.append(Violation(idx, "shape", "layer shape differs from space"))
@@ -331,15 +330,10 @@ def validate_candidate(model: CandidateModel, space: DesignSpace,
         if choice.ip not in space.ip_options:
             violations.append(Violation(
                 idx, "ip", f"ip {choice.ip} not in {space.ip_options}"))
-        if idx > 0 and model.cd_in(idx) != prev_cd:
-            violations.append(Violation(
-                idx, "chaining",
-                f"cd_in {model.cd_in(idx)} != previous cd_out {prev_cd}"))
         if choice.cs > platform.xbar_size:
             violations.append(Violation(
                 idx, "cs", f"cs {choice.cs} exceeds crossbar size "
                 f"{platform.xbar_size}"))
-        prev_cd = choice.cd_out
     return violations
 
 

@@ -12,6 +12,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from .config import _bool, _int
 from .costmodel import CostReport
 from .designspace import ADCType, CandidateModel, LayerChoice, LayerShape
 from .search import CandidatePool, PoolEntry
@@ -48,16 +49,16 @@ def model_from_dict(raw: dict) -> CandidateModel:
         for entry in raw["layers"]:
             s = entry["shape"]
             c = entry["choice"]
-            shape = LayerShape(kernel=int(s["kernel"]),
-                               in_spatial=(int(s["in_h"]), int(s["in_w"])),
-                               stride=int(s["stride"]),
-                               is_fc=bool(s.get("is_fc", False)))
-            choice = LayerChoice(cd_out=int(c["cd_out"]), cs=int(c["cs"]),
-                                 at=ADCType(c["at"]), ap=int(c["ap"]),
-                                 ip=int(c["ip"]))
+            shape = LayerShape(kernel=_int(s["kernel"]),
+                               in_spatial=(_int(s["in_h"]), _int(s["in_w"])),
+                               stride=_int(s["stride"]),
+                               is_fc=_bool(s.get("is_fc", False)))
+            choice = LayerChoice(cd_out=_int(c["cd_out"]), cs=_int(c["cs"]),
+                                 at=ADCType(c["at"]), ap=_int(c["ap"]),
+                                 ip=_int(c["ip"]))
             layers.append((shape, choice))
         return CandidateModel(layers=tuple(layers),
-                              input_channels=int(raw["input_channels"]))
+                              input_channels=_int(raw["input_channels"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid model document: {exc}") from exc
 

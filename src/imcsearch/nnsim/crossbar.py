@@ -17,12 +17,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Noise-source switches for crossbar inference."""
+    """Noise sources of crossbar inference; sigma_over_mu = 0 is no variation."""
 
     sigma_over_mu: float = 0.20
     rng_seed: int = 0
     quantization: bool = True
-    variation: bool = True
 
     def __post_init__(self) -> None:
         if self.sigma_over_mu < 0:
@@ -30,11 +29,11 @@ class NoiseSpec:
 
     def multipliers(self, shape: tuple[int, ...],
                     key: tuple[int, ...] = (0,)) -> np.ndarray | None:
-        """Per-cell conductance multipliers, or None when variation is off.
+        """Per-cell conductance multipliers, or None without variation.
 
         The same (seed, key) always yields the same draw.
         """
-        if not self.variation or self.sigma_over_mu == 0:
+        if self.sigma_over_mu == 0:
             return None
         rng = np.random.default_rng(
             np.random.SeedSequence(self.rng_seed, spawn_key=tuple(key)))
@@ -42,8 +41,7 @@ class NoiseSpec:
 
 
 #: Noiseless, quantization-free spec for ideal-path checks.
-IDEAL_NOISE = NoiseSpec(sigma_over_mu=0.0, rng_seed=0,
-                        quantization=False, variation=False)
+IDEAL_NOISE = NoiseSpec(sigma_over_mu=0.0, rng_seed=0, quantization=False)
 
 
 def chunk_rows(n_rows: int, xbar_size: int) -> list[slice]:

@@ -8,22 +8,22 @@ and row chunks.  Everything else (batchnorm, ReLU, pooling) stays ideal.
 
 ``walk_layers`` is the one noisy layer walk: it carries the adaptation
 activations, the adapted batchnorm statistics and the evaluation
-activation from one quantizable layer to the next, so a walk can stop at
-any quantizable layer and later walks can resume from there.  The
-programmed cells of each layer can be kept across walks; phase 2
+activation from ``net.layers`` index ``WalkState.at`` on, so a walk can
+stop before any quantizable layer and later walks can resume from there.
+The programmed cells of each layer can be kept across walks; phase 2
 programs them once per run.
 
-``probe_layer`` runs the quantizable layer at a cut under several
-(ADC precision AP, input precision IP) options at once, and a walk
-resumes from each of its per-option states.  The options of one IP share
-that layer's patches, input quantization, ADC full scale and bit-plane
-matmuls; only the ADC pass and the accumulation run once per AP.  Phase 2
-thus walks a step's shared prefix once and runs the probed layer once per
-IP for all of that IP's APs.
+A layer runs under one input precision IP and a tuple of ADC precisions
+APs at once: its patches, input quantization, ADC full scale and
+bit-plane matmuls are shared, and only the ADC pass and the accumulation
+run once per AP.  ``probe_layer`` runs the layer a state stopped at this
+way, and a walk resumes from each of its per-AP states; phase 2 thus
+walks a step's shared prefix once and runs the probed layer once per IP.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -71,8 +71,8 @@ def _noisy_matmul(cells: CellArrays, aps: tuple[int, ...], ip: int,
     chunks = chunk_rows(rows, xbar_size)
     # without ADC quantization every AP accumulates the same sums
     converts = aps if noise.quantization else (None,)
-    # the low 8 bits are all that planes b < 8 read
-    codes = np.ascontiguousarray(in_codes.T, dtype=np.uint8 if ip <= 8 else None)
+    # codes of at most 8 bits (every IP the design space admits) fit uint8
+    codes = np.ascontiguousarray(in_codes.T, dtype=np.uint8)
     bits, plane = np.empty_like(codes), np.empty(codes.shape)
     accs = [np.zeros((cols, n)) for _ in converts]
     for b in range(ip):
@@ -107,10 +107,10 @@ def _noisy_matmul(cells: CellArrays, aps: tuple[int, ...], ip: int,
 
 
 def _layer_full_range(cells: CellArrays, codes: np.ndarray, xbar_size: int,
-                      slice_bits: int, adc_range: AdcRange) -> float:
+                      adc_range: AdcRange) -> float:
     """ADC full scale of one layer evaluation (see ``AdcRange``)."""
     if adc_range.mode == "worst_case":
-        return float(xbar_size * (2 ** slice_bits - 1))
+        return float(xbar_size * (2 ** cells.slice_bits - 1))
     # calibrated: largest chunk partial sum of the programmed (noisy) cells
     # with every input of a nonzero code on, on this batch
     peak = 0.0
@@ -120,18 +120,18 @@ def _layer_full_range(cells: CellArrays, codes: np.ndarray, xbar_size: int,
     return max(peak, 1.0)
 
 
-def _quantized_layer_outputs(layer: Conv2D | Dense, x: np.ndarray,
-                             options: list[tuple[int, int]], noise: NoiseSpec,
+def _quantized_layer_outputs(layer: Conv2D | Dense, x: np.ndarray, ip: int,
+                             aps: tuple[int, ...], noise: NoiseSpec,
                              platform, adc_range: AdcRange, key: tuple[int, ...],
                              cells: dict[tuple[int, ...], CellArrays] | None = None
                              ) -> list[np.ndarray]:
-    """Run one conv/dense layer through the crossbar path per (ap, ip) option.
+    """Run one conv/dense layer through the crossbar path, one output per AP.
 
-    The patches are built once, the inputs are quantized (and the ADC full
-    scale found) once per IP, and each IP's bit-plane matmuls are shared
-    by all of its APs; every output equals a run of that option alone.
-    ``cells`` memoizes programmed cells per key; the device variation is
-    frozen per key, so a memoized entry equals a fresh one.
+    The patches, the input quantization to ``ip`` bits, the ADC full scale
+    and the bit-plane matmuls are shared by all of ``aps``; every output
+    equals a run of that AP alone.  ``cells`` memoizes programmed cells
+    per key; the device variation is frozen per key, so a memoized entry
+    equals a fresh one.
     """
     if isinstance(layer, Conv2D):
         cols, (oh, ow) = im2col(x, layer.kernel, layer.stride, layer.pad)
@@ -148,22 +148,18 @@ def _quantized_layer_outputs(layer: Conv2D | Dense, x: np.ndarray,
     # themselves need not stay live through the kernel
     active = np.maximum(cols, 0.0)
     del cols
-    outs = {}
-    for ip in dict.fromkeys(ip for _, ip in options):
-        aps = tuple(dict.fromkeys(ap for ap, i in options if i == ip))
-        codes, in_scale = quantize_inputs(active, ip)
-        full_range = _layer_full_range(programmed, codes, platform.xbar_size,
-                                       platform.weight_slice_bits, adc_range)
-        accs = _noisy_matmul(programmed, aps, ip, codes, noise,
-                             platform.xbar_size, full_range)
-        for ap, acc in zip(aps, accs):
-            out = acc * programmed.scale * in_scale
-            if isinstance(layer, Dense):
-                outs[ap, ip] = out + layer.bias
-            else:
-                outs[ap, ip] = out.reshape(x.shape[0], oh, ow,
-                                           layer.c_out).transpose(0, 3, 1, 2)
-    return [outs[option] for option in options]
+    codes, in_scale = quantize_inputs(active, ip)
+    full_range = _layer_full_range(programmed, codes, platform.xbar_size, adc_range)
+    outs = []
+    for acc in _noisy_matmul(programmed, aps, ip, codes, noise,
+                             platform.xbar_size, full_range):
+        out = acc * programmed.scale * in_scale
+        if isinstance(layer, Dense):
+            outs.append(out + layer.bias)
+        else:
+            outs.append(out.reshape(x.shape[0], oh, ow,
+                                    layer.c_out).transpose(0, 3, 1, 2))
+    return outs
 
 
 def _as_array(batch: TensorBatch | np.ndarray) -> np.ndarray:
@@ -172,23 +168,20 @@ def _as_array(batch: TensorBatch | np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WalkState:
-    """A noisy layer walk stopped before quantizable layer ``cut``.
+    """A noisy layer walk stopped before ``net.layers`` index ``at``.
 
     ``adapt`` holds one activation per batchnorm-adaptation batch and
-    ``eval`` the evaluation activation (None when only adapting).
-    ``bn_stats`` maps the ``net.layers`` index of every batchnorm passed
-    to its adapted (running_mean, running_var).  With ``past_cut`` set,
-    the activations are already the outputs of quantizable layer ``cut``
-    (see ``probe_layer``), and a walk resumes just after that layer.  A
-    walk never modifies the state it starts from, so one prefix can seed
-    many walks.
+    ``eval`` the evaluation activation (None when only adapting); both are
+    the inputs of layer ``at``.  ``bn_stats`` maps the ``net.layers``
+    index of every batchnorm passed to its adapted (running_mean,
+    running_var).  A walk never modifies the state it starts from, so one
+    prefix can seed many walks.
     """
 
-    cut: int = 0
+    at: int = 0
     adapt: tuple[np.ndarray, ...] = ()
     eval: np.ndarray | None = None
     bn_stats: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    past_cut: bool = False
 
     @classmethod
     def begin(cls, adapt_batches=(), eval_batch=None) -> "WalkState":
@@ -207,21 +200,21 @@ def walk_layers(net: RefNet, state: WalkState, plan: list[tuple[int, int]],
                 noise: NoiseSpec, platform, stop: int | None = None,
                 momentum: float = 0.1, adc_range: AdcRange = AdcRange(),
                 cells: dict[tuple[int, ...], CellArrays] | None = None) -> WalkState:
-    """Walk quantizable layers [state.cut, stop) and the layers after each.
+    """Walk ``net.layers`` from ``state.at`` to quantizable layer ``stop``.
 
     ``plan`` holds one (ap, ip) pair per conv/dense layer, in network
-    order; ``stop`` defaults to the end of the network.  From a state
-    past its cut the walk starts just after the cut's layer, whose plan
-    entry it does not read.  Conv/dense layers run every activation
-    through the crossbar path, ``_quantized_layer_outputs`` with the
-    layer's one plan option.  A batchnorm normalizes each adaptation
-    activation with its batch statistics while blending them into the
-    running statistics with ``momentum``, then normalizes the evaluation
-    activation with the blended statistics.  A walk over every layer, in
-    one piece or split at any cut, thus gives exactly ``bn_adapt``
-    followed by ``noisy_forward``.  ``cells`` keeps programmed cells
-    across walks (see ``_quantized_layer_outputs``); without it they are
-    kept for this walk only.
+    order; ``stop`` counts those layers and defaults to their number n, the
+    end of the network.  The walk returns a state at ``stop``'s
+    ``net.layers`` index.  Conv/dense layers run every activation through
+    the crossbar path, ``_quantized_layer_outputs`` with the layer's one
+    plan option.  A batchnorm normalizes each adaptation activation with
+    its batch statistics while blending them into the running statistics
+    with ``momentum``, then normalizes the evaluation activation with the
+    blended statistics.  A walk over every layer, in one piece or split at
+    any layer, thus gives exactly ``bn_adapt`` followed by
+    ``noisy_forward``.  ``cells`` keeps programmed cells across walks (see
+    ``_quantized_layer_outputs``); without it they are kept for this walk
+    only.
     """
     q_index = _quantizable_index(net)
     n = len(q_index)
@@ -229,22 +222,18 @@ def walk_layers(net: RefNet, state: WalkState, plan: list[tuple[int, int]],
         raise ValueError(f"plan has {len(plan)} entries for {n} "
                          "quantizable layers")
     stop = n if stop is None else stop
-    # the first quantizable layer this walk runs
-    qi = state.cut + state.past_cut
-    if not 0 <= qi <= stop <= n:
-        raise ValueError(f"cannot walk from layer {qi} to {stop} of {n}")
-    # net.layers index where a cut begins; cut 0 takes any layers before
-    # the first quantizable one, a walk past a cut resumes just after its
-    # layer, and a walk to cut n runs to the end
-    if state.past_cut:
-        lo = q_index[state.cut] + 1
-    else:
-        lo = 0 if state.cut == 0 else (q_index + [len(net.layers)])[state.cut]
-    hi = len(net.layers) if stop == n else q_index[stop]
+    # net.layers index where each quantizable layer's walk stops, then the end
+    ends = q_index + [len(net.layers)]
+    if not (0 <= stop <= n and 0 <= state.at <= ends[stop]):
+        raise ValueError(f"cannot walk from layer {state.at} to quantizable "
+                         f"layer {stop} of {n}")
+    hi = ends[stop]
+    # plan index of the first quantizable layer this walk runs
+    qi = bisect_left(q_index, state.at)
     cells = {} if cells is None else cells
     adapt, x_eval = list(state.adapt), state.eval
     bn_stats = dict(state.bn_stats)
-    for i in range(lo, hi):
+    for i in range(state.at, hi):
         layer = net.layers[i]
         if isinstance(layer, BatchNorm):
             mean_r, var_r = bn_stats.get(i, (layer.running_mean,
@@ -260,7 +249,8 @@ def walk_layers(net: RefNet, state: WalkState, plan: list[tuple[int, int]],
                 x_eval = layer.normalize(x_eval, mean_r, var_r)
             continue
         if isinstance(layer, (Conv2D, Dense)):
-            run = partial(_quantized_layer_outputs, layer, options=[plan[qi]],
+            ap, ip = plan[qi]
+            run = partial(_quantized_layer_outputs, layer, ip=ip, aps=(ap,),
                           noise=noise, platform=platform, adc_range=adc_range,
                           key=(qi,), cells=cells)
             qi += 1
@@ -269,33 +259,32 @@ def walk_layers(net: RefNet, state: WalkState, plan: list[tuple[int, int]],
         else:
             adapt = [layer.forward(x) for x in adapt]
             x_eval = None if x_eval is None else layer.forward(x_eval)
-    return WalkState(cut=stop, adapt=tuple(adapt), eval=x_eval,
-                     bn_stats=bn_stats)
+    return WalkState(at=hi, adapt=tuple(adapt), eval=x_eval, bn_stats=bn_stats)
 
 
-def probe_layer(net: RefNet, state: WalkState, options: list[tuple[int, int]],
+def probe_layer(net: RefNet, state: WalkState, ip: int, aps: tuple[int, ...],
                 noise: NoiseSpec, platform, adc_range: AdcRange = AdcRange(),
                 cells: dict[tuple[int, ...], CellArrays] | None = None
                 ) -> list[WalkState]:
-    """Run quantizable layer ``state.cut`` once for several (ap, ip) options.
+    """Run the quantizable layer at ``state.at`` once for one IP and its APs.
 
-    Returns one state per option, past that layer, from which
-    ``walk_layers`` resumes with the option in the cut's plan entry; each
-    walk equals one that ran the layer itself.  Every activation goes
-    through ``_quantized_layer_outputs``, so the layer's patches are built
-    once and its input quantization and matmuls run once per IP.
+    Returns one state per AP, at ``state.at + 1``, from which
+    ``walk_layers`` resumes with (ap, ``ip``) in that layer's plan entry;
+    each walk equals one that ran the layer itself.  Every activation goes
+    through ``_quantized_layer_outputs``, so the layer's patches, input
+    quantization and matmuls run once for all of ``aps``.
     """
     q_index = _quantizable_index(net)
-    if state.past_cut or not 0 <= state.cut < len(q_index):
-        raise ValueError(f"no quantizable layer to probe at cut {state.cut}")
-    run = partial(_quantized_layer_outputs, net.layers[q_index[state.cut]],
-                  options=options, noise=noise, platform=platform,
-                  adc_range=adc_range, key=(state.cut,), cells=cells)
+    if state.at not in q_index:
+        raise ValueError(f"no quantizable layer to probe at layer {state.at}")
+    run = partial(_quantized_layer_outputs, net.layers[state.at], ip=ip,
+                  aps=aps, noise=noise, platform=platform, adc_range=adc_range,
+                  key=(q_index.index(state.at),), cells=cells)
     adapt = [run(x) for x in state.adapt]
     x_eval = None if state.eval is None else run(state.eval)
-    return [replace(state, past_cut=True, adapt=tuple(outs[k] for outs in adapt),
+    return [replace(state, at=state.at + 1, adapt=tuple(outs[k] for outs in adapt),
                     eval=None if x_eval is None else x_eval[k])
-            for k in range(len(options))]
+            for k in range(len(aps))]
 
 
 def noisy_forward(net: RefNet, batch: TensorBatch | np.ndarray,

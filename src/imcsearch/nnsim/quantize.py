@@ -82,20 +82,19 @@ def quantize_inputs(activations: np.ndarray, ip: int) -> tuple[np.ndarray, float
 
 
 def adc_quantize(column_sum: np.ndarray | float, ap: int,
-                 full_range: float) -> np.ndarray | int:
-    """Uniform quantization of a partial sum to a 2^ap-level integer code.
+                 full_range: float) -> np.ndarray:
+    """Uniform quantization of partial sums to 2^ap-level integer codes.
 
     The step is full_range / 2^ap; values round to the nearest code
-    (ties up) and clip to [0, 2^ap - 1].  An array comes back as a fresh
-    float64 array of integer-valued codes, which a caller may scale by
-    the step in place to dequantize; a scalar comes back as an ``int``.
+    (ties up) and clip to [0, 2^ap - 1].  The codes come back as a fresh
+    float64 array of integer values (0-d for a scalar sum), which a
+    caller may scale by the step in place to dequantize.
     """
     if not 1 <= ap <= 8:
         raise ValueError(f"ap must be in [1, 8], got {ap}")
     if full_range <= 0:
         raise ValueError(f"full_range must be positive, got {full_range}")
     step = full_range / (2 ** ap)
-    scalar = np.isscalar(column_sum)
     x = np.asarray(column_sum, dtype=float)
     # one float array, shifted, clipped and truncated in place; truncating
     # the clipped, non-negative levels is the floor of round-half-up
@@ -103,7 +102,7 @@ def adc_quantize(column_sum: np.ndarray | float, ap: int,
     levels += 0.5
     np.clip(levels, 0, 2 ** ap - 1, out=levels)
     np.trunc(levels, out=levels)
-    return int(levels) if scalar else levels
+    return levels
 
 
 def adc_dequantize(codes: np.ndarray, ap: int, full_range: float) -> np.ndarray:

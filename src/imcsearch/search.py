@@ -80,6 +80,8 @@ class SearchConfig:
             raise ValueError("lambda1 and lambda2 must be >= 0")
         if not (1 <= self.phase1_ap <= 8 and 1 <= self.phase1_ip <= 8):
             raise ValueError("phase1_ap and phase1_ip must lie in [1, 8]")
+        if self.hd_batch_size < 1:
+            raise ValueError("hd_batch_size must be >= 1")
 
 
 def admit(report: CostReport, area_constraint: float) -> bool:
@@ -327,8 +329,8 @@ def phase2_run(trained_net: RefNet, phase1_model: CandidateModel,
             prefix = walk(start, base, stop=layer)
             for ip in dict.fromkeys(options[i][1] for i in misses):
                 group = [i for i in misses if options[i][1] == ip]
-                states = probe_layer(trained_net, prefix,
-                                     [options[i] for i in group], noise,
+                states = probe_layer(trained_net, prefix, ip,
+                                     tuple(options[i][0] for i in group), noise,
                                      platform, adc_range=adc_range, cells=cells)
                 for i in group:
                     # popped, so each output is freed once its walk is done

@@ -1,14 +1,16 @@
-"""Command-line exit codes and messages on a small phase-1 configuration."""
+"""Command-line exit codes and messages on a small two-layer configuration."""
 
 import csv
 import json
 
+import pytest
 import yaml
 
 from imcsearch import cli, search
 from imcsearch.config import load_config
 from imcsearch.designspace import ADCType, homogeneous_model
-from imcsearch.io import model_to_dict, write_json
+from imcsearch.io import load_model, model_to_dict, write_json
+from imcsearch.nnsim import build_refnet, save_net
 
 #: Two toy conv layers, a few phase-1 steps; the constraint is filled in.
 CONFIG = {
@@ -170,3 +172,86 @@ def test_sweep_rows_do_not_depend_on_the_worker_count(tmp_path):
         rows.append(read_sweep(out))
     assert [r["status"] for r in rows[0]] == ["ok", "ok"]
     assert rows[0] == rows[1]
+
+
+def _malformed_models(model: dict) -> dict:
+    """Model documents broken one way each, by test id."""
+    no_cd_out = json.loads(json.dumps(model))
+    del no_cd_out["layers"][0]["choice"]["cd_out"]
+    fractional = json.loads(json.dumps(model))
+    fractional["layers"][0]["choice"]["cd_out"] = 8.9
+    text_bool = json.loads(json.dumps(model))
+    text_bool["layers"][0]["shape"]["is_fc"] = "false"
+    return {"missing_cd_out": json.dumps(no_cd_out),
+            "fractional_cd_out": json.dumps(fractional),
+            "is_fc_as_text": json.dumps(text_bool),
+            "not_json": "layers: [conv]\n"}
+
+
+@pytest.mark.parametrize("case", ["missing_cd_out", "fractional_cd_out",
+                                  "is_fc_as_text", "not_json"])
+def test_malformed_model_file_exits_2_naming_the_file(tmp_path, capsys, case):
+    path = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=1.0))
+    space = load_config(path).space
+    model = model_to_dict(homogeneous_model(space, cs=8, at=ADCType.SAR,
+                                            ap=6, ip=8))
+    model_path = tmp_path / "model.json"
+    model_path.write_text(_malformed_models(model)[case])
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--config", str(path), "--model", str(model_path),
+                     "--out-dir", str(out)]) == cli.EXIT_CONFIG
+    assert f"error: {model_path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def phase2_inputs(tmp_path_factory):
+    """A toy phase-1 run directory, the weights of its selected model and a
+    phase-2 config with one step on a small fixture."""
+    tmp_path = tmp_path_factory.mktemp("phase2")
+    raw = dict(CONFIG, search=dict(CONFIG["search"], area_constraint_mm2=0.78,
+                                   phase2_steps=1),
+               fixture={"train_samples": 16, "eval_samples": 8,
+                        "adapt_batch_size": 8})
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    phase1_dir = tmp_path / "phase1"
+    assert cli.main(["phase1", "--config", str(path),
+                     "--out-dir", str(phase1_dir)]) == cli.EXIT_OK
+    model = load_model(phase1_dir / "selected_model.json")
+    weights = tmp_path / "net.bin"
+    save_net(build_refnet(model, CONFIG["design_space"]["class_count"], seed=0),
+             weights)
+    return path, phase1_dir, weights
+
+
+def run_phase2(phase2_inputs, weights, out) -> int:
+    path, phase1_dir, _ = phase2_inputs
+    return cli.main(["phase2", "--config", str(path), "--phase1-dir",
+                     str(phase1_dir), "--weights", str(weights),
+                     "--out-dir", str(out)])
+
+
+def test_phase2_runs_on_saved_weights_of_a_phase1_model(phase2_inputs, tmp_path):
+    out = tmp_path / "phase2"
+    assert run_phase2(phase2_inputs, phase2_inputs[2], out) == cli.EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["finished_at"] is not None
+    assignment = json.loads((out / "assignment.json").read_text())
+    assert len(assignment["per_layer_ap_ip"]) == len(CONFIG["design_space"]["layers"])
+    with open(out / "phase2_trace.csv", newline="") as f:
+        assert len(list(csv.DictReader(f))) == 1
+
+
+@pytest.mark.parametrize("case", ["junk", "truncated_header",
+                                  "truncated_arrays"])
+def test_malformed_weights_file_exits_2_naming_the_file(phase2_inputs, tmp_path,
+                                                        capsys, case):
+    blob = phase2_inputs[2].read_bytes()
+    weights = tmp_path / "net.bin"
+    weights.write_bytes({"junk": b"not a network", "truncated_header": blob[:10],
+                         "truncated_arrays": blob[:-4]}[case])
+    out = tmp_path / "phase2"
+    assert run_phase2(phase2_inputs, weights, out) == cli.EXIT_CONFIG
+    assert f"error: {weights}: " in capsys.readouterr().err
+    assert not out.exists()

@@ -193,6 +193,11 @@ def test_malformed_value_kinds_exit_2_naming_the_key(tmp_path, capsys, path,
     (("platform", "weight_bits"), 1, "platform: weight_bits (1)"),
     (("design_space", "input_channels"), 0, "design_space: input_channels"),
     (("design_space", "at_options"), ["sar", "sar"], "design_space: at_options"),
+    (("search", "hd_batch_size"), 0, "search: hd_batch_size must be >= 1"),
+    (("fixture", "train_samples"), 0, "fixture: train_samples must be >= 1"),
+    (("fixture", "eval_samples"), 0, "fixture: eval_samples must be >= 1"),
+    (("fixture", "adapt_batch_size"), 0,
+     "fixture: adapt_batch_size must be >= 1"),
 ], ids=lambda v: _dotted(v) if isinstance(v, tuple) else repr(v))
 def test_out_of_range_value_exits_2_naming_the_section(tmp_path, capsys,
                                                        path, value, message):

@@ -11,7 +11,7 @@ from imcsearch.nnsim.quantize import adc_dequantize, adc_quantize
 
 #: Cells exact, ADC on: with full_range = 2^ap the ADC step is 1, so every
 #: integer chunk sum below 2^ap - 1 converts to itself.
-EXACT_ADC = NoiseSpec(sigma_over_mu=0.0, rng_seed=0, variation=False)
+EXACT_ADC = NoiseSpec(sigma_over_mu=0.0, rng_seed=0)
 
 
 def test_chunk_rows_partitions_exactly():

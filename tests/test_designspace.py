@@ -92,10 +92,8 @@ def test_validate_candidate_flags_chaining():
     for idx, shape in enumerate(space.layer_shapes):
         layers.append((shape, LayerChoice(cd_out=cds[idx][0], cs=4,
                                           at=ADCType.SAR, ap=6, ip=8)))
-    # break the chain: layer 0 claims a width the space allows, but the
-    # candidate type derives layer 1's cd_in directly, so chaining cannot
-    # break unless the model disagrees with itself; check the space-size
-    # mismatch path instead
+    # a candidate derives each layer's cd_in from the previous layer's
+    # cd_out, so its chain cannot break; check the layer-count path instead
     short = CandidateModel(layers=tuple(layers[:-1]),
                            input_channels=space.input_channels)
     violations = validate_candidate(short, space, platform)

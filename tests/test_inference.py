@@ -48,7 +48,7 @@ def test_quantized_path_matches_integer_oracle_bit_for_bit():
     layer.bias = rng.standard_normal(4)
     x = np.abs(rng.standard_normal((9, 6)))
     platform = small_platform()
-    got, = _quantized_layer_outputs(layer, x, [(8, 8)], noise=IDEAL_NOISE,
+    got, = _quantized_layer_outputs(layer, x, 8, (8,), noise=IDEAL_NOISE,
                                     platform=platform, adc_range=CAL, key=(0,))
     want = ideal_quantized_dense(x, layer, ip=8)
     assert np.array_equal(got, want)
@@ -76,7 +76,7 @@ def test_noisy_forward_near_ideal_at_max_precision(trained_mlp, blob_data):
     ideal = trained_mlp.forward(blob_data.data)
     quant = noisy_forward(trained_mlp, blob_data, [(8, 8), (8, 8)],
                           NoiseSpec(sigma_over_mu=0.0, rng_seed=0,
-                                    variation=False, quantization=True),
+                                    quantization=True),
                           platform, adc_range=CAL)
     # 8-bit everything on a calibrated range: predictions must agree
     assert accuracy(quant, blob_data.labels) \
@@ -118,11 +118,11 @@ def test_low_input_precision_does_not_beat_high(trained_mlp, blob_data):
 
 
 # ---------------------------------------------------------------------------
-# one layer under several (ap, ip) options
+# one layer under one IP and several APs
 # ---------------------------------------------------------------------------
 
-#: 2 APs x 2 IPs in the AP-major order of the phase-2 grid.
-OPTIONS = [(5, 3), (5, 8), (6, 3), (6, 8)]
+#: 2 IPs, each run with 2 APs.
+IPS, APS = (3, 8), (5, 6)
 
 
 @pytest.mark.parametrize("mode", ["worst_case", "calibrated"])
@@ -143,16 +143,17 @@ def test_multi_option_layer_equals_one_option_runs(kind, mode):
     adc_range = AdcRange(mode)
     cells = {}
     for x in (adapt_x, eval_x):
-        outs = _quantized_layer_outputs(layer, x, OPTIONS, noise, platform,
-                                        adc_range, key=(0,), cells=cells)
-        assert len(outs) == len(OPTIONS)
-        for (ap, ip), out in zip(OPTIONS, outs):
-            want, = _quantized_layer_outputs(layer, x, [(ap, ip)], noise=noise,
-                                             platform=platform,
-                                             adc_range=adc_range, key=(0,))
-            assert np.array_equal(out, want)
-        # the APs of one IP share matmuls but not their ADC pass
-        assert not np.array_equal(outs[0], outs[2])
+        for ip in IPS:
+            outs = _quantized_layer_outputs(layer, x, ip, APS, noise, platform,
+                                            adc_range, key=(0,), cells=cells)
+            assert len(outs) == len(APS)
+            for ap, out in zip(APS, outs):
+                want, = _quantized_layer_outputs(layer, x, ip, (ap,),
+                                                 noise=noise, platform=platform,
+                                                 adc_range=adc_range, key=(0,))
+                assert np.array_equal(out, want)
+            # the APs of one IP share matmuls but not their ADC pass
+            assert not np.array_equal(outs[0], outs[1])
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +169,7 @@ def test_bn_adapt_momentum_one_single_batch_exact():
     noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=11)
     adapted = bn_adapt(net, [batch], [(6, 6)], noise, platform, momentum=1.0,
                        adc_range=CAL)
-    pre_bn, = _quantized_layer_outputs(net.layers[0], batch.data, [(6, 6)],
+    pre_bn, = _quantized_layer_outputs(net.layers[0], batch.data, 6, (6,),
                                        noise=noise, platform=platform,
                                        adc_range=CAL, key=(0,))
     bn = adapted.layers[1]

@@ -314,11 +314,12 @@ def test_walk_cut_equivalence(toy):
     whole = walk_layers(net, start, PLAN, noise, platform, momentum=0.3,
                         adc_range=CAL)
     ce = cross_entropy(whole.eval, data.eval_batch.labels)
+    stops = inference._quantizable_index(net) + [len(net.layers)]
     for q in range(len(PLAN) + 1):
         cells = {}
         prefix = walk_layers(net, start, PLAN, noise, platform, stop=q,
                              momentum=0.3, adc_range=CAL, cells=cells)
-        assert prefix.cut == q
+        assert prefix.at == stops[q]
         split = walk_layers(net, prefix, PLAN, noise, platform, momentum=0.3,
                             adc_range=CAL, cells=cells)
         assert len(split.adapt) == len(whole.adapt) == 2
@@ -330,6 +331,9 @@ def test_walk_cut_equivalence(toy):
             assert np.array_equal(split.bn_stats[i][0], mean)
             assert np.array_equal(split.bn_stats[i][1], var)
         assert cross_entropy(split.eval, data.eval_batch.labels) == ce
+    for stop in (-1, len(PLAN) + 1):
+        with pytest.raises(ValueError):
+            walk_layers(net, start, PLAN, noise, platform, stop=stop)
     # the walk is bn_adapt followed by noisy_forward
     adapted = bn_adapt(net, data.adapt_batches, PLAN, noise, platform,
                        momentum=0.3, adc_range=CAL)
@@ -341,23 +345,27 @@ def test_probe_layer_states_resume_to_whole_walks(toy):
     _, _, net, data, platform = toy
     noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=9)
     start = WalkState.begin(data.adapt_batches, data.eval_batch)
-    options = [(5, 3), (5, 8), (6, 3), (6, 8)]
+    ips, aps = (3, 8), (5, 6)
+    q_index = inference._quantizable_index(net)
     cells = {}
     for q in range(len(PLAN)):
         prefix = walk_layers(net, start, PLAN, noise, platform, stop=q,
                              momentum=0.3, adc_range=CAL, cells=cells)
-        states = probe_layer(net, prefix, options, noise, platform,
-                             adc_range=CAL, cells=cells)
-        assert len(states) == len(options)
+        options, states = [], []
+        for ip in ips:
+            states += probe_layer(net, prefix, ip, aps, noise, platform,
+                                  adc_range=CAL, cells=cells)
+            options += [(ap, ip) for ap in aps]
+        assert len(states) == len(ips) * len(aps)
         for option, state in zip(options, states):
-            assert state.cut == q and state.past_cut
+            assert state.at == q_index[q] + 1
             plan = list(PLAN)
             plan[q] = option
             whole = walk_layers(net, start, plan, noise, platform,
                                 momentum=0.3, adc_range=CAL, cells=cells)
             resumed = walk_layers(net, state, plan, noise, platform,
                                   momentum=0.3, adc_range=CAL, cells=cells)
-            assert not resumed.past_cut
+            assert resumed.at == len(net.layers)
             for a, b in zip(resumed.adapt, whole.adapt):
                 assert np.array_equal(a, b)
             assert np.array_equal(resumed.eval, whole.eval)
@@ -367,7 +375,7 @@ def test_probe_layer_states_resume_to_whole_walks(toy):
                 assert np.array_equal(resumed.bn_stats[i][1], var)
         # a state past its cut neither probes again nor walks back to its cut
         with pytest.raises(ValueError):
-            probe_layer(net, states[0], options, noise, platform)
+            probe_layer(net, states[0], ips[0], aps, noise, platform)
         with pytest.raises(ValueError):
             walk_layers(net, states[0], PLAN, noise, platform, stop=q)
 
