@@ -39,7 +39,15 @@ from .io import (
     write_report,
     write_trace,
 )
-from .nnsim import TensorBatch, load_net, make_blobs, make_patterns, split_batches
+from .nnsim import (
+    RefNet,
+    TensorBatch,
+    build_refnet,
+    load_net,
+    make_blobs,
+    make_patterns,
+    split_batches,
+)
 from .search import (
     ADMISSION_MARGIN,
     EmptyPoolError,
@@ -121,20 +129,40 @@ def _load(loader, path: Path):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _load_valid_model(model_path: Path, cfg: AppConfig) -> CandidateModel:
-    """The model at ``model_path``; a ConfigError lists every violation of ``cfg``."""
+def _load_valid_model(model_path: Path, cfg: AppConfig,
+                      config_path: Path) -> CandidateModel:
+    """The model at ``model_path``; a ConfigError names both files and lists
+    every violation of the config's design space."""
     model = _load(load_model, model_path)
     violations = validate_candidate(model, cfg.space, cfg.platform)
     if violations:
-        raise ConfigError("; ".join(f"layer {v.layer} [{v.field}]: {v.message}"
-                                    for v in violations))
+        raise ConfigError(
+            f"{model_path}: model does not fit the design space of "
+            f"{config_path}: " + "; ".join(f"layer {v.layer} [{v.field}]: "
+                                           f"{v.message}" for v in violations))
     return model
+
+
+def _check_weights(net: RefNet, weights_path: Path, model: CandidateModel,
+                   model_path: Path, class_count: int) -> None:
+    """``net`` must have the layers ``build_refnet`` makes of ``model``."""
+    got = [layer.spec() for layer in net.layers]
+    want = [layer.spec() for layer in build_refnet(model, class_count).layers]
+    if got == want:
+        return
+    if len(got) != len(want):
+        detail = f"{len(got)} layers, expected {len(want)}"
+    else:
+        i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+        detail = f"layer {i} is {got[i]}, expected {want[i]}"
+    raise ConfigError(f"{weights_path}: network is not the one build_refnet "
+                      f"makes of {model_path}: {detail}")
 
 
 def cmd_eval(config_path: Path, model_path: Path, out_dir: Path,
              seed: int | None = None) -> int:
     cfg = _apply_seed(load_config(config_path), seed)
-    model = _load_valid_model(model_path, cfg)
+    model = _load_valid_model(model_path, cfg, config_path)
     run = _RunDir(out_dir, "eval", config_path, cfg.search.seed)
     report = model_cost(model, cfg.platform)
     write_report(report, run.path / "report.json", run.path / "report.csv")
@@ -201,8 +229,10 @@ def cmd_phase2(config_path: Path, phase1_dir: Path, weights_path: Path,
         print(f"error: network weights file not found: {weights_path}",
               file=sys.stderr)
         return EXIT_CONFIG
-    model = _load(load_model, model_file)
+    check_class_count(cfg.space)
+    model = _load_valid_model(model_file, cfg, config_path)
     net = _load(load_net, weights_path)
+    _check_weights(net, weights_path, model, model_file, cfg.space.class_count)
     run = _RunDir(out_dir, "phase2", config_path, cfg.search.seed)
 
     fixture = cfg.fixture
@@ -254,7 +284,7 @@ def _sweep_point(args: tuple) -> dict:
             raise ConfigError(f"unknown sweep axis {axis!r}")
 
         if model_path is not None:
-            model = _load_valid_model(model_path, cfg)
+            model = _load_valid_model(model_path, cfg, config_path)
             report = model_cost(model, cfg.platform)
             selected_model = model
         else:

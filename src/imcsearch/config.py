@@ -107,12 +107,17 @@ def _build(cls, name: str, **kwargs):
 
 
 def _int(value) -> int:
-    if isinstance(value, bool) or not float(value).is_integer():
+    # a string is refused, not parsed: "8" is text in YAML and JSON alike
+    if isinstance(value, (bool, str)) or not float(value).is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
 
 def _float(value) -> float:
+    if isinstance(value, str):
+        # YAML 1.1 reads 1e-3 and 1.5e3 as text; 1.0e-3 and 1.5e+3 are floats
+        raise ValueError(f"expected a finite number, got {value!r} (text; "
+                         f"write an exponent as in 1.0e-3 or 1.5e+3)")
     if isinstance(value, bool) or not math.isfinite(float(value)):
         raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)

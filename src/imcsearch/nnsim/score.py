@@ -51,9 +51,16 @@ def hd_score(net: RefNet, batch: TensorBatch | np.ndarray) -> float:
     are collected and scored as log|K + lambda*I| where K counts agreeing
     code bits.  Duplicate inputs make K rank-deficient; the regularizer
     keeps the score finite (at its floor).
+
+    The forward runs in blocks of samples (``network.CODE_BLOCK``), so no
+    layer's patch matrix holds the whole batch.  The codes, and so the
+    score, are those of the whole batch at once: eval mode treats every
+    sample on its own, and BLAS row blocking moves an activation by ulps,
+    which could flip a code only for an activation within rounding of
+    zero (none did in any batch measured; the ranking golden pins it).
     """
     x = batch.data if isinstance(batch, TensorBatch) else np.asarray(batch, float)
-    _, codes = net.forward_with_codes(x)
+    codes = net.forward_with_codes(x)[1]
     n_a = codes.shape[1]
     k = hamming_kernel(codes)
     reg = k + LAMBDA_RATIO * n_a * np.eye(k.shape[0])

@@ -38,14 +38,21 @@ def zero_cost_table(**nonzero) -> UnitCostTable:
     return UnitCostTable("zeros-test", components)
 
 
+def candidate_net(shapes: list[LayerShape], widths: list[int],
+                  input_channels: int, seed: int):
+    """``build_refnet`` of a candidate with one layer per (shape, width);
+    the last width is the class count."""
+    layers = tuple((shape, LayerChoice(cd_out=w, cs=4, at=ADCType.SAR, ap=6, ip=8))
+                   for shape, w in zip(shapes, widths))
+    model = CandidateModel(layers=layers, input_channels=input_channels)
+    return build_refnet(model, class_count=widths[-1], seed=seed)
+
+
 def fc_net(widths: list[int], seed: int):
     """``build_refnet`` of an all-FC candidate: input ``widths[0]``, then
     Dense-BN-ReLU blocks of ``widths[1:-1]`` and a linear classifier."""
-    fc = LayerShape.fc()
-    layers = tuple((fc, LayerChoice(cd_out=w, cs=4, at=ADCType.SAR, ap=6, ip=8))
-                   for w in widths[1:])
-    model = CandidateModel(layers=layers, input_channels=widths[0])
-    return build_refnet(model, class_count=widths[-1], seed=seed)
+    return candidate_net([LayerShape.fc()] * (len(widths) - 1), widths[1:],
+                         widths[0], seed)
 
 
 def toy_space(num_layers: int = 2, spatial: int = 8) -> DesignSpace:

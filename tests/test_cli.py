@@ -182,14 +182,17 @@ def _malformed_models(model: dict) -> dict:
     fractional["layers"][0]["choice"]["cd_out"] = 8.9
     text_bool = json.loads(json.dumps(model))
     text_bool["layers"][0]["shape"]["is_fc"] = "false"
+    text_int = json.loads(json.dumps(model))
+    text_int["layers"][0]["choice"]["cd_out"] = "8"
     return {"missing_cd_out": json.dumps(no_cd_out),
             "fractional_cd_out": json.dumps(fractional),
             "is_fc_as_text": json.dumps(text_bool),
+            "cd_out_as_text": json.dumps(text_int),
             "not_json": "layers: [conv]\n"}
 
 
 @pytest.mark.parametrize("case", ["missing_cd_out", "fractional_cd_out",
-                                  "is_fc_as_text", "not_json"])
+                                  "is_fc_as_text", "cd_out_as_text", "not_json"])
 def test_malformed_model_file_exits_2_naming_the_file(tmp_path, capsys, case):
     path = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=1.0))
     space = load_config(path).space
@@ -254,4 +257,45 @@ def test_malformed_weights_file_exits_2_naming_the_file(phase2_inputs, tmp_path,
     out = tmp_path / "phase2"
     assert run_phase2(phase2_inputs, weights, out) == cli.EXIT_CONFIG
     assert f"error: {weights}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _selected_with(phase2_inputs, tmp_path, cd_out: int):
+    """The phase-1 selected model document with its first layer's width set."""
+    raw = json.loads((phase2_inputs[1] / "selected_model.json").read_text())
+    raw["layers"][0]["choice"]["cd_out"] = cd_out
+    model_path = tmp_path / "phase1" / "selected_model.json"
+    model_path.parent.mkdir()
+    write_json(model_path, raw)
+    return model_path
+
+
+def test_phase2_weights_of_another_model_exit_2_naming_both_files(
+        phase2_inputs, tmp_path, capsys):
+    selected = load_model(phase2_inputs[1] / "selected_model.json")
+    width = selected.layers[0][1].cd_out
+    other = _selected_with(phase2_inputs, tmp_path, 24 - width)  # 8 <-> 16
+    weights = tmp_path / "net.bin"
+    save_net(build_refnet(load_model(other), CONFIG["design_space"]["class_count"]),
+             weights)
+    out = tmp_path / "phase2"
+    assert run_phase2(phase2_inputs, weights, out) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {weights}: " in err
+    assert str(phase2_inputs[1] / "selected_model.json") in err
+    assert f"'c_out': {24 - width}" in err and f"'c_out': {width}" in err
+    assert not out.exists()
+
+
+def test_phase2_selected_model_outside_the_space_exits_2_naming_both_files(
+        phase2_inputs, tmp_path, capsys):
+    path, _, weights = phase2_inputs
+    model_path = _selected_with(phase2_inputs, tmp_path, 12)
+    out = tmp_path / "phase2"
+    assert cli.main(["phase2", "--config", str(path), "--phase1-dir",
+                     str(model_path.parent), "--weights", str(weights),
+                     "--out-dir", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {model_path}: " in err and str(path) in err
+    assert "layer 0 [cd_out]: cd_out 12 not in (8, 16)" in err
     assert not out.exists()

@@ -198,6 +198,11 @@ def test_malformed_value_kinds_exit_2_naming_the_key(tmp_path, capsys, path,
     (("fixture", "eval_samples"), 0, "fixture: eval_samples must be >= 1"),
     (("fixture", "adapt_batch_size"), 0,
      "fixture: adapt_batch_size must be >= 1"),
+    # numbers written as text are refused, not parsed
+    (("platform", "xbar_size"), "128",
+     "platform.xbar_size: expected an integer, got '128'"),
+    (("search", "lambda1"), "1e1",
+     "search.lambda1: expected a finite number, got '1e1'"),
 ], ids=lambda v: _dotted(v) if isinstance(v, tuple) else repr(v))
 def test_out_of_range_value_exits_2_naming_the_section(tmp_path, capsys,
                                                        path, value, message):

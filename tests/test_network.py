@@ -16,6 +16,7 @@ from imcsearch.nnsim import (
     save_net,
     train_tiny,
 )
+from imcsearch.nnsim import network
 from imcsearch.nnsim.network import (
     AvgPool2D,
     BatchNorm,
@@ -26,7 +27,7 @@ from imcsearch.nnsim.network import (
     im2col,
 )
 
-from conftest import fc_net
+from conftest import candidate_net, fc_net
 
 
 # ---------------------------------------------------------------------------
@@ -297,3 +298,34 @@ def test_build_refnet_rejects_class_mismatch():
     model = CandidateModel(layers=layers, input_channels=4)
     with pytest.raises(ValueError):
         build_refnet(model, class_count=3, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# code-collecting forward in sample blocks
+# ---------------------------------------------------------------------------
+
+def _code_nets():
+    """(net, inputs) pairs: a conv net through conv, batchnorm, ReLU,
+    both poolings and a dense classifier, and an all-FC net."""
+    conv = candidate_net([LayerShape(kernel=3, in_spatial=(8, 8)),
+                          LayerShape(kernel=3, in_spatial=(4, 4)),
+                          LayerShape.fc()], [4, 8, 2], input_channels=1, seed=3)
+    fc = fc_net([2, 8, 6, 2], seed=3)
+    n = 2 * network.CODE_BLOCK
+    return {"conv": (conv, make_patterns(n, seed=1).data),
+            "fc": (fc, make_blobs(n, seed=1).data)}
+
+
+@pytest.mark.parametrize("kind", ["conv", "fc"])
+@pytest.mark.parametrize("n", [1, network.CODE_BLOCK - 1, network.CODE_BLOCK + 1,
+                               2 * network.CODE_BLOCK])
+def test_forward_with_codes_in_blocks_matches_one_block(monkeypatch, kind, n):
+    net, data = _code_nets()[kind]
+    x = data[:n]
+    logits, codes = net.forward_with_codes(x)
+    monkeypatch.setattr(network, "CODE_BLOCK", n)
+    one_logits, one_codes = net.forward_with_codes(x)
+    assert codes.dtype == bool and codes.shape[0] == n
+    assert np.array_equal(codes, one_codes)
+    # a product over fewer rows may round differently: ulps, not signs
+    np.testing.assert_allclose(logits, one_logits, rtol=1e-12, atol=1e-15)

@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from imcsearch.nnsim import TensorBatch, hd_score, make_blobs
+from imcsearch.designspace import LayerShape
+from imcsearch.nnsim import TensorBatch, hd_score, make_blobs, make_patterns
 from imcsearch.nnsim.network import Dense, RefNet, ReLU
 from imcsearch.nnsim.score import GRAM_CHUNK, LAMBDA_RATIO, hamming_kernel
 
-from conftest import fc_net
+from conftest import candidate_net, fc_net
 
 
 def test_hamming_kernel_against_hand_counts():
@@ -114,3 +116,22 @@ def test_hd_score_does_not_mutate_input_net():
     after = [p for l in net.layers for p in l.params()]
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
+
+
+def test_hd_score_memory_stays_at_a_few_blocks_of_patches():
+    # the whole batch at once builds 64 x 16 x 16 patch rows of 144 float64
+    # columns per 16-channel conv input, 18 MiB, and peaks at 25 MiB; blocks
+    # of samples peak at 5 MiB, most of it one float32 chunk of the Gram
+    # product
+    shape = LayerShape(kernel=3, in_spatial=(16, 16))
+    net = candidate_net([shape] * 3 + [LayerShape.fc()], [16, 16, 32, 2],
+                        input_channels=3, seed=0)
+    batch = make_patterns(64, channels=3, height=16, width=16, seed=0)
+    tracemalloc.start()
+    try:
+        score = hd_score(net, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(score)
+    assert peak < 8 * 2 ** 20

@@ -29,7 +29,7 @@ from imcsearch.nnsim import (
     train_tiny,
     walk_layers,
 )
-from imcsearch.nnsim import inference
+from imcsearch.nnsim import inference, network
 from imcsearch.search import Phase2Data, SearchConfig, phase1_run, phase2_run
 
 from conftest import make_platform
@@ -223,6 +223,8 @@ def rank_batch():
 
 
 def test_rank_candidates_golden(rank_batch):
+    # the scores predate the blocked code forward; the batch spans blocks
+    assert len(rank_batch) > network.CODE_BLOCK
     pool = rank_pool(RANK_SPECS)
     selected = search.rank_candidates(pool, rank_batch, RANK_SEED, 2)
     assert [e.hd_score for e in pool.entries] == RANK_SCORES
