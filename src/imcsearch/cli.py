@@ -320,6 +320,10 @@ def _sweep_point(args: tuple) -> dict:
     return row
 
 
+#: A sweep exits with the largest code among its points.
+_SWEEP_EXIT = {"ok": EXIT_OK, "config_error": EXIT_CONFIG,
+               "empty_pool": EXIT_EMPTY_POOL, "numeric_error": EXIT_NUMERIC}
+
 _SWEEP_COLUMNS = ("value", "status", "message", "area_mm2", "delay_ns",
                   "energy_pJ", "edap_mJ_ms_mm2", "psi", "mean_cs",
                   "sar_fraction", "total_tiles")
@@ -346,12 +350,10 @@ def cmd_sweep(config_path: Path, axis: str, values: list[float], out_dir: Path,
     write_trace(ordered, run.path / "sweep.csv")
     run.record("sweep.csv")
     run.finish()
-    failures = [r for r in rows if r["status"] != "ok"]
-    print(f"sweep: {len(rows) - len(failures)}/{len(rows)} points ok; "
+    ok = sum(r["status"] == "ok" for r in rows)
+    print(f"sweep: {ok}/{len(rows)} points ok; "
           f"results in {run.path / 'sweep.csv'}")
-    return EXIT_OK if not failures else (
-        EXIT_EMPTY_POOL if any(r["status"] == "empty_pool" for r in failures)
-        else EXIT_CONFIG)
+    return max(_SWEEP_EXIT[r["status"]] for r in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -256,12 +256,16 @@ def check_cs_fits(space: DesignSpace, platform: PlatformParams) -> None:
 
 
 def check_class_count(space: DesignSpace) -> None:
-    """The last layer's only width must be ``class_count``.
+    """The last layer must be fully connected, and its only width ``class_count``.
 
     Ranking builds each admitted candidate's reference network, whose
-    classifier outputs one channel per class.
+    classifier is that last layer: one output per class.
     """
     last = space.num_layers - 1
+    if not space.layer_shapes[last].is_fc:
+        raise ConfigError(
+            f"design_space.layers[{last}].is_fc: the last layer is the "
+            f"classifier and must be fully connected (is_fc: true)")
     options = space.cd_options_per_layer[last]
     if tuple(options) != (space.class_count,):
         raise ConfigError(

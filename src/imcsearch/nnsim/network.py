@@ -4,6 +4,15 @@ Supports what the desk-scale fixtures need and nothing more: 3x3 (or 1x1)
 convolutions, dense layers, batchnorm, ReLU and 2x2 average pooling.
 Weights serialize to a small binary container (JSON shape header followed
 by little-endian float32 data).
+
+Each layer class declares itself once, in four class attributes: ``kind``,
+the name a network file gives it; ``args``, its constructor's arguments,
+which it keeps as attributes of the same names; ``param_names``, the
+arrays training updates, whose gradient ``backward`` assigns to
+``d<name>``; and ``arrays``, the arrays a network file stores, in file
+order.  A layer's spec, its loading, its parameters and gradients and its
+stored arrays all derive from that declaration.  No gradient array exists
+before the first ``backward``.
 """
 
 from __future__ import annotations
@@ -87,29 +96,41 @@ def col2im(cols: np.ndarray, x_shape: tuple[int, ...], kernel: int,
 
 
 class Layer:
+    kind: str
+    args: tuple[str, ...] = ()
+    param_names: tuple[str, ...] = ()
+    arrays: tuple[str, ...] = ()
+
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def init_weights(self, rng: np.random.Generator) -> None:
+        """Draw fresh weights; a layer without weights draws nothing."""
+
     def params(self) -> list[np.ndarray]:
-        return []
+        return [getattr(self, name) for name in self.param_names]
 
     def grads(self) -> list[np.ndarray]:
-        return []
+        """The gradients the last ``backward`` assigned, one per parameter."""
+        return [getattr(self, "d" + name) for name in self.param_names]
 
     def spec(self) -> dict:
-        raise NotImplementedError
+        return {"kind": self.kind, **{a: getattr(self, a) for a in self.args}}
 
 
 class Conv2D(Layer):
     """Same-padded convolution; bias-free (a batchnorm usually follows)."""
 
+    kind = "conv"
+    args = ("c_in", "c_out", "kernel", "stride")
+    param_names = arrays = ("weight",)
+
     def __init__(self, c_in: int, c_out: int, kernel: int = 3, stride: int = 1):
         self.c_in, self.c_out, self.kernel, self.stride = c_in, c_out, kernel, stride
         self.weight = np.zeros((c_out, c_in, kernel, kernel))
-        self.dweight = np.zeros_like(self.weight)
         self._cache = None
 
     @property
@@ -141,24 +162,16 @@ class Conv2D(Layer):
         dcols = dmat @ self.weight_matrix().T
         return col2im(dcols, x_shape, self.kernel, self.stride, self.pad)
 
-    def params(self):
-        return [self.weight]
-
-    def grads(self):
-        return [self.dweight]
-
-    def spec(self):
-        return {"kind": "conv", "c_in": self.c_in, "c_out": self.c_out,
-                "kernel": self.kernel, "stride": self.stride}
-
 
 class Dense(Layer):
+    kind = "dense"
+    args = ("n_in", "n_out")
+    param_names = arrays = ("weight", "bias")
+
     def __init__(self, n_in: int, n_out: int):
         self.n_in, self.n_out = n_in, n_out
         self.weight = np.zeros((n_in, n_out))
         self.bias = np.zeros(n_out)
-        self.dweight = np.zeros_like(self.weight)
-        self.dbias = np.zeros_like(self.bias)
         self._cache = None
 
     def init_weights(self, rng: np.random.Generator) -> None:
@@ -176,31 +189,29 @@ class Dense(Layer):
         self.dbias = dout.sum(axis=0)
         return dout @ self.weight.T
 
-    def params(self):
-        return [self.weight, self.bias]
-
-    def grads(self):
-        return [self.dweight, self.dbias]
-
-    def spec(self):
-        return {"kind": "dense", "n_in": self.n_in, "n_out": self.n_out}
-
 
 class BatchNorm(Layer):
     """Per-channel (4-D input) or per-feature (2-D input) normalization."""
+
+    kind = "bn"
+    args = ("num_features", "momentum", "eps")
+    param_names = ("gamma", "beta")
+    arrays = param_names + ("running_mean", "running_var")
 
     def __init__(self, num_features: int, momentum: float = 0.1,
                  eps: float = 1e-5):
         self.num_features = num_features
         self.momentum = momentum
         self.eps = eps
-        self.gamma = np.ones(num_features)
-        self.beta = np.zeros(num_features)
-        self.running_mean = np.zeros(num_features)
-        self.running_var = np.ones(num_features)
-        self.dgamma = np.zeros_like(self.gamma)
-        self.dbeta = np.zeros_like(self.beta)
+        self.init_weights(None)
         self._cache = None
+
+    def init_weights(self, rng: np.random.Generator | None) -> None:
+        """Reset to the identity transform and unit statistics; draws nothing."""
+        self.gamma = np.ones(self.num_features)
+        self.beta = np.zeros(self.num_features)
+        self.running_mean = np.zeros(self.num_features)
+        self.running_var = np.ones(self.num_features)
 
     @staticmethod
     def _axes(x: np.ndarray) -> tuple[int, ...]:
@@ -251,18 +262,10 @@ class BatchNorm(Layer):
               - xhat * self._shape(dout, (dxhat * xhat).sum(axes)) / m) * inv_std
         return dx
 
-    def params(self):
-        return [self.gamma, self.beta]
-
-    def grads(self):
-        return [self.dgamma, self.dbeta]
-
-    def spec(self):
-        return {"kind": "bn", "num_features": self.num_features,
-                "momentum": self.momentum, "eps": self.eps}
-
 
 class ReLU(Layer):
+    kind = "relu"
+
     def __init__(self):
         self._mask = None
 
@@ -273,11 +276,11 @@ class ReLU(Layer):
     def backward(self, dout):
         return dout * self._mask
 
-    def spec(self):
-        return {"kind": "relu"}
-
 
 class AvgPool2D(Layer):
+    kind = "avgpool"
+    args = ("size",)
+
     def __init__(self, size: int = 2):
         self.size = size
         self._in_shape = None
@@ -296,12 +299,11 @@ class AvgPool2D(Layer):
         up = np.repeat(np.repeat(dout, s, axis=2), s, axis=3)
         return up / (s * s)
 
-    def spec(self):
-        return {"kind": "avgpool", "size": self.size}
-
 
 class GlobalAvgPool(Layer):
     """Collapse remaining spatial extent to 1x1 before the classifier."""
+
+    kind = "gap"
 
     def __init__(self):
         self._in_shape = None
@@ -315,18 +317,9 @@ class GlobalAvgPool(Layer):
         return np.broadcast_to(dout[:, :, None, None] / (h * w),
                                self._in_shape).copy()
 
-    def spec(self):
-        return {"kind": "gap"}
 
-
-_LAYER_KINDS = {
-    "conv": lambda s: Conv2D(s["c_in"], s["c_out"], s["kernel"], s["stride"]),
-    "dense": lambda s: Dense(s["n_in"], s["n_out"]),
-    "bn": lambda s: BatchNorm(s["num_features"], s["momentum"], s["eps"]),
-    "relu": lambda s: ReLU(),
-    "avgpool": lambda s: AvgPool2D(s["size"]),
-    "gap": lambda s: GlobalAvgPool(),
-}
+_LAYER_KINDS = {cls.kind: cls for cls in (Conv2D, Dense, BatchNorm, ReLU,
+                                          AvgPool2D, GlobalAvgPool)}
 
 
 # ---------------------------------------------------------------------------
@@ -390,22 +383,22 @@ class RefNet:
 
     def init_weights(self, rng: np.random.Generator) -> None:
         for layer in self.layers:
-            if isinstance(layer, (Conv2D, Dense)):
-                layer.init_weights(rng)
-            elif isinstance(layer, BatchNorm):
-                layer.gamma = np.ones(layer.num_features)
-                layer.beta = np.zeros(layer.num_features)
-                layer.running_mean = np.zeros(layer.num_features)
-                layer.running_var = np.ones(layer.num_features)
+            layer.init_weights(rng)
 
     def clone(self) -> "RefNet":
         return copy.deepcopy(self)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log softmax probability of the true class."""
+    """Mean negative log softmax probability of the true class.
+
+    ``logits`` is (samples, classes); any other shape raises ValueError.
+    """
     logits = np.asarray(logits, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
+    if logits.ndim != 2:
+        raise ValueError(f"logits must be (samples, classes), got shape "
+                         f"{logits.shape}")
     if np.any(labels < 0) or np.any(labels >= logits.shape[1]):
         raise ValueError("labels out of range")
     z = logits - logits.max(axis=1, keepdims=True)
@@ -513,19 +506,8 @@ _FORMAT_VERSION = 1
 
 
 def _named_arrays(net: RefNet) -> list[tuple[str, np.ndarray]]:
-    out = []
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, Conv2D):
-            out.append((f"layers.{i}.weight", layer.weight))
-        elif isinstance(layer, Dense):
-            out.append((f"layers.{i}.weight", layer.weight))
-            out.append((f"layers.{i}.bias", layer.bias))
-        elif isinstance(layer, BatchNorm):
-            out.append((f"layers.{i}.gamma", layer.gamma))
-            out.append((f"layers.{i}.beta", layer.beta))
-            out.append((f"layers.{i}.running_mean", layer.running_mean))
-            out.append((f"layers.{i}.running_var", layer.running_var))
-    return out
+    return [(f"layers.{i}.{name}", getattr(layer, name))
+            for i, layer in enumerate(net.layers) for name in layer.arrays]
 
 
 def save_net(net: RefNet, path) -> None:
@@ -555,7 +537,10 @@ def load_net(path) -> RefNet:
         if version != _FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported container version {version}")
         header = json.loads(f.read(hlen).decode("utf-8"))
-        layers = [_LAYER_KINDS[s["kind"]](s) for s in header["layers"]]
+        layers = []
+        for s in header["layers"]:
+            cls = _LAYER_KINDS[s["kind"]]
+            layers.append(cls(**{a: s[a] for a in cls.args}))
         net = RefNet(layers=layers, class_count=header["class_count"])
         arrays = _named_arrays(net)
         specs = header["arrays"]

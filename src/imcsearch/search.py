@@ -218,8 +218,9 @@ def rank_candidates(pool: CandidatePool, hd_batch: TensorBatch, seed: int,
     for entry in admitted:
         key = tuple((shape, choice.cd_out) for shape, choice in entry.model.layers)
         if key not in scored:
-            net = build_refnet(entry.model, class_count, seed=seed)
-            scored[key] = hd_score(net, hd_batch)
+            # no name holds the network, so it is freed before the next is built
+            scored[key] = hd_score(build_refnet(entry.model, class_count,
+                                                seed=seed), hd_batch)
         entry.hd_score = scored[key]
     hd_n = _minmax_normalize([e.hd_score for e in admitted])
     delay_n = _minmax_normalize([e.report.delay for e in admitted])

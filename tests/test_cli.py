@@ -1,4 +1,4 @@
-"""Command-line exit codes and messages on a small two-layer configuration."""
+"""Command-line exit codes and messages on a small conv-conv-FC configuration."""
 
 import csv
 import json
@@ -12,7 +12,8 @@ from imcsearch.designspace import ADCType, homogeneous_model
 from imcsearch.io import load_model, model_to_dict, write_json
 from imcsearch.nnsim import build_refnet, save_net
 
-#: Two toy conv layers, a few phase-1 steps; the constraint is filled in.
+#: Two toy conv layers and an FC classifier, a few phase-1 steps; the
+#: constraint is filled in.
 CONFIG = {
     "design_space": {
         "input_channels": 1,
@@ -20,7 +21,8 @@ CONFIG = {
         "cs_options": [4, 8],
         "layers": [
             {"in_h": 8, "kernel": 3, "cd_options": [8, 16]},
-            {"in_h": 8, "kernel": 3, "cd_options": [2]},  # class_count
+            {"in_h": 8, "kernel": 3, "cd_options": [2]},
+            {"is_fc": True, "cd_options": [2]},  # class_count
         ],
     },
     "search": {"phase1_steps": 5, "seed": 0},
@@ -64,13 +66,13 @@ def read_sweep(out) -> list[dict]:
 
 def test_last_layer_wider_than_class_count_exits_2_naming_the_field(tmp_path,
                                                                    capsys):
-    first, last = CONFIG["design_space"]["layers"]
+    *first, last = CONFIG["design_space"]["layers"]
     raw = dict(CONFIG, design_space=dict(
-        CONFIG["design_space"], layers=[first, dict(last, cd_options=[2, 8])]),
+        CONFIG["design_space"], layers=[*first, dict(last, cd_options=[2, 8])]),
                search=dict(CONFIG["search"], area_constraint_mm2=1.0))
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(raw))
-    message = ("design_space.layers[1].cd_options: [2, 8] must be [2], "
+    message = ("design_space.layers[2].cd_options: [2, 8] must be [2], "
                "the design_space.class_count")
     out = tmp_path / "run"
     assert cli.main(["phase1", "--config", str(path),
@@ -84,6 +86,22 @@ def test_last_layer_wider_than_class_count_exits_2_naming_the_field(tmp_path,
     assert row["status"] == "config_error"
     assert message in row["message"]
     assert not (out / "point_1").exists()
+
+
+def test_sweep_numeric_failure_exits_4_over_an_empty_pool(tmp_path,
+                                                          monkeypatch):
+    def diverge(*args):
+        raise FloatingPointError("overflow in the HD score")
+
+    monkeypatch.setattr(cli, "rank_candidates", diverge)
+    path = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=1.0))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(path), "--axis", "area_constraint",
+                     "--values", "1.18,1e6", "--out-dir", str(out)]) == cli.EXIT_NUMERIC
+    numeric, empty = read_sweep(out)
+    assert numeric["status"] == "numeric_error"
+    assert "overflow in the HD score" in numeric["message"]
+    assert empty["status"] == "empty_pool"
 
 
 def test_sweep_xbar_size_below_max_cs_exits_2_naming_the_field(tmp_path,
@@ -153,7 +171,7 @@ def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialExecutor)
     path = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=1.0))
-    for values, want in (("0.78,5.38", [2]), ("0.78", [])):
+    for values, want in (("1.18,8.07", [2]), ("1.18", [])):
         started.clear()
         cli.main(["sweep", "--config", str(path), "--axis", "area_constraint",
                   "--values", values, "--workers", "64",
@@ -167,7 +185,7 @@ def test_sweep_rows_do_not_depend_on_the_worker_count(tmp_path):
     for workers in ("1", "2"):
         out = tmp_path / f"workers_{workers}"
         cli.main(["sweep", "--config", str(path), "--axis", "area_constraint",
-                  "--values", "0.78,5.38", "--workers", workers,
+                  "--values", "1.18,8.07", "--workers", workers,
                   "--out-dir", str(out)])
         rows.append(read_sweep(out))
     assert [r["status"] for r in rows[0]] == ["ok", "ok"]
@@ -212,7 +230,7 @@ def phase2_inputs(tmp_path_factory):
     """A toy phase-1 run directory, the weights of its selected model and a
     phase-2 config with one step on a small fixture."""
     tmp_path = tmp_path_factory.mktemp("phase2")
-    raw = dict(CONFIG, search=dict(CONFIG["search"], area_constraint_mm2=0.78,
+    raw = dict(CONFIG, search=dict(CONFIG["search"], area_constraint_mm2=1.18,
                                    phase2_steps=1),
                fixture={"train_samples": 16, "eval_samples": 8,
                         "adapt_batch_size": 8})
@@ -298,4 +316,23 @@ def test_phase2_selected_model_outside_the_space_exits_2_naming_both_files(
     err = capsys.readouterr().err
     assert f"error: {model_path}: " in err and str(path) in err
     assert "layer 0 [cd_out]: cd_out 12 not in (8, 16)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["phase1", "phase2"])
+def test_conv_final_design_space_exits_2_naming_the_field(phase2_inputs, tmp_path,
+                                                          capsys, command):
+    # without an FC last layer, build_refnet would give no classifier
+    raw = dict(CONFIG, design_space=dict(
+        CONFIG["design_space"], layers=CONFIG["design_space"]["layers"][:-1]),
+               search=dict(CONFIG["search"], area_constraint_mm2=1.18))
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    _, phase1_dir, weights = phase2_inputs
+    inputs = {"phase1": [], "phase2": ["--phase1-dir", str(phase1_dir),
+                                       "--weights", str(weights)]}[command]
+    out = tmp_path / "run"
+    assert cli.main([command, "--config", str(path), "--out-dir", str(out),
+                     *inputs]) == cli.EXIT_CONFIG
+    assert "design_space.layers[1].is_fc" in capsys.readouterr().err
     assert not out.exists()

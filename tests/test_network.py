@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from imcsearch.nnsim.network import (
     BatchNorm,
     Conv2D,
     Dense,
+    GlobalAvgPool,
+    Layer,
     ReLU,
     cross_entropy_grad,
     im2col,
@@ -55,6 +59,12 @@ def test_cross_entropy_two_class_closed_form():
 def test_cross_entropy_rejects_bad_labels():
     with pytest.raises(ValueError):
         cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
+
+
+def test_cross_entropy_refuses_a_feature_map():
+    # a conv-final network's output: one (class, y, x) map per sample
+    with pytest.raises(ValueError, match="samples, classes"):
+        cross_entropy(np.zeros((4, 2, 8, 8)), np.array([0, 1, 0, 1]))
 
 
 def test_cross_entropy_grad_matches_finite_differences():
@@ -262,6 +272,85 @@ def test_save_load_roundtrip(tmp_path, trained_mlp):
     # weights travel as float32; behaviour must match at that precision
     assert np.allclose(got, want, atol=1e-4)
     assert accuracy(got, data.labels) == accuracy(want, data.labels)
+
+
+def _every_kind_net():
+    """A conv candidate's net through every layer kind (conv, batchnorm,
+    ReLU, average pool, global pool, dense), with no two stored arrays of
+    a layer alike."""
+    net = candidate_net([LayerShape(kernel=3, in_spatial=(8, 8)),
+                         LayerShape(kernel=3, in_spatial=(4, 4)),
+                         LayerShape.fc()], [4, 8, 2], input_channels=1, seed=3)
+    rng = np.random.default_rng(5)
+    for layer in net.layers:
+        if isinstance(layer, BatchNorm):
+            n = layer.num_features
+            layer.gamma, layer.beta = rng.random(n) + 0.5, rng.standard_normal(n)
+            layer.running_mean = rng.standard_normal(n)
+            layer.running_var = rng.random(n) + 0.5
+        elif isinstance(layer, Dense):
+            layer.bias = rng.standard_normal(layer.n_out)
+    return net
+
+
+def test_save_load_roundtrip_of_a_net_with_every_layer_kind(tmp_path):
+    net = _every_kind_net()
+    assert ({type(layer) for layer in net.layers}
+            == set(network._LAYER_KINDS.values()))
+    path = tmp_path / "net.imcn"
+    save_net(net, path)
+    restored = load_net(path)
+    assert ([layer.spec() for layer in restored.layers]
+            == [layer.spec() for layer in net.layers])
+    x = make_patterns(4, seed=2).data
+    # weights travel as float32
+    np.testing.assert_allclose(restored.forward(x), net.forward(x), atol=1e-5)
+    again = tmp_path / "again.imcn"
+    save_net(restored, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_save_net_bytes_are_pinned(tmp_path):
+    # the file layout: magic, version, sort-keyed JSON header, then each
+    # layer's arrays in order as little-endian float32
+    path = tmp_path / "net.imcn"
+    save_net(_every_kind_net(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "edb51b1a4db16979590f77ed7d50a736a2dc938cdc9d62e539d9337aef2877b2")
+
+
+def test_build_refnet_holds_no_more_than_its_weights():
+    # a net that is never trained must not hold gradient buffers
+    shapes = [LayerShape(kernel=3, in_spatial=(8, 8)),
+              LayerShape(kernel=3, in_spatial=(8, 8)), LayerShape.fc()]
+    # a first build imports the modules it needs; keep them out of the count
+    candidate_net(shapes, [32, 64, 10], input_channels=3, seed=0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        net = candidate_net(shapes, [32, 64, 10], input_channels=3, seed=0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    weight_bytes = sum(a.nbytes for _, a in network._named_arrays(net))
+    assert held < 1.25 * weight_bytes
+
+
+def test_every_layer_kind_is_declared_and_its_spec_round_trips():
+    layers = [Conv2D(2, 3, kernel=1, stride=2), Dense(3, 4),
+              BatchNorm(3, momentum=0.2, eps=1e-3), ReLU(), AvgPool2D(4),
+              GlobalAvgPool()]
+    kinds = set(Layer.__subclasses__())
+    assert {type(layer) for layer in layers} == kinds
+    assert set(network._LAYER_KINDS.values()) == kinds
+    for layer in layers:
+        spec = layer.spec()
+        cls = network._LAYER_KINDS[spec["kind"]]
+        assert cls is type(layer)
+        assert cls(**{a: spec[a] for a in cls.args}).spec() == spec
+        assert set(cls.param_names) <= set(cls.arrays)
+        for name in cls.arrays:
+            assert isinstance(getattr(layer, name), np.ndarray)
 
 
 def test_load_rejects_wrong_magic(tmp_path):
