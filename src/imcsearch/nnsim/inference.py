@@ -13,19 +13,25 @@ stop before any quantizable layer and later walks can resume from there.
 The programmed cells of each layer can be kept across walks; phase 2
 programs them once per run.
 
+A walk calibrates each conv/dense layer once, on its adaptation
+activations (on its evaluation activation only when it has none): the
+input scale maps their largest value to the top input code, and the ADC
+full range is the largest partial sum the cells give on their codes.
+Every activation is quantized with both, so a sample's output does not
+depend on its batch-mates.
+
 A layer runs under one input precision IP and a tuple of ADC precisions
-APs at once: its patches, input quantization, ADC full scale and
-bit-plane matmuls are shared, and only the ADC pass and the accumulation
-run once per AP.  ``probe_layer`` runs the layer a state stopped at this
-way, and a walk resumes from each of its per-AP states; phase 2 thus
-walks a step's shared prefix once and runs the probed layer once per IP.
+APs at once: its patches, input codes, calibration and bit-plane matmuls
+are shared, and only the ADC pass and the accumulation run once per AP.
+``probe_layer`` runs the layer a state stopped at this way, and a walk
+resumes from each of its per-AP states; phase 2 thus walks a step's
+shared prefix once and runs the probed layer once per IP.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -36,19 +42,15 @@ from .quantize import adc_quantize, quantize_inputs
 
 @dataclass(frozen=True)
 class AdcRange:
-    """Full-scale policy for the partial-sum ADC.
+    """The partial-sum ADC's full scale: calibrated on a walk's adaptation
+    codes, the one policy.  The class stays only while
+    ``perfbench/workloads.py`` passes ``AdcRange("calibrated")`` to
+    ``search.phase2_run``."""
 
-    ``worst_case`` spans xbar_size * (2^slice_bits - 1), the largest sum a
-    fully-on column can produce; ``calibrated`` uses the largest partial
-    sum of the programmed cells, device variation included, with every
-    input of a nonzero code on, observed on the evaluated batch (per
-    layer), which keeps quantization steps useful on small fixtures.
-    """
-
-    mode: str = "worst_case"  # worst_case | calibrated
+    mode: str = "calibrated"
 
     def __post_init__(self) -> None:
-        if self.mode not in ("worst_case", "calibrated"):
+        if self.mode != "calibrated":
             raise ValueError(f"unknown ADC range mode {self.mode!r}")
 
 
@@ -57,7 +59,7 @@ def _noisy_matmul(cells: CellArrays, aps: tuple[int, ...], ip: int,
                   xbar_size: int, full_range: float) -> list[np.ndarray]:
     """Bit-serial sliced matmul of integer input codes against cell arrays.
 
-    ``in_codes`` is the (batch, rows) integer code matrix.  Returns, for
+    ``in_codes`` is the (batch, rows) uint8 code matrix.  Returns, for
     each ADC precision in ``aps``, the integer-valued accumulator sums
     (before weight/input scales).  Each (bit plane, row chunk) converts
     all slice and sign columns with one matmul, shared by every AP, and
@@ -71,8 +73,7 @@ def _noisy_matmul(cells: CellArrays, aps: tuple[int, ...], ip: int,
     chunks = chunk_rows(rows, xbar_size)
     # without ADC quantization every AP accumulates the same sums
     converts = aps if noise.quantization else (None,)
-    # codes of at most 8 bits (every IP the design space admits) fit uint8
-    codes = np.ascontiguousarray(in_codes.T, dtype=np.uint8)
+    codes = np.ascontiguousarray(in_codes.T)
     bits, plane = np.empty_like(codes), np.empty(codes.shape)
     accs = [np.zeros((cols, n)) for _ in converts]
     for b in range(ip):
@@ -106,60 +107,56 @@ def _noisy_matmul(cells: CellArrays, aps: tuple[int, ...], ip: int,
     return outs if noise.quantization else outs * len(aps)
 
 
-def _layer_full_range(cells: CellArrays, codes: np.ndarray, xbar_size: int,
-                      adc_range: AdcRange) -> float:
-    """ADC full scale of one layer evaluation (see ``AdcRange``)."""
-    if adc_range.mode == "worst_case":
-        return float(xbar_size * (2 ** cells.slice_bits - 1))
-    # calibrated: largest chunk partial sum of the programmed (noisy) cells
-    # with every input of a nonzero code on, on this batch
-    peak = 0.0
-    ones = (codes > 0).astype(float)
-    for sl in chunk_rows(codes.shape[1], xbar_size):
-        peak = max(peak, float((ones[:, sl] @ cells.columns[sl]).max(initial=0.0)))
-    return max(peak, 1.0)
+def _quantized_layer_outputs(layer: Conv2D | Dense, adapt: list[np.ndarray],
+                             x_eval: np.ndarray | None, ip: int,
+                             aps: tuple[int, ...], noise: NoiseSpec, platform,
+                             key: tuple[int, ...],
+                             cells: dict[tuple[int, ...], CellArrays]
+                             ) -> tuple[list[list[np.ndarray]], list | None]:
+    """Run one conv/dense layer on a walk's activations, one output per AP.
 
-
-def _quantized_layer_outputs(layer: Conv2D | Dense, x: np.ndarray, ip: int,
-                             aps: tuple[int, ...], noise: NoiseSpec,
-                             platform, adc_range: AdcRange, key: tuple[int, ...],
-                             cells: dict[tuple[int, ...], CellArrays] | None = None
-                             ) -> list[np.ndarray]:
-    """Run one conv/dense layer through the crossbar path, one output per AP.
-
-    The patches, the input quantization to ``ip`` bits, the ADC full scale
-    and the bit-plane matmuls are shared by all of ``aps``; every output
-    equals a run of that AP alone.  ``cells`` memoizes programmed cells
-    per key; the device variation is frozen per key, so a memoized entry
-    equals a fresh one.
+    Returns the per-AP outputs of each of ``adapt`` and of ``x_eval``
+    (None without it).  The calibration set is ``adapt``, or ``x_eval``
+    when that is empty: its largest input maps to code 2^ip - 1, and the
+    ADC full range is the largest chunk partial sum of the programmed
+    (noisy) cells with every input of a nonzero code on.  Each
+    activation's patches and codes are made once and its matmuls shared
+    by all of ``aps``; every output equals a run of that AP alone.
+    ``cells`` memoizes programmed cells per key; the device variation is
+    frozen per key, so a memoized entry equals a fresh one.
     """
-    if isinstance(layer, Conv2D):
-        cols, (oh, ow) = im2col(x, layer.kernel, layer.stride, layer.pad)
-    else:
-        cols, (oh, ow) = x, (1, 1)
-    programmed = None if cells is None else cells.get(key)
+    programmed = cells.get(key)
     if programmed is None:
         w = layer.weight_matrix() if isinstance(layer, Conv2D) else layer.weight
-        programmed = prepare_cells(w, noise, platform.weight_bits,
-                                   platform.weight_slice_bits, key)
-        if cells is not None:
-            cells[key] = programmed
-    # the path reads only the non-negative part of its inputs; the patches
-    # themselves need not stay live through the kernel
-    active = np.maximum(cols, 0.0)
-    del cols
-    codes, in_scale = quantize_inputs(active, ip)
-    full_range = _layer_full_range(programmed, codes, platform.xbar_size, adc_range)
-    outs = []
-    for acc in _noisy_matmul(programmed, aps, ip, codes, noise,
-                             platform.xbar_size, full_range):
-        out = acc * programmed.scale * in_scale
-        if isinstance(layer, Dense):
-            outs.append(out + layer.bias)
+        programmed = cells[key] = prepare_cells(
+            w, noise, platform.weight_bits, platform.weight_slice_bits, key)
+    xs = list(adapt) + ([] if x_eval is None else [x_eval])
+    calibration = slice(len(adapt) or len(xs))
+    amax = max((float(x.max(initial=0.0)) for x in xs[calibration]), default=0.0)
+    coded = []  # (codes, batch, out height, out width) per activation
+    for x in xs:
+        if isinstance(layer, Conv2D):
+            cols, (oh, ow) = im2col(x, layer.kernel, layer.stride, layer.pad)
         else:
-            outs.append(out.reshape(x.shape[0], oh, ow,
-                                    layer.c_out).transpose(0, 3, 1, 2))
-    return outs
+            cols, (oh, ow) = x, (1, 1)
+        # the path reads only the non-negative part of its inputs
+        c, in_scale = quantize_inputs(np.maximum(cols, 0.0), ip, amax)
+        coded.append((c, x.shape[0], oh, ow))
+    full_range = 1.0
+    for c, *_ in coded[calibration]:
+        on = (c > 0).astype(float)
+        for sl in chunk_rows(c.shape[1], platform.xbar_size):
+            full_range = max(full_range, float(
+                (on[:, sl] @ programmed.columns[sl]).max(initial=0.0)))
+    outs = []
+    for c, n, oh, ow in coded:
+        outs.append([])
+        for acc in _noisy_matmul(programmed, aps, ip, c, noise,
+                                 platform.xbar_size, full_range):
+            out = acc * programmed.scale * in_scale
+            outs[-1].append(out + layer.bias if isinstance(layer, Dense) else
+                            out.reshape(n, oh, ow, layer.c_out).transpose(0, 3, 1, 2))
+    return outs[:len(adapt)], (None if x_eval is None else outs[-1])
 
 
 def _as_array(batch: TensorBatch | np.ndarray) -> np.ndarray:
@@ -198,7 +195,7 @@ def _quantizable_index(net: RefNet) -> list[int]:
 
 def walk_layers(net: RefNet, state: WalkState, plan: list[tuple[int, int]],
                 noise: NoiseSpec, platform, stop: int | None = None,
-                momentum: float = 0.1, adc_range: AdcRange = AdcRange(),
+                momentum: float = 0.1,
                 cells: dict[tuple[int, ...], CellArrays] | None = None) -> WalkState:
     """Walk ``net.layers`` from ``state.at`` to quantizable layer ``stop``.
 
@@ -207,14 +204,13 @@ def walk_layers(net: RefNet, state: WalkState, plan: list[tuple[int, int]],
     end of the network.  The walk returns a state at ``stop``'s
     ``net.layers`` index.  Conv/dense layers run every activation through
     the crossbar path, ``_quantized_layer_outputs`` with the layer's one
-    plan option.  A batchnorm normalizes each adaptation activation with
-    its batch statistics while blending them into the running statistics
-    with ``momentum``, then normalizes the evaluation activation with the
-    blended statistics.  A walk over every layer, in one piece or split at
-    any layer, thus gives exactly ``bn_adapt`` followed by
-    ``noisy_forward``.  ``cells`` keeps programmed cells across walks (see
-    ``_quantized_layer_outputs``); without it they are kept for this walk
-    only.
+    plan option, calibrated on the walk's adaptation activations.  A
+    batchnorm normalizes each adaptation activation with its batch
+    statistics while blending them into the running statistics with
+    ``momentum``, then normalizes the evaluation activation with the
+    blended statistics.  A walk thus gives the same result in one piece
+    or split at any layer.  ``cells`` keeps programmed cells across walks
+    (see ``_quantized_layer_outputs``); without it, for this walk only.
     """
     q_index = _quantizable_index(net)
     n = len(q_index)
@@ -240,9 +236,8 @@ def walk_layers(net: RefNet, state: WalkState, plan: list[tuple[int, int]],
                                              layer.running_var))
             for k, x in enumerate(adapt):
                 mean, var = layer.batch_stats(x)
-                # BatchNorm.update_running, applied to the walk's copy
-                mean_r = (1 - momentum) * mean_r + momentum * mean
-                var_r = (1 - momentum) * var_r + momentum * var
+                mean_r = layer.blend(mean_r, mean, momentum)
+                var_r = layer.blend(var_r, var, momentum)
                 adapt[k] = layer.normalize(x, mean, var)
             bn_stats[i] = (mean_r, var_r)
             if x_eval is not None:
@@ -250,12 +245,11 @@ def walk_layers(net: RefNet, state: WalkState, plan: list[tuple[int, int]],
             continue
         if isinstance(layer, (Conv2D, Dense)):
             ap, ip = plan[qi]
-            run = partial(_quantized_layer_outputs, layer, ip=ip, aps=(ap,),
-                          noise=noise, platform=platform, adc_range=adc_range,
-                          key=(qi,), cells=cells)
+            outs, eval_outs = _quantized_layer_outputs(
+                layer, adapt, x_eval, ip, (ap,), noise, platform, (qi,), cells)
             qi += 1
-            adapt = [run(x)[0] for x in adapt]
-            x_eval = None if x_eval is None else run(x_eval)[0]
+            adapt = [out for out, in outs]
+            x_eval = None if eval_outs is None else eval_outs[0]
         else:
             adapt = [layer.forward(x) for x in adapt]
             x_eval = None if x_eval is None else layer.forward(x_eval)
@@ -263,25 +257,23 @@ def walk_layers(net: RefNet, state: WalkState, plan: list[tuple[int, int]],
 
 
 def probe_layer(net: RefNet, state: WalkState, ip: int, aps: tuple[int, ...],
-                noise: NoiseSpec, platform, adc_range: AdcRange = AdcRange(),
+                noise: NoiseSpec, platform,
                 cells: dict[tuple[int, ...], CellArrays] | None = None
                 ) -> list[WalkState]:
     """Run the quantizable layer at ``state.at`` once for one IP and its APs.
 
     Returns one state per AP, at ``state.at + 1``, from which
     ``walk_layers`` resumes with (ap, ``ip``) in that layer's plan entry;
-    each walk equals one that ran the layer itself.  Every activation goes
-    through ``_quantized_layer_outputs``, so the layer's patches, input
-    quantization and matmuls run once for all of ``aps``.
+    each walk equals one that ran the layer itself.  The layer runs
+    through ``_quantized_layer_outputs`` once, so its calibration,
+    patches, input codes and matmuls are shared by all of ``aps``.
     """
     q_index = _quantizable_index(net)
     if state.at not in q_index:
         raise ValueError(f"no quantizable layer to probe at layer {state.at}")
-    run = partial(_quantized_layer_outputs, net.layers[state.at], ip=ip,
-                  aps=aps, noise=noise, platform=platform, adc_range=adc_range,
-                  key=(q_index.index(state.at),), cells=cells)
-    adapt = [run(x) for x in state.adapt]
-    x_eval = None if state.eval is None else run(state.eval)
+    adapt, x_eval = _quantized_layer_outputs(
+        net.layers[state.at], state.adapt, state.eval, ip, aps, noise, platform,
+        (q_index.index(state.at),), {} if cells is None else cells)
     return [replace(state, at=state.at + 1, adapt=tuple(outs[k] for outs in adapt),
                     eval=None if x_eval is None else x_eval[k])
             for k in range(len(aps))]
@@ -289,20 +281,19 @@ def probe_layer(net: RefNet, state: WalkState, ip: int, aps: tuple[int, ...],
 
 def noisy_forward(net: RefNet, batch: TensorBatch | np.ndarray,
                   plan: list[tuple[int, int]], noise: NoiseSpec,
-                  platform, adc_range: AdcRange = AdcRange()) -> np.ndarray:
+                  platform) -> np.ndarray:
     """Forward pass with per-layer (ap, ip) quantization and device noise.
 
     ``plan`` holds one (ap, ip) pair per conv/dense layer, in network
-    order.  The raw input is clipped at zero before bit-serialization
-    (fixture data is non-negative by construction).
+    order; each layer is calibrated on ``batch``.  The raw input is clipped
+    at zero before bit-serialization (fixture data is non-negative).
     """
     return walk_layers(net, WalkState.begin(eval_batch=batch), plan, noise,
-                       platform, adc_range=adc_range).eval
+                       platform).eval
 
 
 def bn_adapt(net: RefNet, batches: list[TensorBatch], plan: list[tuple[int, int]],
-             noise: NoiseSpec, platform, momentum: float = 0.1,
-             adc_range: AdcRange = AdcRange()) -> RefNet:
+             noise: NoiseSpec, platform, momentum: float = 0.1) -> RefNet:
     """Recompute batchnorm running statistics under the noisy forward path.
 
     Returns an adapted copy; weights and every non-batchnorm parameter are
@@ -314,7 +305,7 @@ def bn_adapt(net: RefNet, batches: list[TensorBatch], plan: list[tuple[int, int]
         raise ValueError("bn_adapt needs at least one batch")
     adapted = net.clone()
     state = walk_layers(adapted, WalkState.begin(adapt_batches=batches), plan,
-                        noise, platform, momentum=momentum, adc_range=adc_range)
+                        noise, platform, momentum=momentum)
     for i, (mean, var) in state.bn_stats.items():
         adapted.layers[i].running_mean = mean
         adapted.layers[i].running_var = var

@@ -224,11 +224,10 @@ class BatchNorm(Layer):
         axes = self._axes(x)
         return x.mean(axis=axes), x.var(axis=axes)
 
-    def update_running(self, mean: np.ndarray, var: np.ndarray,
-                       momentum: float | None = None) -> None:
-        m = self.momentum if momentum is None else momentum
-        self.running_mean = (1 - m) * self.running_mean + m * mean
-        self.running_var = (1 - m) * self.running_var + m * var
+    @staticmethod
+    def blend(running: np.ndarray, batch: np.ndarray, momentum: float) -> np.ndarray:
+        """A running statistic after one batch (training and adaptation)."""
+        return (1 - momentum) * running + momentum * batch
 
     def normalize(self, x: np.ndarray, mean: np.ndarray,
                   var: np.ndarray) -> np.ndarray:
@@ -243,7 +242,8 @@ class BatchNorm(Layer):
     def forward(self, x, train=False):
         if train:
             mean, var = self.batch_stats(x)
-            self.update_running(mean, var)
+            self.running_mean = self.blend(self.running_mean, mean, self.momentum)
+            self.running_var = self.blend(self.running_var, var, self.momentum)
             xhat = (x - self._shape(x, mean)) / np.sqrt(self._shape(x, var) + self.eps)
             self._cache = (xhat, var, x.shape)
             return self._shape(x, self.gamma) * xhat + self._shape(x, self.beta)
@@ -546,8 +546,11 @@ def load_net(path) -> RefNet:
         specs = header["arrays"]
         if [s["name"] for s in specs] != [n for n, _ in arrays]:
             raise ValueError(f"{path}: array manifest does not match layer stack")
-        for spec, (_, target) in zip(specs, arrays):
+        for spec, (name, target) in zip(specs, arrays):
             shape = tuple(spec["shape"])
+            if shape != target.shape:
+                raise ValueError(f"{path}: array {name} has shape {list(shape)}, "
+                                 f"its layer expects {list(target.shape)}")
             count = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(f.read(4 * count), dtype="<f4").reshape(shape)
             target[...] = data.astype(float)

@@ -70,15 +70,16 @@ def slice_codes(codes: np.ndarray, weight_bits: int, slice_bits: int,
                          weight_bits=weight_bits, slice_bits=slice_bits)
 
 
-def quantize_inputs(activations: np.ndarray, ip: int) -> tuple[np.ndarray, float]:
-    """Non-negative activations -> integer codes in [0, 2^ip - 1] plus scale."""
+def quantize_inputs(activations: np.ndarray, ip: int,
+                    amax: float) -> tuple[np.ndarray, float]:
+    """Non-negative activations -> uint8 codes in [0, 2^ip - 1] plus scale;
+    the calibrated max ``amax`` maps to 2^ip - 1, and larger values clip."""
     qmax = 2 ** ip - 1
-    amax = float(activations.max()) if activations.size else 0.0
     scale = amax / qmax if amax > 0 else 1.0
     levels = np.divide(activations, scale, out=np.empty(np.shape(activations)))
     np.round(levels, out=levels)
     np.clip(levels, 0, qmax, out=levels)
-    return levels.astype(np.int64), scale
+    return levels.astype(np.uint8), scale
 
 
 def adc_quantize(column_sum: np.ndarray | float, ap: int,

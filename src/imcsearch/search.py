@@ -276,7 +276,7 @@ def _phase2_delays(model: CandidateModel, space: DesignSpace,
 def phase2_run(trained_net: RefNet, phase1_model: CandidateModel,
                space: DesignSpace, platform: PlatformParams,
                config: SearchConfig, data: Phase2Data,
-               adc_range: AdcRange = AdcRange("calibrated")) -> Phase2Result:
+               adc_range: AdcRange = AdcRange()) -> Phase2Result:
     """Per-layer (AP, IP) search on a trained, frozen network.
 
     Each step picks one layer, evaluates the noisy cross-entropy of all of
@@ -285,6 +285,9 @@ def phase2_run(trained_net: RefNet, phase1_model: CandidateModel,
     plus the differentiable delay penalty for all layers, and takes one
     SGD step on the option logits.  Weights, CD, CS and AT are never
     modified; batchnorm statistics are adapted in the walk's own state.
+
+    Each walk calibrates every layer on the adaptation batches.  The 7th
+    argument changes nothing; ``perfbench/workloads.py`` still passes it.
 
     Cross-entropies are memoized per assignment.  A step with misses
     walks the argmax plan up to the probed layer once.  Its misses are
@@ -311,8 +314,7 @@ def phase2_run(trained_net: RefNet, phase1_model: CandidateModel,
     def walk(state: WalkState, plan: list[tuple[int, int]],
              stop: int | None = None) -> WalkState:
         return walk_layers(trained_net, state, plan, noise, platform, stop,
-                           momentum=config.adapt_momentum,
-                           adc_range=adc_range, cells=cells)
+                           momentum=config.adapt_momentum, cells=cells)
 
     trace: list[dict] = []
     for step in range(config.n2_steps):
@@ -332,7 +334,7 @@ def phase2_run(trained_net: RefNet, phase1_model: CandidateModel,
                 group = [i for i in misses if options[i][1] == ip]
                 states = probe_layer(trained_net, prefix, ip,
                                      tuple(options[i][0] for i in group), noise,
-                                     platform, adc_range=adc_range, cells=cells)
+                                     platform, cells=cells)
                 for i in group:
                     # popped, so each output is freed once its walk is done
                     ce_cache[probes[i]] = cross_entropy(

@@ -1,5 +1,8 @@
 """Shared fixtures: platforms, toy spaces and trained desk-scale nets."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -53,6 +56,18 @@ def fc_net(widths: list[int], seed: int):
     Dense-BN-ReLU blocks of ``widths[1:-1]`` and a linear classifier."""
     return candidate_net([LayerShape.fc()] * (len(widths) - 1), widths[1:],
                          widths[0], seed)
+
+
+def one_float_per_array(blob: bytes) -> bytes:
+    """A saved network container rewritten so that its header gives every
+    array the shape [1] and one float follows per array."""
+    version, hlen = struct.unpack("<II", blob[4:12])
+    header = json.loads(blob[12:12 + hlen])
+    for spec in header["arrays"]:
+        spec["shape"] = [1]
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    return (blob[:4] + struct.pack("<II", version, len(head)) + head
+            + np.ones(len(header["arrays"]), dtype="<f4").tobytes())
 
 
 def toy_space(num_layers: int = 2, spatial: int = 8) -> DesignSpace:

@@ -12,6 +12,8 @@ from imcsearch.designspace import ADCType, homogeneous_model
 from imcsearch.io import load_model, model_to_dict, write_json
 from imcsearch.nnsim import build_refnet, save_net
 
+from conftest import one_float_per_array
+
 #: Two toy conv layers and an FC classifier, a few phase-1 steps; the
 #: constraint is filled in.
 CONFIG = {
@@ -265,13 +267,14 @@ def test_phase2_runs_on_saved_weights_of_a_phase1_model(phase2_inputs, tmp_path)
 
 
 @pytest.mark.parametrize("case", ["junk", "truncated_header",
-                                  "truncated_arrays"])
+                                  "truncated_arrays", "one_float_arrays"])
 def test_malformed_weights_file_exits_2_naming_the_file(phase2_inputs, tmp_path,
                                                         capsys, case):
     blob = phase2_inputs[2].read_bytes()
     weights = tmp_path / "net.bin"
     weights.write_bytes({"junk": b"not a network", "truncated_header": blob[:10],
-                         "truncated_arrays": blob[:-4]}[case])
+                         "truncated_arrays": blob[:-4],
+                         "one_float_arrays": one_float_per_array(blob)}[case])
     out = tmp_path / "phase2"
     assert run_phase2(phase2_inputs, weights, out) == cli.EXIT_CONFIG
     assert f"error: {weights}: " in capsys.readouterr().err

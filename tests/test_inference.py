@@ -2,24 +2,24 @@ import numpy as np
 import pytest
 
 from imcsearch.nnsim import (
-    AdcRange,
     IDEAL_NOISE,
     NoiseSpec,
     TensorBatch,
+    WalkState,
     accuracy,
     bn_adapt,
     make_blobs,
     noisy_forward,
     split_batches,
     train_tiny,
+    walk_layers,
 )
+from imcsearch.nnsim import inference
 from imcsearch.nnsim.inference import _quantizable_index, _quantized_layer_outputs
-from imcsearch.nnsim.network import BatchNorm, Conv2D, Dense, RefNet
+from imcsearch.nnsim.network import BatchNorm, Conv2D, Dense, RefNet, ReLU
 from imcsearch.nnsim.quantize import quantize_inputs, quantize_slice_weights
 
 from conftest import fc_net, make_platform
-
-CAL = AdcRange("calibrated")
 
 
 def small_platform(**kw):
@@ -35,7 +35,8 @@ def small_platform(**kw):
 def ideal_quantized_dense(x, layer, ip, weight_bits=8, slice_bits=4):
     """Oracle: exact integer matmul of quantized codes, no hardware steps."""
     sliced = quantize_slice_weights(layer.weight, weight_bits, slice_bits)
-    codes, in_scale = quantize_inputs(np.maximum(x, 0.0), ip)
+    # calibrated on x itself, as a walk without adaptation data is
+    codes, in_scale = quantize_inputs(np.maximum(x, 0.0), ip, x.max())
     q = sliced.recompose_codes()
     return (codes.astype(float) @ q.astype(float)) * sliced.scale * in_scale \
         + layer.bias
@@ -48,8 +49,8 @@ def test_quantized_path_matches_integer_oracle_bit_for_bit():
     layer.bias = rng.standard_normal(4)
     x = np.abs(rng.standard_normal((9, 6)))
     platform = small_platform()
-    got, = _quantized_layer_outputs(layer, x, 8, (8,), noise=IDEAL_NOISE,
-                                    platform=platform, adc_range=CAL, key=(0,))
+    _, (got,) = _quantized_layer_outputs(layer, [], x, 8, (8,), IDEAL_NOISE,
+                                         platform, (0,), {})
     want = ideal_quantized_dense(x, layer, ip=8)
     assert np.array_equal(got, want)
 
@@ -58,7 +59,7 @@ def test_noisy_forward_ideal_settings_match_layerwise_oracle(trained_mlp):
     data = make_blobs(40, seed=12)
     platform = small_platform()
     got = noisy_forward(trained_mlp, data, [(8, 8), (8, 8)], IDEAL_NOISE,
-                        platform, adc_range=CAL)
+                        platform)
     # oracle: walk the network, applying the integer-exact path per layer
     x = data.data
     q_iter = iter(_quantizable_index(trained_mlp))
@@ -77,7 +78,7 @@ def test_noisy_forward_near_ideal_at_max_precision(trained_mlp, blob_data):
     quant = noisy_forward(trained_mlp, blob_data, [(8, 8), (8, 8)],
                           NoiseSpec(sigma_over_mu=0.0, rng_seed=0,
                                     quantization=True),
-                          platform, adc_range=CAL)
+                          platform)
     # 8-bit everything on a calibrated range: predictions must agree
     assert accuracy(quant, blob_data.labels) \
         == pytest.approx(accuracy(ideal, blob_data.labels), abs=0.02)
@@ -93,7 +94,7 @@ def test_noisy_forward_zero_weight_net_constant_logits():
     data = make_blobs(10, seed=6)
     out = noisy_forward(net, data, [(6, 6), (6, 6)],
                         NoiseSpec(sigma_over_mu=0.2, rng_seed=5),
-                        small_platform(), adc_range=AdcRange("worst_case"))
+                        small_platform())
     assert np.allclose(out, out[0])
 
 
@@ -111,7 +112,7 @@ def test_low_input_precision_does_not_beat_high(trained_mlp, blob_data):
         for seed in (0, 1, 2):
             noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=seed)
             logits = noisy_forward(trained_mlp, blob_data, [(6, ip), (6, ip)],
-                                   noise, platform, adc_range=CAL)
+                                   noise, platform)
             outs.append(accuracy(logits, blob_data.labels))
         accs[ip] = float(np.median(outs))
     assert accs[1] <= accs[8]
@@ -125,9 +126,8 @@ def test_low_input_precision_does_not_beat_high(trained_mlp, blob_data):
 IPS, APS = (3, 8), (5, 6)
 
 
-@pytest.mark.parametrize("mode", ["worst_case", "calibrated"])
 @pytest.mark.parametrize("kind", ["conv", "dense"])
-def test_multi_option_layer_equals_one_option_runs(kind, mode):
+def test_multi_option_layer_equals_one_option_runs(kind):
     rng = np.random.default_rng(21)
     if kind == "conv":
         layer, shape = Conv2D(2, 3), (2, 4, 4)  # 18 rows: three 8-row chunks
@@ -140,20 +140,70 @@ def test_multi_option_layer_equals_one_option_runs(kind, mode):
     eval_x = rng.standard_normal((5,) + shape)  # negatives clip at zero
     noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=4)
     platform = small_platform()
-    adc_range = AdcRange(mode)
     cells = {}
-    for x in (adapt_x, eval_x):
-        for ip in IPS:
-            outs = _quantized_layer_outputs(layer, x, ip, APS, noise, platform,
-                                            adc_range, key=(0,), cells=cells)
+    for ip in IPS:
+        (adapt_outs,), eval_outs = _quantized_layer_outputs(
+            layer, [adapt_x], eval_x, ip, APS, noise, platform, (0,), cells)
+        for outs in (adapt_outs, eval_outs):
             assert len(outs) == len(APS)
-            for ap, out in zip(APS, outs):
-                want, = _quantized_layer_outputs(layer, x, ip, (ap,),
-                                                 noise=noise, platform=platform,
-                                                 adc_range=adc_range, key=(0,))
-                assert np.array_equal(out, want)
             # the APs of one IP share matmuls but not their ADC pass
             assert not np.array_equal(outs[0], outs[1])
+        for k, ap in enumerate(APS):
+            ((want_adapt,),), (want_eval,) = _quantized_layer_outputs(
+                layer, [adapt_x], eval_x, ip, (ap,), noise, platform, (0,), {})
+            assert np.array_equal(adapt_outs[k], want_adapt)
+            assert np.array_equal(eval_outs[k], want_eval)
+
+
+# ---------------------------------------------------------------------------
+# calibration
+# ---------------------------------------------------------------------------
+
+def test_walk_without_adaptation_data_calibrates_on_its_eval_activation():
+    # without batchnorm, adaptation data changes only the calibration
+    rng = np.random.default_rng(30)
+    net = RefNet(layers=[Dense(6, 5), ReLU(), Dense(5, 3)], class_count=3)
+    net.init_weights(rng)
+    x = np.abs(rng.standard_normal((12, 6)))
+    plan, noise, platform = [(5, 4), (6, 3)], NoiseSpec(rng_seed=2), small_platform()
+
+    def eval_logits(adapt):
+        return walk_layers(net, WalkState.begin(adapt, x), plan, noise,
+                           platform).eval
+
+    alone = eval_logits([])
+    assert np.array_equal(alone, eval_logits([x]))
+    assert not np.array_equal(alone, eval_logits([0.5 * x]))
+
+
+def test_sums_above_the_calibrated_full_range_clip_to_the_top_adc_code(monkeypatch):
+    # unit weights program slices (15, 7) into the positive cells; 16 rows
+    # make two 8-row chunks
+    layer = Dense(16, 2)
+    layer.weight = np.ones((16, 2))
+    adapt = np.zeros((1, 16))
+    adapt[0, 0] = 2.0  # one input on: the full range is one cell, 15
+    x_eval = np.array([np.full(16, 2.0), np.full(16, 6.0)])  # at and above the max
+    ip, ap = 8, 5
+    ranges = []
+    adc_quantize = inference.adc_quantize
+
+    def recording(column_sum, ap, full_range):
+        ranges.append(full_range)
+        return adc_quantize(column_sum, ap, full_range)
+
+    monkeypatch.setattr(inference, "adc_quantize", recording)
+    _, (out,) = _quantized_layer_outputs(
+        layer, [adapt], x_eval, ip, (ap,), NoiseSpec(sigma_over_mu=0.0),
+        small_platform(), (0,), {})
+    assert set(ranges) == {15.0}
+    # every eval code is 255 and every positive chunk sum (8 * 15 or 8 * 7)
+    # converts to the top code 2^ap - 1, whose level is (2^ap - 1) * 15 / 2^ap
+    top = (2 ** ap - 1) * 15.0 / 2 ** ap
+    acc = 2 * top * (2 ** ip - 1) * (1 + 16)  # chunks, bit planes, slices
+    want = acc * (1.0 / 127) * (2.0 / (2 ** ip - 1))  # weight and input scales
+    assert np.array_equal(out[0], out[1])
+    assert out[0] == pytest.approx(np.full(2, want), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +217,10 @@ def test_bn_adapt_momentum_one_single_batch_exact():
     batch = TensorBatch(np.abs(rng.standard_normal((16, 3))))
     platform = small_platform()
     noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=11)
-    adapted = bn_adapt(net, [batch], [(6, 6)], noise, platform, momentum=1.0,
-                       adc_range=CAL)
-    pre_bn, = _quantized_layer_outputs(net.layers[0], batch.data, 6, (6,),
-                                       noise=noise, platform=platform,
-                                       adc_range=CAL, key=(0,))
+    adapted = bn_adapt(net, [batch], [(6, 6)], noise, platform, momentum=1.0)
+    ((pre_bn,),), _ = _quantized_layer_outputs(net.layers[0], [batch.data],
+                                               None, 6, (6,), noise, platform,
+                                               (0,), {})
     bn = adapted.layers[1]
     assert bn.running_mean == pytest.approx(pre_bn.mean(axis=0))
     assert bn.running_var == pytest.approx(pre_bn.var(axis=0))
@@ -199,7 +248,7 @@ def test_bn_adapt_noise_off_matches_clean_stats(trained_mlp, blob_data):
     platform = small_platform()
     batches = split_batches(blob_data, len(blob_data))
     adapted = bn_adapt(trained_mlp, batches * 30, [(8, 8), (8, 8)],
-                       IDEAL_NOISE, platform, momentum=0.5, adc_range=CAL)
+                       IDEAL_NOISE, platform, momentum=0.5)
     # clean reference: batch statistics of the ideal float forward
     x = blob_data.data
     clean_stats = []
@@ -223,12 +272,10 @@ def test_bn_adapt_recovers_noisy_accuracy(trained_mlp, blob_data):
     for seed in (0, 1, 2):
         noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=seed)
         raw = accuracy(noisy_forward(trained_mlp, blob_data, plan, noise,
-                                     platform, adc_range=AdcRange("worst_case")),
-                       blob_data.labels)
+                                     platform), blob_data.labels)
         adapted = bn_adapt(trained_mlp, batches, plan, noise, platform,
-                           momentum=0.1, adc_range=AdcRange("worst_case"))
+                           momentum=0.1)
         fixed = accuracy(noisy_forward(adapted, blob_data, plan, noise,
-                                       platform, adc_range=AdcRange("worst_case")),
-                         blob_data.labels)
+                                       platform), blob_data.labels)
         deltas.append(fixed - raw)
     assert float(np.median(deltas)) >= 0.0

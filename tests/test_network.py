@@ -31,7 +31,7 @@ from imcsearch.nnsim.network import (
     im2col,
 )
 
-from conftest import candidate_net, fc_net
+from conftest import candidate_net, fc_net, one_float_per_array
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +351,16 @@ def test_every_layer_kind_is_declared_and_its_spec_round_trips():
         assert set(cls.param_names) <= set(cls.arrays)
         for name in cls.arrays:
             assert isinstance(getattr(layer, name), np.ndarray)
+
+
+def test_load_rejects_an_array_of_another_shape(tmp_path):
+    # a one-float array would otherwise broadcast over the whole weight matrix
+    path = tmp_path / "net.imcn"
+    save_net(fc_net([2, 4, 2], seed=0), path)
+    path.write_bytes(one_float_per_array(path.read_bytes()))
+    with pytest.raises(ValueError, match=r"array layers\.0\.weight has shape "
+                                         r"\[1\], its layer expects \[2, 4\]"):
+        load_net(path)
 
 
 def test_load_rejects_wrong_magic(tmp_path):

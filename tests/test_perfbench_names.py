@@ -1,10 +1,12 @@
-"""The program names the benchmark in ``perfbench/`` reaches still resolve.
+"""The program names the benchmark in ``perfbench/`` reaches still resolve,
+and the calls and argument positions it relies on still fit.
 
 ``perfbench/selftest.py`` checks the same and more, but takes minutes; a
 deleted or renamed function the benchmark patches shows here in seconds.
 """
 
 import importlib
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -26,3 +28,32 @@ def test_benchmark_names_resolve(monkeypatch):
                     if metric.endswith((".s", ".self_s", ".calls"))}
     assert span_metrics and span_metrics - spans == set()
     assert callable(workloads.designspace.DesignSpace.phase2_option_count)
+
+
+#: Parameters the benchmark's tracer hooks read by position: (module,
+#: function) -> {position: name}.
+HOOKED_PARAMETERS = {
+    ("nnsim.quantize", "quantize_inputs"): {0: "activations", 1: "ip"},
+    ("nnsim.crossbar", "prepare_cells"): {0: "weight_matrix", 1: "noise",
+                                          2: "weight_bits", 3: "slice_bits",
+                                          4: "key"},
+    ("nnsim.quantize", "adc_quantize"): {0: "column_sum"},
+    ("nnsim.score", "hamming_kernel"): {0: "codes"},
+    ("search", "phase1_run"): {2: "config"},
+    ("search", "phase2_run"): {2: "space", 4: "config"},
+}
+
+
+def test_hooked_parameters_keep_their_names_and_positions():
+    for (module, name), wanted in HOOKED_PARAMETERS.items():
+        function = getattr(importlib.import_module(f"imcsearch.{module}"), name)
+        params = list(inspect.signature(function).parameters)
+        assert {pos: params[pos] for pos in wanted} == wanted, name
+
+
+def test_phase2_run_binds_the_benchmark_call():
+    # the phase2_toy workload's call: six positional arguments and the range
+    search = importlib.import_module("imcsearch.search")
+    inference = importlib.import_module("imcsearch.nnsim.inference")
+    inspect.signature(search.phase2_run).bind(
+        *range(6), inference.AdcRange("calibrated"))

@@ -53,14 +53,14 @@ def test_quantize_rejects_nonfinite():
 def test_bit_serialize_binary_expansion():
     # max activation 15 at ip=4 -> scale 1 -> codes (9, 0, 15); the kernel
     # reads code 9 as the bit planes (1, 0, 0, 1), LSB first
-    codes, scale = quantize_inputs(np.array([9.0, 0.0, 15.0]), ip=4)
+    codes, scale = quantize_inputs(np.array([9.0, 0.0, 15.0]), ip=4, amax=15.0)
     assert scale == pytest.approx(1.0)
     assert codes.tolist() == [9, 0, 15]
     assert [int(codes[0] >> b) & 1 for b in range(4)] == [1, 0, 0, 1]
 
 
 def test_bit_serialize_single_plane():
-    codes, _ = quantize_inputs(np.array([0.0, 0.2, 0.9, 1.0]), ip=1)
+    codes, _ = quantize_inputs(np.array([0.0, 0.2, 0.9, 1.0]), ip=1, amax=1.0)
     assert np.array_equal(codes, np.array([0, 0, 1, 1]))
 
 
@@ -68,9 +68,18 @@ def test_bit_serialize_single_plane():
 def test_bit_serialize_recomposition_exhaustive(ip):
     # input quantization maps its own code grid onto itself
     grid = np.arange(2 ** ip, dtype=float)
-    codes, scale = quantize_inputs(grid, ip=ip)
+    codes, scale = quantize_inputs(grid, ip=ip, amax=2 ** ip - 1)
     assert scale == pytest.approx(1.0)
     assert np.array_equal(codes, grid.astype(np.int64))
+
+
+def test_inputs_above_the_calibrated_max_clip_to_the_top_code():
+    codes, scale = quantize_inputs(np.array([0.0, 5.0, 10.0, 30.0]), 3, 10.0)
+    assert scale == pytest.approx(10.0 / 7)
+    assert codes.tolist() == [0, 4, 7, 7]
+    # 8-bit codes clip before they become uint8, so none wraps around
+    codes, _ = quantize_inputs(np.array([255.0, 300.0, 1e6]), 8, 255.0)
+    assert codes.tolist() == [255, 255, 255]
 
 
 # ---------------------------------------------------------------------------

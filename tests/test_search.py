@@ -19,12 +19,10 @@ from imcsearch.nnsim import (
     AdcRange,
     NoiseSpec,
     WalkState,
-    bn_adapt,
     build_refnet,
     cross_entropy,
     hd_score,
     make_patterns,
-    noisy_forward,
     probe_layer,
     train_tiny,
     walk_layers,
@@ -313,17 +311,16 @@ def test_walk_cut_equivalence(toy):
     _, _, net, data, platform = toy
     noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=9)
     start = WalkState.begin(data.adapt_batches, data.eval_batch)
-    whole = walk_layers(net, start, PLAN, noise, platform, momentum=0.3,
-                        adc_range=CAL)
+    whole = walk_layers(net, start, PLAN, noise, platform, momentum=0.3)
     ce = cross_entropy(whole.eval, data.eval_batch.labels)
     stops = inference._quantizable_index(net) + [len(net.layers)]
     for q in range(len(PLAN) + 1):
         cells = {}
         prefix = walk_layers(net, start, PLAN, noise, platform, stop=q,
-                             momentum=0.3, adc_range=CAL, cells=cells)
+                             momentum=0.3, cells=cells)
         assert prefix.at == stops[q]
         split = walk_layers(net, prefix, PLAN, noise, platform, momentum=0.3,
-                            adc_range=CAL, cells=cells)
+                            cells=cells)
         assert len(split.adapt) == len(whole.adapt) == 2
         for a, b in zip(split.adapt, whole.adapt):
             assert np.array_equal(a, b)
@@ -336,11 +333,26 @@ def test_walk_cut_equivalence(toy):
     for stop in (-1, len(PLAN) + 1):
         with pytest.raises(ValueError):
             walk_layers(net, start, PLAN, noise, platform, stop=stop)
-    # the walk is bn_adapt followed by noisy_forward
-    adapted = bn_adapt(net, data.adapt_batches, PLAN, noise, platform,
-                       momentum=0.3, adc_range=CAL)
-    assert np.array_equal(noisy_forward(adapted, data.eval_batch, PLAN, noise,
-                                        platform, adc_range=CAL), whole.eval)
+
+
+@pytest.mark.parametrize("plan", [PLAN, [(6, 8)] * 4, [(5, 3)] * 4],
+                         ids=["mixed", "ap6-ip8", "ap5-ip3"])
+def test_eval_samples_score_the_same_alone_or_in_any_batch(toy, plan):
+    # each layer is calibrated on the adaptation batches only, so a sample's
+    # logits do not depend on the evaluation samples it runs with
+    _, _, net, data, platform = toy
+    noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=9)
+    x = data.eval_batch.data
+    cells = {}
+
+    def logits(rows):
+        start = WalkState.begin(data.adapt_batches, x[rows])
+        return walk_layers(net, start, plan, noise, platform, cells=cells).eval
+
+    whole = logits(slice(None))
+    for width in (1, 4):
+        parts = [logits(slice(k, k + width)) for k in range(0, len(x), width)]
+        assert np.array_equal(np.concatenate(parts), whole)
 
 
 def test_probe_layer_states_resume_to_whole_walks(toy):
@@ -352,11 +364,11 @@ def test_probe_layer_states_resume_to_whole_walks(toy):
     cells = {}
     for q in range(len(PLAN)):
         prefix = walk_layers(net, start, PLAN, noise, platform, stop=q,
-                             momentum=0.3, adc_range=CAL, cells=cells)
+                             momentum=0.3, cells=cells)
         options, states = [], []
         for ip in ips:
             states += probe_layer(net, prefix, ip, aps, noise, platform,
-                                  adc_range=CAL, cells=cells)
+                                  cells=cells)
             options += [(ap, ip) for ap in aps]
         assert len(states) == len(ips) * len(aps)
         for option, state in zip(options, states):
@@ -364,9 +376,9 @@ def test_probe_layer_states_resume_to_whole_walks(toy):
             plan = list(PLAN)
             plan[q] = option
             whole = walk_layers(net, start, plan, noise, platform,
-                                momentum=0.3, adc_range=CAL, cells=cells)
+                                momentum=0.3, cells=cells)
             resumed = walk_layers(net, state, plan, noise, platform,
-                                  momentum=0.3, adc_range=CAL, cells=cells)
+                                  momentum=0.3, cells=cells)
             assert resumed.at == len(net.layers)
             for a, b in zip(resumed.adapt, whole.adapt):
                 assert np.array_equal(a, b)
@@ -398,30 +410,29 @@ def test_cells_memo_programs_each_layer_once(toy, monkeypatch):
     # the first walk programs the 4 quantizable layers, the second none
     for want in (4, 0):
         calls.clear()
-        walk_layers(net, start, PLAN, noise, platform, adc_range=CAL,
-                    cells=cells)
+        walk_layers(net, start, PLAN, noise, platform, cells=cells)
         assert len(calls) == want
     assert len(cells) == 4
 
 
-#: Captured from the search before it shared prefixes and cells; the seed
-#: probes layers 1, 2, 3, 3, 0, 0.
+#: Captured with every layer calibrated once per walk, on the adaptation
+#: batches; the seed probes layers 1, 2, 3, 3, 0, 0.
 GOLDEN_SEED = 1
 GOLDEN_TRACE = [
-    {"step": 0, "layer": 1, "mixture_ce": 0.653571654940677,
-     "expected_delay_ns": 18418.570249999997, "loss": 0.6542230910461392},
-    {"step": 1, "layer": 2, "mixture_ce": 0.6470627914915095,
-     "expected_delay_ns": 18419.002054117922, "loss": 0.6477142428692099},
-    {"step": 2, "layer": 3, "mixture_ce": 0.6457853292457912,
-     "expected_delay_ns": 18418.66341771328, "loss": 0.6464367686464502},
-    {"step": 3, "layer": 3, "mixture_ce": 0.6457846495702244,
-     "expected_delay_ns": 18418.576932032236, "loss": 0.6464360859120196},
-    {"step": 4, "layer": 0, "mixture_ce": 0.6448809552779432,
-     "expected_delay_ns": 18418.490415872544, "loss": 0.6455323885597968},
-    {"step": 5, "layer": 0, "mixture_ce": 0.6448745818123356,
-     "expected_delay_ns": 18418.21223892409, "loss": 0.6455260052555043},
+    {"step": 0, "layer": 1, "mixture_ce": 0.6597022155648116,
+     "expected_delay_ns": 18418.570249999997, "loss": 0.6603536516702737},
+    {"step": 1, "layer": 2, "mixture_ce": 0.6534615860668971,
+     "expected_delay_ns": 18416.76854078761, "loss": 0.6541129584487142},
+    {"step": 2, "layer": 3, "mixture_ce": 0.6459595174395502,
+     "expected_delay_ns": 18416.11485152335, "loss": 0.6466108667013974},
+    {"step": 3, "layer": 3, "mixture_ce": 0.645958672449862,
+     "expected_delay_ns": 18416.04789321576, "loss": 0.6466100193434985},
+    {"step": 4, "layer": 0, "mixture_ce": 0.6448475102611433,
+     "expected_delay_ns": 18415.98090839754, "loss": 0.6454988547856312},
+    {"step": 5, "layer": 0, "mixture_ce": 0.6448297356997829,
+     "expected_delay_ns": 18416.615618012194, "loss": 0.6454811026729599},
 ]
-GOLDEN_ASSIGNMENT = [(6, 5), (5, 6), (6, 4), (5, 3)]
+GOLDEN_ASSIGNMENT = [(6, 4), (5, 3), (5, 3), (6, 3)]
 
 
 def test_phase2_run_golden(toy):
@@ -434,30 +445,30 @@ def test_phase2_run_golden(toy):
     assert result.assignment == GOLDEN_ASSIGNMENT
 
 
-#: Captured from the search before it shared the probed layer across
-#: options: steps 1-3 and 5-7 each find one of their 12 probes in the CE
-#: cache, step 4 finds all of them.
+#: Captured with the calibration of ``GOLDEN_TRACE``: steps 1-3 and 5-7
+#: each find one of their 12 probes in the CE cache, step 4 finds all of
+#: them.
 PARTIAL_CONFIG = SearchConfig(area_constraint=1.0, n2_steps=8, seed=2, lr2=2.0)
 PARTIAL_MISSES = [12, 11, 11, 11, 0, 11, 11, 11]
 PARTIAL_TRACE = [
-    {"step": 0, "layer": 3, "mixture_ce": 0.6623010646283661,
-     "expected_delay_ns": 18418.570249999997, "loss": 0.6629525007338283},
-    {"step": 1, "layer": 1, "mixture_ce": 0.6519810824653077,
-     "expected_delay_ns": 18418.52155597407, "loss": 0.6526325168485382},
-    {"step": 2, "layer": 0, "mixture_ce": 0.6359348926492504,
-     "expected_delay_ns": 18418.270034523342, "loss": 0.6365863181365594},
-    {"step": 3, "layer": 1, "mixture_ce": 0.636284581456917,
-     "expected_delay_ns": 18418.16383917403, "loss": 0.636936003188262},
-    {"step": 4, "layer": 1, "mixture_ce": 0.6362728221412768,
-     "expected_delay_ns": 18417.715042340074, "loss": 0.6369242279993778},
-    {"step": 5, "layer": 3, "mixture_ce": 0.6253324624839683,
-     "expected_delay_ns": 18417.2692384375, "loss": 0.6259838525746805},
-    {"step": 6, "layer": 1, "mixture_ce": 0.6358565665282324,
-     "expected_delay_ns": 18417.206862761257, "loss": 0.6365079544128142},
-    {"step": 7, "layer": 0, "mixture_ce": 0.6355470649051762,
-     "expected_delay_ns": 18416.822037182574, "loss": 0.6361984391790774},
+    {"step": 0, "layer": 3, "mixture_ce": 0.6612237447755345,
+     "expected_delay_ns": 18418.570249999997, "loss": 0.6618751808809966},
+    {"step": 1, "layer": 1, "mixture_ce": 0.6573889573781831,
+     "expected_delay_ns": 18418.53046732689, "loss": 0.6580403920765943},
+    {"step": 2, "layer": 0, "mixture_ce": 0.6423234450168134,
+     "expected_delay_ns": 18417.976505740313, "loss": 0.6429748601224671},
+    {"step": 3, "layer": 1, "mixture_ce": 0.6329409471309414,
+     "expected_delay_ns": 18418.299552863, "loss": 0.6335923736622681},
+    {"step": 4, "layer": 1, "mixture_ce": 0.6329346009233278,
+     "expected_delay_ns": 18417.106863020406, "loss": 0.6335859852710747},
+    {"step": 5, "layer": 3, "mixture_ce": 0.622095060063813,
+     "expected_delay_ns": 18415.91411131961, "loss": 0.6227464022257924},
+    {"step": 6, "layer": 1, "mixture_ce": 0.6339374801786823,
+     "expected_delay_ns": 18415.83178987599, "loss": 0.6345888194290806},
+    {"step": 7, "layer": 0, "mixture_ce": 0.6410470231368771,
+     "expected_delay_ns": 18414.560853119863, "loss": 0.6416983174362244},
 ]
-PARTIAL_ASSIGNMENT = [(6, 4), (5, 6), (5, 3), (6, 5)]
+PARTIAL_ASSIGNMENT = [(6, 4), (5, 4), (5, 3), (6, 4)]
 
 
 def _count_per_step(monkeypatch):
@@ -481,7 +492,7 @@ def _count_per_step(monkeypatch):
     def walk(net, state, plan, noise, platform, stop=None, **kwargs):
         current["prefix"] += stop is not None
 
-    def quantize(activations, ip):
+    def quantize(activations, ip, amax):
         if probing[0]:
             current["ips"].append(ip)
 
