@@ -37,11 +37,9 @@ from .designspace import (
 )
 from .relax import (
     LogitMatrix,
-    argmax_select,
     expected_model_cost,
     phase1_loss,
     sgd_step,
-    softmax_probs,
 )
 from .search import (
     CandidatePool,
@@ -70,7 +68,6 @@ __all__ = [
     "UnitCostTable",
     "adc_profile",
     "admit",
-    "argmax_select",
     "edap_from_totals",
     "enumerate_options",
     "expected_model_cost",
@@ -84,7 +81,6 @@ __all__ = [
     "rank_candidates",
     "read_cycles",
     "sgd_step",
-    "softmax_probs",
     "validate_candidate",
     "vgg16_space",
 ]

@@ -1,15 +1,23 @@
 """Differentiable relaxation of the discrete design space.
 
-Each layer's options carry a row of logits; softmax turns them into a
-categorical distribution and the search optimizes the expected cost of
-the induced product distribution.  Because the tile count of a layer
-depends on the previous layer's channel depth, the expectation couples
-adjacent layers bilinearly; under independent per-layer categoricals it
-is still exact, and its gradients are available in closed form.
+Each layer's options carry logits; softmax turns them into a categorical
+distribution and the search optimizes the expected cost of the induced
+product distribution.  Because the tile count of a layer depends on the
+previous layer's channel depth, the expectation couples adjacent layers
+bilinearly; under independent per-layer categoricals it is still exact,
+and its gradients are available in closed form.
+
+The state is stacked over layers, so a step is a fixed number of array
+operations.  With K the largest option count, the logits are one
+``(L, K)`` array and the cost tables one ``(2, L, K, K)`` array.  A
+layer with fewer options is padded: its padded logits are -inf, so their
+probability and gradient are exactly 0 and ``argmax`` never picks them,
+and its padded table entries are 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,91 +26,80 @@ from .costmodel import layer_cost_arrays
 from .designspace import DesignSpace, LayerChoice, PlatformParams, enumerate_options
 
 
-def softmax_probs(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Max-shifted softmax of one logit row; sums to 1 within 1e-12."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    z = np.asarray(logits, dtype=float) / temperature
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
-def argmax_select(logits: np.ndarray) -> int:
-    """Index of the maximal logit; ties break to the lowest index."""
-    return int(np.argmax(logits))
-
-
 @dataclass
 class LogitMatrix:
-    """Per-layer logit rows (possibly ragged when option counts differ)."""
+    """Every layer's option logits, as one padded ``(L, K)`` array.
 
-    rows: list[np.ndarray]
+    Row ``l`` of ``values`` holds layer ``l``'s ``counts[l]`` logits,
+    then -inf up to K, the largest count.  ``from_rows`` and ``uniform``
+    check and pad their rows; the constructor wraps a stack as it is.
+    """
+
+    values: np.ndarray
+    counts: tuple[int, ...]
     temperature: float = 1.0
 
-    def __post_init__(self) -> None:
-        self.rows = [np.asarray(r, dtype=float).copy() for r in self.rows]
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        for r in self.rows:
-            if r.ndim != 1 or not np.all(np.isfinite(r)):
-                raise ValueError("logit rows must be finite 1-D arrays")
+    @classmethod
+    def from_rows(cls, rows: list[np.ndarray],
+                  temperature: float = 1.0) -> "LogitMatrix":
+        if temperature <= 0:
+            raise ValueError(f"temperature must be positive, got {temperature}")
+        rows = [np.asarray(r, dtype=float) for r in rows]
+        if not rows or any(r.ndim != 1 or not r.size or not np.isfinite(r).all()
+                           for r in rows):
+            raise ValueError("logit rows must be finite, non-empty 1-D arrays")
+        counts = tuple(r.size for r in rows)
+        values = np.full((len(rows), max(counts)), -np.inf)
+        for l, r in enumerate(rows):
+            values[l, :r.size] = r
+        return cls(values, counts, temperature)
 
     @classmethod
-    def _of_fresh_rows(cls, rows: list[np.ndarray],
-                       temperature: float) -> "LogitMatrix":
-        """Wrap rows the caller has just computed and checked, uncopied."""
-        logits = cls.__new__(cls)
-        logits.rows, logits.temperature = rows, temperature
-        return logits
+    def uniform(cls, option_counts: tuple[int, ...] | list[int],
+                temperature: float = 1.0) -> "LogitMatrix":
+        return cls.from_rows([np.zeros(n) for n in option_counts], temperature)
 
-    @staticmethod
-    def uniform(option_counts: list[int], temperature: float = 1.0) -> "LogitMatrix":
-        return LogitMatrix([np.zeros(n) for n in option_counts], temperature)
+    def probs(self) -> np.ndarray:
+        """Max-shifted softmax of each row, ``(L, K)``; each row sums to 1."""
+        z = self.values / self.temperature
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
 
-    def probs(self) -> list[np.ndarray]:
-        return [softmax_probs(r, self.temperature) for r in self.rows]
-
-    def argmax(self) -> list[int]:
-        return [argmax_select(r) for r in self.rows]
-
-    def copy(self) -> "LogitMatrix":
-        return LogitMatrix([r.copy() for r in self.rows], self.temperature)
+    def argmax(self) -> np.ndarray:
+        """Each layer's maximal-logit option; ties break to the lowest index."""
+        return self.values.argmax(axis=1)
 
 
-def sgd_step(logits: LogitMatrix, grads: list[np.ndarray],
+def sgd_step(logits: LogitMatrix, grads: np.ndarray,
              learning_rate: float) -> LogitMatrix:
-    """One SGD update: logits - learning_rate * grad.
+    """One SGD update of the whole stack: logits - learning_rate * grads.
 
-    The updated rows are fresh arrays, so they are checked for finiteness
-    in one pass and kept as they are, without the copy that building a
-    ``LogitMatrix`` from outside rows makes.
+    ``grads`` has the logits' ``(L, K)`` shape.  A non-finite updated
+    logit raises FloatingPointError.
     """
-    if len(grads) != len(logits.rows):
-        raise ValueError(f"gradient rows {len(grads)} != logit rows "
-                         f"{len(logits.rows)}")
-    new_rows = []
-    for row, g in zip(logits.rows, grads):
-        g = np.asarray(g, dtype=float)
-        if g.shape != row.shape:
-            raise ValueError(f"gradient shape {g.shape} != logits shape {row.shape}")
-        new_rows.append(row - learning_rate * g)
-    # a non-finite gradient makes its updated row non-finite
-    if new_rows and not np.isfinite(np.concatenate(new_rows)).all():
-        raise ValueError("logit rows must be finite 1-D arrays")
-    return LogitMatrix._of_fresh_rows(new_rows, logits.temperature)
+    grads = np.asarray(grads, dtype=float)
+    if grads.shape != logits.values.shape:
+        raise ValueError(f"gradient shape {grads.shape} != logits shape "
+                         f"{logits.values.shape}")
+    values = logits.values - learning_rate * grads
+    # padding stays non-finite, so a short finite count means a bad real logit
+    if np.count_nonzero(np.isfinite(values)) != sum(logits.counts):
+        raise FloatingPointError("SGD step made a logit non-finite")
+    return LogitMatrix(values, logits.counts, logits.temperature)
 
 
 @dataclass
 class CostTables:
-    """Per-layer (prev-option x option) area and delay lookup tables.
+    """Every layer's (previous option x option) area and delay, stacked.
 
-    Layer 0 has a single virtual previous option (the fixed input channel
-    count), so its tables have one row.
+    ``costs`` is ``(2, L, K, K)``: ``costs[0, l, i, j]`` is layer ``l``'s
+    area at option ``j`` after previous-layer option ``i``; ``costs[1]``
+    holds delays.  Layer 0's one previous option is the fixed input channel
+    count, so only its row 0 is real.  Entries past the counts are 0.
     """
 
-    areas: list[np.ndarray]
-    delays: list[np.ndarray]
+    costs: np.ndarray
+    counts: tuple[int, ...]
 
 
 def build_cost_tables(space: DesignSpace, platform: PlatformParams,
@@ -114,64 +111,62 @@ def build_cost_tables(space: DesignSpace, platform: PlatformParams,
     layer's options; every entry equals the scalar ``layer_cost`` bit for
     bit.
     """
-    areas: list[np.ndarray] = []
-    delays: list[np.ndarray] = []
+    options = [enumerate_options(space, l, phase=1)
+               for l in range(space.num_layers)]
+    counts = tuple(len(o) for o in options)
+    costs = np.zeros((2, len(counts), max(counts), max(counts)))
     prev_cds = np.array([space.input_channels])
-    for layer in range(space.num_layers):
-        options = enumerate_options(space, layer, phase=1)
+    for l, layer_options in enumerate(options):
         choices = [LayerChoice(cd_out=cd, cs=cs, at=at, ap=ap, ip=ip)
-                   for cd, cs, at in options]
-        a, d, _ = layer_cost_arrays(prev_cds[:, None], space.layer_shapes[layer],
+                   for cd, cs, at in layer_options]
+        a, d, _ = layer_cost_arrays(prev_cds[:, None], space.layer_shapes[l],
                                     choices, platform)
-        areas.append(a)
-        delays.append(d)
-        prev_cds = np.array([opt[0] for opt in options])
-    return CostTables(areas=areas, delays=delays)
+        costs[:, l, :len(prev_cds), :len(choices)] = a, d
+        prev_cds = np.array([cd for cd, _, _ in layer_options])
+    return CostTables(costs=costs, counts=counts)
 
 
-def _expectation_with_grad(tables: list[np.ndarray],
-                           probs: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-    """E = sum_l p_{l-1}^T C_l p_l and its exact gradient w.r.t. each p."""
-    num_layers = len(tables)
-    value = 0.0
-    grads = [np.zeros_like(p) for p in probs]
-    for l in range(num_layers):
-        c = tables[l]
-        p_prev = np.ones(1) if l == 0 else probs[l - 1]
-        value += float(p_prev @ c @ probs[l])
-        grads[l] += c.T @ p_prev
-        if l > 0:
-            grads[l - 1] += c @ probs[l]
+def _expectation_with_grad(costs: np.ndarray,
+                           probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E = sum_l p_{l-1}^T C_l p_l per table, and its exact gradient.
+
+    ``costs`` is ``(M, L, K, K)`` and ``probs`` ``(L, K)``; layer 0's
+    previous probabilities are the one-hot e_0.  Returns the ``(M,)``
+    expectations and their ``(M, L, K)`` gradients w.r.t. the
+    probabilities, p_{l-1}^T C_l + C_{l+1} p_{l+1} for layer l.
+    """
+    prev = np.concatenate((np.eye(1, probs.shape[1]), probs[:-1]))
+    row = prev[:, None, :] @ costs  # (M, L, 1, K): p_{l-1}^T C_l
+    col = costs @ probs[:, :, None]  # (M, L, K, 1): C_l p_l
+    value = (row @ probs[:, :, None]).sum(axis=(1, 2, 3))
+    grads = row[:, :, 0]
+    grads[:, :-1] += col[:, 1:, :, 0]
     return value, grads
 
 
-def _chain_softmax(probs: list[np.ndarray], dprobs: list[np.ndarray],
-                   temperature: float) -> list[np.ndarray]:
-    """Pull gradients w.r.t. probabilities back through the softmax."""
-    out = []
-    for p, g in zip(probs, dprobs):
-        out.append(p * (g - float(p @ g)) / temperature)
-    return out
+def _chain_softmax(probs: np.ndarray, dprobs: np.ndarray,
+                   temperature: float) -> np.ndarray:
+    """Pull ``(..., L, K)`` probability gradients back through each softmax."""
+    inner = probs[:, None, :] @ dprobs[..., None]  # (..., L, 1, 1): p_l . g_l
+    return probs * (dprobs - inner[..., 0]) / temperature
 
 
 def expected_model_cost(logits: LogitMatrix, tables: CostTables):
     """Expected area and delay of the relaxed model, with logit gradients.
 
-    ``tables`` come from ``build_cost_tables`` at the search's (ap, ip).
-    Returns (expected_area, expected_delay, d_area/d_logits,
-    d_delay/d_logits).  With one-hot probabilities the expectation equals
-    the discrete candidate's cost exactly.
+    ``tables`` come from ``build_cost_tables`` at the search's (ap, ip),
+    and ``logits`` have their option counts.  Returns (expected_area,
+    expected_delay, d_area/d_logits, d_delay/d_logits); each gradient is
+    ``(L, K)`` like ``logits.values`` and 0 at the padding.  With one-hot
+    probabilities the expectation equals the discrete candidate's cost.
     """
+    if logits.counts != tables.counts:
+        raise ValueError(f"logit option counts {logits.counts} != cost "
+                         f"table option counts {tables.counts}")
     probs = logits.probs()
-    for l, p in enumerate(probs):
-        if p.shape[0] != tables.areas[l].shape[1]:
-            raise ValueError(f"layer {l}: {p.shape[0]} logits for "
-                             f"{tables.areas[l].shape[1]} options")
-    e_area, darea_dp = _expectation_with_grad(tables.areas, probs)
-    e_delay, ddelay_dp = _expectation_with_grad(tables.delays, probs)
-    darea = _chain_softmax(probs, darea_dp, logits.temperature)
-    ddelay = _chain_softmax(probs, ddelay_dp, logits.temperature)
-    return e_area, e_delay, darea, ddelay
+    (e_area, e_delay), dprobs = _expectation_with_grad(tables.costs, probs)
+    darea, ddelay = _chain_softmax(probs, dprobs, logits.temperature)
+    return float(e_area), float(e_delay), darea, ddelay
 
 
 def phase1_loss(expected_delay: float, expected_area: float,
@@ -182,7 +177,8 @@ def phase1_loss(expected_delay: float, expected_area: float,
     L1 = delay/delay_ref + lambda1 * ((area - A_C) / A_C)^2.  Both terms
     are dimensionless: delay is self-normalized by the reference and the
     area error is relative to the constraint.  Returns the loss and its
-    partial derivatives w.r.t. expected delay and expected area.
+    partial derivatives w.r.t. expected delay and expected area; raises
+    FloatingPointError when the loss or its area derivative overflows.
     """
     if area_constraint <= 0:
         raise ValueError("area_constraint must be positive")
@@ -192,14 +188,17 @@ def phase1_loss(expected_delay: float, expected_area: float,
     loss = expected_delay / delay_ref + lambda1 * rel * rel
     dloss_ddelay = 1.0 / delay_ref
     dloss_darea = 2.0 * lambda1 * rel / area_constraint
+    if not (math.isfinite(loss) and math.isfinite(dloss_darea)):
+        raise FloatingPointError(f"phase-1 loss or its area derivative is not "
+                                 f"finite at area_constraint {area_constraint}")
     return loss, dloss_ddelay, dloss_darea
 
 
 def phase1_loss_grad(logits: LogitMatrix, tables: CostTables,
                      area_constraint: float, lambda1: float, delay_ref: float):
-    """Loss value plus its full gradient w.r.t. the logits."""
+    """Loss value plus its full ``(L, K)`` gradient w.r.t. the logits."""
     e_area, e_delay, darea, ddelay = expected_model_cost(logits, tables)
     loss, dl_ddelay, dl_darea = phase1_loss(
         e_delay, e_area, area_constraint, lambda1, delay_ref)
-    grads = [dl_ddelay * gd + dl_darea * ga for gd, ga in zip(ddelay, darea)]
+    grads = dl_ddelay * ddelay + dl_darea * darea
     return loss, e_area, e_delay, grads

@@ -111,11 +111,10 @@ class CandidatePool:
         return [e for e in self.entries if e.admitted]
 
     def record(self, entry: PoolEntry) -> bool:
-        """Add a distinct candidate (earliest step wins); True when new."""
-        key = entry.choice_key()
-        for existing in self.entries:
-            if existing.choice_key() == key:
-                return False
+        """Append a candidate not yet in the pool; True, as it is new.
+
+        ``phase1_run`` calls this only for an argmax it has not seen.
+        """
         self.entries.append(entry)
         return True
 
@@ -154,8 +153,7 @@ def phase1_run(space: DesignSpace, platform: PlatformParams,
     """
     tables = build_cost_tables(space, platform, config.phase1_ap,
                                config.phase1_ip)
-    counts = [tables.areas[l].shape[1] for l in range(space.num_layers)]
-    logits = LogitMatrix.uniform(counts, config.temperature)
+    logits = LogitMatrix.uniform(tables.counts, config.temperature)
     pool = CandidatePool()
     costed: dict[tuple[int, ...], PoolEntry] = {}  # argmax indices -> entry
     trace: list[dict] = []
@@ -164,7 +162,7 @@ def phase1_run(space: DesignSpace, platform: PlatformParams,
     for step in range(config.n1_steps):
         loss, e_area, e_delay, grads = phase1_loss_grad(
             logits, tables, config.area_constraint, config.lambda1, delay_ref)
-        indices = tuple(logits.argmax())
+        indices = tuple(logits.argmax().tolist())
         entry = costed.get(indices)
         is_new = entry is None
         if is_new:
@@ -255,8 +253,9 @@ class Phase2Result:
 
 def _phase2_delays(model: CandidateModel, space: DesignSpace,
                    platform: PlatformParams, ref_ap: int,
-                   ref_ip: int) -> tuple[list[np.ndarray], float]:
-    """Per-layer delay vectors over the (ap, ip) grid, and the reference delay.
+                   ref_ip: int) -> tuple[np.ndarray, float]:
+    """Each layer's delay over the (ap, ip) grid, ``(L, options)``, and the
+    reference delay.
 
     One broadcast cost call per layer covers the grid plus the (ref_ap,
     ref_ip) point; the model's delay there is summed layer by layer.
@@ -270,7 +269,7 @@ def _phase2_delays(model: CandidateModel, space: DesignSpace,
         _, d, _ = layer_cost_arrays(model.cd_in(l), shape, choices, platform)
         delays.append(d[:-1])
         delay_ref += float(d[-1])
-    return delays, delay_ref
+    return np.array(delays), delay_ref
 
 
 def phase2_run(trained_net: RefNet, phase1_model: CandidateModel,
@@ -344,7 +343,7 @@ def phase2_run(trained_net: RefNet, phase1_model: CandidateModel,
         e_delay = float(sum(p @ d for p, d in zip(probs, delays)))
         mixture_ce = float(probs[layer] @ ce_values)
         loss = phase2_loss(mixture_ce, e_delay, delay_ref, config.lambda2)
-        dprobs = [config.lambda2 / delay_ref * d for d in delays]
+        dprobs = config.lambda2 / delay_ref * delays
         dprobs[layer] += ce_values
         grads = _chain_softmax(probs, dprobs, logits.temperature)
         trace.append({

@@ -106,6 +106,28 @@ def test_sweep_numeric_failure_exits_4_over_an_empty_pool(tmp_path,
     assert empty["status"] == "empty_pool"
 
 
+def test_phase1_numeric_failure_exits_4(tmp_path, capsys):
+    # the squared relative area error overflows at so small a constraint
+    path = write_config(tmp_path, dict(CONFIG["search"],
+                                       area_constraint_mm2=1e-300))
+    assert cli.main(["phase1", "--config", str(path), "--out-dir",
+                     str(tmp_path / "run")]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "not finite" in err
+
+
+def test_sweep_phase1_numeric_failure_is_a_numeric_error_row(tmp_path):
+    path = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=1.0))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(path), "--axis", "area_constraint",
+                     "--values", "1e-300,1.18", "--out-dir", str(out)]
+                    ) == cli.EXIT_NUMERIC
+    numeric, ok = read_sweep(out)
+    assert numeric["status"] == "numeric_error"
+    assert "not finite" in numeric["message"]
+    assert ok["status"] == "ok"
+
+
 def test_sweep_xbar_size_below_max_cs_exits_2_naming_the_field(tmp_path,
                                                                capsys):
     raw = dict(CONFIG, design_space=dict(CONFIG["design_space"],

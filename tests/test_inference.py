@@ -266,7 +266,9 @@ def test_bn_adapt_noise_off_matches_clean_stats(trained_mlp, blob_data):
 
 def test_bn_adapt_recovers_noisy_accuracy(trained_mlp, blob_data):
     platform = small_platform()
-    plan = [(5, 3), (5, 3)]
+    # coarse enough that the un-adapted noisy accuracy is below 1.0 on
+    # every seed, so there is something to recover
+    plan = [(2, 3), (2, 3)]
     batches = split_batches(blob_data, 32)
     deltas = []
     for seed in (0, 1, 2):

@@ -9,6 +9,8 @@ import importlib
 import inspect
 from pathlib import Path
 
+from conftest import make_platform
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -57,3 +59,28 @@ def test_phase2_run_binds_the_benchmark_call():
     inference = importlib.import_module("imcsearch.nnsim.inference")
     inspect.signature(search.phase2_run).bind(
         *range(6), inference.AdcRange("calibrated"))
+
+
+def test_phase1_run_passes_each_step_boundary_once_per_step(monkeypatch):
+    # the lap clock samples the machine at sgd_step returns, and the tracer
+    # and catalog time both functions per step
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    relax = importlib.import_module("imcsearch.relax")
+    search = importlib.import_module("imcsearch.search")
+    designspace = importlib.import_module("imcsearch.designspace")
+    calls = dict.fromkeys(("phase1_loss_grad", "sgd_step"), 0)
+    for name in calls:
+        original = getattr(relax, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        aliases = tracer.module_aliases(original)
+        assert (search, name) in aliases, name
+        for owner, attr in aliases:
+            monkeypatch.setattr(owner, attr, counting)
+    config = search.SearchConfig(area_constraint=20.0, n1_steps=7)
+    search.phase1_run(designspace.vgg16_space(), make_platform(), config)
+    assert calls == {"phase1_loss_grad": 7, "sgd_step": 7}

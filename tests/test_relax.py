@@ -5,16 +5,21 @@ import numpy as np
 import pytest
 
 from imcsearch.costmodel import model_cost
-from imcsearch.designspace import CandidateModel, LayerChoice, enumerate_options
+from imcsearch.designspace import (
+    ADCType,
+    CandidateModel,
+    DesignSpace,
+    LayerChoice,
+    LayerShape,
+    enumerate_options,
+)
 from imcsearch.relax import (
     LogitMatrix,
-    argmax_select,
     build_cost_tables,
     expected_model_cost,
     phase1_loss,
     phase1_loss_grad,
     sgd_step,
-    softmax_probs,
 )
 
 from conftest import make_platform, toy_space
@@ -23,6 +28,14 @@ from conftest import make_platform, toy_space
 # ---------------------------------------------------------------------------
 # softmax / argmax
 # ---------------------------------------------------------------------------
+
+def softmax_probs(row, temperature=1.0):
+    return LogitMatrix.from_rows([row], temperature).probs()[0]
+
+
+def argmax_select(row):
+    return int(LogitMatrix.from_rows([row]).argmax()[0])
+
 
 def test_softmax_uniform():
     p = softmax_probs(np.zeros(40))
@@ -84,7 +97,7 @@ def test_one_hot_probabilities_collapse_to_discrete_cost():
         rows = [np.full(n, -60.0) for _ in range(space.num_layers)]
         for r in rows:
             r[target] = 60.0
-        logits = LogitMatrix(rows)
+        logits = LogitMatrix.from_rows(rows)
         e_area, e_delay, _, _ = expected_model_cost(logits, tables)
         area, delay = _discrete_cost(space, platform,
                                      [target] * space.num_layers)
@@ -98,7 +111,7 @@ def test_expectation_matches_brute_force_enumeration():
     tables = build_cost_tables(space, platform, 6, 8)
     n = len(enumerate_options(space, 0, 1))
     rng = np.random.default_rng(5)
-    logits = LogitMatrix([rng.standard_normal(n) for _ in range(2)])
+    logits = LogitMatrix.from_rows([rng.standard_normal(n) for _ in range(2)])
     probs = logits.probs()
     want_area = want_delay = 0.0
     for i, j in itertools.product(range(n), range(n)):
@@ -121,23 +134,25 @@ def test_expectation_bounded_by_discrete_extremes():
     delays = [c[1] for c in costs]
     rng = np.random.default_rng(11)
     for _ in range(10):
-        logits = LogitMatrix([2.0 * rng.standard_normal(n) for _ in range(2)])
+        logits = LogitMatrix.from_rows([2.0 * rng.standard_normal(n)
+                                        for _ in range(2)])
         e_area, e_delay, _, _ = expected_model_cost(logits, tables)
         assert min(areas) - 1e-9 <= e_area <= max(areas) + 1e-9
         assert min(delays) - 1e-9 <= e_delay <= max(delays) + 1e-9
 
 
 def _fd_grad(fun, logits: LogitMatrix, h=1e-4):
-    grads = []
-    for l, row in enumerate(logits.rows):
-        g = np.zeros_like(row)
-        for i in range(len(row)):
-            hi = logits.copy()
-            hi.rows[l][i] += h
-            lo = logits.copy()
-            lo.rows[l][i] -= h
-            g[i] = (fun(hi) - fun(lo)) / (2 * h)
-        grads.append(g)
+    """Central differences w.r.t. every real logit; 0 at the padding."""
+    grads = np.zeros_like(logits.values)
+    for l, n in enumerate(logits.counts):
+        for i in range(n):
+            ends = []
+            for step in (h, -h):
+                values = logits.values.copy()
+                values[l, i] += step
+                ends.append(fun(LogitMatrix(values, logits.counts,
+                                            logits.temperature)))
+            grads[l, i] = (ends[0] - ends[1]) / (2 * h)
     return grads
 
 
@@ -148,8 +163,9 @@ def test_expected_cost_gradients_match_finite_differences():
     n = len(enumerate_options(space, 0, 1))
     rng = np.random.default_rng(23)
     for _ in range(10):
-        logits = LogitMatrix([rng.standard_normal(n) for _ in range(2)],
-                             temperature=float(rng.uniform(0.5, 2.0)))
+        logits = LogitMatrix.from_rows(
+            [rng.standard_normal(n) for _ in range(2)],
+            temperature=float(rng.uniform(0.5, 2.0)))
         _, _, darea, ddelay = expected_model_cost(logits, tables)
 
         def area_of(lg):
@@ -166,6 +182,87 @@ def test_expected_cost_gradients_match_finite_differences():
         for got, want in zip(ddelay, fd_delay):
             scale = max(1.0, np.abs(want).max())
             assert np.abs(got - want).max() / scale < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# padded layout: layers with different option counts
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def ragged():
+    """8, 12 and 4 options per layer: layer 0's tables have one row and the
+    last layer is narrower than the one before, like VGG16's 40 -> 10."""
+    conv = LayerShape(kernel=3, in_spatial=(8, 8))
+    space = DesignSpace(layer_shapes=(conv, conv, LayerShape.fc()),
+                        cd_options_per_layer=((8, 16), (4, 8, 16), (2,)),
+                        cs_options=(4, 8),
+                        at_options=(ADCType.SAR, ADCType.FLASH),
+                        input_channels=1, class_count=2)
+    platform = make_platform(xbar_size=16, xbars_per_tile=4)
+    return space, platform, build_cost_tables(space, platform, 6, 8)
+
+
+def test_padded_tables_hold_zeros_past_each_layer_s_options(ragged):
+    _, _, tables = ragged
+    assert tables.counts == (8, 12, 4)
+    assert tables.costs.shape == (2, 3, 12, 12)
+    assert not tables.costs[:, 0, 1:].any()  # layer 0: one previous option
+    assert not tables.costs[:, 0, :, 8:].any()
+    assert not tables.costs[:, 2, :, 4:].any()
+    assert tables.costs[:, 1, :8, :].all() and not tables.costs[:, 1, 8:].any()
+
+
+def test_padded_expectation_matches_brute_force_enumeration(ragged):
+    space, platform, tables = ragged
+    rng = np.random.default_rng(3)
+    logits = LogitMatrix.from_rows([rng.standard_normal(n) for n in tables.counts])
+    probs = logits.probs()
+    assert np.all(probs[0, 8:] == 0.0) and np.all(probs[2, 4:] == 0.0)
+    assert probs.sum(axis=1) == pytest.approx(np.ones(3), abs=1e-12)
+    want_area = want_delay = 0.0
+    for idx in itertools.product(*(range(n) for n in tables.counts)):
+        area, delay = _discrete_cost(space, platform, idx)
+        weight = probs[0, idx[0]] * probs[1, idx[1]] * probs[2, idx[2]]
+        want_area += weight * area
+        want_delay += weight * delay
+    e_area, e_delay, _, _ = expected_model_cost(logits, tables)
+    assert e_area == pytest.approx(want_area, rel=1e-9)
+    assert e_delay == pytest.approx(want_delay, rel=1e-9)
+
+
+def test_padded_gradients_match_finite_differences_and_vanish_at_padding(ragged):
+    _, _, tables = ragged
+    rng = np.random.default_rng(29)
+    for temperature in (0.7, 1.0, 1.6):
+        logits = LogitMatrix.from_rows(
+            [rng.standard_normal(n) for n in tables.counts], temperature)
+        _, _, darea, ddelay = expected_model_cost(logits, tables)
+        for l, n in enumerate(tables.counts):
+            assert np.all(darea[l, n:] == 0.0) and np.all(ddelay[l, n:] == 0.0)
+        for index, got in ((0, darea), (1, ddelay)):
+            want = _fd_grad(lambda lg: expected_model_cost(lg, tables)[index],
+                            logits)
+            assert np.abs(got - want).max() / np.abs(want).max() < 1e-4
+        loss, _, _, grads = phase1_loss_grad(logits, tables, 0.5, 0.01, 1e5)
+        want = _fd_grad(lambda lg: phase1_loss_grad(lg, tables, 0.5, 0.01,
+                                                    1e5)[0], logits)
+        assert np.abs(grads - want).max() / np.abs(want).max() < 1e-4
+        assert not grads[0, 8:].any() and not grads[2, 4:].any()
+
+
+def test_argmax_never_selects_padding(ragged):
+    _, _, tables = ragged
+    logits = LogitMatrix.from_rows([np.full(n, -1e6) for n in tables.counts])
+    assert logits.argmax().tolist() == [0, 0, 0]
+    rows = [np.full(n, -1e6) for n in tables.counts]
+    rows[0][-1] = rows[2][-1] = -1e6 + 1.0
+    assert LogitMatrix.from_rows(rows).argmax().tolist() == [7, 0, 3]
+    # an SGD step leaves the padding out of reach
+    out = sgd_step(logits, phase1_loss_grad(logits, tables, 0.5, 0.01, 1e5)[3],
+                   13.0)
+    assert np.all(out.values[0, 8:] == -np.inf)
+    assert np.all(out.values[2, 4:] == -np.inf)
+    assert out.argmax()[0] < 8 and out.argmax()[2] < 4
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +290,8 @@ def test_phase1_loss_grad_matches_finite_differences():
     a_c = 0.5
     delay_ref = 1e5
     for _ in range(5):
-        logits = LogitMatrix([rng.standard_normal(n) for _ in range(2)])
+        logits = LogitMatrix.from_rows([rng.standard_normal(n)
+                                        for _ in range(2)])
         _, _, _, grads = phase1_loss_grad(logits, tables, a_c, 0.01, delay_ref)
 
         def loss_of(lg):
@@ -210,36 +308,35 @@ def test_phase1_loss_grad_matches_finite_differences():
 # ---------------------------------------------------------------------------
 
 def test_sgd_zero_gradient_keeps_logits():
-    logits = LogitMatrix([np.array([1.0, 2.0]), np.array([0.5, -0.5])])
-    out = sgd_step(logits, [np.zeros(2), np.zeros(2)], 13.0)
-    assert np.array_equal(out.rows[0], logits.rows[0])
-    assert np.array_equal(out.rows[1], logits.rows[1])
+    logits = LogitMatrix.from_rows([np.array([1.0, 2.0]), np.array([0.5, -0.5])])
+    out = sgd_step(logits, np.zeros((2, 2)), 13.0)
+    assert np.array_equal(out.values, logits.values)
 
 
 def test_sgd_arithmetic():
-    logits = LogitMatrix([np.array([1.0])])
-    out = sgd_step(logits, [np.array([0.5])], 0.1)
-    assert out.rows[0][0] == pytest.approx(0.95)
+    logits = LogitMatrix.from_rows([np.array([1.0])])
+    out = sgd_step(logits, np.array([[0.5]]), 0.1)
+    assert out.values[0, 0] == pytest.approx(0.95)
 
 
 def test_sgd_shape_mismatch_raises():
-    logits = LogitMatrix([np.array([1.0, 2.0])])
+    logits = LogitMatrix.from_rows([np.array([1.0, 2.0])])
     with pytest.raises(ValueError):
-        sgd_step(logits, [np.zeros(3)], 1.0)
+        sgd_step(logits, np.zeros((1, 3)), 1.0)
     with pytest.raises(ValueError):
-        sgd_step(logits, [np.zeros(2), np.zeros(2)], 1.0)
+        sgd_step(logits, np.zeros((2, 2)), 1.0)
 
 
 def test_sgd_nonfinite_gradient_raises():
-    logits = LogitMatrix([np.array([1.0, 2.0]), np.array([0.5])])
+    logits = LogitMatrix.from_rows([np.array([1.0, 2.0]), np.array([0.5])])
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            sgd_step(logits, [np.array([0.0, bad]), np.zeros(1)], 13.0)
-    # the input logits are untouched and the update owns its rows
-    out = sgd_step(logits, [np.ones(2), np.ones(1)], 1.0)
-    assert np.array_equal(logits.rows[0], [1.0, 2.0])
-    assert np.array_equal(out.rows[0], [0.0, 1.0])
-    assert not np.shares_memory(out.rows[0], logits.rows[0])
+        with pytest.raises(FloatingPointError, match="finite"):
+            sgd_step(logits, np.array([[0.0, bad], [0.0, 0.0]]), 13.0)
+    # the input logits are untouched and the update owns its stack
+    out = sgd_step(logits, np.ones((2, 2)), 1.0)
+    assert np.array_equal(logits.values[0], [1.0, 2.0])
+    assert np.array_equal(out.values, [[0.0, 1.0], [-0.5, -np.inf]])
+    assert not np.shares_memory(out.values, logits.values)
     assert out.temperature == logits.temperature
 
 

@@ -40,8 +40,10 @@ from conftest import make_platform
 #: in 14 steps, the last one admitted and seen again at step 13.
 PHASE1_CONFIG = SearchConfig(area_constraint=30.0, n1_steps=14, lambda1=30.0)
 
-#: Captured before phase 1 costed each distinct argmax once.  Pool entries
-#: are (option index per layer, step, admitted, area, delay).
+#: Captured before phase 1 costed each distinct argmax once; the trace's
+#: expected costs and losses were re-captured when the relaxed state was
+#: stacked over layers (they moved by at most 1.2e-15 relative).  Pool
+#: entries are (option index per layer, step, admitted, area, delay).
 PHASE1_DELAY_REF = 1765077.8939999999
 PHASE1_TRACE = [
     {"step": 0, "loss": 45.287133527730326, "expected_area_mm2": 66.45015783,
@@ -49,21 +51,21 @@ PHASE1_TRACE = [
      "argmax_area_mm2": 9.236507999999999, "argmax_delay_ns": 432142.486,
      "admitted": 0, "new_candidate": 1},
     {"step": 1, "loss": 15.061160938976244,
-     "expected_area_mm2": 9.61229531705886,
-     "expected_delay_ns": 2128467.7728668866, "argmax_area_mm2": 6.1444888,
+     "expected_area_mm2": 9.612295317058859,
+     "expected_delay_ns": 2128467.772866886, "argmax_area_mm2": 6.1444888,
      "argmax_delay_ns": 1264185.6859999998, "admitted": 0, "new_candidate": 1},
     {"step": 2, "loss": 12.810930939510994,
      "expected_area_mm2": 11.209171191458042,
      "expected_delay_ns": 1837603.8193331282,
      "argmax_area_mm2": 10.480744799999998,
      "argmax_delay_ns": 500150.48600000003, "admitted": 0, "new_candidate": 1},
-    {"step": 3, "loss": 9.961390783018123,
-     "expected_area_mm2": 13.534455831497135,
+    {"step": 3, "loss": 9.96139078301812,
+     "expected_area_mm2": 13.534455831497137,
      "expected_delay_ns": 1631377.8754248417, "argmax_area_mm2": 15.1893784,
      "argmax_delay_ns": 577505.6860000003, "admitted": 0, "new_candidate": 1},
-    {"step": 4, "loss": 6.441761241494378,
-     "expected_area_mm2": 17.00582096266462,
-     "expected_delay_ns": 1435840.7615325442,
+    {"step": 4, "loss": 6.441761241494381,
+     "expected_area_mm2": 17.005820962664618,
+     "expected_delay_ns": 1435840.761532544,
      "argmax_area_mm2": 21.503029599999998,
      "argmax_delay_ns": 653907.2860000001, "admitted": 0, "new_candidate": 1},
     {"step": 5, "loss": 4.153923042092737,
@@ -71,44 +73,44 @@ PHASE1_TRACE = [
      "expected_delay_ns": 1251723.050372496,
      "argmax_area_mm2": 22.699573599999997, "argmax_delay_ns": 646944.086,
      "admitted": 0, "new_candidate": 1},
-    {"step": 6, "loss": 2.6969408140038604,
-     "expected_area_mm2": 22.09891134794683,
-     "expected_delay_ns": 1087348.1443551197,
+    {"step": 6, "loss": 2.6969408140038573,
+     "expected_area_mm2": 22.098911347946835,
+     "expected_delay_ns": 1087348.14435512,
      "argmax_area_mm2": 23.896117599999997, "argmax_delay_ns": 639980.886,
      "admitted": 0, "new_candidate": 1},
-    {"step": 7, "loss": 2.101049403671169,
-     "expected_area_mm2": 23.171453178201553,
-     "expected_delay_ns": 965052.2443075546,
+    {"step": 7, "loss": 2.101049403671171,
+     "expected_area_mm2": 23.17145317820155,
+     "expected_delay_ns": 965052.2443075547,
      "argmax_area_mm2": 25.391797599999997,
      "argmax_delay_ns": 611692.8859999999, "admitted": 0, "new_candidate": 1},
-    {"step": 8, "loss": 1.4245830975640945,
-     "expected_area_mm2": 24.685431279707107,
-     "expected_delay_ns": 852700.437241947,
+    {"step": 8, "loss": 1.4245830975640932,
+     "expected_area_mm2": 24.68543127970711,
+     "expected_delay_ns": 852700.4372419467,
      "argmax_area_mm2": 25.391797599999997,
      "argmax_delay_ns": 611692.8859999999, "admitted": 0, "new_candidate": 0},
-    {"step": 9, "loss": 1.0124860460977572,
-     "expected_area_mm2": 25.869772411068855,
-     "expected_delay_ns": 783447.5591408211,
+    {"step": 9, "loss": 1.0124860460977583,
+     "expected_area_mm2": 25.86977241106885,
+     "expected_delay_ns": 783447.5591408212,
      "argmax_area_mm2": 26.588341599999996, "argmax_delay_ns": 604729.686,
      "admitted": 0, "new_candidate": 1},
-    {"step": 10, "loss": 0.8354315009658767,
-     "expected_area_mm2": 26.451061038423497,
-     "expected_delay_ns": 733565.0357575892,
+    {"step": 10, "loss": 0.8354315009658757,
+     "expected_area_mm2": 26.4510610384235,
+     "expected_delay_ns": 733565.035757589,
      "argmax_area_mm2": 26.588341599999996, "argmax_delay_ns": 604729.686,
      "admitted": 0, "new_candidate": 0},
-    {"step": 11, "loss": 0.7058033284495804,
-     "expected_area_mm2": 26.915966822105812,
+    {"step": 11, "loss": 0.705803328449581,
+     "expected_area_mm2": 26.91596682210581,
      "expected_delay_ns": 686193.989095043,
      "argmax_area_mm2": 26.588341599999996, "argmax_delay_ns": 604729.686,
      "admitted": 0, "new_candidate": 0},
-    {"step": 12, "loss": 0.5893618438921112,
-     "expected_area_mm2": 27.38470873239132,
+    {"step": 12, "loss": 0.5893618438921119,
+     "expected_area_mm2": 27.384708732391317,
      "expected_delay_ns": 637846.6046599671,
      "argmax_area_mm2": 30.177973599999994, "argmax_delay_ns": 354054.486,
      "admitted": 1, "new_candidate": 1},
-    {"step": 13, "loss": 0.4923347929896138,
+    {"step": 13, "loss": 0.4923347929896137,
      "expected_area_mm2": 27.829562750042992,
-     "expected_delay_ns": 591845.0875953716,
+     "expected_delay_ns": 591845.0875953715,
      "argmax_area_mm2": 30.177973599999994, "argmax_delay_ns": 354054.486,
      "admitted": 1, "new_candidate": 0},
 ]
