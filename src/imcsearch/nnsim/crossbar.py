@@ -6,6 +6,7 @@ the ADC.  Device variation multiplies every cell by N(1, sigma/mu); the
 draw is seeded and frozen per (seed, key), which models one programmed
 chip instance reused across forward passes.  Phase 2 therefore programs
 each layer's cells once per run and reuses them for every probe.
+Programmed cells are analog conductances, stored as float32.
 """
 
 from __future__ import annotations
@@ -55,10 +56,10 @@ def chunk_rows(n_rows: int, xbar_size: int) -> list[slice]:
 class CellArrays:
     """Signed weight matrix programmed onto crossbar cells.
 
-    ``columns`` is (rows, slices * 2 * cols): for each weight slice, least
-    significant first, its positive cell columns followed by its negative
-    ones.  One matmul of an input bit plane against it thus yields every
-    slice and sign polarity at once.
+    ``columns`` is the float32 (rows, slices * 2 * cols) conductance
+    matrix: for each weight slice, least significant first, its positive
+    cell columns followed by its negative ones.  One matmul of an input
+    bit plane against it thus yields every slice and sign polarity at once.
     """
 
     columns: np.ndarray
@@ -70,17 +71,6 @@ class CellArrays:
     def n_cols(self) -> int:
         return self.columns.shape[1] // (2 * self.n_slices)
 
-    def _split(self) -> np.ndarray:
-        return self.columns.reshape(-1, self.n_slices, 2, self.n_cols)
-
-    @property
-    def pos_effective(self) -> list[np.ndarray]:
-        return [self._split()[:, s, 0] for s in range(self.n_slices)]
-
-    @property
-    def neg_effective(self) -> list[np.ndarray]:
-        return [self._split()[:, s, 1] for s in range(self.n_slices)]
-
 
 def prepare_cells(weight_matrix: np.ndarray, noise: NoiseSpec,
                   weight_bits: int, slice_bits: int,
@@ -89,7 +79,8 @@ def prepare_cells(weight_matrix: np.ndarray, noise: NoiseSpec,
 
     The variation multiplier is drawn once per slice and sign polarity and
     reused for every bit plane and row chunk, matching cells that are
-    programmed once per inference run.
+    programmed once per inference run.  Each cell, its slice value times
+    its float64 multiplier, is rounded once to the float32 ``columns``.
     """
     from .quantize import quantize_slice_weights
 
@@ -98,7 +89,7 @@ def prepare_cells(weight_matrix: np.ndarray, noise: NoiseSpec,
     neg_mask = (sliced.sign < 0)
     rows, cols = sliced.sign.shape
     n_slices = len(sliced.slices)
-    columns = np.empty((rows, n_slices, 2, cols))
+    columns = np.empty((rows, n_slices, 2, cols), dtype=np.float32)
     for s, sl in enumerate(sliced.slices):
         for polarity, mask in enumerate((pos_mask, neg_mask)):
             cells = np.where(mask, sl, 0).astype(float)

@@ -5,6 +5,8 @@ bit-serialization, positive/negative cell arrays per weight slice,
 row-chunked analog column sums with device variation, ADC partial-sum
 quantization, and shift-and-add recombination across slices, bit planes
 and row chunks.  Everything else (batchnorm, ReLU, pooling) stays ideal.
+As on the chip, cells and column sums are analog (float32) and the ADC
+codes shift and add exactly, so only their one scaling per AP rounds.
 
 ``walk_layers`` is the one noisy layer walk: it carries the adaptation
 activations, the adapted batchnorm statistics and the evaluation
@@ -60,50 +62,50 @@ def _noisy_matmul(cells: CellArrays, aps: tuple[int, ...], ip: int,
     """Bit-serial sliced matmul of integer input codes against cell arrays.
 
     ``in_codes`` is the (batch, rows) uint8 code matrix.  Returns, for
-    each ADC precision in ``aps``, the integer-valued accumulator sums
-    (before weight/input scales).  Each (bit plane, row chunk) converts
-    all slice and sign columns with one matmul, shared by every AP, and
-    one ADC pass per AP; each AP's sums still accumulate bit plane by bit
-    plane, then slice by slice, then chunk by chunk.  The work runs on
-    (column, batch) arrays so that every elementwise step sweeps the
-    batch in one contiguous run.
+    each ADC precision in ``aps``, the (batch, cols) float64 sums before
+    the weight and input scales.  The analog half runs in float32: each
+    (bit plane, row chunk) is one float32 matmul of a 0/1 plane against
+    all slice and sign columns, shared by every AP, and one ADC pass per
+    AP gives its integer codes.  The digital half is an exact
+    shift-and-add: each AP's codes accumulate in one int32 array, most
+    significant plane first, doubling between planes; slices and signs
+    then combine exactly in float64, and the result scales by the ADC step
+    once.  Without ADC quantization the float sums accumulate the same way
+    in float64.  The work runs on (column, batch) arrays so that every
+    elementwise step sweeps the batch in one contiguous run.
     """
     n, rows = in_codes.shape
     n_slices, cols = cells.n_slices, cells.n_cols
     chunks = chunk_rows(rows, xbar_size)
-    # without ADC quantization every AP accumulates the same sums
+    # the largest sum of one column's codes over every plane and chunk
+    top = len(chunks) * (2 ** max(aps) - 1) * (2 ** ip - 1)
+    if noise.quantization and top > np.iinfo(np.int32).max:
+        raise ValueError(f"{len(chunks)} row chunks at AP {max(aps)} and "
+                         f"IP {ip} can overflow the int32 accumulator")
+    # without ADC quantization every AP accumulates the same float sums
     converts = aps if noise.quantization else (None,)
     codes = np.ascontiguousarray(in_codes.T)
-    bits, plane = np.empty_like(codes), np.empty(codes.shape)
-    accs = [np.zeros((cols, n)) for _ in converts]
-    for b in range(ip):
+    bits, plane = np.empty_like(codes), np.empty(codes.shape, dtype=np.float32)
+    accs = [np.zeros((n_slices * 2 * cols, n), float if ap is None else np.int32)
+            for ap in converts]
+    for b in reversed(range(ip)):
         np.right_shift(codes, b, out=bits)
         bits &= 1
         plane[...] = bits
-        # slice s of bit plane b weighs 2^(slice_bits*s + b), an exact scaling
-        weight = np.array([2.0 ** (cells.slice_bits * s + b)
-                           for s in range(n_slices)])[:, None, None]
-        diffs = [[] for _ in converts]
+        for acc in accs:
+            acc += acc  # Horner: each plane weighs twice the next one
         for sl in chunks:
             sums = cells.columns[sl].T @ plane[sl]
-            for ap, ap_diffs in zip(converts, diffs):
-                if ap is None:
-                    levels, step = sums, 1.0
-                else:
-                    levels = adc_quantize(sums, ap, full_range)
-                    step = full_range / (2 ** ap)
-                # adc_dequantize and the slice weight in one in-place pass:
-                # the weight is a power of two, so scaling by it before or
-                # after the sign subtraction rounds the same
-                levels = levels.reshape(n_slices, 2 * cols, n)
-                levels *= step * weight
-                ap_diffs.append(levels[:, :cols] - levels[:, cols:])
-                del levels  # free these codes before the next AP's are made
-        for acc, ap_diffs in zip(accs, diffs):
-            for s in range(n_slices):
-                for diff in ap_diffs:
-                    acc += diff[s]
-    outs = [np.ascontiguousarray(acc.T) for acc in accs]
+            for ap, acc in zip(converts, accs):
+                acc += sums if ap is None else adc_quantize(sums, ap, full_range)
+    # slice s weighs 2^(slice_bits*s); on integer codes every sum is exact
+    weight = 2.0 ** (cells.slice_bits * np.arange(n_slices))[:, None, None]
+    outs = []
+    for ap, acc in zip(converts, accs):
+        signed = acc.reshape(n_slices, 2, cols, n)
+        total = ((signed[:, 0] - signed[:, 1]) * weight).sum(axis=0)
+        step = 1.0 if ap is None else full_range / (2 ** ap)
+        outs.append((total * step).T.copy())
     return outs if noise.quantization else outs * len(aps)
 
 
@@ -144,7 +146,7 @@ def _quantized_layer_outputs(layer: Conv2D | Dense, adapt: list[np.ndarray],
         coded.append((c, x.shape[0], oh, ow))
     full_range = 1.0
     for c, *_ in coded[calibration]:
-        on = (c > 0).astype(float)
+        on = (c > 0).astype(np.float32)
         for sl in chunk_rows(c.shape[1], platform.xbar_size):
             full_range = max(full_range, float(
                 (on[:, sl] @ programmed.columns[sl]).max(initial=0.0)))

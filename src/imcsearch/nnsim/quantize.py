@@ -27,12 +27,6 @@ class SlicedWeights:
     weight_bits: int
     slice_bits: int
 
-    def recompose_codes(self) -> np.ndarray:
-        mag = np.zeros_like(self.sign, dtype=np.int64)
-        for s, sl in enumerate(self.slices):
-            mag += sl.astype(np.int64) << (self.slice_bits * s)
-        return self.sign * mag
-
 
 def quantize_slice_weights(weights: np.ndarray, weight_bits: int = 8,
                            slice_bits: int = 4) -> SlicedWeights:
@@ -83,27 +77,30 @@ def quantize_inputs(activations: np.ndarray, ip: int,
 
 
 def adc_quantize(column_sum: np.ndarray | float, ap: int,
-                 full_range: float) -> np.ndarray:
+                 full_range: float) -> np.ndarray | int:
     """Uniform quantization of partial sums to 2^ap-level integer codes.
 
     The step is full_range / 2^ap; values round to the nearest code
-    (ties up) and clip to [0, 2^ap - 1].  The codes come back as a fresh
-    float64 array of integer values (0-d for a scalar sum), which a
-    caller may scale by the step in place to dequantize.
+    (ties up) and clip to [0, 2^ap - 1].  Float sums are converted in
+    their own dtype (float32 for the kernel's analog sums), other sums in
+    float64.  An array comes back as a fresh ``uint8`` code array of its
+    shape, a scalar as an ``int``.
     """
     if not 1 <= ap <= 8:
         raise ValueError(f"ap must be in [1, 8], got {ap}")
     if full_range <= 0:
         raise ValueError(f"full_range must be positive, got {full_range}")
     step = full_range / (2 ** ap)
-    x = np.asarray(column_sum, dtype=float)
-    # one float array, shifted, clipped and truncated in place; truncating
-    # the clipped, non-negative levels is the floor of round-half-up
-    levels = np.divide(x, step, out=np.empty(x.shape))
+    x = np.asarray(column_sum)
+    # one array in the sums' float dtype, shifted and clipped in place; the
+    # cast to uint8 truncates the clipped, non-negative levels, which is the
+    # floor of round-half-up
+    levels = np.divide(x, step, out=np.empty(
+        x.shape, x.dtype if x.dtype.kind == "f" else float))
     levels += 0.5
     np.clip(levels, 0, 2 ** ap - 1, out=levels)
-    np.trunc(levels, out=levels)
-    return levels
+    codes = levels.astype(np.uint8)
+    return codes if codes.ndim else int(codes)
 
 
 def adc_dequantize(codes: np.ndarray, ap: int, full_range: float) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Shared fixtures: platforms, toy spaces and trained desk-scale nets."""
+"""Shared fixtures and oracles: platforms, toy spaces, trained desk-scale
+nets and the signed integer codes of sliced weights."""
 
 import json
 import struct
@@ -17,11 +18,20 @@ from imcsearch.designspace import (
     UnitCost,
     UnitCostTable,
 )
-from imcsearch.nnsim import build_refnet, make_blobs, train_tiny
+from imcsearch.nnsim import build_refnet, make_blobs, make_patterns, train_tiny
+from imcsearch.search import Phase2Data
 
 
 def make_platform(**overrides) -> PlatformParams:
     return PlatformParams(unit_costs=load_unit_costs(), **overrides)
+
+
+def recompose_codes(sliced) -> np.ndarray:
+    """The signed integer codes whose slices a ``SlicedWeights`` holds."""
+    mag = np.zeros_like(sliced.sign, dtype=np.int64)
+    for s, sl in enumerate(sliced.slices):
+        mag += sl.astype(np.int64) << (sliced.slice_bits * s)
+    return sliced.sign * mag
 
 
 def zero_cost_table(**nonzero) -> UnitCostTable:
@@ -99,3 +109,34 @@ def trained_mlp(blob_data):
     net = train_tiny(net, blob_data, epochs=40, lr=0.05, batch_size=32, seed=3)
     assert net.train_accuracy >= 0.95
     return net
+
+
+def _patterns(n, seed):
+    return make_patterns(n, channels=1, height=4, width=4, n_classes=2,
+                         seed=seed)
+
+
+@pytest.fixture(scope="session")
+def toy():
+    """Phase-2 toy: three 3x3 convs at 4x4 of width 4, then fc, so 4
+    quantizable layers, trained, with two adaptation batches of 8 samples
+    and 16 evaluation samples.
+
+    16-row crossbars split each 36-row conv into three row chunks.
+    """
+    conv = LayerShape(kernel=3, in_spatial=(4, 4))
+    shapes = (conv, conv, conv, LayerShape.fc())
+    space = DesignSpace(layer_shapes=shapes,
+                        cd_options_per_layer=((4,), (4,), (4,), (2,)),
+                        input_channels=1, class_count=2)
+    model = CandidateModel(
+        layers=tuple((s, LayerChoice(cd_out=cds[0], cs=8, at=ADCType.SAR,
+                                     ap=6, ip=8))
+                     for s, cds in zip(shapes, space.cd_options_per_layer)),
+        input_channels=1)
+    net = train_tiny(build_refnet(model, 2, seed=1), _patterns(32, 2),
+                     epochs=3, lr=0.05, batch_size=16, seed=3)
+    data = Phase2Data(adapt_batches=[_patterns(8, 4), _patterns(8, 5)],
+                      eval_batch=_patterns(16, 6))
+    platform = make_platform(xbar_size=16, xbars_per_tile=4)
+    return space, model, net, data, platform

@@ -1,13 +1,15 @@
 import numpy as np
+import pytest
 
 from imcsearch.nnsim.crossbar import (
     IDEAL_NOISE,
+    CellArrays,
     NoiseSpec,
     chunk_rows,
     prepare_cells,
 )
 from imcsearch.nnsim.inference import _noisy_matmul
-from imcsearch.nnsim.quantize import adc_dequantize, adc_quantize
+from imcsearch.nnsim.quantize import adc_quantize
 
 #: Cells exact, ADC on: with full_range = 2^ap the ADC step is 1, so every
 #: integer chunk sum below 2^ap - 1 converts to itself.
@@ -41,22 +43,31 @@ def test_noiseless_matvec_is_exact_integer_dot():
             assert np.array_equal(out, inputs @ codes)
 
 
+def split_cells(cells):
+    """Per-slice (positive, negative) cell matrices, least significant first."""
+    split = cells.columns.reshape(-1, cells.n_slices, 2, cells.n_cols)
+    return [(split[:, s, 0], split[:, s, 1]) for s in range(cells.n_slices)]
+
+
 def loop_matmul(cells, ap, ip, in_codes, noise, xbar_size, full_range):
-    """Reference kernel: one matmul and ADC pass per plane, slice, sign, chunk."""
-    acc = np.zeros((in_codes.shape[0], cells.n_cols))
+    """Reference kernel: one float32 matmul per plane, slice, sign and chunk.
+
+    With the ADC on, every sum converts alone, the codes add up in int64
+    with their plane, slice and sign weights, and the total scales by the
+    ADC step once; without it the float sums add up in float64.
+    """
+    acc = np.zeros((in_codes.shape[0], cells.n_cols),
+                   dtype=np.int64 if noise.quantization else float)
     for b in range(ip):
-        plane = ((in_codes >> b) & 1).astype(float)
-        for s in range(cells.n_slices):
-            for sl in chunk_rows(in_codes.shape[1], xbar_size):
-                pos = plane[:, sl] @ cells.pos_effective[s][sl]
-                neg = plane[:, sl] @ cells.neg_effective[s][sl]
-                if noise.quantization:
-                    pos = adc_dequantize(adc_quantize(pos, ap, full_range),
-                                         ap, full_range)
-                    neg = adc_dequantize(adc_quantize(neg, ap, full_range),
-                                         ap, full_range)
-                acc += (pos - neg) * (2 ** (cells.slice_bits * s)) * (2 ** b)
-    return acc
+        plane = ((in_codes >> b) & 1).astype(np.float32)
+        for s, polarities in enumerate(split_cells(cells)):
+            for sign, part in zip((1, -1), polarities):
+                for sl in chunk_rows(in_codes.shape[1], xbar_size):
+                    sums = plane[:, sl] @ part[sl]
+                    if noise.quantization:
+                        sums = adc_quantize(sums, ap, full_range).astype(np.int64)
+                    acc += sign * 2 ** (cells.slice_bits * s + b) * sums
+    return acc * (full_range / 2 ** ap) if noise.quantization else acc
 
 
 def test_kernel_matches_per_slice_loop_bit_for_bit():
@@ -137,12 +148,56 @@ def test_prepare_cells_signed_split():
     cells = prepare_cells(w, IDEAL_NOISE, weight_bits=8, slice_bits=4)
     assert cells.n_slices == 2
     # positive entries live only in pos arrays, negatives only in neg
-    for s in range(2):
-        assert np.all(cells.pos_effective[s][:, 1] == 0)
-        assert np.all(cells.neg_effective[s][:, 0] == 0)
+    for pos, neg in split_cells(cells):
+        assert np.all(pos[:, 1] == 0)
+        assert np.all(neg[:, 0] == 0)
     # recompose: pos - neg over slices rebuilds the quantized magnitude
-    rebuilt = sum((cells.pos_effective[s] - cells.neg_effective[s]) * 16 ** s
-                  for s in range(2))
+    rebuilt = sum((pos - neg) * 16 ** s
+                  for s, (pos, neg) in enumerate(split_cells(cells)))
     assert rebuilt[1, 0] == 127
     assert rebuilt[1, 1] == -127
     assert rebuilt[0, 0] == 64  # 0.5 -> round(63.5) = 64
+
+
+def test_prepare_cells_rounds_each_noisy_cell_once_to_float32():
+    w = np.random.default_rng(4).standard_normal((20, 3))
+    noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=8)
+    cells = prepare_cells(w, noise, 8, 4, key=(2,))
+    assert cells.columns.dtype == np.float32
+    ideal = prepare_cells(w, IDEAL_NOISE, 8, 4)
+    for s, ((pos, neg), (ideal_pos, ideal_neg)) in enumerate(
+            zip(split_cells(cells), split_cells(ideal))):
+        for polarity, (got, level) in enumerate(((pos, ideal_pos),
+                                                 (neg, ideal_neg))):
+            mult = noise.multipliers(level.shape, (2, s, polarity))
+            assert np.array_equal(got, (level.astype(float) * mult)
+                                  .astype(np.float32))
+
+
+def test_int32_accumulator_is_exact_at_the_widest_vgg16_conv():
+    # the VGG16 preset's widest conv has 3 * 3 * 512 = 4608 rows, 72 chunks
+    # of 64; every input code is 255 at IP 8 and every cell of a column's
+    # sign holds the top slice value 15, so each chunk sum, 960, converts to
+    # the top code 255 at AP 8, and each column's codes add up to
+    # 72 * 255 * 255 per slice
+    rows, ip, ap, full_range = 4608, 8, 8, 960.0
+    columns = np.zeros((rows, 2, 2, 2), dtype=np.float32)
+    columns[:, :, 0, 0] = 15  # column 0 positive, column 1 negative
+    columns[:, :, 1, 1] = 15
+    cells = CellArrays(columns=columns.reshape(rows, -1), n_slices=2)
+    codes = np.full((3, rows), 255, dtype=np.uint8)
+    [got] = _noisy_matmul(cells, (ap,), ip, codes, EXACT_ADC, 64, full_range)
+    top = np.int64(72 * 255 * 255 * (1 + 16))
+    step = full_range / 2 ** ap
+    assert np.array_equal(got, np.tile([top, -top], (3, 1)) * step)
+    assert np.array_equal(got, loop_matmul(cells, ap, ip, codes, EXACT_ADC,
+                                           64, full_range))
+
+
+def test_kernel_refuses_code_sums_that_could_overflow_int32():
+    # 33,026 one-row chunks of (2^8 - 1)^2 can pass 2^31 - 1; 33,025 cannot
+    cells = CellArrays(columns=np.zeros((33026, 4), dtype=np.float32),
+                       n_slices=1)
+    codes = np.zeros((1, 33026), dtype=np.uint8)
+    with pytest.raises(ValueError, match="int32"):
+        _noisy_matmul(cells, (5, 8), 8, codes, EXACT_ADC, 1, 255.0)

@@ -19,7 +19,7 @@ from imcsearch.nnsim.inference import _quantizable_index, _quantized_layer_outpu
 from imcsearch.nnsim.network import BatchNorm, Conv2D, Dense, RefNet, ReLU
 from imcsearch.nnsim.quantize import quantize_inputs, quantize_slice_weights
 
-from conftest import fc_net, make_platform
+from conftest import fc_net, make_platform, recompose_codes
 
 
 def small_platform(**kw):
@@ -37,7 +37,7 @@ def ideal_quantized_dense(x, layer, ip, weight_bits=8, slice_bits=4):
     sliced = quantize_slice_weights(layer.weight, weight_bits, slice_bits)
     # calibrated on x itself, as a walk without adaptation data is
     codes, in_scale = quantize_inputs(np.maximum(x, 0.0), ip, x.max())
-    q = sliced.recompose_codes()
+    q = recompose_codes(sliced)
     return (codes.astype(float) @ q.astype(float)) * sliced.scale * in_scale \
         + layer.bias
 

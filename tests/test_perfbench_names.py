@@ -9,7 +9,10 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 from conftest import make_platform
+from test_search import CAL, PARTIAL_CONFIG
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -84,3 +87,37 @@ def test_phase1_run_passes_each_step_boundary_once_per_step(monkeypatch):
     config = search.SearchConfig(area_constraint=20.0, n1_steps=7)
     search.phase1_run(designspace.vgg16_space(), make_platform(), config)
     assert calls == {"phase1_loss_grad": 7, "sgd_step": 7}
+
+
+#: ``adc_quantize`` calls of a ``phase2_run`` at ``PARTIAL_CONFIG`` on the
+#: ``toy`` network, counted when the kernel's analog sums were float64.
+PARTIAL_ADC_CALLS = 6012
+#: (rows, batch) of its column sums: 2 slices x 2 signs of each conv's 4
+#: and the fc layer's 2 output columns, over 8 adaptation or 16 evaluation
+#: samples times a conv's 16 output positions.
+PARTIAL_SUM_SHAPES = {(16, 128), (16, 256), (8, 8), (8, 16)}
+
+
+def test_phase2_run_converts_at_the_benchmark_probe_points(toy, monkeypatch):
+    # the lap clock probes the machine at adc_quantize returns, and the
+    # tracer counts nnsim.inference.adc_conversions as its column_sum's size
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    quantize = importlib.import_module("imcsearch.nnsim.quantize")
+    search = importlib.import_module("imcsearch.search")
+    original = quantize.adc_quantize
+    sums = []
+
+    def recording(column_sum, ap, full_range):
+        sums.append((column_sum.dtype, column_sum.shape))
+        return original(column_sum, ap, full_range)
+
+    aliases = tracer.module_aliases(original)
+    assert aliases
+    for owner, attr in aliases:
+        monkeypatch.setattr(owner, attr, recording)
+    space, model, net, data, platform = toy
+    search.phase2_run(net, model, space, platform, PARTIAL_CONFIG, data, CAL)
+    assert len(sums) == PARTIAL_ADC_CALLS
+    assert {dtype for dtype, _ in sums} == {np.dtype(np.float32)}
+    assert {shape for _, shape in sums} == PARTIAL_SUM_SHAPES

@@ -9,20 +9,22 @@ from imcsearch.nnsim.quantize import (
     slice_codes,
 )
 
+from conftest import recompose_codes
+
 
 def test_zero_weights_all_slices_zero_scale_one():
     sliced = quantize_slice_weights(np.zeros((3, 3)))
     assert sliced.scale == 1.0
     for sl in sliced.slices:
         assert np.all(sl == 0)
-    assert np.all(sliced.recompose_codes() == 0)
+    assert np.all(recompose_codes(sliced) == 0)
 
 
 def test_max_magnitude_weight_slices():
     # max magnitude maps to code 127 = 7*16 + 15 -> slices (15, 7) LSB-first
     w = np.array([1.0, -0.25, 0.0])
     sliced = quantize_slice_weights(w, weight_bits=8, slice_bits=4)
-    codes = sliced.recompose_codes()
+    codes = recompose_codes(sliced)
     assert codes[0] == 127
     assert sliced.slices[0][0] == 15  # low nibble
     assert sliced.slices[1][0] == 7   # high nibble
@@ -32,7 +34,7 @@ def test_max_magnitude_weight_slices():
 def test_slice_recompose_exhaustive_all_8bit_codes():
     codes = np.arange(-128, 128, dtype=np.int64)
     sliced = slice_codes(codes, weight_bits=8, slice_bits=4)
-    assert np.array_equal(sliced.recompose_codes(), codes)
+    assert np.array_equal(recompose_codes(sliced), codes)
     for sl in sliced.slices:
         assert sl.min() >= 0 and sl.max() <= 15
 
@@ -42,7 +44,7 @@ def test_slice_recompose_other_slicings(slice_bits):
     codes = np.arange(-127, 128, dtype=np.int64)
     sliced = slice_codes(codes, weight_bits=8, slice_bits=slice_bits)
     assert len(sliced.slices) == 8 // slice_bits
-    assert np.array_equal(sliced.recompose_codes(), codes)
+    assert np.array_equal(recompose_codes(sliced), codes)
 
 
 def test_quantize_rejects_nonfinite():
@@ -127,30 +129,33 @@ def test_adc_dequantize_roundtrip_when_step_divides():
 
 
 def int64_adc_codes(sums, ap, full_range):
-    """The ADC codes as int64, the way the quantizer once returned them."""
-    step = full_range / (2 ** ap)
-    levels = np.clip(np.asarray(sums, dtype=float) / step + 0.5, 0, 2 ** ap - 1)
+    """The ADC codes as int64, computed in the sums' float dtype."""
+    sums = np.asarray(sums)
+    real = sums.dtype.type
+    levels = np.clip(sums / real(full_range / 2 ** ap) + real(0.5), 0, 2 ** ap - 1)
     return levels.astype(np.int64)
 
 
 @pytest.mark.parametrize("ap", range(1, 9))
 def test_adc_in_place_round_trip_matches_int64_codes(ap):
+    # the kernel's float32 sums and float64 sums each convert in their own
+    # dtype, to uint8 codes
     rng = np.random.default_rng(ap)
-    for full_range in (37.3, 64.0, 960.0):
-        step = full_range / (2 ** ap)
-        half_steps = (np.arange(2 ** ap + 2) + 0.5) * step
-        sums = np.concatenate([
-            [-1e9, -full_range, -0.5 * step, -0.0, 0.0],
-            half_steps, np.nextafter(half_steps, 0), np.nextafter(half_steps, 2e9),
-            [full_range, 2 * full_range, 1e9],
-            rng.uniform(-0.1 * full_range, 1.1 * full_range, size=500)])
-        codes = adc_quantize(sums, ap, full_range)
-        assert codes.dtype == np.float64
-        old = int64_adc_codes(sums, ap, full_range)
-        assert np.array_equal(codes, old)
-        codes *= step  # the kernel's in-place dequantization
-        assert np.array_equal(codes, adc_dequantize(old, ap, full_range))
-        assert not np.signbit(codes).any()
+    for dtype in (np.float32, np.float64):
+        for full_range in (37.3, 64.0, 960.0):
+            step = full_range / (2 ** ap)
+            half_steps = ((np.arange(2 ** ap + 2) + 0.5) * step).astype(dtype)
+            sums = np.concatenate([
+                np.array([-1e9, -full_range, -0.5 * step, -0.0, 0.0], dtype),
+                half_steps, np.nextafter(half_steps, dtype(0)),
+                np.nextafter(half_steps, dtype(2e9)),
+                np.array([full_range, 2 * full_range, 1e9], dtype),
+                rng.uniform(-0.1 * full_range, 1.1 * full_range,
+                            size=500).astype(dtype)])
+            assert sums.dtype == dtype
+            codes = adc_quantize(sums, ap, full_range)
+            assert codes.dtype == np.uint8 and codes.shape == sums.shape
+            assert np.array_equal(codes, int64_adc_codes(sums, ap, full_range))
 
 
 def test_adc_quantize_validates_inputs():

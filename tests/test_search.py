@@ -9,7 +9,6 @@ from imcsearch.costmodel import model_cost
 from imcsearch.designspace import (
     ADCType,
     CandidateModel,
-    DesignSpace,
     LayerChoice,
     LayerShape,
     enumerate_options,
@@ -24,11 +23,10 @@ from imcsearch.nnsim import (
     hd_score,
     make_patterns,
     probe_layer,
-    train_tiny,
     walk_layers,
 )
 from imcsearch.nnsim import inference, network
-from imcsearch.search import Phase2Data, SearchConfig, phase1_run, phase2_run
+from imcsearch.search import SearchConfig, phase1_run, phase2_run
 
 from conftest import make_platform
 
@@ -275,38 +273,10 @@ def test_rank_without_admitted_entries_raises(rank_batch):
 # phase 2
 # ---------------------------------------------------------------------------
 
+# ``toy``, the trained 4-layer network these tests walk, is in conftest.py
 CAL = AdcRange("calibrated")
 #: One (ap, ip) per quantizable layer, all different, from the phase-2 grid.
 PLAN = [(5, 3), (6, 8), (5, 6), (6, 4)]
-
-
-def patterns(n, seed):
-    return make_patterns(n, channels=1, height=4, width=4, n_classes=2,
-                         seed=seed)
-
-
-@pytest.fixture(scope="module")
-def toy():
-    """Three 3x3 convs at 4x4 of width 4, then fc: 4 quantizable layers.
-
-    16-row crossbars split each 36-row conv into three row chunks.
-    """
-    conv = LayerShape(kernel=3, in_spatial=(4, 4))
-    shapes = (conv, conv, conv, LayerShape.fc())
-    space = DesignSpace(layer_shapes=shapes,
-                        cd_options_per_layer=((4,), (4,), (4,), (2,)),
-                        input_channels=1, class_count=2)
-    model = CandidateModel(
-        layers=tuple((s, LayerChoice(cd_out=cds[0], cs=8, at=ADCType.SAR,
-                                     ap=6, ip=8))
-                     for s, cds in zip(shapes, space.cd_options_per_layer)),
-        input_channels=1)
-    net = train_tiny(build_refnet(model, 2, seed=1), patterns(32, 2),
-                     epochs=3, lr=0.05, batch_size=16, seed=3)
-    data = Phase2Data(adapt_batches=[patterns(8, 4), patterns(8, 5)],
-                      eval_batch=patterns(16, 6))
-    platform = make_platform(xbar_size=16, xbars_per_tile=4)
-    return space, model, net, data, platform
 
 
 def test_walk_cut_equivalence(toy):
@@ -418,21 +388,22 @@ def test_cells_memo_programs_each_layer_once(toy, monkeypatch):
 
 
 #: Captured with every layer calibrated once per walk, on the adaptation
-#: batches; the seed probes layers 1, 2, 3, 3, 0, 0.
+#: batches, and with float32 cells and analog sums whose ADC codes shift
+#: and add exactly; the seed probes layers 1, 2, 3, 3, 0, 0.
 GOLDEN_SEED = 1
 GOLDEN_TRACE = [
-    {"step": 0, "layer": 1, "mixture_ce": 0.6597022155648116,
-     "expected_delay_ns": 18418.570249999997, "loss": 0.6603536516702737},
-    {"step": 1, "layer": 2, "mixture_ce": 0.6534615860668971,
-     "expected_delay_ns": 18416.76854078761, "loss": 0.6541129584487142},
-    {"step": 2, "layer": 3, "mixture_ce": 0.6459595174395502,
-     "expected_delay_ns": 18416.11485152335, "loss": 0.6466108667013974},
-    {"step": 3, "layer": 3, "mixture_ce": 0.645958672449862,
-     "expected_delay_ns": 18416.04789321576, "loss": 0.6466100193434985},
-    {"step": 4, "layer": 0, "mixture_ce": 0.6448475102611433,
-     "expected_delay_ns": 18415.98090839754, "loss": 0.6454988547856312},
-    {"step": 5, "layer": 0, "mixture_ce": 0.6448297356997829,
-     "expected_delay_ns": 18416.615618012194, "loss": 0.6454811026729599},
+    {"step": 0, "layer": 1, "mixture_ce": 0.6597022156800332,
+     "expected_delay_ns": 18418.570249999997, "loss": 0.6603536517854953},
+    {"step": 1, "layer": 2, "mixture_ce": 0.6534615862072929,
+     "expected_delay_ns": 18416.768540793917, "loss": 0.6541129585891102},
+    {"step": 2, "layer": 3, "mixture_ce": 0.6459595176066468,
+     "expected_delay_ns": 18416.11485153162, "loss": 0.6466108668684944},
+    {"step": 3, "layer": 3, "mixture_ce": 0.6459586726169643,
+     "expected_delay_ns": 18416.047893224044, "loss": 0.6466100195106009},
+    {"step": 4, "layer": 0, "mixture_ce": 0.6448475104321385,
+     "expected_delay_ns": 18415.980908405832, "loss": 0.6454988549566266},
+    {"step": 5, "layer": 0, "mixture_ce": 0.6448297358709038,
+     "expected_delay_ns": 18416.615618017717, "loss": 0.645481102844081},
 ]
 GOLDEN_ASSIGNMENT = [(6, 4), (5, 3), (5, 3), (6, 3)]
 
@@ -447,28 +418,28 @@ def test_phase2_run_golden(toy):
     assert result.assignment == GOLDEN_ASSIGNMENT
 
 
-#: Captured with the calibration of ``GOLDEN_TRACE``: steps 1-3 and 5-7
+#: Captured with the calibration and kernel of ``GOLDEN_TRACE``: steps 1-3 and 5-7
 #: each find one of their 12 probes in the CE cache, step 4 finds all of
 #: them.
 PARTIAL_CONFIG = SearchConfig(area_constraint=1.0, n2_steps=8, seed=2, lr2=2.0)
 PARTIAL_MISSES = [12, 11, 11, 11, 0, 11, 11, 11]
 PARTIAL_TRACE = [
-    {"step": 0, "layer": 3, "mixture_ce": 0.6612237447755345,
-     "expected_delay_ns": 18418.570249999997, "loss": 0.6618751808809966},
-    {"step": 1, "layer": 1, "mixture_ce": 0.6573889573781831,
-     "expected_delay_ns": 18418.53046732689, "loss": 0.6580403920765943},
-    {"step": 2, "layer": 0, "mixture_ce": 0.6423234450168134,
-     "expected_delay_ns": 18417.976505740313, "loss": 0.6429748601224671},
-    {"step": 3, "layer": 1, "mixture_ce": 0.6329409471309414,
-     "expected_delay_ns": 18418.299552863, "loss": 0.6335923736622681},
-    {"step": 4, "layer": 1, "mixture_ce": 0.6329346009233278,
-     "expected_delay_ns": 18417.106863020406, "loss": 0.6335859852710747},
-    {"step": 5, "layer": 3, "mixture_ce": 0.622095060063813,
-     "expected_delay_ns": 18415.91411131961, "loss": 0.6227464022257924},
-    {"step": 6, "layer": 1, "mixture_ce": 0.6339374801786823,
-     "expected_delay_ns": 18415.83178987599, "loss": 0.6345888194290806},
-    {"step": 7, "layer": 0, "mixture_ce": 0.6410470231368771,
-     "expected_delay_ns": 18414.560853119863, "loss": 0.6416983174362244},
+    {"step": 0, "layer": 3, "mixture_ce": 0.6612237441559923,
+     "expected_delay_ns": 18418.570249999997, "loss": 0.6618751802614544},
+    {"step": 1, "layer": 1, "mixture_ce": 0.6573889566678243,
+     "expected_delay_ns": 18418.530467327422, "loss": 0.6580403913662354},
+    {"step": 2, "layer": 0, "mixture_ce": 0.6423234439953716,
+     "expected_delay_ns": 18417.97650573052, "loss": 0.6429748591010249},
+    {"step": 3, "layer": 1, "mixture_ce": 0.632940945918415,
+     "expected_delay_ns": 18418.29955286066, "loss": 0.6335923724497415},
+    {"step": 4, "layer": 1, "mixture_ce": 0.6329345997105543,
+     "expected_delay_ns": 18417.106862995763, "loss": 0.6335859840583004},
+    {"step": 5, "layer": 3, "mixture_ce": 0.6220950586454158,
+     "expected_delay_ns": 18415.914111272665, "loss": 0.6227464008073935},
+    {"step": 6, "layer": 1, "mixture_ce": 0.6339374789886119,
+     "expected_delay_ns": 18415.83178982865, "loss": 0.6345888182390085},
+    {"step": 7, "layer": 0, "mixture_ce": 0.6410470220942011,
+     "expected_delay_ns": 18414.56085304861, "loss": 0.6416983163935458},
 ]
 PARTIAL_ASSIGNMENT = [(6, 4), (5, 4), (5, 3), (6, 4)]
 
