@@ -57,6 +57,7 @@ from .search import (
     phase1_run,
     phase2_run,
     rank_candidates,
+    relative_area_error,
 )
 
 EXIT_OK = 0
@@ -178,21 +179,26 @@ def _phase1_into(run: _RunDir, cfg: AppConfig):
     result = phase1_run(cfg.space, cfg.platform, cfg.search)
     write_trace(result.trace, run.path / "phase1_trace.csv")
     run.record("phase1_trace.csv")
-    admitted = result.pool.admitted()
-    if not admitted:
-        write_pool(result.pool, run.path / "pool.json")
+    area_constraint = cfg.search.area_constraint
+    if not result.pool.admitted():
+        write_pool(result.pool, run.path / "pool.json", area_constraint)
         run.record("pool.json")
         run.finish()
+        miss = result.pool.nearest_miss(area_constraint)
+        nearest = "" if miss is None else (
+            f"; nearest miss: step {miss.step}, area {miss.report.area:.4g} mm^2, "
+            f"{relative_area_error(miss.report.area, area_constraint):+.2%} "
+            f"off the constraint")
         print(f"error: no candidate fell within the "
               f"{100 * ADMISSION_MARGIN:.0f}% area margin of "
-              f"{cfg.search.area_constraint} mm^2 after "
-              f"{cfg.search.n1_steps} steps", file=sys.stderr)
+              f"{area_constraint} mm^2 after "
+              f"{cfg.search.n1_steps} steps{nearest}", file=sys.stderr)
         return result, None
     hd_batch = _fixture_batch(cfg.fixture, cfg.space, cfg.search.hd_batch_size,
                               cfg.search.seed)
     selected = rank_candidates(result.pool, hd_batch, cfg.search.seed,
                                cfg.space.class_count)
-    write_pool(result.pool, run.path / "pool.json",
+    write_pool(result.pool, run.path / "pool.json", area_constraint,
                selected_key=selected.choice_key())
     write_json(run.path / "selected_model.json", model_to_dict(selected.model))
     write_report(selected.report, run.path / "selected_report.json",

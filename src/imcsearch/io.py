@@ -15,7 +15,7 @@ from pathlib import Path
 from .config import _bool, _int
 from .costmodel import CostReport
 from .designspace import ADCType, CandidateModel, LayerChoice, LayerShape
-from .search import CandidatePool, PoolEntry
+from .search import CandidatePool, PoolEntry, relative_area_error
 
 
 def model_to_dict(model: CandidateModel) -> dict:
@@ -88,6 +88,9 @@ def pool_entry_to_dict(entry: PoolEntry) -> dict:
         "step": entry.step,
         "admitted": entry.admitted,
         "hd_score": entry.hd_score,
+        "hd_norm": entry.hd_norm,
+        "delay_norm": entry.delay_norm,
+        "rank_score": entry.rank_score,
         "area_mm2": entry.report.area,
         "delay_ns": entry.report.delay,
         "energy_pJ": entry.report.energy,
@@ -96,12 +99,21 @@ def pool_entry_to_dict(entry: PoolEntry) -> dict:
     }
 
 
-def write_pool(pool: CandidatePool, path: Path,
+def write_pool(pool: CandidatePool, path: Path, area_constraint: float,
                selected_key: tuple | None = None) -> None:
+    """The pool's entries, the selected entry's choices and, when nothing
+    was admitted, the nearest miss: its step, area and relative area error."""
+    miss = pool.nearest_miss(area_constraint)
     payload = {
         "entries": [pool_entry_to_dict(e) for e in pool.entries],
         "admitted_count": len(pool.admitted()),
         "selected": list(map(list, selected_key)) if selected_key else None,
+        "nearest_miss": None if miss is None else {
+            "step": miss.step,
+            "area_mm2": miss.report.area,
+            "rel_area_error": relative_area_error(miss.report.area,
+                                                  area_constraint),
+        },
     }
     write_json(path, payload)
 

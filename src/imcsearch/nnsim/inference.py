@@ -84,6 +84,8 @@ def _noisy_matmul(cells: CellArrays, aps: tuple[int, ...], ip: int,
                          f"IP {ip} can overflow the int32 accumulator")
     # without ADC quantization every AP accumulates the same float sums
     converts = aps if noise.quantization else (None,)
+    # a conv layer's codes keep im2col's transposed layout, so this copies
+    # only a dense layer's
     codes = np.ascontiguousarray(in_codes.T)
     bits, plane = np.empty_like(codes), np.empty(codes.shape, dtype=np.float32)
     accs = [np.zeros((n_slices * 2 * cols, n), float if ap is None else np.int32)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import copy
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -58,25 +58,29 @@ def im2col(x: np.ndarray, kernel: int, stride: int,
            pad: int) -> tuple[np.ndarray, tuple[int, int]]:
     """(N, C, H, W) -> (N * outH * outW, C * k * k) patch matrix.
 
-    Rows run over (n, out_y, out_x) and columns over (c, ky, kx), and the
-    matrix is C-contiguous.  The input is zero-padded into a channels-last
-    (N, H + 2p, W + 2p, C) buffer; a conv layer's output is channels-last
-    in memory, so filling that buffer is a plain copy.  The strided window
-    view of the buffer is already in (n, out_y, out_x, c, ky, kx) order,
-    and reshaping it to the matrix is the only copy of the patches.
+    Rows run over (n, out_y, out_x) and columns over (c, ky, kx).  The
+    matrix is the transpose view of a C-contiguous (C * k * k, N * outH *
+    outW) array, so each patch column is one contiguous run.  The input is
+    zero-padded into a channels-first (C, N, H + 2p, W + 2p) buffer, whose
+    strided window view, transposed to (c, ky, kx, n, out_y, out_x) order,
+    is copied once: every copied run is an output row of ``outW`` values,
+    where a row-major patch matrix would copy runs of ``k``.  The matrix
+    keeps the input's dtype; in a float32 forward a row-major gather cost
+    about twice the product with the weights.
     """
     n, c, h, w = x.shape
-    xt = x.transpose(0, 2, 3, 1)
+    xt = x.transpose(1, 0, 2, 3)
     if pad:
         # np.pad gives the same array but costs ~30 us more per call, ~10%
         # of im2col at the phase-2 toy shapes (64 x 8 x 8 x 8)
-        padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-        padded[:, pad:pad + h, pad:pad + w] = xt
+        padded = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[:, :, pad:pad + h, pad:pad + w] = xt
         xt = padded
     windows = sliding_window_view(xt, (kernel, kernel),
-                                  axis=(1, 2))[:, ::stride, ::stride]
-    out_h, out_w = windows.shape[1:3]
-    return windows.reshape(n * out_h * out_w, -1), (out_h, out_w)
+                                  axis=(2, 3))[:, :, ::stride, ::stride]
+    out_h, out_w = windows.shape[2:4]
+    cols = np.ascontiguousarray(windows.transpose(0, 4, 5, 1, 2, 3))
+    return cols.reshape(c * kernel * kernel, -1).T, (out_h, out_w)
 
 
 def col2im(cols: np.ndarray, x_shape: tuple[int, ...], kernel: int,
@@ -326,11 +330,15 @@ _LAYER_KINDS = {cls.kind: cls for cls in (Conv2D, Dense, BatchNorm, ReLU,
 # the network
 # ---------------------------------------------------------------------------
 
-#: Samples per block of ``RefNet.forward_with_codes``.  Medians of 3
-#: alternated ``hd_rank_vgg16`` harness runs (20 s, seed 11, shared 2-vCPU
-#: host): the whole 64-sample batch ran 2.36 candidates/s at a 341 MiB
-#: peak RSS; blocks of 4 ran 2.52/s at 143 MiB, of 8 2.63/s at 162 MiB,
-#: and of 16 2.61/s at 185 MiB.
+#: Samples per block of ``RefNet.forward_with_codes``.  Float64 codes,
+#: medians of 3 alternated ``hd_rank_vgg16`` harness runs (20 s, seed 11,
+#: shared 2-vCPU host): the whole 64-sample batch ran 2.36 candidates/s at
+#: a 341 MiB peak RSS; blocks of 4 ran 2.52/s at 143 MiB, of 8 2.63/s at
+#: 162 MiB, and of 16 2.61/s at 185 MiB.  Float32 codes over the transposed
+#: patch gather, medians of 4 harness runs (30 s, seeds 901-904, order
+#: rotated, one BLAS thread): blocks of 4 ran 3.65/s at 77.5 MiB, of 8
+#: 3.78/s at 81.9 MiB, and of 16 4.00/s at 91.3 MiB.  Per seed, 16 read
+#: 0.0-11% (median 1.4%) above 8, within the runs' spread, for 9 MiB more.
 CODE_BLOCK = 8
 
 
@@ -352,12 +360,17 @@ class RefNet:
         samples, and each block's logits and codes are written into their
         rows of the whole batch's arrays.
 
+        Every layer keeps its input's dtype, so the pass runs in the dtype
+        of ``x`` and of the net's arrays; ``hd_score`` runs it in float32.
+
         In eval mode every layer treats each sample on its own (batchnorm
         uses its running statistics), so blocking changes no code: a
         product over fewer patch rows may round differently in BLAS, which
         moves a pre-ReLU activation or a logit by ulps.  A code reads
         only the sign, so it could change only for an activation within
-        rounding of zero; none did in any batch measured.
+        rounding of zero; none did in any batch measured.  Likewise, a
+        float32 pass gives the codes of a float64 one except where an
+        activation lies within float32 rounding of zero.
         """
         n = x.shape[0]
         if n == 0:
@@ -387,6 +400,17 @@ class RefNet:
 
     def clone(self) -> "RefNet":
         return copy.deepcopy(self)
+
+    def astype(self, dtype) -> "RefNet":
+        """A shallow copy whose layers hold their declared ``arrays`` in
+        ``dtype``; an array already in ``dtype`` is shared, not copied."""
+        layers = []
+        for layer in self.layers:
+            cast = copy.copy(layer)
+            for name in layer.arrays:
+                setattr(cast, name, getattr(layer, name).astype(dtype, copy=False))
+            layers.append(cast)
+        return replace(self, layers=layers)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -67,10 +67,13 @@ def slice_codes(codes: np.ndarray, weight_bits: int, slice_bits: int,
 def quantize_inputs(activations: np.ndarray, ip: int,
                     amax: float) -> tuple[np.ndarray, float]:
     """Non-negative activations -> uint8 codes in [0, 2^ip - 1] plus scale;
-    the calibrated max ``amax`` maps to 2^ip - 1, and larger values clip."""
+    the calibrated max ``amax`` maps to 2^ip - 1, and larger values clip.
+    The codes keep the activations' memory layout, so the transposed patch
+    matrix of ``im2col`` gives codes whose columns are contiguous."""
     qmax = 2 ** ip - 1
     scale = amax / qmax if amax > 0 else 1.0
-    levels = np.divide(activations, scale, out=np.empty(np.shape(activations)))
+    levels = np.divide(activations, scale,
+                       out=np.empty_like(activations, dtype=float))
     np.round(levels, out=levels)
     np.clip(levels, 0, qmax, out=levels)
     return levels.astype(np.uint8), scale

@@ -84,11 +84,16 @@ class SearchConfig:
             raise ValueError("hd_batch_size must be >= 1")
 
 
-def admit(report: CostReport, area_constraint: float) -> bool:
-    """True when the report's area is within 2% of the constraint."""
+def relative_area_error(area: float, area_constraint: float) -> float:
+    """(area - constraint) / constraint: positive above the constraint."""
     if area_constraint <= 0:
         raise ValueError("area_constraint must be positive")
-    return abs(report.area - area_constraint) / area_constraint <= ADMISSION_MARGIN
+    return (area - area_constraint) / area_constraint
+
+
+def admit(report: CostReport, area_constraint: float) -> bool:
+    """True when the report's area is within 2% of the constraint."""
+    return abs(relative_area_error(report.area, area_constraint)) <= ADMISSION_MARGIN
 
 
 @dataclass
@@ -98,6 +103,11 @@ class PoolEntry:
     step: int
     admitted: bool
     hd_score: float | None = None
+    # the ranking's terms, set by ``rank_candidates`` on admitted entries:
+    # min-max normalized HD score and delay, and hd_norm - delay_norm
+    hd_norm: float | None = None
+    delay_norm: float | None = None
+    rank_score: float | None = None
 
     def choice_key(self) -> tuple:
         return tuple((c.cd_out, c.cs, c.at.value) for _, c in self.model.layers)
@@ -109,6 +119,14 @@ class CandidatePool:
 
     def admitted(self) -> list[PoolEntry]:
         return [e for e in self.entries if e.admitted]
+
+    def nearest_miss(self, area_constraint: float) -> PoolEntry | None:
+        """The earliest entry whose area lies nearest the constraint, when
+        none is admitted; None when one is or the pool is empty."""
+        if self.admitted():
+            return None
+        return min(self.entries, default=None,
+                   key=lambda e: abs(e.report.area - area_constraint))
 
     def record(self, entry: PoolEntry) -> bool:
         """Append a candidate not yet in the pool; True, as it is new.
@@ -201,7 +219,8 @@ def rank_candidates(pool: CandidatePool, hd_batch: TensorBatch, seed: int,
 
     The two objectives are min-max normalized over the admitted pool and
     combined with equal weight; ties resolve to the earliest entry.  Every
-    admitted entry gets its hd_score field filled in.
+    admitted entry gets its hd_score, hd_norm, delay_norm and rank_score
+    fields filled in.
 
     The score is ``hd_score(build_refnet(model, class_count, seed),
     hd_batch)``: each candidate is scored at the weights ``build_refnet``
@@ -216,15 +235,17 @@ def rank_candidates(pool: CandidatePool, hd_batch: TensorBatch, seed: int,
     for entry in admitted:
         key = tuple((shape, choice.cd_out) for shape, choice in entry.model.layers)
         if key not in scored:
-            # no name holds the network, so it is freed before the next is built
+            # no name holds the network, so it is freed before the next is
+            # built; cast here, its float64 draw is freed before the forward
             scored[key] = hd_score(build_refnet(entry.model, class_count,
-                                                seed=seed), hd_batch)
+                                                seed=seed).astype(np.float32),
+                                   hd_batch)
         entry.hd_score = scored[key]
     hd_n = _minmax_normalize([e.hd_score for e in admitted])
     delay_n = _minmax_normalize([e.report.delay for e in admitted])
-    scores = [h - d for h, d in zip(hd_n, delay_n)]
-    best = max(range(len(admitted)), key=lambda i: (scores[i], -admitted[i].step))
-    return admitted[best]
+    for entry, h, d in zip(admitted, hd_n, delay_n):
+        entry.hd_norm, entry.delay_norm, entry.rank_score = h, d, h - d
+    return max(admitted, key=lambda e: (e.rank_score, -e.step))
 
 
 def phase2_loss(ce: float, expected_delay: float, delay_ref: float,

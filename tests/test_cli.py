@@ -52,6 +52,45 @@ def test_phase1_empty_pool_exits_3_and_names_the_margin(tmp_path, capsys):
     assert "2%" in err
 
 
+def test_phase1_empty_pool_names_the_nearest_miss(tmp_path, capsys):
+    # between the areas the toy search's argmax candidates reach
+    constraint = 5.0
+    path = write_config(tmp_path, dict(CONFIG["search"],
+                                       area_constraint_mm2=constraint))
+    out = tmp_path / "run"
+    assert cli.main(["phase1", "--config", str(path),
+                     "--out-dir", str(out)]) == cli.EXIT_EMPTY_POOL
+    pool = json.loads((out / "pool.json").read_text())
+    nearest = min(pool["entries"],
+                  key=lambda e: abs(e["area_mm2"] - constraint))
+    miss = pool["nearest_miss"]
+    assert miss == {"step": nearest["step"], "area_mm2": nearest["area_mm2"],
+                    "rel_area_error": (nearest["area_mm2"] - constraint)
+                    / constraint}
+    assert abs(miss["rel_area_error"]) > search.ADMISSION_MARGIN
+    err = capsys.readouterr().err
+    assert (f"nearest miss: step {miss['step']}, area "
+            f"{miss['area_mm2']:.4g} mm^2, {miss['rel_area_error']:+.2%}") in err
+
+
+def test_phase1_pool_records_the_ranking_terms(phase2_inputs):
+    pool = json.loads((phase2_inputs[1] / "pool.json").read_text())
+    assert pool["admitted_count"] > 0 and pool["nearest_miss"] is None
+    for entry in pool["entries"]:
+        terms = [entry[k] for k in ("hd_norm", "delay_norm", "rank_score")]
+        if not entry["admitted"]:
+            assert terms == [None, None, None]
+            continue
+        hd_norm, delay_norm, rank_score = terms
+        assert 0 <= hd_norm <= 1 and 0 <= delay_norm <= 1
+        assert rank_score == hd_norm - delay_norm
+    selected = next(e for e in pool["entries"] if [
+        [c["choice"]["cd_out"], c["choice"]["cs"], c["choice"]["at"]]
+        for c in e["model"]["layers"]] == pool["selected"])
+    assert selected["rank_score"] == max(
+        e["rank_score"] for e in pool["entries"] if e["admitted"])
+
+
 def test_phase1_missing_area_constraint_exits_2_naming_the_field(tmp_path,
                                                                  capsys):
     path = write_config(tmp_path, CONFIG["search"])

@@ -132,7 +132,8 @@ def test_im2col_matches_per_pixel_loop(kernel, stride, pad, channels_last):
     want, want_hw = _naive_im2col(x, kernel, stride, pad)
     assert out_hw == want_hw
     assert np.array_equal(cols, want)
-    assert cols.flags.c_contiguous
+    # each patch column is one contiguous run
+    assert cols.T.flags.c_contiguous
 
 
 def test_conv_backward():

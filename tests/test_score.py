@@ -116,13 +116,36 @@ def test_hd_score_does_not_mutate_input_net():
     after = [p for l in net.layers for p in l.params()]
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
+    # the float32 forward runs on a copy; the net keeps its float64 arrays
+    for layer in net.layers:
+        for name in layer.arrays:
+            assert getattr(layer, name).dtype == np.float64
+
+
+def test_hd_score_collects_codes_in_float32(monkeypatch):
+    seen = []
+    collect = RefNet.forward_with_codes
+
+    def spy(self, x):
+        seen.append((x.dtype, {getattr(layer, name).dtype
+                               for layer in self.layers
+                               for name in layer.arrays}))
+        return collect(self, x)
+
+    monkeypatch.setattr(RefNet, "forward_with_codes", spy)
+    shape = LayerShape(kernel=3, in_spatial=(8, 8))
+    net = candidate_net([shape, LayerShape.fc()], [4, 2], input_channels=1,
+                        seed=0)
+    hd_score(net, make_patterns(4, channels=1, height=8, width=8, seed=0))
+    f32 = np.dtype(np.float32)
+    assert seen == [(f32, {f32})]
 
 
 def test_hd_score_memory_stays_at_a_few_blocks_of_patches():
-    # the whole batch at once builds 64 x 16 x 16 patch rows of 144 float64
-    # columns per 16-channel conv input, 18 MiB, and peaks at 25 MiB; blocks
-    # of samples peak at 5 MiB, most of it one float32 chunk of the Gram
-    # product
+    # the whole batch at once builds 64 x 16 x 16 patch rows of 144 float32
+    # columns per 16-channel conv input, 9 MiB, and peaks at 13 MiB (25 MiB
+    # in float64); blocks of samples peak at 5 MiB, most of it one float32
+    # chunk of the Gram product
     shape = LayerShape(kernel=3, in_spatial=(16, 16))
     net = candidate_net([shape] * 3 + [LayerShape.fc()], [16, 16, 32, 2],
                         input_channels=3, seed=0)

@@ -229,6 +229,35 @@ def test_rank_candidates_golden(rank_batch):
     assert selected.step == RANK_SELECTED_STEP
 
 
+def test_rank_candidates_records_its_terms(rank_batch):
+    pool = rank_pool(RANK_SPECS)
+    selected = search.rank_candidates(pool, rank_batch, RANK_SEED, 2)
+    admitted = pool.admitted()
+    hd = [e.hd_score for e in admitted]
+    delay = [e.report.delay for e in admitted]
+    for e in admitted:
+        assert e.hd_norm == (e.hd_score - min(hd)) / (max(hd) - min(hd))
+        assert e.delay_norm == ((e.report.delay - min(delay))
+                                / (max(delay) - min(delay)))
+        assert e.rank_score == e.hd_norm - e.delay_norm
+    assert selected.rank_score == max(e.rank_score for e in admitted)
+    (rejected,) = [e for e in pool.entries if not e.admitted]
+    assert (rejected.hd_norm, rejected.delay_norm, rejected.rank_score) == (
+        None, None, None)
+
+
+def test_nearest_miss_is_the_earliest_entry_nearest_the_constraint():
+    # entry 0 last again, so two entries tie at the nearest area
+    specs = [(widths, cs, False) for widths, cs, _ in RANK_SPECS]
+    pool = rank_pool(specs + specs[:1])
+    target = pool.entries[0].report.area * 1.5
+    assert pool.nearest_miss(target) is min(
+        pool.entries, key=lambda e: (abs(e.report.area - target), e.step))
+    assert pool.nearest_miss(pool.entries[-1].report.area) is pool.entries[0]
+    assert search.CandidatePool().nearest_miss(target) is None
+    assert rank_pool(RANK_SPECS).nearest_miss(target) is None
+
+
 def test_rank_scores_equal_hd_score_of_the_built_net(rank_batch):
     pool = rank_pool(RANK_SPECS)
     search.rank_candidates(pool, rank_batch, RANK_SEED, 2)
