@@ -50,6 +50,7 @@ from .nnsim import (
 )
 from .search import (
     ADMISSION_MARGIN,
+    CandidatePool,
     EmptyPoolError,
     Phase2Data,
     SearchConfig,
@@ -175,6 +176,19 @@ def cmd_eval(config_path: Path, model_path: Path, out_dir: Path,
     return EXIT_OK
 
 
+def _empty_pool_message(pool: CandidatePool, search_cfg: SearchConfig) -> str:
+    """Why a phase-1 pool admitted nothing, naming its nearest miss."""
+    area_constraint = search_cfg.area_constraint
+    miss = pool.nearest_miss(area_constraint)
+    nearest = "" if miss is None else (
+        f"; nearest miss: step {miss.step}, area {miss.report.area:.4g} mm^2, "
+        f"{relative_area_error(miss.report.area, area_constraint):+.2%} "
+        f"off the constraint")
+    return (f"no candidate fell within the {100 * ADMISSION_MARGIN:.0f}% area "
+            f"margin of {area_constraint} mm^2 after {search_cfg.n1_steps} "
+            f"steps{nearest}")
+
+
 def _phase1_into(run: _RunDir, cfg: AppConfig):
     result = phase1_run(cfg.space, cfg.platform, cfg.search)
     write_trace(result.trace, run.path / "phase1_trace.csv")
@@ -184,15 +198,8 @@ def _phase1_into(run: _RunDir, cfg: AppConfig):
         write_pool(result.pool, run.path / "pool.json", area_constraint)
         run.record("pool.json")
         run.finish()
-        miss = result.pool.nearest_miss(area_constraint)
-        nearest = "" if miss is None else (
-            f"; nearest miss: step {miss.step}, area {miss.report.area:.4g} mm^2, "
-            f"{relative_area_error(miss.report.area, area_constraint):+.2%} "
-            f"off the constraint")
-        print(f"error: no candidate fell within the "
-              f"{100 * ADMISSION_MARGIN:.0f}% area margin of "
-              f"{area_constraint} mm^2 after "
-              f"{cfg.search.n1_steps} steps{nearest}", file=sys.stderr)
+        print(f"error: {_empty_pool_message(result.pool, cfg.search)}",
+              file=sys.stderr)
         return result, None
     hd_batch = _fixture_batch(cfg.fixture, cfg.space, cfg.search.hd_batch_size,
                               cfg.search.seed)
@@ -297,10 +304,10 @@ def _sweep_point(args: tuple) -> dict:
             check_class_count(cfg.space)
             run = _RunDir(Path(point_dir), f"sweep:{axis}", config_path,
                           cfg.search.seed)
-            _, selected = _phase1_into(run, cfg)
+            result, selected = _phase1_into(run, cfg)
             if selected is None:
                 row["status"] = "empty_pool"
-                row["message"] = "no candidate within area margin"
+                row["message"] = _empty_pool_message(result.pool, cfg.search)
                 return row
             run.finish()
             report = selected.report

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -99,6 +100,14 @@ def col2im(cols: np.ndarray, x_shape: tuple[int, ...], kernel: int,
     return x[:, :, pad:pad + h, pad:pad + w] if pad else x
 
 
+def _he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int,
+               dtype) -> np.ndarray:
+    """He-scaled normal weights: float64 draws times sqrt(2 / fan_in),
+    rounded once into a ``dtype`` array."""
+    return np.multiply(rng.standard_normal(shape), np.sqrt(2.0 / fan_in),
+                       out=np.empty(shape, dtype))
+
+
 class Layer:
     kind: str
     args: tuple[str, ...] = ()
@@ -111,8 +120,11 @@ class Layer:
     def backward(self, dout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def init_weights(self, rng: np.random.Generator) -> None:
-        """Draw fresh weights; a layer without weights draws nothing."""
+    def init_weights(self, rng: np.random.Generator, dtype=float) -> None:
+        """Draw fresh weights into ``dtype`` arrays; a layer without
+        weights draws nothing.  Each weight is a float64 normal draw times
+        its He scale, rounded once to ``dtype``, so a float32 net equals
+        the float64 net of the same draw cast to float32."""
 
     def params(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in self.param_names]
@@ -141,9 +153,9 @@ class Conv2D(Layer):
     def pad(self) -> int:
         return self.kernel // 2
 
-    def init_weights(self, rng: np.random.Generator) -> None:
-        fan_in = self.c_in * self.kernel ** 2
-        self.weight = rng.standard_normal(self.weight.shape) * np.sqrt(2.0 / fan_in)
+    def init_weights(self, rng: np.random.Generator, dtype=float) -> None:
+        self.weight = _he_normal(rng, self.weight.shape,
+                                 self.c_in * self.kernel ** 2, dtype)
 
     def weight_matrix(self) -> np.ndarray:
         """(C_in * k * k, C_out) layout used by the crossbar path."""
@@ -178,9 +190,9 @@ class Dense(Layer):
         self.bias = np.zeros(n_out)
         self._cache = None
 
-    def init_weights(self, rng: np.random.Generator) -> None:
-        self.weight = rng.standard_normal(self.weight.shape) * np.sqrt(2.0 / self.n_in)
-        self.bias = np.zeros(self.n_out)
+    def init_weights(self, rng: np.random.Generator, dtype=float) -> None:
+        self.weight = _he_normal(rng, self.weight.shape, self.n_in, dtype)
+        self.bias = np.zeros(self.n_out, dtype)
 
     def forward(self, x, train=False):
         if train:
@@ -210,12 +222,12 @@ class BatchNorm(Layer):
         self.init_weights(None)
         self._cache = None
 
-    def init_weights(self, rng: np.random.Generator | None) -> None:
+    def init_weights(self, rng: np.random.Generator | None, dtype=float) -> None:
         """Reset to the identity transform and unit statistics; draws nothing."""
-        self.gamma = np.ones(self.num_features)
-        self.beta = np.zeros(self.num_features)
-        self.running_mean = np.zeros(self.num_features)
-        self.running_var = np.ones(self.num_features)
+        self.gamma = np.ones(self.num_features, dtype)
+        self.beta = np.zeros(self.num_features, dtype)
+        self.running_mean = np.zeros(self.num_features, dtype)
+        self.running_var = np.ones(self.num_features, dtype)
 
     @staticmethod
     def _axes(x: np.ndarray) -> tuple[int, ...]:
@@ -330,16 +342,14 @@ _LAYER_KINDS = {cls.kind: cls for cls in (Conv2D, Dense, BatchNorm, ReLU,
 # the network
 # ---------------------------------------------------------------------------
 
-#: Samples per block of ``RefNet.forward_with_codes``.  Float64 codes,
-#: medians of 3 alternated ``hd_rank_vgg16`` harness runs (20 s, seed 11,
-#: shared 2-vCPU host): the whole 64-sample batch ran 2.36 candidates/s at
-#: a 341 MiB peak RSS; blocks of 4 ran 2.52/s at 143 MiB, of 8 2.63/s at
-#: 162 MiB, and of 16 2.61/s at 185 MiB.  Float32 codes over the transposed
-#: patch gather, medians of 4 harness runs (30 s, seeds 901-904, order
-#: rotated, one BLAS thread): blocks of 4 ran 3.65/s at 77.5 MiB, of 8
-#: 3.78/s at 81.9 MiB, and of 16 4.00/s at 91.3 MiB.  Per seed, 16 read
-#: 0.0-11% (median 1.4%) above 8, within the runs' spread, for 9 MiB more.
-CODE_BLOCK = 8
+#: Patch rows per block of ``RefNet.forward_with_codes``: each pooling
+#: stage runs in blocks of as many samples as this many rows hold at the
+#: stage's input size, so no patch matrix has more rows.  Medians of 3
+#: ``hd_rank_vgg16`` harness runs (30 s, seeds 61-63, one BLAS thread,
+#: shared 2-vCPU host), candidates/s at peak RSS: 1024 rows 4.35 at
+#: 80.9 MiB, 2048 4.50 at 81.2 MiB, 4096 4.10 at 92.6 MiB, 8192 3.93 at
+#: 90.8 MiB; the 8-sample blocks before ran 3.88 at 81.5 MiB.
+CODE_ROWS = 2048
 
 
 @dataclass
@@ -356,9 +366,14 @@ class RefNet:
     def forward_with_codes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Eval-mode forward pass that also collects the binary ReLU codes.
 
-        The batch runs through all layers in blocks of ``CODE_BLOCK``
-        samples, and each block's logits and codes are written into their
-        rows of the whole batch's arrays.
+        The layers run in stages, each ending at a pooling layer.  A stage
+        runs the whole batch in blocks of ``CODE_ROWS // (h * w)`` samples
+        (at least one, at most the batch), where h x w is the stage's
+        input size, so no patch matrix exceeds ``CODE_ROWS`` rows and the
+        small late stages run in few, large products.  Each block's output
+        is written into its rows of the stage's whole-batch output, which
+        the next stage reads, and each ReLU's codes into their rows and
+        columns of the code matrix.
 
         Every layer keeps its input's dtype, so the pass runs in the dtype
         of ``x`` and of the net's arrays; ``hd_score`` runs it in float32.
@@ -375,28 +390,37 @@ class RefNet:
         n = x.shape[0]
         if n == 0:
             raise ValueError("batch has no samples to encode")
-        logits = codes = None
-        for start in range(0, n, CODE_BLOCK):
-            out = x[start:start + CODE_BLOCK]
-            rows = slice(start, start + out.shape[0])
-            block_codes = []
-            for layer in self.layers:
-                if isinstance(layer, ReLU):
-                    block_codes.append((out > 0).reshape(out.shape[0], -1))
-                out = layer.forward(out)
-            if not block_codes:
-                raise ValueError("network has no ReLU layers to encode")
-            if codes is None:
-                bits = sum(c.shape[1] for c in block_codes)
-                codes = np.empty((n, bits), dtype=bool)
-                logits = np.empty((n,) + out.shape[1:], dtype=out.dtype)
-            np.concatenate(block_codes, axis=1, out=codes[rows])
-            logits[rows] = out
-        return logits, codes
-
-    def init_weights(self, rng: np.random.Generator) -> None:
+        # a pass of no samples gives each layer's input shape and dtype
+        empty = [x[:0]]
         for layer in self.layers:
-            layer.init_weights(rng)
+            empty.append(layer.forward(empty[-1]))
+        relus = [i for i, layer in enumerate(self.layers) if isinstance(layer, ReLU)]
+        if not relus:
+            raise ValueError("network has no ReLU layers to encode")
+        ends = np.cumsum([0] + [math.prod(empty[i].shape[1:]) for i in relus])
+        columns = {i: slice(a, b) for i, a, b in zip(relus, ends, ends[1:])}
+        codes = np.empty((n, ends[-1]), dtype=bool)
+        cuts = sorted({0, len(self.layers)} | {
+            i + 1 for i, layer in enumerate(self.layers)
+            if isinstance(layer, (AvgPool2D, GlobalAvgPool))})
+        for lo, hi in zip(cuts, cuts[1:]):
+            block = max(1, min(n, CODE_ROWS // math.prod(empty[lo].shape[2:])))
+            stage_out = np.empty((n,) + empty[hi].shape[1:], empty[hi].dtype)
+            for start in range(0, n, block):
+                out = x[start:start + block]
+                rows = slice(start, start + out.shape[0])
+                for i in range(lo, hi):
+                    if i in columns:  # its code columns, in its input's shape
+                        np.greater(out, 0,
+                                   out=codes[rows, columns[i]].reshape(out.shape))
+                    out = self.layers[i].forward(out)
+                stage_out[rows] = out
+            x = stage_out
+        return x, codes
+
+    def init_weights(self, rng: np.random.Generator, dtype=float) -> None:
+        for layer in self.layers:
+            layer.init_weights(rng, dtype)
 
     def clone(self) -> "RefNet":
         return copy.deepcopy(self)
@@ -479,14 +503,16 @@ def train_tiny(net: RefNet, dataset: TensorBatch, epochs: int, lr: float,
 # builders
 # ---------------------------------------------------------------------------
 
-def build_refnet(model, class_count: int, seed: int = 0) -> RefNet:
+def build_refnet(model, class_count: int, seed: int = 0,
+                 dtype=float) -> RefNet:
     """Reference network matching a candidate's layer widths.
 
     Convolution layers become conv-BN-ReLU blocks (with an average pool
     wherever the candidate's fixed shapes halve the spatial extent); the
     final fully-connected layer becomes the classifier after a global
     average pool.  The candidate's last layer must produce ``class_count``
-    channels.
+    channels.  The weights are drawn from ``seed`` and held in ``dtype``
+    (see ``Layer.init_weights``).
     """
     layers: list[Layer] = []
     prev_cd = model.input_channels
@@ -517,7 +543,7 @@ def build_refnet(model, class_count: int, seed: int = 0) -> RefNet:
         raise ValueError(f"candidate's last layer yields {prev_cd} outputs, "
                          f"expected {class_count} classes")
     net = RefNet(layers=layers, class_count=class_count)
-    net.init_weights(np.random.default_rng(seed))
+    net.init_weights(np.random.default_rng(seed), dtype)
     return net
 
 

@@ -54,14 +54,16 @@ def hd_score(net: RefNet, batch: TensorBatch | np.ndarray) -> float:
 
     The code-collecting forward runs in float32, as NASWOT's reference
     does (arXiv:2006.04647), on a float32 copy of the batch and of the
-    net's arrays; ``net`` stays as it is.  Every layer keeps its input's
+    net's arrays; ``net`` stays as it is.  A batch or array already in
+    float32 is used as it is, not copied, so a caller that scores many
+    nets on one batch casts it once.  Every layer keeps its input's
     dtype, so the whole forward is float32.  A code reads only the sign of
     a pre-ReLU activation, so it differs from a float64 forward's only
     where that activation lies within float32 rounding of zero: over ten
     VGG16 ranking pools, 7 of 199 million code bits flipped.
 
-    The forward runs in blocks of samples (``network.CODE_BLOCK``), so no
-    layer's patch matrix holds the whole batch.  The codes, and so the
+    The forward runs each pooling stage in blocks of samples, so no
+    patch matrix exceeds ``network.CODE_ROWS`` rows.  The codes, and so the
     score, are those of the whole batch at once: eval mode treats every
     sample on its own, and BLAS row blocking moves an activation by ulps,
     which could flip a code only for an activation within rounding of

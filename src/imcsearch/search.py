@@ -231,15 +231,15 @@ def rank_candidates(pool: CandidatePool, hd_batch: TensorBatch, seed: int,
     admitted = pool.admitted()
     if not admitted:
         raise EmptyPoolError("no admitted candidates to rank")
+    x = np.asarray(hd_batch.data, dtype=np.float32)  # hd_score's dtype
     scored: dict[tuple, float] = {}  # (shape, cd_out) per layer -> score
     for entry in admitted:
         key = tuple((shape, choice.cd_out) for shape, choice in entry.model.layers)
         if key not in scored:
             # no name holds the network, so it is freed before the next is
-            # built; cast here, its float64 draw is freed before the forward
+            # built; its weights are drawn straight into float32
             scored[key] = hd_score(build_refnet(entry.model, class_count,
-                                                seed=seed).astype(np.float32),
-                                   hd_batch)
+                                                seed=seed, dtype=np.float32), x)
         entry.hd_score = scored[key]
     hd_n = _minmax_normalize([e.hd_score for e in admitted])
     delay_n = _minmax_normalize([e.report.delay for e in admitted])

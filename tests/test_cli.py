@@ -73,6 +73,21 @@ def test_phase1_empty_pool_names_the_nearest_miss(tmp_path, capsys):
             f"{miss['area_mm2']:.4g} mm^2, {miss['rel_area_error']:+.2%}") in err
 
 
+def test_sweep_empty_pool_row_names_the_nearest_miss(tmp_path, capsys):
+    # the phase1 message, nearest miss included, at the same constraint
+    path = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=5.0))
+    assert cli.main(["phase1", "--config", str(path), "--out-dir",
+                     str(tmp_path / "run")]) == cli.EXIT_EMPTY_POOL
+    (line,) = capsys.readouterr().err.splitlines()
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(path), "--axis", "area_constraint",
+                     "--values", "5", "--out-dir", str(out)]) == cli.EXIT_EMPTY_POOL
+    (row,) = read_sweep(out)
+    assert row["status"] == "empty_pool"
+    assert "nearest miss: step " in row["message"]
+    assert line == f"error: {row['message']}"
+
+
 def test_phase1_pool_records_the_ranking_terms(phase2_inputs):
     pool = json.loads((phase2_inputs[1] / "pool.json").read_text())
     assert pool["admitted_count"] > 0 and pool["nearest_miss"] is None

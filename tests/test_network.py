@@ -400,32 +400,80 @@ def test_build_refnet_rejects_class_mismatch():
         build_refnet(model, class_count=3, seed=0)
 
 
+def test_build_refnet_in_float32_is_the_float64_net_cast():
+    # each weight rounds once from the same float64 draw
+    shapes = [LayerShape(kernel=3, in_spatial=(8, 8)),
+              LayerShape(kernel=3, in_spatial=(4, 4)), LayerShape.fc(),
+              LayerShape.fc()]
+    layers = tuple((shape, LayerChoice(cd_out=w, cs=4, at=ADCType.SAR, ap=6, ip=8))
+                   for shape, w in zip(shapes, [4, 8, 6, 3]))
+    model = CandidateModel(layers=layers, input_channels=2)
+    net = build_refnet(model, class_count=3, seed=7, dtype=np.float32)
+    cast = build_refnet(model, class_count=3, seed=7).astype(np.float32)
+    assert ({type(layer) for layer in net.layers}
+            == set(network._LAYER_KINDS.values()))
+    for (name, got), (_, want) in zip(network._named_arrays(net),
+                                      network._named_arrays(cast), strict=True):
+        assert got.dtype == want.dtype == np.float32, name
+        assert np.array_equal(got, want), name
+    held = {v.dtype for layer in net.layers for v in vars(layer).values()
+            if isinstance(v, np.ndarray)}
+    assert held == {np.dtype(np.float32)}
+
+
 # ---------------------------------------------------------------------------
-# code-collecting forward in sample blocks
+# code-collecting forward in patch-row blocks per pooling stage
 # ---------------------------------------------------------------------------
 
 def _code_nets():
     """(net, inputs) pairs: a conv net through conv, batchnorm, ReLU,
-    both poolings and a dense classifier, and an all-FC net."""
+    both poolings (two pooling stages, 8x8 then 4x4) and a dense
+    classifier, and an all-FC net (one stage of one row per sample)."""
     conv = candidate_net([LayerShape(kernel=3, in_spatial=(8, 8)),
                           LayerShape(kernel=3, in_spatial=(4, 4)),
                           LayerShape.fc()], [4, 8, 2], input_channels=1, seed=3)
     fc = fc_net([2, 8, 6, 2], seed=3)
-    n = 2 * network.CODE_BLOCK
-    return {"conv": (conv, make_patterns(n, seed=1).data),
-            "fc": (fc, make_blobs(n, seed=1).data)}
+    return {"conv": (conv, make_patterns(16, seed=1).data),
+            "fc": (fc, make_blobs(16, seed=1).data)}
 
 
 @pytest.mark.parametrize("kind", ["conv", "fc"])
-@pytest.mark.parametrize("n", [1, network.CODE_BLOCK - 1, network.CODE_BLOCK + 1,
-                               2 * network.CODE_BLOCK])
+@pytest.mark.parametrize("n", [1, 7, 9, 16])
 def test_forward_with_codes_in_blocks_matches_one_block(monkeypatch, kind, n):
     net, data = _code_nets()[kind]
     x = data[:n]
-    logits, codes = net.forward_with_codes(x)
-    monkeypatch.setattr(network, "CODE_BLOCK", n)
+    first = math.prod(x.shape[2:])  # the first stage's rows per sample
+    # the whole batch in one block per stage
+    monkeypatch.setattr(network, "CODE_ROWS", n * first)
     one_logits, one_codes = net.forward_with_codes(x)
-    assert codes.dtype == bool and codes.shape[0] == n
-    assert np.array_equal(codes, one_codes)
-    # a product over fewer rows may round differently: ulps, not signs
-    np.testing.assert_allclose(logits, one_logits, rtol=1e-12, atol=1e-15)
+    assert one_codes.dtype == bool and one_codes.shape[0] == n
+    # one sample per block throughout; then 3 samples per block in the
+    # first stage, 12 at the conv net's 4x4 and all of its dense stage
+    for rows in (1, 3 * first):
+        monkeypatch.setattr(network, "CODE_ROWS", rows)
+        logits, codes = net.forward_with_codes(x)
+        assert np.array_equal(codes, one_codes)
+        # a product over fewer rows may round differently: ulps, not signs
+        np.testing.assert_allclose(logits, one_logits, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("rows", [64, 100, network.CODE_ROWS])
+def test_forward_with_codes_patch_matrices_stay_within_code_rows(monkeypatch,
+                                                                 rows):
+    net, x = _code_nets()["conv"]
+    x = np.concatenate([x] * 4)  # 64 samples
+    seen = []
+    gather = network.im2col
+
+    def spy(x, kernel, stride, pad):
+        cols, out_hw = gather(x, kernel, stride, pad)
+        seen.append((x.shape[2:], cols.shape[0]))
+        return cols, out_hw
+
+    monkeypatch.setattr(network, "im2col", spy)
+    monkeypatch.setattr(network, "CODE_ROWS", rows)
+    net.forward_with_codes(x)
+    assert max(r for _, r in seen) <= rows
+    # each stage fills its blocks: as many samples as fit, at most the batch
+    for hw, size in (((8, 8), 64), ((4, 4), 16)):
+        assert max(r for s, r in seen if s == hw) == min(64, rows // size) * size

@@ -220,13 +220,16 @@ def rank_batch():
     return make_patterns(16, channels=1, height=8, width=8, n_classes=2, seed=5)
 
 
-def test_rank_candidates_golden(rank_batch):
-    # the scores predate the blocked code forward; the batch spans blocks
-    assert len(rank_batch) > network.CODE_BLOCK
-    pool = rank_pool(RANK_SPECS)
-    selected = search.rank_candidates(pool, rank_batch, RANK_SEED, 2)
-    assert [e.hd_score for e in pool.entries] == RANK_SCORES
-    assert selected.step == RANK_SELECTED_STEP
+def test_rank_candidates_golden(rank_batch, monkeypatch):
+    # the scores predate the blocked code forward: they hold with the batch
+    # in one block per stage and in blocks of 4 samples at 8x8
+    assert len(rank_batch) * 8 * 8 <= network.CODE_ROWS
+    for rows in (network.CODE_ROWS, 4 * 8 * 8):
+        monkeypatch.setattr(network, "CODE_ROWS", rows)
+        pool = rank_pool(RANK_SPECS)
+        selected = search.rank_candidates(pool, rank_batch, RANK_SEED, 2)
+        assert [e.hd_score for e in pool.entries] == RANK_SCORES
+        assert selected.step == RANK_SELECTED_STEP
 
 
 def test_rank_candidates_records_its_terms(rank_batch):
@@ -270,9 +273,9 @@ def test_rank_scores_equal_hd_score_of_the_built_net(rank_batch):
 def test_rank_builds_one_net_per_width_vector(rank_batch, monkeypatch):
     built = []
 
-    def counting(model, class_count, seed=0):
+    def counting(model, class_count, seed=0, dtype=float):
         built.append(tuple(c.cd_out for _, c in model.layers))
-        return build_refnet(model, class_count, seed=seed)
+        return build_refnet(model, class_count, seed=seed, dtype=dtype)
 
     monkeypatch.setattr(search, "build_refnet", counting)
     pool = rank_pool(RANK_SPECS)
@@ -281,6 +284,28 @@ def test_rank_builds_one_net_per_width_vector(rank_batch, monkeypatch):
     twin, cs_twin = pool.entries[0], pool.entries[2]
     assert twin.model.layers != cs_twin.model.layers
     assert twin.hd_score == cs_twin.hd_score
+
+
+def test_rank_casts_the_hd_batch_once(rank_batch, monkeypatch):
+    # every score, and every code forward under it, gets one float32 array
+    batches, forwarded = [], []
+    collect = network.RefNet.forward_with_codes
+
+    def scoring(net, batch):
+        batches.append(batch)
+        return hd_score(net, batch)
+
+    def forwarding(net, x):
+        forwarded.append(x)
+        return collect(net, x)
+
+    monkeypatch.setattr(search, "hd_score", scoring)
+    monkeypatch.setattr(network.RefNet, "forward_with_codes", forwarding)
+    search.rank_candidates(rank_pool(RANK_SPECS), rank_batch, RANK_SEED, 2)
+    first = batches[0]
+    assert len(batches) == len(forwarded) == 3 and first.dtype == np.float32
+    assert all(b is first for b in batches + forwarded)
+    assert np.array_equal(first, rank_batch.data.astype(np.float32))
 
 
 def test_rank_tie_resolves_to_the_earliest_step(rank_batch):
