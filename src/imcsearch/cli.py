@@ -190,6 +190,8 @@ def _empty_pool_message(pool: CandidatePool, search_cfg: SearchConfig) -> str:
 
 
 def _phase1_into(run: _RunDir, cfg: AppConfig):
+    """Phase 1 and ranking into ``run``; the selected entry is None when the
+    pool admitted nothing (the caller reports that)."""
     result = phase1_run(cfg.space, cfg.platform, cfg.search)
     write_trace(result.trace, run.path / "phase1_trace.csv")
     run.record("phase1_trace.csv")
@@ -198,8 +200,6 @@ def _phase1_into(run: _RunDir, cfg: AppConfig):
         write_pool(result.pool, run.path / "pool.json", area_constraint)
         run.record("pool.json")
         run.finish()
-        print(f"error: {_empty_pool_message(result.pool, cfg.search)}",
-              file=sys.stderr)
         return result, None
     hd_batch = _fixture_batch(cfg.fixture, cfg.space, cfg.search.hd_batch_size,
                               cfg.search.seed)
@@ -219,8 +219,10 @@ def cmd_phase1(config_path: Path, out_dir: Path, seed: int | None = None) -> int
     cfg = _apply_seed(load_config(config_path), seed)
     check_class_count(cfg.space)
     run = _RunDir(out_dir, "phase1", config_path, cfg.search.seed)
-    _, selected = _phase1_into(run, cfg)
+    result, selected = _phase1_into(run, cfg)
     if selected is None:
+        print(f"error: {_empty_pool_message(result.pool, cfg.search)}",
+              file=sys.stderr)
         return EXIT_EMPTY_POOL
     run.finish()
     print(f"phase1: admitted pool ranked; selected candidate area "
@@ -266,9 +268,13 @@ def cmd_phase2(config_path: Path, phase1_dir: Path, weights_path: Path,
     report = model_cost(final_model, cfg.platform)
     write_report(report, run.path / "final_report.json",
                  run.path / "final_report.csv")
+    # a layer no step probed ends at its delay-only option, with no CE evidence
+    probed = {row["layer"] for row in result.trace}
     write_json(run.path / "assignment.json",
                {"per_layer_ap_ip": [list(a) for a in result.assignment],
-                "delay_ref_ns": result.delay_ref})
+                "delay_ref_ns": result.delay_ref,
+                "unprobed_layers": [layer for layer in range(len(result.assignment))
+                                    if layer not in probed]})
     run.record("phase2_trace.csv", "final_model.json", "final_report.json",
                "final_report.csv", "assignment.json")
     run.finish()

@@ -8,6 +8,14 @@ and row chunks.  Everything else (batchnorm, ReLU, pooling) stays ideal.
 As on the chip, cells and column sums are analog (float32) and the ADC
 codes shift and add exactly, so only their one scaling per AP rounds.
 
+A walk keeps its activations' float dtype end to end: phase 2 walks in
+float32, ``noisy_forward`` and ``bn_adapt`` in float64.  Batchnorm, ReLU,
+pooling, the ``im2col`` patches and the input-quantization levels run in
+that dtype.  Cells, weight codes, calibration and the kernel do not depend
+on it: a layer's uint8 input codes go through the same float32 analog
+sums and exact integer shift-and-add, its output is scaled in float64 and
+then cast to the activation's dtype.
+
 ``walk_layers`` is the one noisy layer walk: it carries the adaptation
 activations, the adapted batchnorm statistics and the evaluation
 activation from ``net.layers`` index ``WalkState.at`` on, so a walk can
@@ -61,16 +69,16 @@ def _noisy_matmul(cells: CellArrays, aps: tuple[int, ...], ip: int,
                   xbar_size: int, full_range: float) -> list[np.ndarray]:
     """Bit-serial sliced matmul of integer input codes against cell arrays.
 
-    ``in_codes`` is the (batch, rows) uint8 code matrix.  Returns, for
-    each ADC precision in ``aps``, the (batch, cols) float64 sums before
-    the weight and input scales.  The analog half runs in float32: each
-    (bit plane, row chunk) is one float32 matmul of a 0/1 plane against
-    all slice and sign columns, shared by every AP, and one ADC pass per
-    AP gives its integer codes.  The digital half is an exact
-    shift-and-add: each AP's codes accumulate in one int32 array, most
-    significant plane first, doubling between planes; slices and signs
-    then combine exactly in float64, and the result scales by the ADC step
-    once.  Without ADC quantization the float sums accumulate the same way
+    ``in_codes`` is the (batch, rows) uint8 code matrix, whatever dtype
+    the activations it codes were in.  Returns, for each ADC precision in
+    ``aps``, the (batch, cols) float64 sums before the weight and input
+    scales.  The analog half runs in float32: each (bit plane, row
+    chunk) is one float32 matmul of a 0/1 plane against all slice and
+    sign columns, shared by every AP, and one ADC pass per AP gives its
+    integer codes.  The digital half is an exact shift-and-add: each AP's
+    codes accumulate in one int32 array, most significant plane first,
+    doubling between planes; slices and signs then combine exactly in
+    float64, and the result scales by the ADC step once.  Without ADC quantization the float sums accumulate the same way
     in float64.  The work runs on (column, batch) arrays so that every
     elementwise step sweeps the batch in one contiguous run.
     """
@@ -125,7 +133,10 @@ def _quantized_layer_outputs(layer: Conv2D | Dense, adapt: list[np.ndarray],
     ADC full range is the largest chunk partial sum of the programmed
     (noisy) cells with every input of a nonzero code on.  Each
     activation's patches and codes are made once and its matmuls shared
-    by all of ``aps``; every output equals a run of that AP alone.
+    by all of ``aps``; every output equals a run of that AP alone.  Patches
+    and input levels are in each activation's dtype, negative inputs take
+    code 0, and each output is cast to its activation's dtype after the
+    float64 scaling (and a dense layer's bias).
     ``cells`` memoizes programmed cells per key; the device variation is
     frozen per key, so a memoized entry equals a fresh one.
     """
@@ -137,15 +148,16 @@ def _quantized_layer_outputs(layer: Conv2D | Dense, adapt: list[np.ndarray],
     xs = list(adapt) + ([] if x_eval is None else [x_eval])
     calibration = slice(len(adapt) or len(xs))
     amax = max((float(x.max(initial=0.0)) for x in xs[calibration]), default=0.0)
-    coded = []  # (codes, batch, out height, out width) per activation
+    coded = []  # (codes, batch, out height, out width, dtype) per activation
     for x in xs:
         if isinstance(layer, Conv2D):
             cols, (oh, ow) = im2col(x, layer.kernel, layer.stride, layer.pad)
         else:
             cols, (oh, ow) = x, (1, 1)
-        # the path reads only the non-negative part of its inputs
-        c, in_scale = quantize_inputs(np.maximum(cols, 0.0), ip, amax)
-        coded.append((c, x.shape[0], oh, ow))
+        # negative inputs take code 0: the path reads only their
+        # non-negative part
+        c, in_scale = quantize_inputs(cols, ip, amax)
+        coded.append((c, x.shape[0], oh, ow, x.dtype))
     full_range = 1.0
     for c, *_ in coded[calibration]:
         on = (c > 0).astype(np.float32)
@@ -153,18 +165,21 @@ def _quantized_layer_outputs(layer: Conv2D | Dense, adapt: list[np.ndarray],
             full_range = max(full_range, float(
                 (on[:, sl] @ programmed.columns[sl]).max(initial=0.0)))
     outs = []
-    for c, n, oh, ow in coded:
+    for c, n, oh, ow, dtype in coded:
         outs.append([])
         for acc in _noisy_matmul(programmed, aps, ip, c, noise,
                                  platform.xbar_size, full_range):
             out = acc * programmed.scale * in_scale
-            outs[-1].append(out + layer.bias if isinstance(layer, Dense) else
-                            out.reshape(n, oh, ow, layer.c_out).transpose(0, 3, 1, 2))
+            out = (out + layer.bias if isinstance(layer, Dense) else
+                   out.reshape(n, oh, ow, layer.c_out).transpose(0, 3, 1, 2))
+            outs[-1].append(out.astype(dtype, copy=False))
     return outs[:len(adapt)], (None if x_eval is None else outs[-1])
 
 
 def _as_array(batch: TensorBatch | np.ndarray) -> np.ndarray:
-    return batch.data if isinstance(batch, TensorBatch) else np.asarray(batch, float)
+    """A batch's values in their own float dtype; other values in float64."""
+    x = batch.data if isinstance(batch, TensorBatch) else np.asarray(batch)
+    return x if x.dtype.kind == "f" else x.astype(float)
 
 
 @dataclass(frozen=True)
@@ -186,7 +201,8 @@ class WalkState:
 
     @classmethod
     def begin(cls, adapt_batches=(), eval_batch=None) -> "WalkState":
-        """The state at the network input."""
+        """The state at the network input.  Float batches keep their
+        dtype, which the walk then keeps; other values become float64."""
         return cls(adapt=tuple(_as_array(b) for b in adapt_batches),
                    eval=None if eval_batch is None else _as_array(eval_batch))
 

@@ -248,11 +248,16 @@ class BatchNorm(Layer):
     def normalize(self, x: np.ndarray, mean: np.ndarray,
                   var: np.ndarray) -> np.ndarray:
         # gamma * (x - mean) / sqrt(var + eps) + beta on one fresh array,
-        # each operation in the expression's order, so the bits match it
-        out = x - self._shape(x, mean)
-        out /= np.sqrt(self._shape(x, var) + self.eps)
-        out *= self._shape(x, self.gamma)
-        out += self._shape(x, self.beta)
+        # each operation in the expression's order, so the bits match it;
+        # the statistics and parameters are cast to x's dtype (a no-op when
+        # they share it), so a float32 activation stays float32
+        def v(a: np.ndarray) -> np.ndarray:
+            return self._shape(x, a.astype(x.dtype, copy=False))
+
+        out = x - v(mean)
+        out /= np.sqrt(v(var) + self.eps)
+        out *= v(self.gamma)
+        out += v(self.beta)
         return out
 
     def forward(self, x, train=False):

@@ -66,14 +66,18 @@ def slice_codes(codes: np.ndarray, weight_bits: int, slice_bits: int,
 
 def quantize_inputs(activations: np.ndarray, ip: int,
                     amax: float) -> tuple[np.ndarray, float]:
-    """Non-negative activations -> uint8 codes in [0, 2^ip - 1] plus scale;
-    the calibrated max ``amax`` maps to 2^ip - 1, and larger values clip.
-    The codes keep the activations' memory layout, so the transposed patch
-    matrix of ``im2col`` gives codes whose columns are contiguous."""
+    """Activations -> uint8 codes in [0, 2^ip - 1] plus scale; the
+    calibrated max ``amax`` maps to 2^ip - 1, larger values clip to it and
+    negative values to code 0.  The levels are computed in the
+    activations' float dtype (float32 in phase 2's walks), other input in
+    float64.  The codes keep the activations' memory layout, so the
+    transposed patch matrix of ``im2col`` gives codes whose columns are
+    contiguous."""
     qmax = 2 ** ip - 1
     scale = amax / qmax if amax > 0 else 1.0
+    dtype = activations.dtype if activations.dtype.kind == "f" else float
     levels = np.divide(activations, scale,
-                       out=np.empty_like(activations, dtype=float))
+                       out=np.empty_like(activations, dtype=dtype))
     np.round(levels, out=levels)
     np.clip(levels, 0, qmax, out=levels)
     return levels.astype(np.uint8), scale

@@ -309,6 +309,12 @@ def phase2_run(trained_net: RefNet, phase1_model: CandidateModel,
     Each walk calibrates every layer on the adaptation batches.  The 7th
     argument changes nothing; ``perfbench/workloads.py`` still passes it.
 
+    The adaptation and evaluation batches are cast to float32 once, and
+    every walk keeps that dtype (see ``nnsim.inference``): activations,
+    batchnorm, patches and input levels are float32, while cells, weight
+    codes, calibration, the ADC's integer shift-and-add and the
+    cross-entropy stay as in a float64 walk.
+
     Cross-entropies are memoized per assignment.  A step with misses
     walks the argmax plan up to the probed layer once.  Its misses are
     grouped by input precision: ``probe_layer`` runs the probed layer
@@ -329,7 +335,8 @@ def phase2_run(trained_net: RefNet, phase1_model: CandidateModel,
     rng = np.random.default_rng(config.seed)
     ce_cache: dict[tuple, float] = {}
     cells: dict = {}  # programmed cells per layer key, kept for the run
-    start = WalkState.begin(data.adapt_batches, data.eval_batch)
+    start = WalkState.begin([b.data.astype(np.float32) for b in data.adapt_batches],
+                            data.eval_batch.data.astype(np.float32))
 
     def walk(state: WalkState, plan: list[tuple[int, int]],
              stop: int | None = None) -> WalkState:

@@ -88,6 +88,23 @@ def test_sweep_empty_pool_row_names_the_nearest_miss(tmp_path, capsys):
     assert line == f"error: {row['message']}"
 
 
+def test_sweep_prints_no_error_line_per_empty_point(tmp_path, capsys):
+    # sweep.csv holds each point's message; phase1 alone prints its own
+    path = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=5.0))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(path), "--axis", "area_constraint",
+                     "--values", "5,1e6", "--out-dir", str(out)]) == cli.EXIT_EMPTY_POOL
+    rows = read_sweep(out)
+    assert [row["status"] for row in rows] == ["empty_pool", "empty_pool"]
+    assert all(row["message"] for row in rows)
+    captured = capsys.readouterr()
+    assert "error:" not in captured.err
+    assert "sweep: 0/2 points ok" in captured.out
+    assert cli.main(["phase1", "--config", str(path), "--out-dir",
+                     str(tmp_path / "run")]) == cli.EXIT_EMPTY_POOL
+    assert capsys.readouterr().err == f"error: {rows[0]['message']}\n"
+
+
 def test_phase1_pool_records_the_ranking_terms(phase2_inputs):
     pool = json.loads((phase2_inputs[1] / "pool.json").read_text())
     assert pool["admitted_count"] > 0 and pool["nearest_miss"] is None
@@ -340,6 +357,18 @@ def test_phase2_runs_on_saved_weights_of_a_phase1_model(phase2_inputs, tmp_path)
     assert len(assignment["per_layer_ap_ip"]) == len(CONFIG["design_space"]["layers"])
     with open(out / "phase2_trace.csv", newline="") as f:
         assert len(list(csv.DictReader(f))) == 1
+
+
+def test_phase2_assignment_lists_the_unprobed_layers(phase2_inputs, tmp_path):
+    # one step probes one of the three layers
+    out = tmp_path / "phase2"
+    assert run_phase2(phase2_inputs, phase2_inputs[2], out) == cli.EXIT_OK
+    with open(out / "phase2_trace.csv", newline="") as f:
+        (row,) = csv.DictReader(f)
+    assignment = json.loads((out / "assignment.json").read_text())
+    n_layers = len(CONFIG["design_space"]["layers"])
+    assert assignment["unprobed_layers"] == [layer for layer in range(n_layers)
+                                             if layer != int(row["layer"])]
 
 
 @pytest.mark.parametrize("case", ["junk", "truncated_header",

@@ -155,6 +155,33 @@ def test_multi_option_layer_equals_one_option_runs(kind):
             assert np.array_equal(eval_outs[k], want_eval)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kind", ["conv", "dense"])
+def test_negative_inputs_take_code_zero(kind, dtype):
+    # a layer fed x equals one fed max(x, 0) bit for bit, in x's dtype
+    rng = np.random.default_rng(22)
+    if kind == "conv":
+        layer, shape = Conv2D(2, 3), (2, 4, 4)
+    else:
+        layer, shape = Dense(12, 3), (12,)
+    layer.init_weights(rng)
+    adapt_x = rng.standard_normal((8,) + shape).astype(dtype)
+    eval_x = rng.standard_normal((5,) + shape).astype(dtype)
+    noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=4)
+    platform = small_platform()
+
+    def outputs(adapt, x):
+        (adapt_outs,), eval_outs = _quantized_layer_outputs(
+            layer, [adapt], x, 4, APS, noise, platform, (0,), {})
+        return adapt_outs + eval_outs
+
+    got = outputs(adapt_x, eval_x)
+    want = outputs(np.maximum(adapt_x, 0), np.maximum(eval_x, 0))
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == dtype
+        assert np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # calibration
 # ---------------------------------------------------------------------------

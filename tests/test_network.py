@@ -185,6 +185,23 @@ def test_batchnorm_normalize_matches_the_expression_bit_for_bit(shape):
     assert np.array_equal(x, before)
 
 
+def test_batchnorm_normalizes_in_the_activation_dtype():
+    # float64 statistics and parameters are cast to a float32 activation's
+    # dtype, so the output equals a float32 layer's on the cast values
+    rng = np.random.default_rng(9)
+    layer, layer32 = BatchNorm(3), BatchNorm(3)
+    layer.gamma, layer.beta = rng.random(3) + 0.5, rng.standard_normal(3)
+    layer32.gamma, layer32.beta = (a.astype(np.float32)
+                                   for a in (layer.gamma, layer.beta))
+    x = rng.standard_normal((4, 3, 2, 5)).astype(np.float32)
+    mean, var = rng.standard_normal(3), rng.random(3) + 0.5
+    out = layer.normalize(x, mean, var)
+    assert out.dtype == np.float32
+    want = layer32.normalize(x, mean.astype(np.float32), var.astype(np.float32))
+    assert want.dtype == np.float32
+    assert np.array_equal(out, want)
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------

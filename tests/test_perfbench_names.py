@@ -121,3 +121,26 @@ def test_phase2_run_converts_at_the_benchmark_probe_points(toy, monkeypatch):
     assert len(sums) == PARTIAL_ADC_CALLS
     assert {dtype for dtype, _ in sums} == {np.dtype(np.float32)}
     assert {shape for _, shape in sums} == PARTIAL_SUM_SHAPES
+
+
+def test_traced_phase2_toy_call_counts_its_work(monkeypatch):
+    # one quick-sized phase2_toy call under the benchmark's tracer: a hook
+    # that no longer fits the call it wraps fails here in seconds
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer_module = importlib.import_module("tracer")
+    workloads = importlib.import_module("workloads")
+    wl = workloads.WORKLOADS["phase2_toy"]
+    fx = wl.setup(3, quick=True)
+    cfg = fx.inputs[0]
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        for run_id in (1, 2):
+            tracer.run_id = run_id
+            assert wl.check(fx, cfg, wl.call(fx, cfg)) == []
+    finally:
+        tracer.uninstall()
+    # the tracer reads its spans once recording is over, as a traced run does
+    counts = [tracer.run_counts(run_id) for run_id in (1, 2)]
+    assert counts[0]["nnsim.inference.plane_macs"] > 0
+    assert counts[0] == counts[1]

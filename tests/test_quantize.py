@@ -84,6 +84,16 @@ def test_inputs_above_the_calibrated_max_clip_to_the_top_code():
     assert codes.tolist() == [255, 255, 255]
 
 
+def test_float_inputs_quantize_in_their_own_dtype():
+    # a value next to a half level, where the two dtypes round apart
+    x = np.array([2.122549], np.float32)
+    assert quantize_inputs(x, 8, 2.5)[0].tolist() == [216]
+    assert quantize_inputs(x.astype(float), 8, 2.5)[0].tolist() == [217]
+    # integer input is quantized in float64
+    codes, scale = quantize_inputs(np.arange(4), 2, 6.0)
+    assert scale == 2.0 and codes.tolist() == [0, 0, 1, 2]
+
+
 # ---------------------------------------------------------------------------
 # ADC quantizer
 # ---------------------------------------------------------------------------

@@ -361,6 +361,45 @@ def test_walk_cut_equivalence(toy):
             walk_layers(net, start, PLAN, noise, platform, stop=stop)
 
 
+def test_float32_walk_keeps_its_dtype_and_tracks_the_float64_walk(toy):
+    _, _, net, data, platform = toy
+    noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=9)
+    start = WalkState.begin([b.data.astype(np.float32) for b in data.adapt_batches],
+                            data.eval_batch.data.astype(np.float32))
+    for q in range(len(PLAN) + 1):
+        state = walk_layers(net, start, PLAN, noise, platform, stop=q)
+        assert {x.dtype for x in state.adapt + (state.eval,)} == {np.dtype(np.float32)}
+    logits = walk_layers(net, WalkState.begin(data.adapt_batches, data.eval_batch),
+                         PLAN, noise, platform).eval
+    assert logits.dtype == np.float64
+    # no ADC code flips on this walk, so only float32 rounding is left
+    assert np.abs(state.eval - logits).max() <= 1e-6
+
+
+def test_phase2_walks_its_activations_in_float32(toy, monkeypatch):
+    space, model, net, data, platform = toy
+    dtypes = set()
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def recording(x, *args, **kwargs):
+            dtypes.add((name, x.dtype))
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+
+    spy(inference, "quantize_inputs")
+    spy(inference, "im2col")
+    spy(search, "cross_entropy")
+    phase2_run(net, model, space, platform, PARTIAL_CONFIG, data, CAL)
+    assert dtypes == {(name, np.dtype(np.float32)) for name in
+                      ("quantize_inputs", "im2col", "cross_entropy")}
+    # the cast copies; the caller's batches stay float64
+    assert {b.data.dtype for b in data.adapt_batches + [data.eval_batch]} \
+        == {np.dtype(float)}
+
+
 @pytest.mark.parametrize("plan", [PLAN, [(6, 8)] * 4, [(5, 3)] * 4],
                          ids=["mixed", "ap6-ip8", "ap5-ip3"])
 def test_eval_samples_score_the_same_alone_or_in_any_batch(toy, plan):
@@ -443,21 +482,22 @@ def test_cells_memo_programs_each_layer_once(toy, monkeypatch):
 
 #: Captured with every layer calibrated once per walk, on the adaptation
 #: batches, and with float32 cells and analog sums whose ADC codes shift
-#: and add exactly; the seed probes layers 1, 2, 3, 3, 0, 0.
+#: and add exactly, on activations walked in float32; the seed probes
+#: layers 1, 2, 3, 3, 0, 0.
 GOLDEN_SEED = 1
 GOLDEN_TRACE = [
-    {"step": 0, "layer": 1, "mixture_ce": 0.6597022156800332,
-     "expected_delay_ns": 18418.570249999997, "loss": 0.6603536517854953},
-    {"step": 1, "layer": 2, "mixture_ce": 0.6534615862072929,
-     "expected_delay_ns": 18416.768540793917, "loss": 0.6541129585891102},
-    {"step": 2, "layer": 3, "mixture_ce": 0.6459595176066468,
-     "expected_delay_ns": 18416.11485153162, "loss": 0.6466108668684944},
-    {"step": 3, "layer": 3, "mixture_ce": 0.6459586726169643,
-     "expected_delay_ns": 18416.047893224044, "loss": 0.6466100195106009},
-    {"step": 4, "layer": 0, "mixture_ce": 0.6448475104321385,
-     "expected_delay_ns": 18415.980908405832, "loss": 0.6454988549566266},
-    {"step": 5, "layer": 0, "mixture_ce": 0.6448297358709038,
-     "expected_delay_ns": 18416.615618017717, "loss": 0.645481102844081},
+    {"step": 0, "layer": 1, "mixture_ce": 0.6597022180406568,
+     "expected_delay_ns": 18418.570249999997, "loss": 0.6603536541461189},
+    {"step": 1, "layer": 2, "mixture_ce": 0.653461588645537,
+     "expected_delay_ns": 18416.768541396923, "loss": 0.6541129610273757},
+    {"step": 2, "layer": 3, "mixture_ce": 0.6459595271051647,
+     "expected_delay_ns": 18416.114852381703, "loss": 0.6466108763670424},
+    {"step": 3, "layer": 3, "mixture_ce": 0.6459586821159079,
+     "expected_delay_ns": 18416.047894080064, "loss": 0.6466100290095749},
+    {"step": 4, "layer": 0, "mixture_ce": 0.6448475092606999,
+     "expected_delay_ns": 18415.980909267804, "loss": 0.6454988537852185},
+    {"step": 5, "layer": 0, "mixture_ce": 0.6448297346912062,
+     "expected_delay_ns": 18416.6156191122, "loss": 0.6454811016644222},
 ]
 GOLDEN_ASSIGNMENT = [(6, 4), (5, 3), (5, 3), (6, 3)]
 
@@ -478,22 +518,22 @@ def test_phase2_run_golden(toy):
 PARTIAL_CONFIG = SearchConfig(area_constraint=1.0, n2_steps=8, seed=2, lr2=2.0)
 PARTIAL_MISSES = [12, 11, 11, 11, 0, 11, 11, 11]
 PARTIAL_TRACE = [
-    {"step": 0, "layer": 3, "mixture_ce": 0.6612237441559923,
-     "expected_delay_ns": 18418.570249999997, "loss": 0.6618751802614544},
-    {"step": 1, "layer": 1, "mixture_ce": 0.6573889566678243,
-     "expected_delay_ns": 18418.530467327422, "loss": 0.6580403913662354},
-    {"step": 2, "layer": 0, "mixture_ce": 0.6423234439953716,
-     "expected_delay_ns": 18417.97650573052, "loss": 0.6429748591010249},
-    {"step": 3, "layer": 1, "mixture_ce": 0.632940945918415,
-     "expected_delay_ns": 18418.29955286066, "loss": 0.6335923724497415},
-    {"step": 4, "layer": 1, "mixture_ce": 0.6329345997105543,
-     "expected_delay_ns": 18417.106862995763, "loss": 0.6335859840583004},
-    {"step": 5, "layer": 3, "mixture_ce": 0.6220950586454158,
-     "expected_delay_ns": 18415.914111272665, "loss": 0.6227464008073935},
-    {"step": 6, "layer": 1, "mixture_ce": 0.6339374789886119,
-     "expected_delay_ns": 18415.83178982865, "loss": 0.6345888182390085},
-    {"step": 7, "layer": 0, "mixture_ce": 0.6410470220942011,
-     "expected_delay_ns": 18414.56085304861, "loss": 0.6416983163935458},
+    {"step": 0, "layer": 3, "mixture_ce": 0.661223747834836,
+     "expected_delay_ns": 18418.570249999997, "loss": 0.6618751839402981},
+    {"step": 1, "layer": 1, "mixture_ce": 0.6573889565688763,
+     "expected_delay_ns": 18418.530467330012, "loss": 0.6580403912672875},
+    {"step": 2, "layer": 0, "mixture_ce": 0.6423234465627649,
+     "expected_delay_ns": 18417.97650545698, "loss": 0.6429748616684086},
+    {"step": 3, "layer": 1, "mixture_ce": 0.6329409469516015,
+     "expected_delay_ns": 18418.29955291739, "loss": 0.6335923734829301},
+    {"step": 4, "layer": 1, "mixture_ce": 0.6329346007523182,
+     "expected_delay_ns": 18417.10686354815, "loss": 0.6335859851000838},
+    {"step": 5, "layer": 3, "mixture_ce": 0.6220950742495396,
+     "expected_delay_ns": 18415.914112321447, "loss": 0.6227464164115544},
+    {"step": 6, "layer": 1, "mixture_ce": 0.6339374799888868,
+     "expected_delay_ns": 18415.83179088888, "loss": 0.634588819239321},
+    {"step": 7, "layer": 0, "mixture_ce": 0.6410470229177871,
+     "expected_delay_ns": 18414.56085468294, "loss": 0.6416983172171897},
 ]
 PARTIAL_ASSIGNMENT = [(6, 4), (5, 4), (5, 3), (6, 4)]
 
