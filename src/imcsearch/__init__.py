@@ -1,27 +1,24 @@
 """Co-search of DNN layer widths and crossbar peripheral circuits.
 
 Library layout:
+  config       YAML run configuration and the unit-cost calibration table
   designspace  option grids, candidate models, platform parameters
   costmodel    analytical area/delay/energy evaluation on the tiled platform
   relax        softmax relaxation, expected costs, analytic gradients
   nnsim        quantized noisy inference, batchnorm adaptation, HD scoring
   search       phase-1/phase-2 orchestration and candidate pooling
+  io           deterministic model, report, pool and trace files
   cli          command-line front end (eval, phase1, phase2, sweep)
+
+Functions are imported from the module that defines them.  The package
+root re-exports only the classes named in ``__all__``, and none may leave
+it: the benchmark tracer in ``perfbench/`` times the public methods of
+exactly the classes named there.
 """
 
 __version__ = "0.1.0"
 
-from .costmodel import (
-    ADCProfile,
-    CostReport,
-    LayerCost,
-    adc_profile,
-    edap_from_totals,
-    layer_cost,
-    model_cost,
-    psi,
-    read_cycles,
-)
+from .costmodel import ADCProfile, CostReport, LayerCost
 from .designspace import (
     ADCType,
     CandidateModel,
@@ -31,25 +28,9 @@ from .designspace import (
     PlatformParams,
     UnitCost,
     UnitCostTable,
-    enumerate_options,
-    validate_candidate,
-    vgg16_space,
 )
-from .relax import (
-    LogitMatrix,
-    expected_model_cost,
-    phase1_loss,
-    sgd_step,
-)
-from .search import (
-    CandidatePool,
-    SearchConfig,
-    admit,
-    phase1_run,
-    phase2_loss,
-    phase2_run,
-    rank_candidates,
-)
+from .relax import LogitMatrix
+from .search import CandidatePool, SearchConfig
 
 __all__ = [
     "ADCProfile",
@@ -66,21 +47,4 @@ __all__ = [
     "SearchConfig",
     "UnitCost",
     "UnitCostTable",
-    "adc_profile",
-    "admit",
-    "edap_from_totals",
-    "enumerate_options",
-    "expected_model_cost",
-    "layer_cost",
-    "model_cost",
-    "phase1_loss",
-    "phase1_run",
-    "phase2_loss",
-    "phase2_run",
-    "psi",
-    "rank_candidates",
-    "read_cycles",
-    "sgd_step",
-    "validate_candidate",
-    "vgg16_space",
 ]

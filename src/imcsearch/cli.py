@@ -1,10 +1,23 @@
 """Command-line entry point.
 
 Subcommands: ``eval`` (cost a fixed model), ``phase1`` / ``phase2`` (run
-one search phase), ``sweep`` (repeat a search or evaluation along an
-axis).  Every run writes a self-describing directory: a manifest, a
-verbatim config snapshot, traces and result files.  Exit codes: 0 ok,
-2 configuration error, 3 empty candidate pool, 4 numeric failure.
+one search phase), ``sweep`` (repeat ``eval``, with ``--model``, or else
+``phase1`` along an axis).  Every run writes a self-describing directory:
+a manifest, a verbatim config snapshot, traces and result files.  A sweep
+puts each phase-1 point's directory at ``point_<value:g>`` under its own,
+with ``"sweep": {"axis", "value"}`` in the point's manifest; ``--values``
+whose directory names clash are refused.
+
+``_outcome`` maps every failure to its exit code.  A sweep point's status
+in ``sweep.csv`` names that code, and a sweep exits with its points'
+largest code:
+
+  code  status         failure
+  0     ok             none
+  2     config_error   bad input: a config, model or weights file, a flag,
+                       a value off its axis
+  3     empty_pool     phase 1 admitted no candidate
+  4     numeric_error  a non-finite or overflowing number
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ from .config import (
     check_cs_fits,
     load_config,
 )
-from .costmodel import model_cost
+from .costmodel import CostReport, model_cost
 from .designspace import ADCType, CandidateModel, DesignSpace, validate_candidate
 from .io import (
     load_model,
@@ -42,17 +55,18 @@ from .io import (
 from .nnsim import (
     RefNet,
     TensorBatch,
-    build_refnet,
     load_net,
     make_blobs,
     make_patterns,
     split_batches,
 )
+from .nnsim.network import _refnet_layers
 from .search import (
     ADMISSION_MARGIN,
     CandidatePool,
     EmptyPoolError,
     Phase2Data,
+    PoolEntry,
     SearchConfig,
     apply_assignment,
     phase1_run,
@@ -71,7 +85,7 @@ class _RunDir:
     """Run-directory bookkeeping: snapshot first, manifest before results."""
 
     def __init__(self, out_dir: Path, command: str, config_path: Path,
-                 seed: int):
+                 seed: int, **manifest):
         self.path = out_dir
         self.path.mkdir(parents=True, exist_ok=True)
         snapshot = self.path / "config_snapshot.yaml"
@@ -84,20 +98,19 @@ class _RunDir:
             "started_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "finished_at": None,
             "outputs": ["config_snapshot.yaml"],
+            **manifest,
         }
-        self._write_manifest()
-
-    def _write_manifest(self) -> None:
-        write_json(self.path / "manifest.json", self.manifest)
+        self.record()
 
     def record(self, *names: str) -> None:
         self.manifest["outputs"].extend(names)
-        self._write_manifest()
+        write_json(self.path / "manifest.json", self.manifest)
 
-    def finish(self) -> None:
+    def finish(self, *names: str) -> None:
+        """Record ``names`` and stamp the run finished."""
         self.manifest["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                                      time.gmtime())
-        self._write_manifest()
+        self.record(*names)
 
 
 def _fixture_batch(fixture: FixtureConfig, space: DesignSpace, n: int,
@@ -131,10 +144,10 @@ def _load(loader, path: Path):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _load_valid_model(model_path: Path, cfg: AppConfig,
-                      config_path: Path) -> CandidateModel:
-    """The model at ``model_path``; a ConfigError names both files and lists
-    every violation of the config's design space."""
+def _eval(cfg: AppConfig, config_path: Path,
+          model_path: Path) -> tuple[CandidateModel, CostReport]:
+    """The model at ``model_path`` and its cost; a ConfigError names both
+    files and lists every violation of the config's design space."""
     model = _load(load_model, model_path)
     violations = validate_candidate(model, cfg.space, cfg.platform)
     if violations:
@@ -142,14 +155,14 @@ def _load_valid_model(model_path: Path, cfg: AppConfig,
             f"{model_path}: model does not fit the design space of "
             f"{config_path}: " + "; ".join(f"layer {v.layer} [{v.field}]: "
                                            f"{v.message}" for v in violations))
-    return model
+    return model, model_cost(model, cfg.platform)
 
 
 def _check_weights(net: RefNet, weights_path: Path, model: CandidateModel,
                    model_path: Path, class_count: int) -> None:
     """``net`` must have the layers ``build_refnet`` makes of ``model``."""
     got = [layer.spec() for layer in net.layers]
-    want = [layer.spec() for layer in build_refnet(model, class_count).layers]
+    want = [layer.spec() for layer in _refnet_layers(model, class_count)]
     if got == want:
         return
     if len(got) != len(want):
@@ -164,12 +177,10 @@ def _check_weights(net: RefNet, weights_path: Path, model: CandidateModel,
 def cmd_eval(config_path: Path, model_path: Path, out_dir: Path,
              seed: int | None = None) -> int:
     cfg = _apply_seed(load_config(config_path), seed)
-    model = _load_valid_model(model_path, cfg, config_path)
+    _, report = _eval(cfg, config_path, model_path)
     run = _RunDir(out_dir, "eval", config_path, cfg.search.seed)
-    report = model_cost(model, cfg.platform)
     write_report(report, run.path / "report.json", run.path / "report.csv")
-    run.record("report.json", "report.csv")
-    run.finish()
+    run.finish("report.json", "report.csv")
     print(f"eval: area {report.area:.4g} mm^2, delay {report.delay:.4g} ns, "
           f"energy {report.energy:.4g} pJ, EDAP {report.edap:.4g}, "
           f"psi {report.psi:.4g}")
@@ -189,18 +200,21 @@ def _empty_pool_message(pool: CandidatePool, search_cfg: SearchConfig) -> str:
             f"steps{nearest}")
 
 
-def _phase1_into(run: _RunDir, cfg: AppConfig):
-    """Phase 1 and ranking into ``run``; the selected entry is None when the
-    pool admitted nothing (the caller reports that)."""
+def _phase1(cfg: AppConfig, config_path: Path, out_dir: Path, command: str,
+            **manifest) -> PoolEntry:
+    """Phase 1 and ranking into a new run directory, whose manifest gains
+    the keys of ``manifest``; the selected entry.  An empty pool finishes
+    the directory and raises an EmptyPoolError naming the nearest miss."""
+    check_class_count(cfg.space)
+    run = _RunDir(out_dir, command, config_path, cfg.search.seed, **manifest)
     result = phase1_run(cfg.space, cfg.platform, cfg.search)
     write_trace(result.trace, run.path / "phase1_trace.csv")
     run.record("phase1_trace.csv")
     area_constraint = cfg.search.area_constraint
     if not result.pool.admitted():
         write_pool(result.pool, run.path / "pool.json", area_constraint)
-        run.record("pool.json")
-        run.finish()
-        return result, None
+        run.finish("pool.json")
+        raise EmptyPoolError(_empty_pool_message(result.pool, cfg.search))
     hd_batch = _fixture_batch(cfg.fixture, cfg.space, cfg.search.hd_batch_size,
                               cfg.search.seed)
     selected = rank_candidates(result.pool, hd_batch, cfg.search.seed,
@@ -210,21 +224,14 @@ def _phase1_into(run: _RunDir, cfg: AppConfig):
     write_json(run.path / "selected_model.json", model_to_dict(selected.model))
     write_report(selected.report, run.path / "selected_report.json",
                  run.path / "selected_report.csv")
-    run.record("pool.json", "selected_model.json", "selected_report.json",
+    run.finish("pool.json", "selected_model.json", "selected_report.json",
                "selected_report.csv")
-    return result, selected
+    return selected
 
 
 def cmd_phase1(config_path: Path, out_dir: Path, seed: int | None = None) -> int:
     cfg = _apply_seed(load_config(config_path), seed)
-    check_class_count(cfg.space)
-    run = _RunDir(out_dir, "phase1", config_path, cfg.search.seed)
-    result, selected = _phase1_into(run, cfg)
-    if selected is None:
-        print(f"error: {_empty_pool_message(result.pool, cfg.search)}",
-              file=sys.stderr)
-        return EXIT_EMPTY_POOL
-    run.finish()
+    selected = _phase1(cfg, config_path, out_dir, "phase1")
     print(f"phase1: admitted pool ranked; selected candidate area "
           f"{selected.report.area:.4g} mm^2, delay "
           f"{selected.report.delay:.4g} ns (step {selected.step})")
@@ -236,16 +243,13 @@ def cmd_phase2(config_path: Path, phase1_dir: Path, weights_path: Path,
     cfg = _apply_seed(load_config(config_path), seed)
     model_file = Path(phase1_dir) / "selected_model.json"
     if not model_file.is_file():
-        print(f"error: phase1 run directory has no selected model: "
-              f"{model_file}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"phase1 run directory has no selected model: "
+                          f"{model_file}")
     weights_path = Path(weights_path)
     if not weights_path.is_file():
-        print(f"error: network weights file not found: {weights_path}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"network weights file not found: {weights_path}")
     check_class_count(cfg.space)
-    model = _load_valid_model(model_file, cfg, config_path)
+    model, _ = _eval(cfg, config_path, model_file)
     net = _load(load_net, weights_path)
     _check_weights(net, weights_path, model, model_file, cfg.space.class_count)
     run = _RunDir(out_dir, "phase2", config_path, cfg.search.seed)
@@ -275,86 +279,107 @@ def cmd_phase2(config_path: Path, phase1_dir: Path, weights_path: Path,
                 "delay_ref_ns": result.delay_ref,
                 "unprobed_layers": [layer for layer in range(len(result.assignment))
                                     if layer not in probed]})
-    run.record("phase2_trace.csv", "final_model.json", "final_report.json",
+    run.finish("phase2_trace.csv", "final_model.json", "final_report.json",
                "final_report.csv", "assignment.json")
-    run.finish()
     print(f"phase2: assignment {result.assignment}; final delay "
           f"{report.delay:.4g} ns, EDAP {report.edap:.4g}")
     return EXIT_OK
 
 
-def _sweep_point(args: tuple) -> dict:
-    """One sweep point; runs in a worker process."""
-    (config_path, axis, value, point_dir, model_path, seed) = args
-    row: dict = {"value": value, "status": "ok", "message": ""}
+def _outcome(fn, *args) -> tuple[int, str, object]:
+    """``(exit code, message, result)`` of ``fn(*args)``: the one map from a
+    run's failures to exit codes; the result is None on a failure."""
     try:
-        cfg = _apply_seed(load_config(config_path), seed)
-        if axis == "area_constraint":
-            cfg = dataclasses.replace(
-                cfg, search=dataclasses.replace(cfg.search,
-                                                area_constraint=float(value)))
-        elif axis == "xbar_size":
-            if value != int(value):
-                raise ConfigError(f"xbar_size must be an integer, got {value:g}")
-            platform = dataclasses.replace(cfg.platform, xbar_size=int(value))
-            check_cs_fits(cfg.space, platform)
-            cfg = dataclasses.replace(cfg, platform=platform)
-        else:
-            raise ConfigError(f"unknown sweep axis {axis!r}")
-
-        if model_path is not None:
-            model = _load_valid_model(model_path, cfg, config_path)
-            report = model_cost(model, cfg.platform)
-            selected_model = model
-        else:
-            check_class_count(cfg.space)
-            run = _RunDir(Path(point_dir), f"sweep:{axis}", config_path,
-                          cfg.search.seed)
-            result, selected = _phase1_into(run, cfg)
-            if selected is None:
-                row["status"] = "empty_pool"
-                row["message"] = _empty_pool_message(result.pool, cfg.search)
-                return row
-            run.finish()
-            report = selected.report
-            selected_model = selected.model
-        n = len(selected_model.layers)
-        row.update({
-            "area_mm2": report.area,
-            "delay_ns": report.delay,
-            "energy_pJ": report.energy,
-            "edap_mJ_ms_mm2": report.edap,
-            "psi": report.psi,
-            "mean_cs": sum(c.cs for _, c in selected_model.layers) / n,
-            "sar_fraction": sum(1 for _, c in selected_model.layers
-                                if c.at is ADCType.SAR) / n,
-            "total_tiles": sum(lc.tiles for lc in report.per_layer),
-        })
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
-        row["status"] = "config_error"
-        row["message"] = str(exc)
-    except FloatingPointError as exc:
-        row["status"] = "numeric_error"
-        row["message"] = str(exc)
-    return row
+        return EXIT_OK, "", fn(*args)
+    # before ValueError, which LinAlgError subclasses
+    except (FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
+        return EXIT_NUMERIC, str(exc), None
+    except (ConfigError, ValueError, FileNotFoundError) as exc:
+        return EXIT_CONFIG, str(exc), None
+    except EmptyPoolError as exc:
+        return EXIT_EMPTY_POOL, str(exc), None
 
 
-#: A sweep exits with the largest code among its points.
-_SWEEP_EXIT = {"ok": EXIT_OK, "config_error": EXIT_CONFIG,
-               "empty_pool": EXIT_EMPTY_POOL, "numeric_error": EXIT_NUMERIC}
+#: The sweep status that names each exit code, and its inverse: a sweep
+#: exits with the largest code among its points.
+_SWEEP_STATUS = {EXIT_OK: "ok", EXIT_CONFIG: "config_error",
+                 EXIT_EMPTY_POOL: "empty_pool", EXIT_NUMERIC: "numeric_error"}
+_SWEEP_EXIT = {status: code for code, status in _SWEEP_STATUS.items()}
 
+_SWEEP_AXES = ("area_constraint", "xbar_size")
 _SWEEP_COLUMNS = ("value", "status", "message", "area_mm2", "delay_ns",
                   "energy_pJ", "edap_mJ_ms_mm2", "psi", "mean_cs",
                   "sar_fraction", "total_tiles")
 
 
+def _point_columns(config_path: Path, axis: str, value: float, point_dir: str,
+                   model_path: Path | None, seed: int) -> dict:
+    """One sweep point's result columns, with ``axis`` set to ``value``: the
+    cost of the model at ``model_path``, or else of phase 1's selection, run
+    into ``point_dir``."""
+    cfg = _apply_seed(load_config(config_path), seed)
+    if axis == "area_constraint":
+        cfg = dataclasses.replace(cfg, search=dataclasses.replace(
+            cfg.search, area_constraint=value))
+    elif not float(value).is_integer():
+        raise ConfigError(f"xbar_size must be an integer, got {value:g}")
+    else:
+        platform = dataclasses.replace(cfg.platform, xbar_size=int(value))
+        check_cs_fits(cfg.space, platform)
+        cfg = dataclasses.replace(cfg, platform=platform)
+    if model_path is not None:
+        model, report = _eval(cfg, config_path, model_path)
+    else:
+        selected = _phase1(cfg, config_path, Path(point_dir), f"sweep:{axis}",
+                           sweep={"axis": axis, "value": value})
+        model, report = selected.model, selected.report
+    n = len(model.layers)
+    return {
+        "area_mm2": report.area,
+        "delay_ns": report.delay,
+        "energy_pJ": report.energy,
+        "edap_mJ_ms_mm2": report.edap,
+        "psi": report.psi,
+        "mean_cs": sum(c.cs for _, c in model.layers) / n,
+        "sar_fraction": sum(1 for _, c in model.layers
+                            if c.at is ADCType.SAR) / n,
+        "total_tiles": sum(lc.tiles for lc in report.per_layer),
+    }
+
+
+def _sweep_point(args: tuple) -> dict:
+    """One sweep point's row; runs in a worker process."""
+    code, message, columns = _outcome(_point_columns, *args)
+    return {"value": args[2], "status": _SWEEP_STATUS[code], "message": message,
+            **(columns or {})}
+
+
+def _sweep_values(text: str) -> list[float]:
+    """The numbers of a comma-separated ``--values`` list."""
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--values: {exc}") from exc
+
+
 def cmd_sweep(config_path: Path, axis: str, values: list[float], out_dir: Path,
               workers: int = 1, model_path: Path | None = None,
               seed: int | None = None) -> int:
+    if not values:
+        raise ConfigError("--values is empty")
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
+    if axis not in _SWEEP_AXES:
+        raise ConfigError(f"--axis: unknown sweep axis {axis!r}")
+    names = [f"point_{v:g}" for v in values]
+    for i, name in enumerate(names):
+        if (first := names.index(name)) < i:
+            raise ConfigError(f"--values: {values[first]!r} and {values[i]!r} "
+                              f"both name the point directory {name}")
     cfg = _apply_seed(load_config(config_path), seed)
     run = _RunDir(out_dir, f"sweep:{axis}", config_path, cfg.search.seed)
-    tasks = [(config_path, axis, v, str(run.path / f"point_{v:g}"), model_path,
-              cfg.search.seed) for v in values]
+    tasks = [(config_path, axis, v, str(run.path / name), model_path,
+              cfg.search.seed) for v, name in zip(values, names)]
     # the executor starts every worker it may use, so use no more than points
     workers = min(workers, len(tasks))
     if workers > 1:
@@ -362,13 +387,9 @@ def cmd_sweep(config_path: Path, axis: str, values: list[float], out_dir: Path,
             rows = list(pool.map(_sweep_point, tasks))
     else:
         rows = [_sweep_point(t) for t in tasks]
-    for row in rows:
-        for col in _SWEEP_COLUMNS:
-            row.setdefault(col, "")
-    ordered = [{col: row[col] for col in _SWEEP_COLUMNS} for row in rows]
+    ordered = [{col: row.get(col, "") for col in _SWEEP_COLUMNS} for row in rows]
     write_trace(ordered, run.path / "sweep.csv")
-    run.record("sweep.csv")
-    run.finish()
+    run.finish("sweep.csv")
     ok = sum(r["status"] == "ok" for r in rows)
     print(f"sweep: {ok}/{len(rows)} points ok; "
           f"results in {run.path / 'sweep.csv'}")
@@ -386,70 +407,50 @@ def _build_parser() -> argparse.ArgumentParser:
                     "circuits, with an analytical cost model.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, type=Path)
+    common.add_argument("--out-dir", required=True, type=Path)
+    common.add_argument("--seed", type=int, default=None)
 
-    p_eval = sub.add_parser("eval", help="cost a fixed model")
-    p_eval.add_argument("--config", required=True, type=Path)
+    p_eval = sub.add_parser("eval", parents=[common], help="cost a fixed model")
     p_eval.add_argument("--model", required=True, type=Path)
-    p_eval.add_argument("--out-dir", required=True, type=Path)
-    p_eval.add_argument("--seed", type=int, default=None)
 
-    p1 = sub.add_parser("phase1", help="run the width/CS/AT search")
-    p1.add_argument("--config", required=True, type=Path)
-    p1.add_argument("--out-dir", required=True, type=Path)
-    p1.add_argument("--seed", type=int, default=None)
+    sub.add_parser("phase1", parents=[common], help="run the width/CS/AT search")
 
-    p2 = sub.add_parser("phase2", help="run the AP/IP search")
-    p2.add_argument("--config", required=True, type=Path)
+    p2 = sub.add_parser("phase2", parents=[common], help="run the AP/IP search")
     p2.add_argument("--phase1-dir", required=True, type=Path)
     p2.add_argument("--weights", required=True, type=Path)
-    p2.add_argument("--out-dir", required=True, type=Path)
-    p2.add_argument("--seed", type=int, default=None)
 
-    ps = sub.add_parser("sweep", help="repeat a search/eval along an axis")
-    ps.add_argument("--config", required=True, type=Path)
-    ps.add_argument("--axis", required=True,
-                    choices=("area_constraint", "xbar_size"))
+    ps = sub.add_parser("sweep", parents=[common],
+                        help="repeat a search/eval along an axis")
+    ps.add_argument("--axis", required=True, choices=_SWEEP_AXES)
     ps.add_argument("--values", required=True,
-                    help="comma-separated axis values, e.g. 20,30,40")
-    ps.add_argument("--out-dir", required=True, type=Path)
+                    help="comma-separated numbers along --axis, e.g. 20,30,40; "
+                         "no two may share a point directory, point_<value:g>")
     ps.add_argument("--workers", type=int, default=1)
     ps.add_argument("--model", type=Path, default=None,
                     help="evaluate this fixed model per point instead of searching")
-    ps.add_argument("--seed", type=int, default=None)
     return parser
+
+
+_COMMANDS = {
+    "eval": lambda a: cmd_eval(a.config, a.model, a.out_dir, a.seed),
+    "phase1": lambda a: cmd_phase1(a.config, a.out_dir, a.seed),
+    "phase2": lambda a: cmd_phase2(a.config, a.phase1_dir, a.weights,
+                                   a.out_dir, a.seed),
+    "sweep": lambda a: cmd_sweep(a.config, a.axis, _sweep_values(a.values),
+                                 a.out_dir, a.workers, a.model, a.seed),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        if args.command == "eval":
-            return cmd_eval(args.config, args.model, args.out_dir, args.seed)
-        if args.command == "phase1":
-            return cmd_phase1(args.config, args.out_dir, args.seed)
-        if args.command == "phase2":
-            return cmd_phase2(args.config, args.phase1_dir, args.weights,
-                              args.out_dir, args.seed)
-        if args.command == "sweep":
-            values = [float(v) for v in args.values.split(",") if v.strip()]
-            if not values:
-                print("error: --values is empty", file=sys.stderr)
-                return EXIT_CONFIG
-            if args.workers < 1:
-                print(f"error: --workers must be >= 1, got {args.workers}",
-                      file=sys.stderr)
-                return EXIT_CONFIG
-            return cmd_sweep(args.config, args.axis, values, args.out_dir,
-                             args.workers, args.model, args.seed)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except EmptyPoolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_POOL
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"error: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    raise AssertionError(f"unhandled command {args.command}")
+    code, message, result = _outcome(_COMMANDS[args.command], args)
+    if code == EXIT_OK:
+        return result
+    numeric = "numeric failure: " if code == EXIT_NUMERIC else ""
+    print(f"error: {numeric}{message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

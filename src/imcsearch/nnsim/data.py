@@ -11,9 +11,6 @@ import numpy as np
 
 from .network import TensorBatch
 
-#: Bump when the generated distributions change.
-DATA_VERSION = 1
-
 
 def make_blobs(n_samples: int, n_classes: int = 2, n_features: int = 2,
                spread: float = 0.35, seed: int = 0) -> TensorBatch:

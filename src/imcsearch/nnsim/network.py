@@ -510,14 +510,21 @@ def train_tiny(net: RefNet, dataset: TensorBatch, epochs: int, lr: float,
 
 def build_refnet(model, class_count: int, seed: int = 0,
                  dtype=float) -> RefNet:
-    """Reference network matching a candidate's layer widths.
+    """Reference network matching a candidate's layer widths, its weights
+    drawn from ``seed`` and held in ``dtype`` (see ``Layer.init_weights``)."""
+    net = RefNet(_refnet_layers(model, class_count), class_count)
+    net.init_weights(np.random.default_rng(seed), dtype)
+    return net
+
+
+def _refnet_layers(model, class_count: int) -> list[Layer]:
+    """The layers of ``build_refnet``'s network, no weights drawn.
 
     Convolution layers become conv-BN-ReLU blocks (with an average pool
     wherever the candidate's fixed shapes halve the spatial extent); the
     final fully-connected layer becomes the classifier after a global
     average pool.  The candidate's last layer must produce ``class_count``
-    channels.  The weights are drawn from ``seed`` and held in ``dtype``
-    (see ``Layer.init_weights``).
+    channels.
     """
     layers: list[Layer] = []
     prev_cd = model.input_channels
@@ -547,9 +554,7 @@ def build_refnet(model, class_count: int, seed: int = 0,
     if prev_cd != class_count:
         raise ValueError(f"candidate's last layer yields {prev_cd} outputs, "
                          f"expected {class_count} classes")
-    net = RefNet(layers=layers, class_count=class_count)
-    net.init_weights(np.random.default_rng(seed), dtype)
-    return net
+    return layers
 
 
 # ---------------------------------------------------------------------------

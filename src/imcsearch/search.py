@@ -10,6 +10,7 @@ winner's widths and converters, trains nothing, and searches per-layer
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +69,9 @@ class SearchConfig:
     temperature: float = 1.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.area_constraint):
+            raise ValueError(f"area_constraint must be finite, got "
+                             f"{self.area_constraint}")
         if self.area_constraint <= 0:
             raise ValueError("area_constraint must be positive")
         if self.n1_steps < 0 or self.n2_steps < 0:

@@ -18,7 +18,8 @@ from imcsearch.designspace import (
     UnitCost,
     UnitCostTable,
 )
-from imcsearch.nnsim import build_refnet, make_blobs, make_patterns, train_tiny
+from imcsearch.nnsim import build_refnet, make_blobs, make_patterns
+from imcsearch.nnsim.network import train_tiny
 from imcsearch.search import Phase2Data
 
 

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -10,7 +14,8 @@ from imcsearch import cli, search
 from imcsearch.config import load_config
 from imcsearch.designspace import ADCType, homogeneous_model
 from imcsearch.io import load_model, model_to_dict, write_json
-from imcsearch.nnsim import build_refnet, save_net
+from imcsearch.nnsim import RefNet, build_refnet, load_net
+from imcsearch.nnsim.network import save_net
 
 from conftest import one_float_per_array
 
@@ -444,3 +449,130 @@ def test_conv_final_design_space_exits_2_naming_the_field(phase2_inputs, tmp_pat
                      *inputs]) == cli.EXIT_CONFIG
     assert "design_space.layers[1].is_fc" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("axis, values, code, status", [
+    ("area_constraint", "20,abc", cli.EXIT_CONFIG, None),
+    ("area_constraint", "nan", cli.EXIT_CONFIG, "config_error"),
+    ("area_constraint", "inf", cli.EXIT_CONFIG, "config_error"),
+    ("xbar_size", "inf", cli.EXIT_CONFIG, "config_error"),
+    ("xbar_size", "1e30", cli.EXIT_NUMERIC, "numeric_error"),
+], ids=["not_a_number", "nan_area", "inf_area", "inf_xbar", "huge_xbar"])
+def test_bad_sweep_values_exit_with_their_code(tmp_path, capsys, axis, values,
+                                               code, status):
+    path = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=1.0))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(path), "--axis", axis,
+                     "--values", values, "--out-dir", str(out)]) == code
+    if status is None:  # refused before any run directory exists
+        assert "--values" in capsys.readouterr().err
+        assert not out.exists()
+        return
+    (row,) = read_sweep(out)
+    assert row["status"] == status and row["message"]
+
+
+def test_sweep_of_an_unknown_axis_is_refused(tmp_path):
+    path = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=1.0))
+    out = tmp_path / "sweep"
+    with pytest.raises(cli.ConfigError, match="--axis: unknown sweep axis"):
+        cli.cmd_sweep(path, "clock_period", [1.0], out)
+    assert not out.exists()
+
+
+def test_phase1_overflowing_xbar_size_exits_4(tmp_path, capsys):
+    raw = dict(CONFIG, platform={"xbar_size": 1.0e30},
+               search=dict(CONFIG["search"], area_constraint_mm2=1.0))
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert cli.main(["phase1", "--config", str(path), "--out-dir",
+                     str(tmp_path / "run")]) == cli.EXIT_NUMERIC
+    assert "error: numeric failure: " in capsys.readouterr().err
+
+
+def test_bad_sweep_values_exit_2_from_a_real_process(tmp_path):
+    # cli.main raises on an unmapped error; only a process shows its exit code
+    path = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=1.0))
+    out = tmp_path / "sweep"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "imcsearch.cli", "sweep", "--config", str(path),
+         "--axis", "area_constraint", "--values", "20,abc",
+         "--out-dir", str(out)], capture_output=True, text=True, env=env)
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert "--values" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values, first, second", [
+    ("12.5000001,12.5000002", "12.5000001", "12.5000002"),
+    ("20,20", "20.0", "20.0"),
+])
+def test_sweep_values_sharing_a_point_directory_exit_2(tmp_path, capsys,
+                                                       values, first, second):
+    path = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=1.0))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(path), "--axis", "area_constraint",
+                     "--values", values, "--out-dir", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"--values: {first} and {second} both name" in err
+    assert not out.exists()
+
+
+def test_sweep_point_manifest_names_its_axis_and_value(tmp_path):
+    path = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=1.0))
+    out = tmp_path / "sweep"
+    cli.main(["sweep", "--config", str(path), "--axis", "area_constraint",
+              "--values", "1.18,5", "--out-dir", str(out)])
+    for name, value in (("point_1.18", 1.18), ("point_5", 5.0)):
+        manifest = json.loads((out / name / "manifest.json").read_text())
+        assert manifest["command"] == "sweep:area_constraint"
+        assert manifest["sweep"] == {"axis": "area_constraint", "value": value}
+    assert "sweep" not in json.loads((out / "manifest.json").read_text())
+
+
+def test_every_run_directory_lists_its_files_and_finishes(phase2_inputs,
+                                                          tmp_path):
+    path, phase1_dir, weights = phase2_inputs
+    space = load_config(path).space
+    model_path = tmp_path / "model.json"
+    write_json(model_path, model_to_dict(
+        homogeneous_model(space, cs=8, at=ADCType.SAR, ap=6, ip=8)))
+    empty = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=5.0))
+    runs = {
+        "eval": ["eval", "--config", str(path), "--model", str(model_path)],
+        "phase1_empty": ["phase1", "--config", str(empty)],
+        "phase2": ["phase2", "--config", str(path), "--phase1-dir",
+                   str(phase1_dir), "--weights", str(weights)],
+        "sweep": ["sweep", "--config", str(path), "--axis", "area_constraint",
+                  "--values", "1.18,5"],
+    }
+    for name, argv in runs.items():
+        cli.main([*argv, "--out-dir", str(tmp_path / name)])
+    dirs = [phase1_dir, *(tmp_path / name for name in runs),
+            *(tmp_path / "sweep").glob("point_*")]
+    assert len(dirs) == 7
+    for run in dirs:
+        manifest = json.loads((run / "manifest.json").read_text())
+        files = {p.name for p in run.iterdir() if p.is_file()}
+        assert sorted(manifest["outputs"]) == sorted(files - {"manifest.json"})
+        assert manifest["finished_at"] is not None
+
+
+def test_weights_check_draws_no_network(phase2_inputs, monkeypatch):
+    _, phase1_dir, weights = phase2_inputs
+    model_file = phase1_dir / "selected_model.json"
+    model = load_model(model_file)
+    net = load_net(weights)
+
+    def no_draw(*args):
+        raise AssertionError("the weights check drew a network")
+
+    monkeypatch.setattr(RefNet, "init_weights", no_draw)
+    class_count = CONFIG["design_space"]["class_count"]
+    cli._check_weights(net, weights, model, model_file, class_count)
+    net.layers.pop()
+    with pytest.raises(cli.ConfigError, match="layers, expected"):
+        cli._check_weights(net, weights, model, model_file, class_count)

@@ -2,21 +2,30 @@ import numpy as np
 import pytest
 
 from imcsearch.nnsim import (
-    IDEAL_NOISE,
     NoiseSpec,
     TensorBatch,
     WalkState,
-    accuracy,
-    bn_adapt,
     make_blobs,
-    noisy_forward,
     split_batches,
-    train_tiny,
     walk_layers,
 )
 from imcsearch.nnsim import inference
-from imcsearch.nnsim.inference import _quantizable_index, _quantized_layer_outputs
-from imcsearch.nnsim.network import BatchNorm, Conv2D, Dense, RefNet, ReLU
+from imcsearch.nnsim.crossbar import IDEAL_NOISE
+from imcsearch.nnsim.inference import (
+    _quantizable_index,
+    _quantized_layer_outputs,
+    bn_adapt,
+    noisy_forward,
+)
+from imcsearch.nnsim.network import (
+    BatchNorm,
+    Conv2D,
+    Dense,
+    RefNet,
+    ReLU,
+    accuracy,
+    train_tiny,
+)
 from imcsearch.nnsim.quantize import quantize_inputs, quantize_slice_weights
 
 from conftest import fc_net, make_platform, recompose_codes

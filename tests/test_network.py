@@ -9,14 +9,11 @@ from imcsearch.designspace import ADCType, CandidateModel, LayerChoice, LayerSha
 from imcsearch.nnsim import (
     TensorBatch,
     TrainingDiverged,
-    accuracy,
     build_refnet,
     cross_entropy,
     load_net,
     make_blobs,
     make_patterns,
-    save_net,
-    train_tiny,
 )
 from imcsearch.nnsim import network
 from imcsearch.nnsim.network import (
@@ -27,8 +24,11 @@ from imcsearch.nnsim.network import (
     GlobalAvgPool,
     Layer,
     ReLU,
+    accuracy,
     cross_entropy_grad,
     im2col,
+    save_net,
+    train_tiny,
 )
 
 from conftest import candidate_net, fc_net, one_float_per_array
