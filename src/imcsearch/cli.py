@@ -8,7 +8,9 @@ puts each phase-1 point's directory at ``point_<value:g>`` under its own,
 with ``"sweep": {"axis", "value"}`` in the point's manifest; ``--values``
 whose directory names clash are refused.
 
-``_outcome`` maps every failure to its exit code.  A sweep point's status
+``_exit_code`` maps every failure to its exit code.  A run that fails
+after its directory exists records the code and the message in its
+manifest as ``"failure": {"code", "message"}``.  A sweep point's status
 in ``sweep.csv`` names that code, and a sweep exits with its points'
 largest code:
 
@@ -82,7 +84,12 @@ EXIT_NUMERIC = 4
 
 
 class _RunDir:
-    """Run-directory bookkeeping: snapshot first, manifest before results."""
+    """Run-directory bookkeeping: snapshot first, manifest before results.
+
+    A context manager: a mapped failure (``_exit_code``) raised inside the
+    ``with`` block is recorded as the manifest's ``"failure": {"code",
+    "message"}`` before it propagates.
+    """
 
     def __init__(self, out_dir: Path, command: str, config_path: Path,
                  seed: int, **manifest):
@@ -111,6 +118,15 @@ class _RunDir:
         self.manifest["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                                      time.gmtime())
         self.record(*names)
+
+    def __enter__(self) -> _RunDir:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        code = None if exc is None else _exit_code(exc)
+        if code is not None:
+            self.manifest["failure"] = {"code": code, "message": str(exc)}
+            self.record()
 
 
 def _fixture_batch(fixture: FixtureConfig, space: DesignSpace, n: int,
@@ -206,26 +222,28 @@ def _phase1(cfg: AppConfig, config_path: Path, out_dir: Path, command: str,
     the keys of ``manifest``; the selected entry.  An empty pool finishes
     the directory and raises an EmptyPoolError naming the nearest miss."""
     check_class_count(cfg.space)
-    run = _RunDir(out_dir, command, config_path, cfg.search.seed, **manifest)
-    result = phase1_run(cfg.space, cfg.platform, cfg.search)
-    write_trace(result.trace, run.path / "phase1_trace.csv")
-    run.record("phase1_trace.csv")
-    area_constraint = cfg.search.area_constraint
-    if not result.pool.admitted():
-        write_pool(result.pool, run.path / "pool.json", area_constraint)
-        run.finish("pool.json")
-        raise EmptyPoolError(_empty_pool_message(result.pool, cfg.search))
-    hd_batch = _fixture_batch(cfg.fixture, cfg.space, cfg.search.hd_batch_size,
-                              cfg.search.seed)
-    selected = rank_candidates(result.pool, hd_batch, cfg.search.seed,
-                               cfg.space.class_count)
-    write_pool(result.pool, run.path / "pool.json", area_constraint,
-               selected_key=selected.choice_key())
-    write_json(run.path / "selected_model.json", model_to_dict(selected.model))
-    write_report(selected.report, run.path / "selected_report.json",
-                 run.path / "selected_report.csv")
-    run.finish("pool.json", "selected_model.json", "selected_report.json",
-               "selected_report.csv")
+    with _RunDir(out_dir, command, config_path, cfg.search.seed,
+                 **manifest) as run:
+        result = phase1_run(cfg.space, cfg.platform, cfg.search)
+        write_trace(result.trace, run.path / "phase1_trace.csv")
+        run.record("phase1_trace.csv")
+        area_constraint = cfg.search.area_constraint
+        if not result.pool.admitted():
+            write_pool(result.pool, run.path / "pool.json", area_constraint)
+            run.finish("pool.json")
+            raise EmptyPoolError(_empty_pool_message(result.pool, cfg.search))
+        hd_batch = _fixture_batch(cfg.fixture, cfg.space,
+                                  cfg.search.hd_batch_size, cfg.search.seed)
+        selected = rank_candidates(result.pool, hd_batch, cfg.search.seed,
+                                   cfg.space.class_count)
+        write_pool(result.pool, run.path / "pool.json", area_constraint,
+                   selected_key=selected.choice_key())
+        write_json(run.path / "selected_model.json",
+                   model_to_dict(selected.model))
+        write_report(selected.report, run.path / "selected_report.json",
+                     run.path / "selected_report.csv")
+        run.finish("pool.json", "selected_model.json", "selected_report.json",
+                   "selected_report.csv")
     return selected
 
 
@@ -252,52 +270,63 @@ def cmd_phase2(config_path: Path, phase1_dir: Path, weights_path: Path,
     model, _ = _eval(cfg, config_path, model_file)
     net = _load(load_net, weights_path)
     _check_weights(net, weights_path, model, model_file, cfg.space.class_count)
-    run = _RunDir(out_dir, "phase2", config_path, cfg.search.seed)
-
-    fixture = cfg.fixture
-    train_batch = _fixture_batch(fixture, cfg.space, fixture.train_samples,
-                                 cfg.search.seed)
-    n_adapt = max(fixture.adapt_batch_size,
-                  int(fixture.adapt_fraction * fixture.train_samples))
-    adapt = TensorBatch(train_batch.data[:n_adapt], train_batch.labels[:n_adapt])
-    eval_batch = _fixture_batch(fixture, cfg.space, fixture.eval_samples,
-                                cfg.search.seed + 1)
-    data = Phase2Data(adapt_batches=split_batches(adapt,
-                                                  fixture.adapt_batch_size),
-                      eval_batch=eval_batch)
-    result = phase2_run(net, model, cfg.space, cfg.platform, cfg.search, data)
-    write_trace(result.trace, run.path / "phase2_trace.csv")
-    final_model = apply_assignment(model, result.assignment)
-    write_json(run.path / "final_model.json", model_to_dict(final_model))
-    report = model_cost(final_model, cfg.platform)
-    write_report(report, run.path / "final_report.json",
-                 run.path / "final_report.csv")
-    # a layer no step probed ends at its delay-only option, with no CE evidence
-    probed = {row["layer"] for row in result.trace}
-    write_json(run.path / "assignment.json",
-               {"per_layer_ap_ip": [list(a) for a in result.assignment],
-                "delay_ref_ns": result.delay_ref,
-                "unprobed_layers": [layer for layer in range(len(result.assignment))
-                                    if layer not in probed]})
-    run.finish("phase2_trace.csv", "final_model.json", "final_report.json",
-               "final_report.csv", "assignment.json")
+    with _RunDir(out_dir, "phase2", config_path, cfg.search.seed) as run:
+        fixture = cfg.fixture
+        train_batch = _fixture_batch(fixture, cfg.space, fixture.train_samples,
+                                     cfg.search.seed)
+        n_adapt = max(fixture.adapt_batch_size,
+                      int(fixture.adapt_fraction * fixture.train_samples))
+        adapt = TensorBatch(train_batch.data[:n_adapt], train_batch.labels[:n_adapt])
+        eval_batch = _fixture_batch(fixture, cfg.space, fixture.eval_samples,
+                                    cfg.search.seed + 1)
+        data = Phase2Data(adapt_batches=split_batches(adapt,
+                                                      fixture.adapt_batch_size),
+                          eval_batch=eval_batch)
+        result = phase2_run(net, model, cfg.space, cfg.platform, cfg.search, data)
+        write_trace(result.trace, run.path / "phase2_trace.csv")
+        final_model = apply_assignment(model, result.assignment)
+        write_json(run.path / "final_model.json", model_to_dict(final_model))
+        report = model_cost(final_model, cfg.platform)
+        write_report(report, run.path / "final_report.json",
+                     run.path / "final_report.csv")
+        # a layer no step probed ends at its delay-only option, with no CE evidence
+        probed = {row["layer"] for row in result.trace}
+        write_json(run.path / "assignment.json",
+                   {"per_layer_ap_ip": [list(a) for a in result.assignment],
+                    "delay_ref_ns": result.delay_ref,
+                    "unprobed_layers": [layer for layer in range(len(result.assignment))
+                                        if layer not in probed]})
+        run.finish("phase2_trace.csv", "final_model.json", "final_report.json",
+                   "final_report.csv", "assignment.json")
     print(f"phase2: assignment {result.assignment}; final delay "
           f"{report.delay:.4g} ns, EDAP {report.edap:.4g}")
     return EXIT_OK
 
 
+def _exit_code(exc: BaseException) -> int | None:
+    """The one map from a run's failures to exit codes; None for a failure
+    it does not map, which propagates."""
+    # before ValueError, which LinAlgError subclasses
+    if isinstance(exc, (FloatingPointError, OverflowError,
+                        np.linalg.LinAlgError)):
+        return EXIT_NUMERIC
+    if isinstance(exc, (ConfigError, ValueError, FileNotFoundError)):
+        return EXIT_CONFIG
+    if isinstance(exc, EmptyPoolError):
+        return EXIT_EMPTY_POOL
+    return None
+
+
 def _outcome(fn, *args) -> tuple[int, str, object]:
-    """``(exit code, message, result)`` of ``fn(*args)``: the one map from a
-    run's failures to exit codes; the result is None on a failure."""
+    """``(exit code, message, result)`` of ``fn(*args)``; the result is None
+    on a failure."""
     try:
         return EXIT_OK, "", fn(*args)
-    # before ValueError, which LinAlgError subclasses
-    except (FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
-        return EXIT_NUMERIC, str(exc), None
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
-        return EXIT_CONFIG, str(exc), None
-    except EmptyPoolError as exc:
-        return EXIT_EMPTY_POOL, str(exc), None
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
+        return code, str(exc), None
 
 
 #: The sweep status that names each exit code, and its inverse: a sweep

@@ -6,6 +6,15 @@ key each raise a ``ConfigError`` that names the section and the key.  The
 unit-cost calibration table lives in its own data file (units in the
 header); the packaged desk-calibration default is used when the config
 names none.
+
+Both files are parsed by ``_YAML_LOADER``: libyaml's ``CSafeLoader`` when
+PyYAML was built with libyaml (``yaml.__with_libyaml__``), else PyYAML's
+pure-Python ``SafeLoader``.  The C loader replaces only the scanner and
+parser, which are most of a run's set-up (the packaged calibration parses
+about ten times faster); it keeps PyYAML's ``SafeConstructor`` and
+``Resolver``, so every value reads the same either way, including YAML
+1.1's reading of ``1e-3`` as text.  A parse error is a ``yaml.YAMLError``
+under both and becomes a ``ConfigError``; only the error's wording differs.
 """
 
 from __future__ import annotations
@@ -28,6 +37,10 @@ from .designspace import (
     vgg16_space,
 )
 from .search import SearchConfig
+
+
+#: The platform decides; the values do not depend on it (module docstring).
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 class ConfigError(ValueError):
@@ -208,7 +221,7 @@ def load_unit_costs(path: str | Path | None = None) -> UnitCostTable:
             raise ConfigError(f"unit-cost file not found: {path}")
         text, source = path.read_text(), str(path)
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
         components = {
             name: UnitCost(area=float(entry["area"]), energy=float(entry["energy"]),
                            latency=float(entry["latency"]))
@@ -280,7 +293,7 @@ def load_config(path: str | Path) -> AppConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         with open(path) as f:
-            raw = yaml.safe_load(f)
+            raw = yaml.load(f, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: YAML parse error: {exc}") from exc
     if not isinstance(raw, dict):

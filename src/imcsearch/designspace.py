@@ -195,8 +195,13 @@ class PlatformParams:
     hierarchy: HierarchyParams = field(default_factory=HierarchyParams)
 
     def __post_init__(self) -> None:
-        if self.xbar_size < 1 or self.xbars_per_tile < 1:
-            raise ValueError("xbar_size and xbars_per_tile must be >= 1")
+        # the paper's arrays have 64-256 rows; the bound keeps the cost
+        # tables' int64 products, tiles * xbars_per_tile * xbar_size**2,
+        # from overflowing
+        for name in ("xbar_size", "xbars_per_tile"):
+            if not 1 <= getattr(self, name) <= 2 ** 16:
+                raise ValueError(f"{name} must be in [1, 65536], got "
+                                 f"{getattr(self, name)}")
         # signed weights need a sign and at least one magnitude bit
         if self.weight_slice_bits < 1 or self.weight_bits < 2 \
                 or self.weight_bits % self.weight_slice_bits != 0:

@@ -456,7 +456,7 @@ def test_conv_final_design_space_exits_2_naming_the_field(phase2_inputs, tmp_pat
     ("area_constraint", "nan", cli.EXIT_CONFIG, "config_error"),
     ("area_constraint", "inf", cli.EXIT_CONFIG, "config_error"),
     ("xbar_size", "inf", cli.EXIT_CONFIG, "config_error"),
-    ("xbar_size", "1e30", cli.EXIT_NUMERIC, "numeric_error"),
+    ("xbar_size", "1e30", cli.EXIT_CONFIG, "config_error"),
 ], ids=["not_a_number", "nan_area", "inf_area", "inf_xbar", "huge_xbar"])
 def test_bad_sweep_values_exit_with_their_code(tmp_path, capsys, axis, values,
                                                code, status):
@@ -480,14 +480,49 @@ def test_sweep_of_an_unknown_axis_is_refused(tmp_path):
     assert not out.exists()
 
 
-def test_phase1_overflowing_xbar_size_exits_4(tmp_path, capsys):
+def test_phase1_overflowing_xbar_size_exits_2_naming_the_field(tmp_path,
+                                                               capsys):
     raw = dict(CONFIG, platform={"xbar_size": 1.0e30},
                search=dict(CONFIG["search"], area_constraint_mm2=1.0))
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "run"
     assert cli.main(["phase1", "--config", str(path), "--out-dir",
-                     str(tmp_path / "run")]) == cli.EXIT_NUMERIC
-    assert "error: numeric failure: " in capsys.readouterr().err
+                     str(out)]) == cli.EXIT_CONFIG
+    assert "error: platform: xbar_size must be in [1, 65536]" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflow_still_exits_4():
+    def overflow():
+        raise OverflowError("int too large")
+
+    assert cli._outcome(overflow) == (cli.EXIT_NUMERIC, "int too large", None)
+
+
+def test_failed_run_directory_records_why(tmp_path, capsys):
+    path = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=5.0))
+    empty = tmp_path / "empty"
+    assert cli.main(["phase1", "--config", str(path),
+                     "--out-dir", str(empty)]) == cli.EXIT_EMPTY_POOL
+    err = capsys.readouterr().err
+    failure = json.loads((empty / "manifest.json").read_text())["failure"]
+    assert failure["code"] == cli.EXIT_EMPTY_POOL
+    assert f"error: {failure['message']}" in err
+    assert "nearest miss" in failure["message"]
+
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(path), "--axis", "area_constraint",
+                     "--values", "1e-300,1.18", "--out-dir", str(out)]
+                    ) == cli.EXIT_NUMERIC
+    numeric, ok = read_sweep(out)
+    manifest = json.loads((out / "point_1e-300" / "manifest.json").read_text())
+    assert manifest["failure"] == {"code": cli.EXIT_NUMERIC,
+                                   "message": numeric["message"]}
+    assert manifest["finished_at"] is None
+    for run in (out, out / "point_1.18"):
+        assert "failure" not in json.loads((run / "manifest.json").read_text())
 
 
 def test_bad_sweep_values_exit_2_from_a_real_process(tmp_path):

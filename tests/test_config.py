@@ -5,7 +5,7 @@ import copy
 import pytest
 import yaml
 
-from imcsearch import cli
+from imcsearch import cli, config
 from imcsearch.config import AppConfig, FixtureConfig, load_config, load_unit_costs
 from imcsearch.designspace import (
     ADCType,
@@ -203,6 +203,13 @@ def test_malformed_value_kinds_exit_2_naming_the_key(tmp_path, capsys, path,
      "platform.xbar_size: expected an integer, got '128'"),
     (("search", "lambda1"), "1e1",
      "search.lambda1: expected a finite number, got '1e1'"),
+    # bounded so that the cost tables' integer products cannot overflow
+    (("platform", "xbar_size"), 1.0e30,
+     "platform: xbar_size must be in [1, 65536], got 10000000000000000198846"),
+    (("platform", "xbar_size"), 2 ** 16 + 1,
+     "platform: xbar_size must be in [1, 65536], got 65537"),
+    (("platform", "xbars_per_tile"), 1.0e30,
+     "platform: xbars_per_tile must be in [1, 65536]"),
 ], ids=lambda v: _dotted(v) if isinstance(v, tuple) else repr(v))
 def test_out_of_range_value_exits_2_naming_the_section(tmp_path, capsys,
                                                        path, value, message):
@@ -270,3 +277,56 @@ def test_unit_costs_env_var_is_ignored(tmp_path, monkeypatch):
     del raw["platform"]["unit_costs_file"]
     cfg = load_config(write_config(tmp_path, raw))
     assert cfg.platform.unit_costs.calibration_id == "desk32nm-v1"
+
+
+@pytest.fixture(params=["CSafeLoader", "SafeLoader"])
+def yaml_loader(request, monkeypatch):
+    """Parse every YAML document with this loader."""
+    if request.param == "CSafeLoader" and not yaml.__with_libyaml__:
+        pytest.skip("PyYAML was built without libyaml")
+    loader = getattr(yaml, request.param)
+    monkeypatch.setattr(config, "_YAML_LOADER", loader)
+    return loader
+
+
+def test_config_parses_with_libyaml_whenever_pyyaml_has_it(tmp_path,
+                                                           monkeypatch):
+    want = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert config._YAML_LOADER is want
+    path = write_config(tmp_path, FULL)
+    parsed = []
+
+    class Spy(want):
+        def __init__(self, stream):
+            parsed.append(stream)
+            super().__init__(stream)
+
+    monkeypatch.setattr(config, "_YAML_LOADER", Spy)
+    load_config(path)
+    assert len(parsed) == 2  # the run config and its unit-cost file
+
+
+def test_both_yaml_loaders_read_the_same_values(tmp_path, yaml_loader,
+                                                monkeypatch):
+    path = write_config(tmp_path, FULL)
+    table, cfg = load_unit_costs(), load_config(path)
+    monkeypatch.setattr(config, "_YAML_LOADER", yaml.SafeLoader)
+    assert table == load_unit_costs()
+    assert cfg == load_config(path)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("bad_costs.yaml", "components: ["),
+    ("bad_costs.yaml", "components: {}\n"),
+    ("bad_costs.yaml", "just text\n"),
+    ("config.yaml", "search: [\n"),
+])
+def test_malformed_yaml_exits_2_naming_the_file(tmp_path, capsys, yaml_loader,
+                                                name, text):
+    path = write_config(tmp_path, with_value(("platform", "unit_costs_file"),
+                                             "bad_costs.yaml"))
+    (tmp_path / name).write_text(text)
+    code = cli.main(["phase1", "--config", path,
+                     "--out-dir", str(tmp_path / "run")])
+    assert code == cli.EXIT_CONFIG
+    assert str(tmp_path / name) in capsys.readouterr().err
