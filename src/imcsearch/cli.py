@@ -40,6 +40,7 @@ from .config import (
     ConfigError,
     FixtureConfig,
     check_class_count,
+    check_costs_fit,
     check_cs_fits,
     load_config,
 )
@@ -60,9 +61,9 @@ from .nnsim import (
     load_net,
     make_blobs,
     make_patterns,
+    refnet_layers,
     split_batches,
 )
-from .nnsim.network import _refnet_layers
 from .search import (
     ADMISSION_MARGIN,
     CandidatePool,
@@ -178,7 +179,7 @@ def _check_weights(net: RefNet, weights_path: Path, model: CandidateModel,
                    model_path: Path, class_count: int) -> None:
     """``net`` must have the layers ``build_refnet`` makes of ``model``."""
     got = [layer.spec() for layer in net.layers]
-    want = [layer.spec() for layer in _refnet_layers(model, class_count)]
+    want = [layer.spec() for layer in refnet_layers(model, class_count)]
     if got == want:
         return
     if len(got) != len(want):
@@ -355,6 +356,7 @@ def _point_columns(config_path: Path, axis: str, value: float, point_dir: str,
     else:
         platform = dataclasses.replace(cfg.platform, xbar_size=int(value))
         check_cs_fits(cfg.space, platform)
+        check_costs_fit(cfg.space, platform)
         cfg = dataclasses.replace(cfg, platform=platform)
     if model_path is not None:
         model, report = _eval(cfg, config_path, model_path)

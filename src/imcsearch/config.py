@@ -26,6 +26,7 @@ from pathlib import Path
 
 import yaml
 
+from .costmodel import INT64_MAX, int_product_bound
 from .designspace import (
     ADCType,
     DesignSpace,
@@ -140,6 +141,32 @@ def _ints(values) -> tuple[int, ...]:
     return tuple(_int(v) for v in values)
 
 
+def _int_at_most(high: int):
+    """An ``_int`` cast that refuses values above ``high``; the section's
+    own validation checks the lower bound."""
+    def cast(value) -> int:
+        n = _int(value)
+        if n > high:
+            raise ValueError(f"expected an integer at most {high}, got {n}")
+        return n
+    return cast
+
+
+#: Input extents and kernels: more than four times ImageNet's 224 pixels.
+#: The bound keeps every factor the cost tables take from one layer's
+#: geometry a plain int64 (in_h * in_w and kernel**2 at most 2**20), and
+#: keeps ``in_h: 2**20`` from reaching ranking's HD batch, whose images
+#: are in_h x in_w.  Whether a layer's products fit int64 depends on all
+#: its fields and the platform together (``check_costs_fit``).  A stride
+#: only divides the output extent, so it needs no bound.
+MAX_EXTENT = 1 << 10
+_EXTENT = _int_at_most(MAX_EXTENT)
+#: Channel widths (``cd_options``, ``input_channels``): 128 times VGG16's
+#: widest layer, so cd * kernel**2 <= 2**36.
+MAX_WIDTH = 1 << 16
+_WIDTH = _int_at_most(MAX_WIDTH)
+
+
 def _bool(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"expected true or false, got {value!r}")
@@ -182,16 +209,18 @@ _PLATFORM_KEYS = {
     "hierarchy": ("hierarchy", _hierarchy),
 }
 _SPACE_KEYS = {
-    **_same(_int, "input_channels", "class_count"),
+    "input_channels": ("input_channels", _WIDTH),
+    "class_count": ("class_count", _int),
     **_same(_ints, "cs_options", "ap_options", "ip_options"),
     "at_options": ("at_options", lambda v: tuple(ADCType(a) for a in v)),
     "preset": ("preset", str),
     "layers": ("layers", _layers),
 }
 _LAYER_KEYS = {
-    **_same(_int, "in_h", "in_w", "kernel", "stride"),
+    **_same(_EXTENT, "in_h", "in_w", "kernel"),
+    "stride": ("stride", _int),
     "is_fc": ("is_fc", _bool),
-    "cd_options": ("cd_options", _ints),
+    "cd_options": ("cd_options", lambda values: tuple(map(_WIDTH, values))),
 }
 _SEARCH_KEYS = {
     **_same(_int, "seed", "phase1_ap", "phase1_ip", "hd_batch_size"),
@@ -268,6 +297,27 @@ def check_cs_fits(space: DesignSpace, platform: PlatformParams) -> None:
             f"platform.xbar_size {platform.xbar_size}")
 
 
+def check_costs_fit(space: DesignSpace, platform: PlatformParams) -> None:
+    """Every integer product of every layer's cost tables fits int64.
+
+    ``layer_cost_arrays`` forms them in int64, which wraps silently; the
+    bound (``costmodel.int_product_bound``) takes each layer's widest
+    input depth and width and the widest column sharing.
+    """
+    cs = max(space.cs_options)
+    for i, (shape, cds) in enumerate(zip(space.layer_shapes,
+                                         space.cd_options_per_layer)):
+        cd_in = max(space.cd_options_per_layer[i - 1]) if i else space.input_channels
+        bound = int_product_bound(cd_in, shape, max(cds), cs, platform)
+        if bound > INT64_MAX:
+            raise ConfigError(
+                f"design_space.layers[{i}]: its cost tables' integer products "
+                f"reach {bound:.3g}, past int64's {INT64_MAX:.3g}: reduce its "
+                f"in_h, in_w, kernel or cd_options, the input depth, "
+                f"design_space.cs_options, platform.xbar_size or "
+                f"platform.weight_bits")
+
+
 def check_class_count(space: DesignSpace) -> None:
     """The last layer must be fully connected, and its only width ``class_count``.
 
@@ -309,5 +359,6 @@ def load_config(path: str | Path) -> AppConfig:
     fixture = _build(FixtureConfig, "fixture",
                      **_read(raw.get("fixture"), _FIXTURE_KEYS, "fixture"))
     check_cs_fits(space, platform)
+    check_costs_fit(space, platform)
     return AppConfig(platform=platform, space=space, search=search,
                      fixture=fixture)

@@ -286,6 +286,39 @@ def layer_cost_arrays(cd_in, shape: LayerShape, choices: Sequence[LayerChoice],
     return _total(area), _total(delay), _total(energy)
 
 
+#: The largest integer ``layer_cost_arrays`` computes exactly: its int64
+#: products wrap silently past it, where ``layer_cost``'s Python ints do not.
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def int_product_bound(cd_in: int, shape: LayerShape, cd_out: int, cs: int,
+                      platform: PlatformParams) -> int:
+    """An upper bound on every integer product ``_layer_terms`` forms for
+    one layer, over every choice of width up to ``cd_out``, column sharing
+    up to ``cs`` and any AP and IP (at most 8 bits), at input depths up to
+    ``cd_in``.
+
+    ``layer_cost_arrays`` forms these products in int64, so it equals
+    ``layer_cost`` bit for bit while the bound is at most ``INT64_MAX``.
+    The worst case is the crossbar energy's positions * rounds * n_active
+    * x * x, or the accumulators' conversions * ap = positions * rounds *
+    n_active * adcs_per_xbar * ap, with rounds = ip * cs <= 8 * cs and
+    adcs_per_xbar <= x: together positions * 8 * cs * n_active * x *
+    max(x, 8).  The others are the tile cells, tiles * xbars_per_tile *
+    x * x, and the input bytes' cd_in * in_h * in_w * ip.  Every other
+    product is at most one of these three, or at most xbars_per_tile * x
+    * 8 < 2**36.
+    """
+    x = platform.xbar_size
+    n_active = (_ceil_div(cd_in * shape.kernel ** 2, x)
+                * _ceil_div(cd_out * platform.weight_slices, x))
+    tiles = _ceil_div(n_active, platform.xbars_per_tile)
+    positions = math.prod(shape.out_spatial())
+    return max(positions * 8 * cs * n_active * x * max(x, 8),
+               tiles * platform.xbars_per_tile * x * x,
+               cd_in * math.prod(shape.in_spatial) * 8)
+
+
 def layer_macs(cd_in: int, shape: LayerShape, choice: LayerChoice) -> int:
     out_h, out_w = shape.out_spatial()
     return cd_in * shape.kernel ** 2 * choice.cd_out * out_h * out_w

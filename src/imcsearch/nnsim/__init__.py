@@ -15,9 +15,9 @@ from .network import (
     RefNet,
     TensorBatch,
     TrainingDiverged,
-    build_refnet,
     cross_entropy,
     load_net,
+    refnet_layers,
 )
 from .score import hd_score
 
@@ -28,13 +28,13 @@ __all__ = [
     "TensorBatch",
     "TrainingDiverged",
     "WalkState",
-    "build_refnet",
     "cross_entropy",
     "hd_score",
     "load_net",
     "make_blobs",
     "make_patterns",
     "probe_layer",
+    "refnet_layers",
     "split_batches",
     "walk_layers",
 ]

@@ -12,7 +12,9 @@ arrays training updates, whose gradient ``backward`` assigns to
 ``d<name>``; and ``arrays``, the arrays a network file stores, in file
 order.  A layer's spec, its loading, its parameters and gradients and its
 stored arrays all derive from that declaration.  No gradient array exists
-before the first ``backward``.
+before the first ``backward``, and no weight array before the layer draws
+(``init_weights``) or loads its weights: until then its weights read as
+zeros and cannot be written in place.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import copy
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -100,12 +102,38 @@ def col2im(cols: np.ndarray, x_shape: tuple[int, ...], kernel: int,
     return x[:, :, pad:pad + h, pad:pad + w] if pad else x
 
 
+#: Float64 normals per draw of ``_he_normal``: a weight tensor is drawn in
+#: slabs of whole leading-axis rows of at most this many values (at least
+#: one row), so a float32 weight never sits next to a float64 draw of its
+#: whole tensor (18 MiB for a 512 x 512 x 3 x 3 convolution), only of one
+#: slab (512 KiB).
+DRAW_SLAB = 1 << 16
+
+
 def _he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int,
                dtype) -> np.ndarray:
     """He-scaled normal weights: float64 draws times sqrt(2 / fan_in),
-    rounded once into a ``dtype`` array."""
-    return np.multiply(rng.standard_normal(shape), np.sqrt(2.0 / fan_in),
-                       out=np.empty(shape, dtype))
+    rounded once into a ``dtype`` array.
+
+    The draws come in slabs of rows (see ``DRAW_SLAB``), each written
+    straight into its rows of the result.  ``Generator.standard_normal``
+    yields the same stream whether a tensor is drawn whole or in slabs,
+    so the weights equal those of one whole draw."""
+    out = np.empty(shape, dtype)
+    rows = out.reshape(shape[0], -1)
+    step = max(1, DRAW_SLAB // rows.shape[1])
+    scale = np.sqrt(2.0 / fan_in)
+    for start in range(0, len(rows), step):
+        slab = rows[start:start + step]
+        np.multiply(rng.standard_normal(slab.shape), scale, out=slab)
+    return out
+
+
+def _undrawn(shape: tuple[int, ...]) -> np.ndarray:
+    """A layer's weights before it draws or loads any: a read-only view of
+    ``shape`` zeros that holds one value.  A layer stack whose weights are
+    never set (HD ranking's, the weights check's) so allocates none."""
+    return np.broadcast_to(np.zeros(()), shape)
 
 
 class Layer:
@@ -146,7 +174,7 @@ class Conv2D(Layer):
 
     def __init__(self, c_in: int, c_out: int, kernel: int = 3, stride: int = 1):
         self.c_in, self.c_out, self.kernel, self.stride = c_in, c_out, kernel, stride
-        self.weight = np.zeros((c_out, c_in, kernel, kernel))
+        self.weight = _undrawn((c_out, c_in, kernel, kernel))
         self._cache = None
 
     @property
@@ -186,7 +214,7 @@ class Dense(Layer):
 
     def __init__(self, n_in: int, n_out: int):
         self.n_in, self.n_out = n_in, n_out
-        self.weight = np.zeros((n_in, n_out))
+        self.weight = _undrawn((n_in, n_out))
         self.bias = np.zeros(n_out)
         self._cache = None
 
@@ -368,20 +396,32 @@ class RefNet:
             x = layer.forward(x, train=train)
         return x
 
-    def forward_with_codes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Eval-mode forward pass that also collects the binary ReLU codes.
+    def forward_with_codes(self, x: np.ndarray, rng: np.random.Generator,
+                           on_codes) -> np.ndarray:
+        """Eval-mode forward pass of fresh weights that hands on the binary
+        ReLU codes one pooling stage at a time; returns the logits.
 
-        The layers run in stages, each ending at a pooling layer.  A stage
-        runs the whole batch in blocks of ``CODE_ROWS // (h * w)`` samples
-        (at least one, at most the batch), where h x w is the stage's
-        input size, so no patch matrix exceeds ``CODE_ROWS`` rows and the
-        small late stages run in few, large products.  Each block's output
-        is written into its rows of the stage's whole-batch output, which
-        the next stage reads, and each ReLU's codes into their rows and
-        columns of the code matrix.
+        The layers run in stages, each ending at a pooling layer.  Just
+        before a stage runs, copies of its layers draw their weights from
+        ``rng`` through their own ``init_weights``, in ``x``'s dtype; the
+        stages draw in layer order, so the net is the one ``init_weights``
+        on the whole net would give.  The weights ``self`` holds are not
+        read, and the drawn ones are freed when their stage ends.  A stage
+        with ReLUs then calls ``on_codes`` with its ``(n, stage bits)``
+        bool matrix, its ReLUs' codes side by side in layer order, which
+        is freed when the call returns.  So no more than one stage's
+        weights and codes are held at a time.
+
+        A stage runs the whole batch in blocks of ``CODE_ROWS // (h * w)``
+        samples (at least one, at most the batch), where h x w is the
+        stage's input size, so no patch matrix exceeds ``CODE_ROWS`` rows
+        and the small late stages run in few, large products.  Each
+        block's output is written into its rows of the stage's whole-batch
+        output, which the next stage reads, and each ReLU's codes into
+        their rows and columns of the stage's code matrix.
 
         Every layer keeps its input's dtype, so the pass runs in the dtype
-        of ``x`` and of the net's arrays; ``hd_score`` runs it in float32.
+        of ``x``; ``hd_score`` runs it in float32.
 
         In eval mode every layer treats each sample on its own (batchnorm
         uses its running statistics), so blocking changes no code: a
@@ -392,36 +432,16 @@ class RefNet:
         float32 pass gives the codes of a float64 one except where an
         activation lies within float32 rounding of zero.
         """
-        n = x.shape[0]
-        if n == 0:
+        if x.shape[0] == 0:
             raise ValueError("batch has no samples to encode")
-        # a pass of no samples gives each layer's input shape and dtype
-        empty = [x[:0]]
-        for layer in self.layers:
-            empty.append(layer.forward(empty[-1]))
-        relus = [i for i, layer in enumerate(self.layers) if isinstance(layer, ReLU)]
-        if not relus:
+        if not any(isinstance(layer, ReLU) for layer in self.layers):
             raise ValueError("network has no ReLU layers to encode")
-        ends = np.cumsum([0] + [math.prod(empty[i].shape[1:]) for i in relus])
-        columns = {i: slice(a, b) for i, a, b in zip(relus, ends, ends[1:])}
-        codes = np.empty((n, ends[-1]), dtype=bool)
         cuts = sorted({0, len(self.layers)} | {
             i + 1 for i, layer in enumerate(self.layers)
             if isinstance(layer, (AvgPool2D, GlobalAvgPool))})
         for lo, hi in zip(cuts, cuts[1:]):
-            block = max(1, min(n, CODE_ROWS // math.prod(empty[lo].shape[2:])))
-            stage_out = np.empty((n,) + empty[hi].shape[1:], empty[hi].dtype)
-            for start in range(0, n, block):
-                out = x[start:start + block]
-                rows = slice(start, start + out.shape[0])
-                for i in range(lo, hi):
-                    if i in columns:  # its code columns, in its input's shape
-                        np.greater(out, 0,
-                                   out=codes[rows, columns[i]].reshape(out.shape))
-                    out = self.layers[i].forward(out)
-                stage_out[rows] = out
-            x = stage_out
-        return x, codes
+            x = _stage_with_codes(self.layers[lo:hi], x, rng, on_codes)
+        return x
 
     def init_weights(self, rng: np.random.Generator, dtype=float) -> None:
         for layer in self.layers:
@@ -430,16 +450,36 @@ class RefNet:
     def clone(self) -> "RefNet":
         return copy.deepcopy(self)
 
-    def astype(self, dtype) -> "RefNet":
-        """A shallow copy whose layers hold their declared ``arrays`` in
-        ``dtype``; an array already in ``dtype`` is shared, not copied."""
-        layers = []
-        for layer in self.layers:
-            cast = copy.copy(layer)
-            for name in layer.arrays:
-                setattr(cast, name, getattr(layer, name).astype(dtype, copy=False))
-            layers.append(cast)
-        return replace(self, layers=layers)
+
+def _stage_with_codes(layers: list[Layer], x: np.ndarray,
+                      rng: np.random.Generator, on_codes) -> np.ndarray:
+    """One stage of ``RefNet.forward_with_codes``: its layers' fresh
+    weights, the blocked pass and its codes, all freed on return."""
+    layers = [copy.copy(layer) for layer in layers]
+    for layer in layers:
+        layer.init_weights(rng, x.dtype)
+    # a pass of no samples gives each layer's input shape and dtype
+    empty = [x[:0]]
+    for layer in layers:
+        empty.append(layer.forward(empty[-1]))
+    relus = [i for i, layer in enumerate(layers) if isinstance(layer, ReLU)]
+    ends = np.cumsum([0] + [math.prod(empty[i].shape[1:]) for i in relus])
+    columns = {i: slice(a, b) for i, a, b in zip(relus, ends, ends[1:])}
+    n = x.shape[0]
+    codes = np.empty((n, ends[-1]), dtype=bool)
+    stage_out = np.empty((n,) + empty[-1].shape[1:], empty[-1].dtype)
+    block = max(1, min(n, CODE_ROWS // math.prod(x.shape[2:])))
+    for start in range(0, n, block):
+        out = x[start:start + block]
+        rows = slice(start, start + out.shape[0])
+        for i, layer in enumerate(layers):
+            if i in columns:  # its code columns, in its input's shape
+                np.greater(out, 0, out=codes[rows, columns[i]].reshape(out.shape))
+            out = layer.forward(out)
+        stage_out[rows] = out
+    if relus:
+        on_codes(codes)
+    return stage_out
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -512,12 +552,12 @@ def build_refnet(model, class_count: int, seed: int = 0,
                  dtype=float) -> RefNet:
     """Reference network matching a candidate's layer widths, its weights
     drawn from ``seed`` and held in ``dtype`` (see ``Layer.init_weights``)."""
-    net = RefNet(_refnet_layers(model, class_count), class_count)
+    net = RefNet(refnet_layers(model, class_count), class_count)
     net.init_weights(np.random.default_rng(seed), dtype)
     return net
 
 
-def _refnet_layers(model, class_count: int) -> list[Layer]:
+def refnet_layers(model, class_count: int) -> list[Layer]:
     """The layers of ``build_refnet``'s network, no weights drawn.
 
     Convolution layers become conv-BN-ReLU blocks (with an average pool
@@ -613,5 +653,6 @@ def load_net(path) -> RefNet:
                                  f"its layer expects {list(target.shape)}")
             count = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(f.read(4 * count), dtype="<f4").reshape(shape)
-            target[...] = data.astype(float)
+            _, index, attr = name.split(".")
+            setattr(net.layers[int(index)], attr, data.astype(float))
     return net

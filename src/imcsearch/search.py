@@ -29,10 +29,10 @@ from .nnsim import (
     RefNet,
     TensorBatch,
     WalkState,
-    build_refnet,
     cross_entropy,
     hd_score,
     probe_layer,
+    refnet_layers,
     walk_layers,
 )
 from .relax import (
@@ -226,11 +226,12 @@ def rank_candidates(pool: CandidatePool, hd_batch: TensorBatch, seed: int,
     admitted entry gets its hd_score, hd_norm, delay_norm and rank_score
     fields filled in.
 
-    The score is ``hd_score(build_refnet(model, class_count, seed),
-    hd_batch)``: each candidate is scored at the weights ``build_refnet``
-    draws from ``seed``.  It depends only on the layer geometry and
-    widths, not on CS or AT, so entries that differ only there share one
-    network and one score.
+    The score is ``hd_score(RefNet(refnet_layers(model, class_count),
+    class_count), hd_batch, seed)``: each candidate is scored at the
+    weights ``build_refnet`` would draw from ``seed``, but only one pooling
+    stage's weights and codes are held at a time (see ``hd_score``).  The
+    score depends only on the layer geometry and widths, not on CS or AT,
+    so entries that differ only there share one score.
     """
     admitted = pool.admitted()
     if not admitted:
@@ -240,10 +241,8 @@ def rank_candidates(pool: CandidatePool, hd_batch: TensorBatch, seed: int,
     for entry in admitted:
         key = tuple((shape, choice.cd_out) for shape, choice in entry.model.layers)
         if key not in scored:
-            # no name holds the network, so it is freed before the next is
-            # built; its weights are drawn straight into float32
-            scored[key] = hd_score(build_refnet(entry.model, class_count,
-                                                seed=seed, dtype=np.float32), x)
+            net = RefNet(refnet_layers(entry.model, class_count), class_count)
+            scored[key] = hd_score(net, x, seed)
         entry.hd_score = scored[key]
     hd_n = _minmax_normalize([e.hd_score for e in admitted])
     delay_n = _minmax_normalize([e.report.delay for e in admitted])

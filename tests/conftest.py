@@ -18,8 +18,9 @@ from imcsearch.designspace import (
     UnitCost,
     UnitCostTable,
 )
-from imcsearch.nnsim import build_refnet, make_blobs, make_patterns
-from imcsearch.nnsim.network import train_tiny
+from imcsearch.nnsim import make_blobs, make_patterns
+from imcsearch.nnsim.network import ReLU, build_refnet, train_tiny
+from imcsearch.nnsim.score import LAMBDA_RATIO, hamming_kernel
 from imcsearch.search import Phase2Data
 
 
@@ -53,20 +54,34 @@ def zero_cost_table(**nonzero) -> UnitCostTable:
 
 
 def candidate_net(shapes: list[LayerShape], widths: list[int],
-                  input_channels: int, seed: int):
+                  input_channels: int, seed: int, dtype=float):
     """``build_refnet`` of a candidate with one layer per (shape, width);
     the last width is the class count."""
     layers = tuple((shape, LayerChoice(cd_out=w, cs=4, at=ADCType.SAR, ap=6, ip=8))
                    for shape, w in zip(shapes, widths))
     model = CandidateModel(layers=layers, input_channels=input_channels)
-    return build_refnet(model, class_count=widths[-1], seed=seed)
+    return build_refnet(model, class_count=widths[-1], seed=seed, dtype=dtype)
 
 
-def fc_net(widths: list[int], seed: int):
+def fc_net(widths: list[int], seed: int, dtype=float):
     """``build_refnet`` of an all-FC candidate: input ``widths[0]``, then
     Dense-BN-ReLU blocks of ``widths[1:-1]`` and a linear classifier."""
     return candidate_net([LayerShape.fc()] * (len(widths) - 1), widths[1:],
-                         widths[0], seed)
+                         widths[0], seed, dtype)
+
+
+def whole_matrix_score(net, x) -> float:
+    """The HD score of ``net``'s own weights from one plain forward of the
+    whole batch and one kernel over every ReLU's codes."""
+    codes = []
+    for layer in net.layers:
+        if isinstance(layer, ReLU):
+            codes.append((x > 0).reshape(len(x), -1))
+        x = layer.forward(x)
+    codes = np.concatenate(codes, axis=1)
+    k = hamming_kernel(codes)
+    reg = k + LAMBDA_RATIO * codes.shape[1] * np.eye(len(k))
+    return np.linalg.slogdet(reg)[1]
 
 
 def one_float_per_array(blob: bytes) -> bytes:

@@ -1,5 +1,6 @@
 """Command-line exit codes and messages on a small conv-conv-FC configuration."""
 
+import copy
 import csv
 import json
 import os
@@ -11,11 +12,11 @@ import pytest
 import yaml
 
 from imcsearch import cli, search
-from imcsearch.config import load_config
+from imcsearch.config import MAX_EXTENT, MAX_WIDTH, load_config
 from imcsearch.designspace import ADCType, homogeneous_model
 from imcsearch.io import load_model, model_to_dict, write_json
-from imcsearch.nnsim import RefNet, build_refnet, load_net
-from imcsearch.nnsim.network import save_net
+from imcsearch.nnsim import RefNet, load_net
+from imcsearch.nnsim.network import build_refnet, save_net
 
 from conftest import one_float_per_array
 
@@ -491,6 +492,59 @@ def test_phase1_overflowing_xbar_size_exits_2_naming_the_field(tmp_path,
                      str(out)]) == cli.EXIT_CONFIG
     assert "error: platform: xbar_size must be in [1, 65536]" in \
         capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    # unbounded, each of the first three fails a different way: a
+    # positions count past int64, ranking's HD batch of 2**40-pixel
+    # images, and a silently wrapped energy product
+    ("in_h", 2 ** 32),
+    ("in_h", 2 ** 20),
+    ("in_w", 2 ** 28),
+    ("kernel", 2 ** 40),
+    ("cd_options", 2 ** 40),
+    ("input_channels", 2 ** 40),
+])
+def test_phase1_oversized_layer_field_exits_2_naming_it(tmp_path, capsys,
+                                                        field, value):
+    space = copy.deepcopy(CONFIG["design_space"])
+    if field == "input_channels":
+        space[field], named = value, "design_space.input_channels"
+    else:
+        space["layers"][0][field] = [8, value] if field == "cd_options" else value
+        named = f"design_space.layers[0].{field}"
+    raw = dict(CONFIG, design_space=space,
+               search=dict(CONFIG["search"], area_constraint_mm2=1.0))
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "run"
+    assert cli.main(["phase1", "--config", str(path), "--out-dir",
+                     str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {named}: expected an integer at most" in err
+    assert f"got {value}" in err
+    assert not out.exists()
+
+
+def test_phase1_layer_whose_cost_products_overflow_int64_exits_2(tmp_path,
+                                                                 capsys):
+    # every field within its own bound, but on the widest crossbars, with
+    # one ADC per 65536 columns, the first layer's crossbar energy would
+    # count 2**76 cell reads
+    space = copy.deepcopy(CONFIG["design_space"])
+    space["cs_options"] = [4, 2 ** 16]
+    space["layers"][0].update(in_h=MAX_EXTENT, kernel=MAX_EXTENT,
+                              cd_options=[8, MAX_WIDTH])
+    raw = dict(CONFIG, design_space=space, platform={"xbar_size": 2 ** 16},
+               search=dict(CONFIG["search"], area_constraint_mm2=1.0))
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "run"
+    assert cli.main(["phase1", "--config", str(path), "--out-dir",
+                     str(out)]) == cli.EXIT_CONFIG
+    assert ("error: design_space.layers[0]: its cost tables' integer products "
+            "reach 7.56e+22, past int64's") in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,10 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from imcsearch.config import load_unit_costs
+from imcsearch.config import (
+    MAX_EXTENT,
+    MAX_WIDTH,
+    ConfigError,
+    check_costs_fit,
+    load_unit_costs,
+)
 from imcsearch.costmodel import (
+    INT64_MAX,
     adc_profile,
     edap_from_totals,
+    int_product_bound,
     layer_cost,
     layer_cost_arrays,
     model_cost,
@@ -16,6 +24,7 @@ from imcsearch.costmodel import (
 from imcsearch.designspace import (
     ADCType,
     CandidateModel,
+    DesignSpace,
     HierarchyParams,
     LayerChoice,
     LayerShape,
@@ -229,6 +238,48 @@ def test_broadcast_formula_matches_layer_cost_bit_for_bit(platform):
         prev_cds = list(space.cd_options_per_layer[layer])
     assert type(lc.tiles) is int
     assert all(type(v) is float for v in (lc.area, lc.delay, lc.energy))
+
+
+def test_layer_cost_arrays_equal_layer_cost_at_the_largest_accepted_layer():
+    # the largest extents and kernel a config accepts, at the widest input
+    # depth and width whose cost tables still pass check_costs_fit on the
+    # default platform with one ADC per crossbar: its products come
+    # within a factor of two of int64's limit, and the int64 array view
+    # still equals the Python-int scalar view bit for bit
+    platform = make_platform()
+    shape = LayerShape(kernel=MAX_EXTENT, in_spatial=(MAX_EXTENT, MAX_EXTENT))
+    cs_options = tuple(2 ** i for i in range(7))  # 1 ... xbar_size
+    assert cs_options[-1] == platform.xbar_size
+
+    def accepted(width: int) -> bool:
+        space = DesignSpace(layer_shapes=(shape,), cd_options_per_layer=((width,),),
+                            input_channels=width, class_count=width,
+                            cs_options=cs_options)
+        try:
+            check_costs_fit(space, platform)
+        except ConfigError:
+            return False
+        return True
+
+    lo, hi = 1, MAX_WIDTH  # accepted(lo), and the widest accepted is <= hi
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if accepted(mid) else (lo, mid - 1)
+    width = lo
+    assert 1 < width < MAX_WIDTH and not accepted(width + 1)
+    bound = int_product_bound(width, shape, width, cs_options[-1], platform)
+    assert INT64_MAX // 2 < bound <= INT64_MAX
+    choices = [LayerChoice(cd_out=width, cs=cs, at=at, ap=ap, ip=ip)
+               for cs in cs_options for at in ADCType for ap in range(1, 9)
+               for ip in (1, 8)]
+    cd_ins = [1, width]
+    arrays = layer_cost_arrays(np.array(cd_ins)[:, None], shape, choices,
+                               platform)
+    for i, cd_in in enumerate(cd_ins):
+        for j, c in enumerate(choices):
+            lc = layer_cost(cd_in, shape, c, platform)
+            assert (arrays[0][i, j], arrays[1][i, j], arrays[2][i, j]) \
+                == (lc.area, lc.delay, lc.energy)
 
 
 def test_determinism_bit_identical():

@@ -9,8 +9,8 @@ from imcsearch.designspace import ADCType, CandidateModel, LayerChoice, LayerSha
 from imcsearch.nnsim import (
     TensorBatch,
     TrainingDiverged,
-    build_refnet,
     cross_entropy,
+    hd_score,
     load_net,
     make_blobs,
     make_patterns,
@@ -25,13 +25,14 @@ from imcsearch.nnsim.network import (
     Layer,
     ReLU,
     accuracy,
+    build_refnet,
     cross_entropy_grad,
     im2col,
     save_net,
     train_tiny,
 )
 
-from conftest import candidate_net, fc_net, one_float_per_array
+from conftest import candidate_net, fc_net, one_float_per_array, whole_matrix_score
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +241,8 @@ def test_train_tiny_reports_divergence():
     # produces a non-finite loss, which must surface as TrainingDiverged
     layers = [Dense(2, 8), ReLU(), Dense(8, 2)]
     net = RefNet(layers=layers, class_count=2)
-    layers[0].weight[...] = 1e200
-    layers[2].weight[...] = 1e200
+    layers[0].weight = np.full((2, 8), 1e200)
+    layers[2].weight = np.full((8, 2), 1e200)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged):
             train_tiny(net, data, epochs=1, lr=0.1, batch_size=16, seed=3)
@@ -426,13 +427,13 @@ def test_build_refnet_in_float32_is_the_float64_net_cast():
                    for shape, w in zip(shapes, [4, 8, 6, 3]))
     model = CandidateModel(layers=layers, input_channels=2)
     net = build_refnet(model, class_count=3, seed=7, dtype=np.float32)
-    cast = build_refnet(model, class_count=3, seed=7).astype(np.float32)
+    wide = build_refnet(model, class_count=3, seed=7)
     assert ({type(layer) for layer in net.layers}
             == set(network._LAYER_KINDS.values()))
     for (name, got), (_, want) in zip(network._named_arrays(net),
-                                      network._named_arrays(cast), strict=True):
-        assert got.dtype == want.dtype == np.float32, name
-        assert np.array_equal(got, want), name
+                                      network._named_arrays(wide), strict=True):
+        assert got.dtype == np.float32, name
+        assert np.array_equal(got, want.astype(np.float32)), name
     held = {v.dtype for layer in net.layers for v in vars(layer).values()
             if isinstance(v, np.ndarray)}
     assert held == {np.dtype(np.float32)}
@@ -442,16 +443,30 @@ def test_build_refnet_in_float32_is_the_float64_net_cast():
 # code-collecting forward in patch-row blocks per pooling stage
 # ---------------------------------------------------------------------------
 
-def _code_nets():
+#: The draw of the code-collecting forwards below, and of ``_code_nets``.
+CODE_SEED = 3
+
+
+def _code_nets(dtype=float):
     """(net, inputs) pairs: a conv net through conv, batchnorm, ReLU,
     both poolings (two pooling stages, 8x8 then 4x4) and a dense
     classifier, and an all-FC net (one stage of one row per sample)."""
     conv = candidate_net([LayerShape(kernel=3, in_spatial=(8, 8)),
                           LayerShape(kernel=3, in_spatial=(4, 4)),
-                          LayerShape.fc()], [4, 8, 2], input_channels=1, seed=3)
-    fc = fc_net([2, 8, 6, 2], seed=3)
+                          LayerShape.fc()], [4, 8, 2], input_channels=1,
+                         seed=CODE_SEED, dtype=dtype)
+    fc = fc_net([2, 8, 6, 2], seed=CODE_SEED, dtype=dtype)
     return {"conv": (conv, make_patterns(16, seed=1).data),
             "fc": (fc, make_blobs(16, seed=1).data)}
+
+
+def _forward_with_codes(net, x):
+    """``forward_with_codes`` at ``CODE_SEED``'s draw: the logits and every
+    stage's codes side by side."""
+    stages = []
+    logits = net.forward_with_codes(x, np.random.default_rng(CODE_SEED),
+                                    stages.append)
+    return logits, np.concatenate(stages, axis=1)
 
 
 @pytest.mark.parametrize("kind", ["conv", "fc"])
@@ -460,18 +475,24 @@ def test_forward_with_codes_in_blocks_matches_one_block(monkeypatch, kind, n):
     net, data = _code_nets()[kind]
     x = data[:n]
     first = math.prod(x.shape[2:])  # the first stage's rows per sample
+    # the streamed score, whatever the blocks, is the whole-matrix score
+    # of the float32 net build_refnet draws from the same seed
+    net32, _ = _code_nets(np.float32)[kind]
+    want = whole_matrix_score(net32, x.astype(np.float32))
     # the whole batch in one block per stage
     monkeypatch.setattr(network, "CODE_ROWS", n * first)
-    one_logits, one_codes = net.forward_with_codes(x)
+    one_logits, one_codes = _forward_with_codes(net, x)
     assert one_codes.dtype == bool and one_codes.shape[0] == n
+    assert hd_score(net, x, CODE_SEED) == want
     # one sample per block throughout; then 3 samples per block in the
     # first stage, 12 at the conv net's 4x4 and all of its dense stage
     for rows in (1, 3 * first):
         monkeypatch.setattr(network, "CODE_ROWS", rows)
-        logits, codes = net.forward_with_codes(x)
+        logits, codes = _forward_with_codes(net, x)
         assert np.array_equal(codes, one_codes)
         # a product over fewer rows may round differently: ulps, not signs
         np.testing.assert_allclose(logits, one_logits, rtol=1e-12, atol=1e-15)
+        assert hd_score(net, x, CODE_SEED) == want
 
 
 @pytest.mark.parametrize("rows", [64, 100, network.CODE_ROWS])
@@ -489,8 +510,23 @@ def test_forward_with_codes_patch_matrices_stay_within_code_rows(monkeypatch,
 
     monkeypatch.setattr(network, "im2col", spy)
     monkeypatch.setattr(network, "CODE_ROWS", rows)
-    net.forward_with_codes(x)
+    _forward_with_codes(net, x)
     assert max(r for _, r in seen) <= rows
     # each stage fills its blocks: as many samples as fit, at most the batch
     for hw, size in (((8, 8), 64), ((4, 4), 16)):
         assert max(r for s, r in seen if s == hw) == min(64, rows // size) * size
+
+
+@pytest.mark.parametrize("slab", [5, 2 * 27 + 5, network.DRAW_SLAB])
+def test_he_normal_in_slabs_draws_the_whole_tensor(monkeypatch, slab):
+    # 7 rows of 27 values: one row per slab, 2 rows per slab (the last
+    # slab partial), all in one slab
+    monkeypatch.setattr(network, "DRAW_SLAB", slab)
+    rng = np.random.default_rng(9)
+    got = network._he_normal(rng, (7, 3, 3, 3), 27, np.float32)
+    whole_rng = np.random.default_rng(9)
+    whole = whole_rng.standard_normal((7, 3, 3, 3)) * np.sqrt(2.0 / 27)
+    assert got.dtype == np.float32
+    assert np.array_equal(got, whole.astype(np.float32))
+    # and the stream goes on where one whole draw leaves it
+    assert rng.standard_normal() == whole_rng.standard_normal()

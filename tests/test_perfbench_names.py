@@ -10,6 +10,7 @@ import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import make_platform
 from test_search import CAL, PARTIAL_CONFIG
@@ -123,24 +124,29 @@ def test_phase2_run_converts_at_the_benchmark_probe_points(toy, monkeypatch):
     assert {shape for _, shape in sums} == PARTIAL_SUM_SHAPES
 
 
-def test_traced_phase2_toy_call_counts_its_work(monkeypatch):
-    # one quick-sized phase2_toy call under the benchmark's tracer: a hook
-    # that no longer fits the call it wraps fails here in seconds
+@pytest.mark.parametrize("name, counter", [
+    ("phase2_toy", "nnsim.inference.plane_macs"),
+    ("hd_rank_vgg16", "nnsim.score.code_bits"),
+], ids=["phase2_toy", "hd_rank_vgg16"])
+def test_traced_call_counts_its_work(monkeypatch, name, counter):
+    # one quick-sized workload call under the benchmark's tracer: a hook
+    # that no longer fits the call it wraps, or a call that no longer
+    # reaches it, fails here in seconds
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer_module = importlib.import_module("tracer")
     workloads = importlib.import_module("workloads")
-    wl = workloads.WORKLOADS["phase2_toy"]
+    wl = workloads.WORKLOADS[name]
     fx = wl.setup(3, quick=True)
-    cfg = fx.inputs[0]
+    inp = fx.inputs[0]
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
         for run_id in (1, 2):
             tracer.run_id = run_id
-            assert wl.check(fx, cfg, wl.call(fx, cfg)) == []
+            assert wl.check(fx, inp, wl.call(fx, inp)) == []
     finally:
         tracer.uninstall()
     # the tracer reads its spans once recording is over, as a traced run does
     counts = [tracer.run_counts(run_id) for run_id in (1, 2)]
-    assert counts[0]["nnsim.inference.plane_macs"] > 0
+    assert counts[0][counter] > 0
     assert counts[0] == counts[1]

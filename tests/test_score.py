@@ -4,9 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from imcsearch.designspace import LayerShape
-from imcsearch.nnsim import TensorBatch, hd_score, make_blobs, make_patterns
-from imcsearch.nnsim.network import Dense, RefNet, ReLU
+from imcsearch.designspace import LayerShape, homogeneous_model, vgg16_space
+from imcsearch.nnsim import (
+    TensorBatch,
+    hd_score,
+    make_blobs,
+    make_patterns,
+    refnet_layers,
+)
+from imcsearch.nnsim.network import BatchNorm, Conv2D, Dense, RefNet, ReLU
 from imcsearch.nnsim.score import GRAM_CHUNK, LAMBDA_RATIO, hamming_kernel
 
 from conftest import candidate_net, fc_net
@@ -39,9 +45,12 @@ def test_hamming_kernel_equals_agreeing_ones_plus_agreeing_zeros():
         assert np.array_equal(k, want)
 
 
-def test_hand_set_weights_reproduce_hand_determinant():
+def test_hand_set_weights_reproduce_hand_determinant(monkeypatch):
     # Dense(2 -> 4) with hand-set weights; thresholds chosen so the three
-    # inputs produce known ReLU sign patterns
+    # inputs produce known ReLU sign patterns.  The code forward draws each
+    # stage through its layers' own init_weights, so a Dense that draws
+    # nothing keeps the weights set here
+    monkeypatch.setattr(Dense, "init_weights", lambda self, rng, dtype=float: None)
     net = RefNet(layers=[Dense(2, 4), ReLU(), Dense(4, 2)], class_count=2)
     d = net.layers[0]
     d.weight = np.array([[1.0, -1.0, 2.0, 0.5],
@@ -54,7 +63,9 @@ def test_hand_set_weights_reproduce_hand_determinant():
     #   [ 1, -1, -1,  0.5]  -> code 1001
     #   [-1,  1, -2, -2  ]  -> code 0100
     #   [ 0,  0,  3, -3  ]  -> code 0010
-    _, codes = net.forward_with_codes(x)
+    stages = []
+    net.forward_with_codes(x, np.random.default_rng(0), stages.append)
+    (codes,) = stages
     assert np.array_equal(codes, np.array([[1, 0, 0, 1],
                                            [0, 1, 0, 0],
                                            [0, 0, 1, 0]]))
@@ -72,7 +83,7 @@ def test_hand_set_weights_reproduce_hand_determinant():
 def test_single_sample_score_closed_form():
     net = fc_net([2, 6, 2], seed=4)
     batch = TensorBatch(np.array([[1.0, 2.0]]))
-    score = hd_score(net, batch)
+    score = hd_score(net, batch, seed=4)
     assert score == pytest.approx(math.log(6 + LAMBDA_RATIO * 6))
 
 
@@ -80,8 +91,8 @@ def test_duplicate_inputs_hit_regularization_floor():
     net = fc_net([2, 8, 2], seed=4)
     dup = TensorBatch(np.array([[1.0, 2.0], [1.0, 2.0]]))
     distinct = TensorBatch(np.array([[1.0, 2.0], [3.0, 0.5]]))
-    floor = hd_score(net, dup)
-    spread = hd_score(net, distinct)
+    floor = hd_score(net, dup, seed=4)
+    spread = hd_score(net, distinct, seed=4)
     assert np.isfinite(floor)
     assert floor < spread
     # rank-deficient kernel: the floor sits near log(2*N_A) + log(lambda)
@@ -93,9 +104,9 @@ def test_duplicate_inputs_hit_regularization_floor():
 
 def test_hd_score_deterministic_and_seed_sensitive():
     batch = make_blobs(16, seed=3)
-    a = hd_score(fc_net([2, 8, 2], seed=7), batch)
-    b = hd_score(fc_net([2, 8, 2], seed=7), batch)
-    c = hd_score(fc_net([2, 8, 2], seed=8), batch)
+    a = hd_score(fc_net([2, 8, 2], seed=7), batch, seed=7)
+    b = hd_score(fc_net([2, 8, 2], seed=7), batch, seed=7)
+    c = hd_score(fc_net([2, 8, 2], seed=8), batch, seed=8)
     assert a == b
     assert a != c
 
@@ -103,42 +114,50 @@ def test_hd_score_deterministic_and_seed_sensitive():
 def test_hd_score_permutation_invariant():
     net = fc_net([2, 8, 2], seed=1)
     batch = make_blobs(12, seed=5)
-    base = hd_score(net, batch)
+    base = hd_score(net, batch, seed=1)
     perm = np.random.default_rng(0).permutation(12)
     shuffled = TensorBatch(batch.data[perm], batch.labels[perm])
-    assert hd_score(net, shuffled) == pytest.approx(base, rel=1e-12)
+    assert hd_score(net, shuffled, seed=1) == pytest.approx(base, rel=1e-12)
 
 
 def test_hd_score_does_not_mutate_input_net():
     net = fc_net([2, 8, 2], seed=2)
     before = [p.copy() for l in net.layers for p in l.params()]
-    hd_score(net, make_blobs(8, seed=1))
+    hd_score(net, make_blobs(8, seed=1), seed=2)
     after = [p for l in net.layers for p in l.params()]
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
-    # the float32 forward runs on a copy; the net keeps its float64 arrays
+    # the float32 weights are drawn into copies; the net keeps its float64
+    # arrays
     for layer in net.layers:
         for name in layer.arrays:
             assert getattr(layer, name).dtype == np.float64
 
 
 def test_hd_score_collects_codes_in_float32(monkeypatch):
-    seen = []
+    # one code forward of a float32 batch, whose every layer holds float32
+    # arrays and gets a float32 input
+    batches, seen = [], set()
     collect = RefNet.forward_with_codes
 
-    def spy(self, x):
-        seen.append((x.dtype, {getattr(layer, name).dtype
-                               for layer in self.layers
-                               for name in layer.arrays}))
-        return collect(self, x)
+    def spy(self, x, rng, on_codes):
+        batches.append(x.dtype)
+        return collect(self, x, rng, on_codes)
 
     monkeypatch.setattr(RefNet, "forward_with_codes", spy)
+    for cls in (Conv2D, BatchNorm, Dense):
+        def forward(self, x, train=False, _forward=cls.forward):
+            seen.add(x.dtype)
+            seen.update(getattr(self, name).dtype for name in self.arrays)
+            return _forward(self, x, train)
+
+        monkeypatch.setattr(cls, "forward", forward)
     shape = LayerShape(kernel=3, in_spatial=(8, 8))
     net = candidate_net([shape, LayerShape.fc()], [4, 2], input_channels=1,
                         seed=0)
-    hd_score(net, make_patterns(4, channels=1, height=8, width=8, seed=0))
+    hd_score(net, make_patterns(4, channels=1, height=8, width=8, seed=0), seed=0)
     f32 = np.dtype(np.float32)
-    assert seen == [(f32, {f32})]
+    assert batches == [f32] and seen == {f32}
 
 
 def test_hd_score_memory_stays_at_a_few_blocks_of_patches():
@@ -152,9 +171,31 @@ def test_hd_score_memory_stays_at_a_few_blocks_of_patches():
     batch = make_patterns(64, channels=3, height=16, width=16, seed=0)
     tracemalloc.start()
     try:
-        score = hd_score(net, batch)
+        score = hd_score(net, batch, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert math.isfinite(score)
     assert peak < 8 * 2 ** 20
+
+
+def test_hd_score_never_holds_a_whole_full_width_vgg16():
+    # the widest VGG16 candidate's float32 weights take 56 MiB; drawn and
+    # freed stage by stage, scoring it traces its widest stage's weights
+    # (28 MiB at 2 x 2) plus that stage's patches and codes
+    space = vgg16_space()
+    model = homogeneous_model(space, space.cs_options[0], space.at_options[0],
+                              ap=6, ip=8)
+    net = RefNet(refnet_layers(model, space.class_count), space.class_count)
+    whole = sum(4 * math.prod(getattr(layer, name).shape)
+                for layer in net.layers for name in layer.arrays)
+    batch = make_patterns(8, channels=3, height=32, width=32,
+                          n_classes=space.class_count, seed=0)
+    tracemalloc.start()
+    try:
+        score = hd_score(net, batch, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(score)
+    assert peak < whole

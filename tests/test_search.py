@@ -18,17 +18,17 @@ from imcsearch.nnsim import (
     AdcRange,
     NoiseSpec,
     WalkState,
-    build_refnet,
     cross_entropy,
     hd_score,
     make_patterns,
     probe_layer,
+    refnet_layers,
     walk_layers,
 )
 from imcsearch.nnsim import inference, network
 from imcsearch.search import SearchConfig, phase1_run, phase2_run
 
-from conftest import make_platform
+from conftest import make_platform, whole_matrix_score
 
 # ---------------------------------------------------------------------------
 # phase 1
@@ -265,19 +265,20 @@ def test_rank_scores_equal_hd_score_of_the_built_net(rank_batch):
     pool = rank_pool(RANK_SPECS)
     search.rank_candidates(pool, rank_batch, RANK_SEED, 2)
     for entry in pool.admitted():
-        net = build_refnet(entry.model, 2, seed=RANK_SEED).clone()
-        net.init_weights(np.random.default_rng(RANK_SEED))
-        assert entry.hd_score == hd_score(net, rank_batch)
+        net = network.build_refnet(entry.model, 2, seed=RANK_SEED,
+                                   dtype=np.float32)
+        assert entry.hd_score == whole_matrix_score(
+            net, rank_batch.data.astype(np.float32))
 
 
 def test_rank_builds_one_net_per_width_vector(rank_batch, monkeypatch):
     built = []
 
-    def counting(model, class_count, seed=0, dtype=float):
+    def counting(model, class_count):
         built.append(tuple(c.cd_out for _, c in model.layers))
-        return build_refnet(model, class_count, seed=seed, dtype=dtype)
+        return refnet_layers(model, class_count)
 
-    monkeypatch.setattr(search, "build_refnet", counting)
+    monkeypatch.setattr(search, "refnet_layers", counting)
     pool = rank_pool(RANK_SPECS)
     search.rank_candidates(pool, rank_batch, RANK_SEED, 2)
     assert sorted(built) == [(4, 4, 8, 2), (4, 8, 8, 2), (8, 4, 8, 2)]
@@ -291,13 +292,13 @@ def test_rank_casts_the_hd_batch_once(rank_batch, monkeypatch):
     batches, forwarded = [], []
     collect = network.RefNet.forward_with_codes
 
-    def scoring(net, batch):
+    def scoring(net, batch, seed):
         batches.append(batch)
-        return hd_score(net, batch)
+        return hd_score(net, batch, seed)
 
-    def forwarding(net, x):
+    def forwarding(net, x, rng, on_codes):
         forwarded.append(x)
-        return collect(net, x)
+        return collect(net, x, rng, on_codes)
 
     monkeypatch.setattr(search, "hd_score", scoring)
     monkeypatch.setattr(network.RefNet, "forward_with_codes", forwarding)
