@@ -336,6 +336,29 @@ def check_class_count(space: DesignSpace) -> None:
             f"[{space.class_count}], the design_space.class_count")
 
 
+#: Values (samples x channels x height x width) in one fixture batch:
+#: ranking's HD batch or phase 2's train or eval batch.  2**27 float64
+#: values are 1 GiB, about 170 times the paper-scale train batch (256 x 3
+#: x 32 x 32); past it a run would die on a MemoryError after its run
+#: directory exists.
+MAX_BATCH_VALUES = 1 << 27
+
+
+def check_batches_fit(space: DesignSpace, search: SearchConfig,
+                      fixture: FixtureConfig) -> None:
+    """Every fixture batch a run draws holds at most ``MAX_BATCH_VALUES``."""
+    h, w = space.layer_shapes[0].in_spatial
+    per_sample = space.input_channels * (1 if fixture.kind == "blobs" else h * w)
+    for name, n in (("search.hd_batch_size", search.hd_batch_size),
+                    ("fixture.train_samples", fixture.train_samples),
+                    ("fixture.eval_samples", fixture.eval_samples)):
+        if n * per_sample > MAX_BATCH_VALUES:
+            raise ConfigError(
+                f"{name}: a batch of {n} samples of {per_sample} values "
+                f"(design_space.input_channels x in_h x in_w) is past the "
+                f"bound of {MAX_BATCH_VALUES}")
+
+
 def load_config(path: str | Path) -> AppConfig:
     """Parse a run configuration file into validated parameter objects."""
     path = Path(path)
@@ -360,5 +383,6 @@ def load_config(path: str | Path) -> AppConfig:
                      **_read(raw.get("fixture"), _FIXTURE_KEYS, "fixture"))
     check_cs_fits(space, platform)
     check_costs_fit(space, platform)
+    check_batches_fit(space, search, fixture)
     return AppConfig(platform=platform, space=space, search=search,
                      fixture=fixture)

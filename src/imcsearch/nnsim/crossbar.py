@@ -1,9 +1,9 @@
 """Crossbar cell programming with device-variation noise.
 
-Cells hold unsigned slice values; signed weights map onto a positive and
-a negative column set that are converted separately and subtracted after
-the ADC.  Device variation multiplies every cell by N(1, sigma/mu); the
-draw is seeded and frozen per (seed, key), which models one programmed
+Cells hold unsigned slices of a signed integer weight code's magnitude;
+the sign picks a positive or a negative column set, converted separately
+and subtracted after the ADC.  Device variation multiplies every cell by
+N(1, sigma/mu); the draw is seeded and frozen per (seed, key), which models one programmed
 chip instance reused across forward passes.  Phase 2 therefore programs
 each layer's cells once per run and reuses them for every probe.
 Programmed cells are analog conductances, stored as float32.
@@ -18,11 +18,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Noise sources of crossbar inference; sigma_over_mu = 0 is no variation."""
+    """Device variation of crossbar cells; sigma_over_mu = 0 is none."""
 
     sigma_over_mu: float = 0.20
     rng_seed: int = 0
-    quantization: bool = True
 
     def __post_init__(self) -> None:
         if self.sigma_over_mu < 0:
@@ -39,10 +38,6 @@ class NoiseSpec:
         rng = np.random.default_rng(
             np.random.SeedSequence(self.rng_seed, spawn_key=tuple(key)))
         return 1.0 + self.sigma_over_mu * rng.standard_normal(shape)
-
-
-#: Noiseless, quantization-free spec for ideal-path checks.
-IDEAL_NOISE = NoiseSpec(sigma_over_mu=0.0, rng_seed=0, quantization=False)
 
 
 def chunk_rows(n_rows: int, xbar_size: int) -> list[slice]:
@@ -77,23 +72,28 @@ def prepare_cells(weight_matrix: np.ndarray, noise: NoiseSpec,
                   key: tuple[int, ...] = (0,)) -> CellArrays:
     """Quantize, slice and (optionally) perturb a (rows, cols) weight matrix.
 
-    The variation multiplier is drawn once per slice and sign polarity and
-    reused for every bit plane and row chunk, matching cells that are
-    programmed once per inference run.  Each cell, its slice value times
-    its float64 multiplier, is rounded once to the float32 ``columns``.
+    Slice s (least significant first) holds bits ``slice_bits * s`` up of
+    a code's magnitude, in the cells of the code's sign.  The variation
+    multiplier is drawn once per slice and sign polarity and reused for
+    every bit plane and row chunk, matching cells that are programmed once
+    per inference run.  Each cell, its slice value times its float64
+    multiplier, is rounded once to the float32 ``columns``.
     """
-    from .quantize import quantize_slice_weights
+    from .quantize import quantize_weights
 
-    sliced = quantize_slice_weights(weight_matrix, weight_bits, slice_bits)
-    pos_mask = (sliced.sign > 0)
-    neg_mask = (sliced.sign < 0)
-    rows, cols = sliced.sign.shape
-    n_slices = len(sliced.slices)
+    codes, scale = quantize_weights(weight_matrix, weight_bits)
+    if weight_bits % slice_bits != 0:
+        raise ValueError(f"weight_bits ({weight_bits}) must be divisible by "
+                         f"slice_bits ({slice_bits})")
+    magnitude, polarities = np.abs(codes), (codes > 0, codes < 0)
+    rows, cols = codes.shape
+    n_slices = weight_bits // slice_bits
     columns = np.empty((rows, n_slices, 2, cols), dtype=np.float32)
-    for s, sl in enumerate(sliced.slices):
-        for polarity, mask in enumerate((pos_mask, neg_mask)):
-            cells = np.where(mask, sl, 0).astype(float)
+    for s in range(n_slices):
+        level = (magnitude >> (slice_bits * s)) & ((1 << slice_bits) - 1)
+        for polarity, mask in enumerate(polarities):
+            cells = np.where(mask, level, 0).astype(float)
             mult = noise.multipliers(cells.shape, key + (s, polarity))
             columns[:, s, polarity] = cells if mult is None else cells * mult
     return CellArrays(columns=columns.reshape(rows, -1), n_slices=n_slices,
-                      scale=sliced.scale, slice_bits=slice_bits)
+                      scale=scale, slice_bits=slice_bits)

@@ -6,7 +6,8 @@ row-chunked analog column sums with device variation, ADC partial-sum
 quantization, and shift-and-add recombination across slices, bit planes
 and row chunks.  Everything else (batchnorm, ReLU, pooling) stays ideal.
 As on the chip, cells and column sums are analog (float32) and the ADC
-codes shift and add exactly, so only their one scaling per AP rounds.
+always converts; its codes shift and add exactly, so only their one
+scaling per AP rounds.  The one kernel is ``_noisy_matmul``.
 
 A walk keeps its activations' float dtype end to end: phase 2 walks in
 float32, ``noisy_forward`` and ``bn_adapt`` in float64.  Batchnorm, ReLU,
@@ -40,6 +41,7 @@ shared prefix once and runs the probed layer once per IP.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
@@ -65,8 +67,8 @@ class AdcRange:
 
 
 def _noisy_matmul(cells: CellArrays, aps: tuple[int, ...], ip: int,
-                  in_codes: np.ndarray, noise: NoiseSpec,
-                  xbar_size: int, full_range: float) -> list[np.ndarray]:
+                  in_codes: np.ndarray, xbar_size: int,
+                  full_range: float) -> list[np.ndarray]:
     """Bit-serial sliced matmul of integer input codes against cell arrays.
 
     ``in_codes`` is the (batch, rows) uint8 code matrix, whatever dtype
@@ -78,26 +80,23 @@ def _noisy_matmul(cells: CellArrays, aps: tuple[int, ...], ip: int,
     integer codes.  The digital half is an exact shift-and-add: each AP's
     codes accumulate in one int32 array, most significant plane first,
     doubling between planes; slices and signs then combine exactly in
-    float64, and the result scales by the ADC step once.  Without ADC quantization the float sums accumulate the same way
-    in float64.  The work runs on (column, batch) arrays so that every
-    elementwise step sweeps the batch in one contiguous run.
+    float64, and the result scales by the ADC step once.  The work runs
+    on (column, batch) arrays so that every elementwise step sweeps the
+    batch in one contiguous run.
     """
     n, rows = in_codes.shape
     n_slices, cols = cells.n_slices, cells.n_cols
     chunks = chunk_rows(rows, xbar_size)
     # the largest sum of one column's codes over every plane and chunk
     top = len(chunks) * (2 ** max(aps) - 1) * (2 ** ip - 1)
-    if noise.quantization and top > np.iinfo(np.int32).max:
+    if top > np.iinfo(np.int32).max:
         raise ValueError(f"{len(chunks)} row chunks at AP {max(aps)} and "
                          f"IP {ip} can overflow the int32 accumulator")
-    # without ADC quantization every AP accumulates the same float sums
-    converts = aps if noise.quantization else (None,)
     # a conv layer's codes keep im2col's transposed layout, so this copies
     # only a dense layer's
     codes = np.ascontiguousarray(in_codes.T)
     bits, plane = np.empty_like(codes), np.empty(codes.shape, dtype=np.float32)
-    accs = [np.zeros((n_slices * 2 * cols, n), float if ap is None else np.int32)
-            for ap in converts]
+    accs = [np.zeros((n_slices * 2 * cols, n), np.int32) for _ in aps]
     for b in reversed(range(ip)):
         np.right_shift(codes, b, out=bits)
         bits &= 1
@@ -106,17 +105,16 @@ def _noisy_matmul(cells: CellArrays, aps: tuple[int, ...], ip: int,
             acc += acc  # Horner: each plane weighs twice the next one
         for sl in chunks:
             sums = cells.columns[sl].T @ plane[sl]
-            for ap, acc in zip(converts, accs):
-                acc += sums if ap is None else adc_quantize(sums, ap, full_range)
+            for ap, acc in zip(aps, accs):
+                acc += adc_quantize(sums, ap, full_range)
     # slice s weighs 2^(slice_bits*s); on integer codes every sum is exact
     weight = 2.0 ** (cells.slice_bits * np.arange(n_slices))[:, None, None]
     outs = []
-    for ap, acc in zip(converts, accs):
+    for ap, acc in zip(aps, accs):
         signed = acc.reshape(n_slices, 2, cols, n)
         total = ((signed[:, 0] - signed[:, 1]) * weight).sum(axis=0)
-        step = 1.0 if ap is None else full_range / (2 ** ap)
-        outs.append((total * step).T.copy())
-    return outs if noise.quantization else outs * len(aps)
+        outs.append((total * (full_range / 2 ** ap)).T.copy())
+    return outs
 
 
 def _quantized_layer_outputs(layer: Conv2D | Dense, adapt: list[np.ndarray],
@@ -128,17 +126,18 @@ def _quantized_layer_outputs(layer: Conv2D | Dense, adapt: list[np.ndarray],
     """Run one conv/dense layer on a walk's activations, one output per AP.
 
     Returns the per-AP outputs of each of ``adapt`` and of ``x_eval``
-    (None without it).  The calibration set is ``adapt``, or ``x_eval``
-    when that is empty: its largest input maps to code 2^ip - 1, and the
-    ADC full range is the largest chunk partial sum of the programmed
-    (noisy) cells with every input of a nonzero code on.  Each
-    activation's patches and codes are made once and its matmuls shared
-    by all of ``aps``; every output equals a run of that AP alone.  Patches
-    and input levels are in each activation's dtype, negative inputs take
-    code 0, and each output is cast to its activation's dtype after the
-    float64 scaling (and a dense layer's bias).
-    ``cells`` memoizes programmed cells per key; the device variation is
-    frozen per key, so a memoized entry equals a fresh one.
+    (None without it); an activation whose max is NaN or infinite raises
+    a ``FloatingPointError`` instead of being coded.  The calibration set
+    is ``adapt``, or ``x_eval`` when that is empty: its largest input
+    maps to code 2^ip - 1, and the ADC full range is the largest chunk
+    partial sum of the programmed (noisy) cells with every input of a
+    nonzero code on.  Each activation's patches and codes are made once
+    and its matmuls shared by all of ``aps``; every output equals a run of
+    that AP alone.  Patches and input levels are in each activation's
+    dtype, negative inputs take code 0, and each output is cast to its
+    activation's dtype after the float64 scaling (and a dense layer's
+    bias).  ``cells`` memoizes programmed cells per key; the device
+    variation is frozen per key, so a memoized entry equals a fresh one.
     """
     programmed = cells.get(key)
     if programmed is None:
@@ -146,8 +145,12 @@ def _quantized_layer_outputs(layer: Conv2D | Dense, adapt: list[np.ndarray],
         programmed = cells[key] = prepare_cells(
             w, noise, platform.weight_bits, platform.weight_slice_bits, key)
     xs = list(adapt) + ([] if x_eval is None else [x_eval])
+    maxima = [float(x.max(initial=0.0)) for x in xs]
+    if not all(map(math.isfinite, maxima)):
+        raise FloatingPointError(f"quantizable layer {key[0]}: input "
+                                 f"activation maxima {maxima}")
     calibration = slice(len(adapt) or len(xs))
-    amax = max((float(x.max(initial=0.0)) for x in xs[calibration]), default=0.0)
+    amax = max(maxima[calibration], default=0.0)
     coded = []  # (codes, batch, out height, out width, dtype) per activation
     for x in xs:
         if isinstance(layer, Conv2D):
@@ -167,8 +170,8 @@ def _quantized_layer_outputs(layer: Conv2D | Dense, adapt: list[np.ndarray],
     outs = []
     for c, n, oh, ow, dtype in coded:
         outs.append([])
-        for acc in _noisy_matmul(programmed, aps, ip, c, noise,
-                                 platform.xbar_size, full_range):
+        for acc in _noisy_matmul(programmed, aps, ip, c, platform.xbar_size,
+                                 full_range):
             out = acc * programmed.scale * in_scale
             out = (out + layer.bias if isinstance(layer, Dense) else
                    out.reshape(n, oh, ow, layer.c_out).transpose(0, 3, 1, 2))

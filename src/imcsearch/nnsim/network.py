@@ -319,8 +319,10 @@ class ReLU(Layer):
         self._mask = None
 
     def forward(self, x, train=False):
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        if train:
+            self._mask = mask
+        return x * mask
 
     def backward(self, dout):
         return dout * self._mask
@@ -629,6 +631,9 @@ def save_net(net: RefNet, path) -> None:
 
 
 def load_net(path) -> RefNet:
+    """The network ``save_net`` wrote to ``path``.  A malformed container,
+    a non-finite array or a negative running variance raises a
+    ``ValueError`` naming the file (and the array, ``layers.<i>.<name>``)."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != _MAGIC:
@@ -654,5 +659,10 @@ def load_net(path) -> RefNet:
             count = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(f.read(4 * count), dtype="<f4").reshape(shape)
             _, index, attr = name.split(".")
+            # a NaN or a negative variance would run on as silent NaNs
+            if not np.all(np.isfinite(data)):
+                raise ValueError(f"{path}: array {name} is not finite")
+            if attr == "running_var" and np.any(data < 0):
+                raise ValueError(f"{path}: array {name} has a negative variance")
             setattr(net.layers[int(index)], attr, data.astype(float))
     return net

@@ -76,9 +76,13 @@ class SearchConfig:
             raise ValueError("area_constraint must be positive")
         if self.n1_steps < 0 or self.n2_steps < 0:
             raise ValueError("step counts must be >= 0")
-        for name in ("lr1", "lr2", "temperature", "adapt_momentum"):
+        for name in ("lr1", "lr2", "temperature"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # a blend weight: above 1 the blended running variance can go negative
+        if not 0 < self.adapt_momentum <= 1:
+            raise ValueError(f"adapt_momentum must lie in (0, 1], got "
+                             f"{self.adapt_momentum}")
         # zero disables the respective penalty term; negative flips its sign
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("lambda1 and lambda2 must be >= 0")

@@ -1,5 +1,5 @@
 """Shared fixtures and oracles: platforms, toy spaces, trained desk-scale
-nets and the signed integer codes of sliced weights."""
+nets and a per-slice reference of the crossbar kernel."""
 
 import json
 import struct
@@ -18,8 +18,10 @@ from imcsearch.designspace import (
     UnitCost,
     UnitCostTable,
 )
-from imcsearch.nnsim import make_blobs, make_patterns
+from imcsearch.nnsim import NoiseSpec, make_blobs, make_patterns
+from imcsearch.nnsim.crossbar import chunk_rows
 from imcsearch.nnsim.network import ReLU, build_refnet, train_tiny
+from imcsearch.nnsim.quantize import adc_quantize
 from imcsearch.nnsim.score import LAMBDA_RATIO, hamming_kernel
 from imcsearch.search import Phase2Data
 
@@ -28,12 +30,32 @@ def make_platform(**overrides) -> PlatformParams:
     return PlatformParams(unit_costs=load_unit_costs(), **overrides)
 
 
-def recompose_codes(sliced) -> np.ndarray:
-    """The signed integer codes whose slices a ``SlicedWeights`` holds."""
-    mag = np.zeros_like(sliced.sign, dtype=np.int64)
-    for s, sl in enumerate(sliced.slices):
-        mag += sl.astype(np.int64) << (sliced.slice_bits * s)
-    return sliced.sign * mag
+#: Cells exact: no device variation.
+NO_VARIATION = NoiseSpec(sigma_over_mu=0.0, rng_seed=0)
+
+
+def split_cells(cells):
+    """Per-slice (positive, negative) cell matrices, least significant first."""
+    split = cells.columns.reshape(-1, cells.n_slices, 2, cells.n_cols)
+    return [(split[:, s, 0], split[:, s, 1]) for s in range(cells.n_slices)]
+
+
+def loop_matmul(cells, ap, ip, in_codes, xbar_size, full_range):
+    """Reference kernel: one float32 matmul per plane, slice, sign and chunk.
+
+    Every sum converts alone, the codes add up in int64 with their plane,
+    slice and sign weights, and the total scales by the ADC step once.
+    """
+    acc = np.zeros((in_codes.shape[0], cells.n_cols), dtype=np.int64)
+    for b in range(ip):
+        plane = ((in_codes >> b) & 1).astype(np.float32)
+        for s, polarities in enumerate(split_cells(cells)):
+            for sign, part in zip((1, -1), polarities):
+                for sl in chunk_rows(in_codes.shape[1], xbar_size):
+                    sums = plane[:, sl] @ part[sl]
+                    codes = adc_quantize(sums, ap, full_range).astype(np.int64)
+                    acc += sign * 2 ** (cells.slice_bits * s + b) * codes
+    return acc * (full_range / 2 ** ap)
 
 
 def zero_cost_table(**nonzero) -> UnitCostTable:

@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 from imcsearch import cli, search
-from imcsearch.config import MAX_EXTENT, MAX_WIDTH, load_config
+from imcsearch.config import MAX_BATCH_VALUES, MAX_EXTENT, MAX_WIDTH, load_config
 from imcsearch.designspace import ADCType, homogeneous_model
 from imcsearch.io import load_model, model_to_dict, write_json
 from imcsearch.nnsim import RefNet, load_net
@@ -389,6 +389,85 @@ def test_malformed_weights_file_exits_2_naming_the_file(phase2_inputs, tmp_path,
     out = tmp_path / "phase2"
     assert run_phase2(phase2_inputs, weights, out) == cli.EXIT_CONFIG
     assert f"error: {weights}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, value", [("running_var", -1.0),
+                                         ("running_mean", float("nan")),
+                                         ("gamma", float("inf"))])
+def test_non_finite_weights_file_exits_2_naming_the_file_and_array(
+        phase2_inputs, tmp_path, capsys, name, value):
+    net = load_net(phase2_inputs[2])
+    getattr(net.layers[1], name)[0] = value  # the first batchnorm
+    weights = tmp_path / "net.bin"
+    save_net(net, weights)
+    out = tmp_path / "phase2"
+    assert run_phase2(phase2_inputs, weights, out) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {weights}: " in err and f"layers.1.{name}" in err
+    assert not out.exists()
+
+
+def test_phase2_walk_that_turns_non_finite_exits_4(phase2_inputs, tmp_path,
+                                                   capsys, monkeypatch):
+    # a NaN running mean that reached the walk: the next layer's eval
+    # activation is NaN, and coding it would read code 0
+    def nan_mean(path):
+        net = load_net(path)
+        net.layers[1].running_mean[0] = float("nan")
+        return net
+
+    monkeypatch.setattr(cli, "load_net", nan_mean)
+    out = tmp_path / "phase2"
+    assert run_phase2(phase2_inputs, phase2_inputs[2], out) == cli.EXIT_NUMERIC
+    assert "error: numeric failure: quantizable layer 1: " in capsys.readouterr().err
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure["code"] == cli.EXIT_NUMERIC
+
+
+@pytest.mark.parametrize("momentum", [1.9, 5.0])
+def test_phase2_adapt_momentum_above_one_exits_2_naming_the_field(
+        phase2_inputs, tmp_path, capsys, momentum):
+    # above 1 the blended running variance goes negative and batchnorm
+    # makes NaNs; 1 itself is the batch statistics alone
+    search.SearchConfig(area_constraint=1.0, adapt_momentum=1.0)
+    path, phase1_dir, weights = phase2_inputs
+    raw = yaml.safe_load(path.read_text())
+    raw["search"]["adapt_momentum"] = momentum
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "phase2"
+    assert cli.main(["phase2", "--config", str(config), "--phase1-dir",
+                     str(phase1_dir), "--weights", str(weights),
+                     "--out-dir", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: search: adapt_momentum must lie in (0, 1], got {momentum}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("space, fixture, named", [
+    # one sample of 65536 channels at 1024 x 1024 is 2**36 values; 2**16
+    # samples of 64 channels at 8 x 8 are 2**28
+    ({"input_channels": 65536, "in_h": 1024}, {}, "search.hd_batch_size"),
+    ({"input_channels": 64}, {"train_samples": 2 ** 16}, "fixture.train_samples"),
+    ({"input_channels": 64}, {"eval_samples": 2 ** 16}, "fixture.eval_samples"),
+])
+def test_oversized_fixture_batch_exits_2_naming_the_field(tmp_path, capsys,
+                                                          space, fixture, named):
+    design = copy.deepcopy(CONFIG["design_space"])
+    design["input_channels"] = space["input_channels"]
+    for layer in design["layers"][:2]:
+        layer["in_h"] = space.get("in_h", layer["in_h"])
+    raw = dict(CONFIG, design_space=design, fixture=fixture,
+               search=dict(CONFIG["search"], area_constraint_mm2=392.8))
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "run"
+    assert cli.main(["phase1", "--config", str(path), "--out-dir",
+                     str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {named}: a batch of " in err
+    assert f"is past the bound of {MAX_BATCH_VALUES}" in err
     assert not out.exists()
 
 

@@ -2,18 +2,14 @@ import numpy as np
 import pytest
 
 from imcsearch.nnsim.crossbar import (
-    IDEAL_NOISE,
     CellArrays,
     NoiseSpec,
     chunk_rows,
     prepare_cells,
 )
 from imcsearch.nnsim.inference import _noisy_matmul
-from imcsearch.nnsim.quantize import adc_quantize
 
-#: Cells exact, ADC on: with full_range = 2^ap the ADC step is 1, so every
-#: integer chunk sum below 2^ap - 1 converts to itself.
-EXACT_ADC = NoiseSpec(sigma_over_mu=0.0, rng_seed=0)
+from conftest import NO_VARIATION, loop_matmul, split_cells
 
 
 def test_chunk_rows_partitions_exactly():
@@ -27,7 +23,7 @@ def test_noiseless_matvec_is_exact_integer_dot():
     rng = np.random.default_rng(1)
     codes = rng.integers(-127, 128, size=(40, 6))
     codes[0, 0] = 127
-    cells = prepare_cells(codes.astype(float), IDEAL_NOISE, weight_bits=8,
+    cells = prepare_cells(codes.astype(float), NO_VARIATION, weight_bits=8,
                           slice_bits=4)
     assert cells.scale == 1.0
     for ip in range(1, 9):
@@ -35,39 +31,13 @@ def test_noiseless_matvec_is_exact_integer_dot():
         # must recompose each code exactly
         offsets = rng.integers(0, 2 ** ip, size=40)
         inputs = (np.arange(2 ** ip)[:, None] + offsets) % 2 ** ip
-        for noise in (IDEAL_NOISE, EXACT_ADC):
-            # 16-row chunks of 4-bit cells sum to at most 240 < 2^8 - 1
-            [out] = _noisy_matmul(cells, aps=(8,), ip=ip, in_codes=inputs,
-                                  noise=noise, xbar_size=16, full_range=256.0)
-            assert out.shape == (2 ** ip, 6)
-            assert np.array_equal(out, inputs @ codes)
-
-
-def split_cells(cells):
-    """Per-slice (positive, negative) cell matrices, least significant first."""
-    split = cells.columns.reshape(-1, cells.n_slices, 2, cells.n_cols)
-    return [(split[:, s, 0], split[:, s, 1]) for s in range(cells.n_slices)]
-
-
-def loop_matmul(cells, ap, ip, in_codes, noise, xbar_size, full_range):
-    """Reference kernel: one float32 matmul per plane, slice, sign and chunk.
-
-    With the ADC on, every sum converts alone, the codes add up in int64
-    with their plane, slice and sign weights, and the total scales by the
-    ADC step once; without it the float sums add up in float64.
-    """
-    acc = np.zeros((in_codes.shape[0], cells.n_cols),
-                   dtype=np.int64 if noise.quantization else float)
-    for b in range(ip):
-        plane = ((in_codes >> b) & 1).astype(np.float32)
-        for s, polarities in enumerate(split_cells(cells)):
-            for sign, part in zip((1, -1), polarities):
-                for sl in chunk_rows(in_codes.shape[1], xbar_size):
-                    sums = plane[:, sl] @ part[sl]
-                    if noise.quantization:
-                        sums = adc_quantize(sums, ap, full_range).astype(np.int64)
-                    acc += sign * 2 ** (cells.slice_bits * s + b) * sums
-    return acc * (full_range / 2 ** ap) if noise.quantization else acc
+        # 16-row chunks of 4-bit cells sum to at most 240 < 2^8 - 1, and
+        # with full_range = 2^8 the ADC step is 1, so every sum converts to
+        # itself
+        [out] = _noisy_matmul(cells, aps=(8,), ip=ip, in_codes=inputs,
+                              xbar_size=16, full_range=256.0)
+        assert out.shape == (2 ** ip, 6)
+        assert np.array_equal(out, inputs @ codes)
 
 
 def test_kernel_matches_per_slice_loop_bit_for_bit():
@@ -77,13 +47,10 @@ def test_kernel_matches_per_slice_loop_bit_for_bit():
     cells = prepare_cells(rng.standard_normal((40, 6)),
                           NoiseSpec(sigma_over_mu=0.2, rng_seed=5), 8, 4)
     codes = rng.integers(0, 64, size=(30, 40))
-    for quantization in (True, False):
-        noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=5,
-                          quantization=quantization)
-        for ap in (4, 8):
-            want = loop_matmul(cells, ap, 6, codes, noise, 16, 37.3)
-            [got] = _noisy_matmul(cells, (ap,), 6, codes, noise, 16, 37.3)
-            assert np.array_equal(got, want)
+    for ap in (4, 8):
+        want = loop_matmul(cells, ap, 6, codes, 16, 37.3)
+        [got] = _noisy_matmul(cells, (ap,), 6, codes, 16, 37.3)
+        assert np.array_equal(got, want)
 
 
 def test_kernel_shares_matmuls_across_aps_bit_for_bit():
@@ -92,16 +59,12 @@ def test_kernel_shares_matmuls_across_aps_bit_for_bit():
     cells = prepare_cells(rng.standard_normal((40, 6)),
                           NoiseSpec(sigma_over_mu=0.2, rng_seed=6), 8, 4)
     codes = rng.integers(0, 64, size=(30, 40))
-    for quantization in (True, False):
-        noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=6,
-                          quantization=quantization)
-        got = _noisy_matmul(cells, (4, 8), 6, codes, noise, 16, 37.3)
-        assert len(got) == 2
-        for ap, out in zip((4, 8), got):
-            assert np.array_equal(out, loop_matmul(cells, ap, 6, codes, noise,
-                                                   16, 37.3))
-        # the APs differ only through the ADC
-        assert np.array_equal(*got) == (not quantization)
+    got = _noisy_matmul(cells, (4, 8), 6, codes, 16, 37.3)
+    assert len(got) == 2
+    for ap, out in zip((4, 8), got):
+        assert np.array_equal(out, loop_matmul(cells, ap, 6, codes, 16, 37.3))
+    # the APs differ through their ADC passes
+    assert not np.array_equal(*got)
 
 
 def test_zero_input_plane_is_zero_regardless_of_noise():
@@ -109,20 +72,21 @@ def test_zero_input_plane_is_zero_regardless_of_noise():
     cells = prepare_cells(np.full((64, 3), 0.5), noise, 8, 4)
     [out] = _noisy_matmul(cells, aps=(6,), ip=4,
                           in_codes=np.zeros((2, 64), dtype=np.int64),
-                          noise=noise, xbar_size=64, full_range=64 * 15.0)
+                          xbar_size=64, full_range=64 * 15.0)
     assert np.all(out == 0.0)
 
 
 def test_variation_monte_carlo_mean():
     # all-ones weights quantize to code 127 = 7 * 16 + 15; with an all-ones
-    # input plane each column sums 64 noisy cells per slice, mean 64 * 127
-    noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=1234,
-                      quantization=False)
+    # input plane each column sums 64 noisy cells per slice, mean 64 * 127;
+    # the ADC's full range 2048 holds the top slice's sums, 64 * 15 = 960
+    # at mean, in steps of 8
+    noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=1234)
     plane = np.ones((1, 64), dtype=np.int64)
     sums = [_noisy_matmul(prepare_cells(np.ones((64, 100)), noise, 8, 4,
                                         key=(t,)),
-                          aps=(8,), ip=1, in_codes=plane, noise=noise,
-                          xbar_size=64, full_range=1.0)[0]
+                          aps=(8,), ip=1, in_codes=plane,
+                          xbar_size=64, full_range=2048.0)[0]
             for t in range(100)]
     mean = float(np.mean(sums))
     assert abs(mean - 64.0 * 127) / (64.0 * 127) < 0.01
@@ -137,7 +101,7 @@ def test_seeded_variation_is_frozen_per_key():
     assert np.array_equal(a.columns, b.columns)
     assert not np.array_equal(a.columns, c.columns)
     plane = np.ones((1, 16), dtype=np.int64)
-    outs = [_noisy_matmul(cells, aps=(6,), ip=1, in_codes=plane, noise=noise,
+    outs = [_noisy_matmul(cells, aps=(6,), ip=1, in_codes=plane,
                           xbar_size=16, full_range=16 * 15.0)[0]
             for cells in (a, b)]
     assert np.array_equal(*outs)
@@ -145,7 +109,7 @@ def test_seeded_variation_is_frozen_per_key():
 
 def test_prepare_cells_signed_split():
     w = np.array([[0.5, -0.5], [1.0, -1.0]])
-    cells = prepare_cells(w, IDEAL_NOISE, weight_bits=8, slice_bits=4)
+    cells = prepare_cells(w, NO_VARIATION, weight_bits=8, slice_bits=4)
     assert cells.n_slices == 2
     # positive entries live only in pos arrays, negatives only in neg
     for pos, neg in split_cells(cells):
@@ -164,7 +128,7 @@ def test_prepare_cells_rounds_each_noisy_cell_once_to_float32():
     noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=8)
     cells = prepare_cells(w, noise, 8, 4, key=(2,))
     assert cells.columns.dtype == np.float32
-    ideal = prepare_cells(w, IDEAL_NOISE, 8, 4)
+    ideal = prepare_cells(w, NO_VARIATION, 8, 4)
     for s, ((pos, neg), (ideal_pos, ideal_neg)) in enumerate(
             zip(split_cells(cells), split_cells(ideal))):
         for polarity, (got, level) in enumerate(((pos, ideal_pos),
@@ -186,12 +150,12 @@ def test_int32_accumulator_is_exact_at_the_widest_vgg16_conv():
     columns[:, :, 1, 1] = 15
     cells = CellArrays(columns=columns.reshape(rows, -1), n_slices=2)
     codes = np.full((3, rows), 255, dtype=np.uint8)
-    [got] = _noisy_matmul(cells, (ap,), ip, codes, EXACT_ADC, 64, full_range)
+    [got] = _noisy_matmul(cells, (ap,), ip, codes, 64, full_range)
     top = np.int64(72 * 255 * 255 * (1 + 16))
     step = full_range / 2 ** ap
     assert np.array_equal(got, np.tile([top, -top], (3, 1)) * step)
-    assert np.array_equal(got, loop_matmul(cells, ap, ip, codes, EXACT_ADC,
-                                           64, full_range))
+    assert np.array_equal(got, loop_matmul(cells, ap, ip, codes, 64,
+                                           full_range))
 
 
 def test_kernel_refuses_code_sums_that_could_overflow_int32():
@@ -200,4 +164,4 @@ def test_kernel_refuses_code_sums_that_could_overflow_int32():
                        n_slices=1)
     codes = np.zeros((1, 33026), dtype=np.uint8)
     with pytest.raises(ValueError, match="int32"):
-        _noisy_matmul(cells, (5, 8), 8, codes, EXACT_ADC, 1, 255.0)
+        _noisy_matmul(cells, (5, 8), 8, codes, 1, 255.0)

@@ -10,12 +10,13 @@ from imcsearch.nnsim import (
     walk_layers,
 )
 from imcsearch.nnsim import inference
-from imcsearch.nnsim.crossbar import IDEAL_NOISE
+from imcsearch.nnsim.crossbar import chunk_rows, prepare_cells
 from imcsearch.nnsim.inference import (
     _quantizable_index,
     _quantized_layer_outputs,
     bn_adapt,
     noisy_forward,
+    probe_layer,
 )
 from imcsearch.nnsim.network import (
     BatchNorm,
@@ -26,9 +27,9 @@ from imcsearch.nnsim.network import (
     accuracy,
     train_tiny,
 )
-from imcsearch.nnsim.quantize import quantize_inputs, quantize_slice_weights
+from imcsearch.nnsim.quantize import quantize_inputs
 
-from conftest import fc_net, make_platform, recompose_codes
+from conftest import NO_VARIATION, fc_net, loop_matmul, make_platform
 
 
 def small_platform(**kw):
@@ -41,14 +42,21 @@ def small_platform(**kw):
 # integer-path equivalence
 # ---------------------------------------------------------------------------
 
-def ideal_quantized_dense(x, layer, ip, weight_bits=8, slice_bits=4):
-    """Oracle: exact integer matmul of quantized codes, no hardware steps."""
-    sliced = quantize_slice_weights(layer.weight, weight_bits, slice_bits)
-    # calibrated on x itself, as a walk without adaptation data is
+def quantized_dense(x, layer, ap, ip, platform):
+    """Oracle: the noiseless crossbar path of a dense layer, calibrated on
+    x itself as a walk without adaptation data is, through the per-slice
+    reference kernel."""
+    cells = prepare_cells(layer.weight, NO_VARIATION, platform.weight_bits,
+                          platform.weight_slice_bits)
     codes, in_scale = quantize_inputs(np.maximum(x, 0.0), ip, x.max())
-    q = recompose_codes(sliced)
-    return (codes.astype(float) @ q.astype(float)) * sliced.scale * in_scale \
-        + layer.bias
+    # the calibration rule: the largest chunk sum of the cells with every
+    # input of a nonzero code on; noiseless cells make every sum exact
+    on = (codes > 0).astype(float)
+    full_range = max([1.0] + [float((on[:, sl] @ cells.columns[sl]).max())
+                              for sl in chunk_rows(len(layer.weight),
+                                                   platform.xbar_size)])
+    acc = loop_matmul(cells, ap, ip, codes, platform.xbar_size, full_range)
+    return acc * cells.scale * in_scale + layer.bias
 
 
 def test_quantized_path_matches_integer_oracle_bit_for_bit():
@@ -58,24 +66,22 @@ def test_quantized_path_matches_integer_oracle_bit_for_bit():
     layer.bias = rng.standard_normal(4)
     x = np.abs(rng.standard_normal((9, 6)))
     platform = small_platform()
-    _, (got,) = _quantized_layer_outputs(layer, [], x, 8, (8,), IDEAL_NOISE,
+    _, (got,) = _quantized_layer_outputs(layer, [], x, 8, (8,), NO_VARIATION,
                                          platform, (0,), {})
-    want = ideal_quantized_dense(x, layer, ip=8)
+    want = quantized_dense(x, layer, ap=8, ip=8, platform=platform)
     assert np.array_equal(got, want)
 
 
 def test_noisy_forward_ideal_settings_match_layerwise_oracle(trained_mlp):
     data = make_blobs(40, seed=12)
     platform = small_platform()
-    got = noisy_forward(trained_mlp, data, [(8, 8), (8, 8)], IDEAL_NOISE,
+    got = noisy_forward(trained_mlp, data, [(8, 8), (8, 8)], NO_VARIATION,
                         platform)
-    # oracle: walk the network, applying the integer-exact path per layer
+    # oracle: walk the network, applying the crossbar oracle per layer
     x = data.data
-    q_iter = iter(_quantizable_index(trained_mlp))
     for layer in trained_mlp.layers:
         if isinstance(layer, Dense):
-            x = ideal_quantized_dense(x, layer, ip=8)
-            next(q_iter)
+            x = quantized_dense(x, layer, ap=8, ip=8, platform=platform)
         else:
             x = layer.forward(x)
     assert np.array_equal(got, x)
@@ -85,9 +91,7 @@ def test_noisy_forward_near_ideal_at_max_precision(trained_mlp, blob_data):
     platform = small_platform()
     ideal = trained_mlp.forward(blob_data.data)
     quant = noisy_forward(trained_mlp, blob_data, [(8, 8), (8, 8)],
-                          NoiseSpec(sigma_over_mu=0.0, rng_seed=0,
-                                    quantization=True),
-                          platform)
+                          NO_VARIATION, platform)
     # 8-bit everything on a calibrated range: predictions must agree
     assert accuracy(quant, blob_data.labels) \
         == pytest.approx(accuracy(ideal, blob_data.labels), abs=0.02)
@@ -109,7 +113,7 @@ def test_noisy_forward_zero_weight_net_constant_logits():
 
 def test_noisy_forward_plan_length_checked(trained_mlp, blob_data):
     with pytest.raises(ValueError):
-        noisy_forward(trained_mlp, blob_data, [(8, 8)], IDEAL_NOISE,
+        noisy_forward(trained_mlp, blob_data, [(8, 8)], NO_VARIATION,
                       small_platform())
 
 
@@ -189,6 +193,23 @@ def test_negative_inputs_take_code_zero(kind, dtype):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype == dtype
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_activation_is_refused_not_coded(bad):
+    # NaN would cast to input code 0 and infinity clip to the top code
+    rng = np.random.default_rng(23)
+    layer = Dense(12, 3)
+    layer.init_weights(rng)
+    adapt_x = np.abs(rng.standard_normal((8, 12)))
+    eval_x = np.abs(rng.standard_normal((5, 12)))
+    noise, platform = NoiseSpec(sigma_over_mu=0.2, rng_seed=4), small_platform()
+    for which in ("adapt", "eval"):
+        a, e = adapt_x.copy(), eval_x.copy()
+        (a if which == "adapt" else e)[2, 5] = bad
+        with pytest.raises(FloatingPointError, match="quantizable layer 3: "):
+            _quantized_layer_outputs(layer, [a], e, 4, APS, noise, platform,
+                                     (3,), {})
 
 
 # ---------------------------------------------------------------------------
@@ -282,22 +303,29 @@ def test_bn_adapt_does_not_touch_weights(trained_mlp, blob_data):
 
 def test_bn_adapt_noise_off_matches_clean_stats(trained_mlp, blob_data):
     platform = small_platform()
+    plan = [(8, 8), (8, 8)]
     batches = split_batches(blob_data, len(blob_data))
-    adapted = bn_adapt(trained_mlp, batches * 30, [(8, 8), (8, 8)],
-                       IDEAL_NOISE, platform, momentum=0.5)
-    # clean reference: batch statistics of the ideal float forward
-    x = blob_data.data
-    clean_stats = []
-    for layer in trained_mlp.layers:
-        if isinstance(layer, BatchNorm):
-            clean_stats.append(layer.batch_stats(x))
-            x = layer.normalize(x, *clean_stats[-1])
-        else:
-            x = layer.forward(x)
-    bns = [l for l in adapted.layers if isinstance(l, BatchNorm)]
-    for bn, (mean, var) in zip(bns, clean_stats):
-        assert bn.running_mean == pytest.approx(mean, rel=0.05, abs=0.05)
-        assert bn.running_var == pytest.approx(var, rel=0.05, abs=0.05)
+    adapted = bn_adapt(trained_mlp, batches * 30, plan, NO_VARIATION,
+                       platform, momentum=0.5)
+    # reference: batch statistics of the same walk's pre-batchnorm
+    # activation, the output of the quantizable layer before each batchnorm;
+    # 30 blends at momentum 0.5 leave 2^-30 of the trained statistics
+    q_index = _quantizable_index(trained_mlp)
+    begin = WalkState.begin(adapt_batches=batches)
+    checked = 0
+    for i, layer in enumerate(adapted.layers):
+        if not isinstance(layer, BatchNorm):
+            continue
+        q = q_index.index(i - 1)
+        state = walk_layers(trained_mlp, begin, plan, NO_VARIATION, platform,
+                            stop=q)
+        [pre_bn] = probe_layer(trained_mlp, state, plan[q][1], (plan[q][0],),
+                               NO_VARIATION, platform)
+        mean, var = layer.batch_stats(pre_bn.adapt[0])
+        assert layer.running_mean == pytest.approx(mean, rel=1e-6, abs=1e-6)
+        assert layer.running_var == pytest.approx(var, rel=1e-6, abs=1e-6)
+        checked += 1
+    assert checked
 
 
 def test_bn_adapt_recovers_noisy_accuracy(trained_mlp, blob_data):

@@ -162,6 +162,22 @@ def test_avgpool_backward():
     _layer_fd_check(AvgPool2D(2), rng.standard_normal((2, 3, 4, 4)))
 
 
+def test_relu_keeps_its_mask_only_when_training():
+    rng = np.random.default_rng(7)
+    x, dout = rng.standard_normal((2, 4, 3, 3)), rng.standard_normal((2, 4, 3, 3))
+    net = candidate_net([LayerShape(kernel=3, in_spatial=(3, 3)), LayerShape.fc()],
+                        [4, 2], input_channels=4, seed=0)
+    relus = [layer for layer in net.layers if isinstance(layer, ReLU)]
+    net.forward(x)
+    assert relus and all(layer._mask is None for layer in relus)
+    relu = ReLU()
+    out = relu.forward(x)
+    assert relu._mask is None
+    assert np.array_equal(out, x * (x > 0))
+    assert np.array_equal(relu.forward(x, train=True), out)
+    assert np.array_equal(relu.backward(dout), dout * (x > 0))
+
+
 def test_batchnorm_running_stats_update():
     layer = BatchNorm(2, momentum=1.0)
     x = np.array([[1.0, 10.0], [3.0, 30.0]])

@@ -1,55 +1,72 @@
 import numpy as np
 import pytest
 
+from imcsearch.nnsim.crossbar import prepare_cells
 from imcsearch.nnsim.quantize import (
     adc_dequantize,
     adc_quantize,
     quantize_inputs,
-    quantize_slice_weights,
-    slice_codes,
+    quantize_weights,
 )
 
-from conftest import recompose_codes
+from conftest import NO_VARIATION, split_cells
+
+
+def cell_codes(cells) -> np.ndarray:
+    """The signed integer codes that noiseless cells hold: positive minus
+    negative cells, each slice at its weight."""
+    return sum((pos - neg).astype(np.int64) << (cells.slice_bits * s)
+               for s, (pos, neg) in enumerate(split_cells(cells)))
 
 
 def test_zero_weights_all_slices_zero_scale_one():
-    sliced = quantize_slice_weights(np.zeros((3, 3)))
-    assert sliced.scale == 1.0
-    for sl in sliced.slices:
-        assert np.all(sl == 0)
-    assert np.all(recompose_codes(sliced) == 0)
+    codes, scale = quantize_weights(np.zeros((3, 3)), 8)
+    assert scale == 1.0 and np.all(codes == 0)
+    cells = prepare_cells(np.zeros((3, 3)), NO_VARIATION, 8, 4)
+    assert cells.scale == 1.0
+    assert np.all(cells.columns == 0)
 
 
 def test_max_magnitude_weight_slices():
     # max magnitude maps to code 127 = 7*16 + 15 -> slices (15, 7) LSB-first
-    w = np.array([1.0, -0.25, 0.0])
-    sliced = quantize_slice_weights(w, weight_bits=8, slice_bits=4)
-    codes = recompose_codes(sliced)
-    assert codes[0] == 127
-    assert sliced.slices[0][0] == 15  # low nibble
-    assert sliced.slices[1][0] == 7   # high nibble
-    assert codes[2] == 0
-
-
-def test_slice_recompose_exhaustive_all_8bit_codes():
-    codes = np.arange(-128, 128, dtype=np.int64)
-    sliced = slice_codes(codes, weight_bits=8, slice_bits=4)
-    assert np.array_equal(recompose_codes(sliced), codes)
-    for sl in sliced.slices:
-        assert sl.min() >= 0 and sl.max() <= 15
+    w = np.array([[1.0], [-0.25], [0.0]])
+    cells = prepare_cells(w, NO_VARIATION, weight_bits=8, slice_bits=4)
+    codes = cell_codes(cells)
+    assert codes[0, 0] == 127
+    (low, _), (high, _) = split_cells(cells)
+    assert low[0, 0] == 15  # low nibble
+    assert high[0, 0] == 7  # high nibble
+    assert codes[1, 0] == -32  # -0.25 -> round(-31.75)
+    assert codes[2, 0] == 0
 
 
 @pytest.mark.parametrize("slice_bits", [1, 2, 4, 8])
 def test_slice_recompose_other_slicings(slice_bits):
-    codes = np.arange(-127, 128, dtype=np.int64)
-    sliced = slice_codes(codes, weight_bits=8, slice_bits=slice_bits)
-    assert len(sliced.slices) == 8 // slice_bits
-    assert np.array_equal(recompose_codes(sliced), codes)
+    # every code quantize_weights can give at 8 bits; the 127 makes the
+    # scale exactly 1, so each weight is its own code
+    codes = np.arange(-127, 128, dtype=np.int64)[:, None]
+    cells = prepare_cells(codes.astype(float), NO_VARIATION, weight_bits=8,
+                          slice_bits=slice_bits)
+    assert cells.scale == 1.0
+    assert cells.n_slices == 8 // slice_bits
+    assert np.array_equal(cell_codes(cells), codes)
+    assert cells.columns.min() >= 0
+    assert cells.columns.max() <= 2 ** slice_bits - 1
+    for pos, neg in split_cells(cells):
+        # each code sits in the cells of its own sign only
+        assert np.all(pos[codes < 0] == 0) and np.all(neg[codes > 0] == 0)
 
 
 def test_quantize_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        quantize_slice_weights(np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="finite"):
+        quantize_weights(np.array([1.0, np.nan]), 8)
+    with pytest.raises(ValueError, match="finite"):
+        prepare_cells(np.array([[1.0, np.inf]]), NO_VARIATION, 8, 4)
+
+
+def test_prepare_cells_rejects_slices_that_do_not_divide_the_weight_bits():
+    with pytest.raises(ValueError, match="divisible"):
+        prepare_cells(np.ones((2, 2)), NO_VARIATION, 8, 3)
 
 
 def test_bit_serialize_binary_expansion():
@@ -89,9 +106,6 @@ def test_float_inputs_quantize_in_their_own_dtype():
     x = np.array([2.122549], np.float32)
     assert quantize_inputs(x, 8, 2.5)[0].tolist() == [216]
     assert quantize_inputs(x.astype(float), 8, 2.5)[0].tolist() == [217]
-    # integer input is quantized in float64
-    codes, scale = quantize_inputs(np.arange(4), 2, 6.0)
-    assert scale == 2.0 and codes.tolist() == [0, 0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -110,15 +124,15 @@ def scalar_bruteforce_adc(value, ap, full_range):
 
 
 def test_adc_quantize_zero_and_full_scale():
-    assert adc_quantize(0.0, ap=6, full_range=64.0) == 0
-    assert adc_quantize(64.0, ap=6, full_range=64.0) == 63  # clipped
-    assert adc_quantize(1e9, ap=4, full_range=64.0) == 15
-    assert adc_quantize(-5.0, ap=4, full_range=64.0) == 0
+    sums = np.array([0.0, 64.0])
+    assert adc_quantize(sums, ap=6, full_range=64.0).tolist() == [0, 63]  # clipped
+    sums = np.array([1e9, -5.0])
+    assert adc_quantize(sums, ap=4, full_range=64.0).tolist() == [15, 0]
 
 
 def test_adc_quantize_integer_step_example():
     # full_range 64 at ap=6 -> step exactly 1 -> sum 33 -> code 33
-    assert adc_quantize(33.0, ap=6, full_range=64.0) == 33
+    assert adc_quantize(np.array([33.0]), ap=6, full_range=64.0).tolist() == [33]
 
 
 def test_adc_quantize_matches_scalar_bruteforce():
@@ -170,6 +184,6 @@ def test_adc_in_place_round_trip_matches_int64_codes(ap):
 
 def test_adc_quantize_validates_inputs():
     with pytest.raises(ValueError):
-        adc_quantize(1.0, ap=0, full_range=64.0)
+        adc_quantize(np.ones(1), ap=0, full_range=64.0)
     with pytest.raises(ValueError):
-        adc_quantize(1.0, ap=4, full_range=0.0)
+        adc_quantize(np.ones(1), ap=4, full_range=0.0)
