@@ -40,6 +40,24 @@ def test_max_magnitude_weight_slices():
     assert codes[2, 0] == 0
 
 
+def test_slice_recompose_exhaustive_all_8bit_codes():
+    # all 256 two's-complement 8-bit values as weights: -128 sets the scale
+    # to 128/127, so it lands on the bottom code -127 and each weight on its
+    # nearest code; the nibble cells hold exactly the codes quantize_weights
+    # gives
+    w = np.arange(-128, 128, dtype=float)[:, None]
+    codes, scale = quantize_weights(w, 8)
+    assert scale == pytest.approx(128 / 127)
+    assert codes.min() == -127 and codes.max() == 126
+    assert np.all(np.abs(codes - w / scale) <= 0.5)
+    cells = prepare_cells(w, NO_VARIATION, weight_bits=8, slice_bits=4)
+    assert cells.scale == scale
+    assert np.array_equal(cell_codes(cells), codes)
+    for pos, neg in split_cells(cells):
+        assert pos.min() >= 0 and pos.max() <= 15
+        assert neg.min() >= 0 and neg.max() <= 15
+
+
 @pytest.mark.parametrize("slice_bits", [1, 2, 4, 8])
 def test_slice_recompose_other_slicings(slice_bits):
     # every code quantize_weights can give at 8 bits; the 127 makes the
