@@ -377,14 +377,18 @@ _LAYER_KINDS = {cls.kind: cls for cls in (Conv2D, Dense, BatchNorm, ReLU,
 # the network
 # ---------------------------------------------------------------------------
 
-#: Patch rows per block of ``RefNet.forward_with_codes``: each pooling
-#: stage runs in blocks of as many samples as this many rows hold at the
-#: stage's input size, so no patch matrix has more rows.  Medians of 3
-#: ``hd_rank_vgg16`` harness runs (30 s, seeds 61-63, one BLAS thread,
-#: shared 2-vCPU host), candidates/s at peak RSS: 1024 rows 4.35 at
-#: 80.9 MiB, 2048 4.50 at 81.2 MiB, 4096 4.10 at 92.6 MiB, 8192 3.93 at
-#: 90.8 MiB; the 8-sample blocks before ran 3.88 at 81.5 MiB.
-CODE_ROWS = 2048
+#: Values per working array of HD ranking: each pooling stage of
+#: ``RefNet.forward_with_codes`` runs in blocks of as many samples as fit
+#: this many values at the stage's widest layer input (a conv's patch row
+#: or a dense layer's input), and ``score.hamming_kernel`` takes this many
+#: values per float32 Gram chunk.  A bound of 2048 patch rows let the
+#: patch matrices widen as the stages narrow, to 9 MiB at VGG16's 8x8 and
+#: 4x4 stages.  Medians of 10 alternated ``hd_rank_vgg16`` harness pairs
+#: against that row bound (30 s, one BLAS thread, shared 2-vCPU host):
+#: 2**19 (2 MiB of float32) read peak RSS 64.3 -> 55.1 MiB at 4.57 -> 4.56
+#: candidates/s; 2**18 read 64.8 -> 53.8 MiB but 4.62 -> 4.37 candidates/s,
+#: its smaller blocks paying more per-call overhead.
+CODE_VALUES = 1 << 19
 
 
 @dataclass
@@ -414,13 +418,16 @@ class RefNet:
         is freed when the call returns.  So no more than one stage's
         weights and codes are held at a time.
 
-        A stage runs the whole batch in blocks of ``CODE_ROWS // (h * w)``
-        samples (at least one, at most the batch), where h x w is the
-        stage's input size, so no patch matrix exceeds ``CODE_ROWS`` rows
-        and the small late stages run in few, large products.  Each
-        block's output is written into its rows of the stage's whole-batch
-        output, which the next stage reads, and each ReLU's codes into
-        their rows and columns of the stage's code matrix.
+        A stage runs the whole batch in blocks of ``CODE_VALUES // (h * w
+        * width)`` samples (at least one, at most the batch), where h x w
+        is the stage's input size and width its widest layer input per
+        pixel: ``c_in * k * k`` for a conv, ``n_in`` for a dense layer.  So
+        no patch matrix or layer input of a block of more than one sample
+        exceeds ``CODE_VALUES`` values, and the small late stages run in
+        few, large products.  Each block's output is written into its rows
+        of the stage's whole-batch output, which the next stage reads, and
+        each ReLU's codes into their rows and columns of the stage's code
+        matrix.
 
         Every layer keeps its input's dtype, so the pass runs in the dtype
         of ``x``; ``hd_score`` runs it in float32.
@@ -470,7 +477,10 @@ def _stage_with_codes(layers: list[Layer], x: np.ndarray,
     n = x.shape[0]
     codes = np.empty((n, ends[-1]), dtype=bool)
     stage_out = np.empty((n,) + empty[-1].shape[1:], empty[-1].dtype)
-    block = max(1, min(n, CODE_ROWS // math.prod(x.shape[2:])))
+    # each layer's input values per pixel; a conv gathers k * k of them
+    width = max(e.shape[1] * (layer.kernel ** 2 if isinstance(layer, Conv2D)
+                              else 1) for layer, e in zip(layers, empty))
+    block = max(1, min(n, CODE_VALUES // (math.prod(x.shape[2:]) * width)))
     for start in range(0, n, block):
         out = x[start:start + block]
         rows = slice(start, start + out.shape[0])
@@ -633,14 +643,15 @@ def save_net(net: RefNet, path) -> None:
 def load_net(path) -> RefNet:
     """The network ``save_net`` wrote to ``path``.  A malformed container,
     a non-finite array or a negative running variance raises a
-    ``ValueError`` naming the file (and the array, ``layers.<i>.<name>``)."""
+    ``ValueError`` naming the array (``layers.<i>.<name>``) where there is
+    one; the caller, which knows the path, names the file."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != _MAGIC:
-            raise ValueError(f"{path}: not a network container (magic {magic!r})")
+            raise ValueError(f"not a network container (magic {magic!r})")
         version, hlen = struct.unpack("<II", f.read(8))
         if version != _FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported container version {version}")
+            raise ValueError(f"unsupported container version {version}")
         header = json.loads(f.read(hlen).decode("utf-8"))
         layers = []
         for s in header["layers"]:
@@ -650,19 +661,19 @@ def load_net(path) -> RefNet:
         arrays = _named_arrays(net)
         specs = header["arrays"]
         if [s["name"] for s in specs] != [n for n, _ in arrays]:
-            raise ValueError(f"{path}: array manifest does not match layer stack")
+            raise ValueError("array manifest does not match layer stack")
         for spec, (name, target) in zip(specs, arrays):
             shape = tuple(spec["shape"])
             if shape != target.shape:
-                raise ValueError(f"{path}: array {name} has shape {list(shape)}, "
+                raise ValueError(f"array {name} has shape {list(shape)}, "
                                  f"its layer expects {list(target.shape)}")
             count = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(f.read(4 * count), dtype="<f4").reshape(shape)
             _, index, attr = name.split(".")
             # a NaN or a negative variance would run on as silent NaNs
             if not np.all(np.isfinite(data)):
-                raise ValueError(f"{path}: array {name} is not finite")
+                raise ValueError(f"array {name} is not finite")
             if attr == "running_var" and np.any(data < 0):
-                raise ValueError(f"{path}: array {name} has a negative variance")
+                raise ValueError(f"array {name} has a negative variance")
             setattr(net.layers[int(index)], attr, data.astype(float))
     return net

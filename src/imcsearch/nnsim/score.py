@@ -7,23 +7,20 @@ the code-similarity kernel rewards architectures that separate the batch
 well, without training any weights.  ``hd_score`` scores a network's
 layers at the draw ``build_refnet`` makes from a seed: ranking scores
 each candidate as ``build_refnet`` would initialize it from the search
-seed, drawing and freeing one pooling stage's weights at a time.
+seed, drawing and freeing one pooling stage's weights at a time, and holds
+no patch matrix (of more than one sample) or Gram chunk of more than
+``network.CODE_VALUES`` values.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import network
 from .network import RefNet, TensorBatch
 
 #: Regularizer weight relative to the code length.
 LAMBDA_RATIO = 1e-3
-#: Code columns per float32 Gram product.  A partial sum of 0/1 products
-#: counts at most this many ones, and float32 holds every integer up to
-#: 2**24 exactly, so each chunk's product is exact in any summation order;
-#: any chunk up to 2**24 columns gives the same K.  A chunk is a float32
-#: copy of ``n`` rows of this many codes, 1 MiB for a 64-sample batch.
-GRAM_CHUNK = 1 << 12
 
 
 def hamming_kernel(codes: np.ndarray) -> np.ndarray:
@@ -32,15 +29,20 @@ def hamming_kernel(codes: np.ndarray) -> np.ndarray:
     K counts the bits on which two codes agree: the shared ones,
     G = c c^T, plus the shared zeros, (1 - c)(1 - c)^T, which expands to
     bits - s_i - s_j + G with s = diag(G).  So K = 2G - s_i - s_j + bits
-    from one Gram product.  G is summed over float32 products of column
-    chunks, each exact (see ``GRAM_CHUNK``), in float64, where integer
-    sums stay exact; every entry of K is an integer, so K is exact too.
+    from one Gram product.  G is summed in float64, where integer sums
+    stay exact, over float32 products of chunks of ``network.CODE_VALUES
+    // n`` columns (at least one), so of at most 2**19: a partial sum of
+    0/1 products counts at most that many ones, and float32 holds every
+    integer up to 2**24 exactly, so each chunk's product is exact in any
+    summation order.  Every entry of K is an integer, so K is exact
+    too, whatever the chunks.
     """
     codes = np.asarray(codes)
     n, bits = codes.shape
     gram = np.zeros((n, n))
-    for start in range(0, bits, GRAM_CHUNK):
-        chunk = codes[:, start:start + GRAM_CHUNK].astype(np.float32)
+    step = max(1, network.CODE_VALUES // n)
+    for start in range(0, bits, step):
+        chunk = codes[:, start:start + step].astype(np.float32)
         gram += chunk @ chunk.T
     ones = np.diag(gram)
     return 2.0 * gram - ones[:, None] - ones[None, :] + bits
@@ -76,12 +78,12 @@ def hd_score(net: RefNet, batch: TensorBatch | np.ndarray, seed: int) -> float:
     only where that activation lies within float32 rounding of zero: over
     ten VGG16 ranking pools, 7 of 199 million code bits flipped.
 
-    Each stage runs in blocks of samples, so no patch matrix exceeds
-    ``network.CODE_ROWS`` rows.  The codes, and so the score, are those of
-    the whole batch at once: eval mode treats every sample on its own, and
-    BLAS row blocking moves an activation by ulps, which could flip a code
-    only for an activation within rounding of zero (none did in any batch
-    measured; the ranking golden pins it).
+    Each stage runs in blocks of samples, so no patch matrix of more than
+    one sample exceeds ``network.CODE_VALUES`` values.  The codes, and so
+    the score, are those of the whole batch at once: eval mode treats
+    every sample on its own, and BLAS row blocking moves an activation by
+    ulps, which could flip a code only for an activation within rounding
+    of zero (none did in any batch measured; the ranking golden pins it).
     """
     x = batch.data if isinstance(batch, TensorBatch) else batch
     stages = []  # (kernel, code bits) per stage

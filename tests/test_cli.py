@@ -404,7 +404,8 @@ def test_non_finite_weights_file_exits_2_naming_the_file_and_array(
     out = tmp_path / "phase2"
     assert run_phase2(phase2_inputs, weights, out) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"error: {weights}: " in err and f"layers.1.{name}" in err
+    assert f"error: {weights}: array layers.1.{name} " in err
+    assert err.count(str(weights)) == 1
     assert not out.exists()
 
 

@@ -5,7 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from imcsearch.designspace import ADCType, CandidateModel, LayerChoice, LayerShape
+from imcsearch.designspace import (
+    ADCType,
+    CandidateModel,
+    LayerChoice,
+    LayerShape,
+    homogeneous_model,
+    vgg16_space,
+)
 from imcsearch.nnsim import (
     TensorBatch,
     TrainingDiverged,
@@ -17,6 +24,7 @@ from imcsearch.nnsim import (
 )
 from imcsearch.nnsim import network
 from imcsearch.nnsim.network import (
+    CODE_VALUES,
     AvgPool2D,
     BatchNorm,
     Conv2D,
@@ -456,24 +464,34 @@ def test_build_refnet_in_float32_is_the_float64_net_cast():
 
 
 # ---------------------------------------------------------------------------
-# code-collecting forward in patch-row blocks per pooling stage
+# code-collecting forward in value-bounded blocks per pooling stage
 # ---------------------------------------------------------------------------
 
-#: The draw of the code-collecting forwards below, and of ``_code_nets``.
+#: The draw of the code-collecting forwards below, and of ``_code_net``.
 CODE_SEED = 3
 
 
-def _code_nets(dtype=float):
-    """(net, inputs) pairs: a conv net through conv, batchnorm, ReLU,
-    both poolings (two pooling stages, 8x8 then 4x4) and a dense
-    classifier, and an all-FC net (one stage of one row per sample)."""
-    conv = candidate_net([LayerShape(kernel=3, in_spatial=(8, 8)),
-                          LayerShape(kernel=3, in_spatial=(4, 4)),
-                          LayerShape.fc()], [4, 8, 2], input_channels=1,
-                         seed=CODE_SEED, dtype=dtype)
-    fc = fc_net([2, 8, 6, 2], seed=CODE_SEED, dtype=dtype)
-    return {"conv": (conv, make_patterns(16, seed=1).data),
-            "fc": (fc, make_blobs(16, seed=1).data)}
+def _code_net(kind, dtype=float):
+    """(net, inputs) of one kind: "conv", a conv net through conv,
+    batchnorm, ReLU, both poolings (two pooling stages, 8x8 then 4x4) and
+    a dense classifier; "fc", an all-FC net (one stage of one row per
+    sample); "vgg", the quarter-width VGG16 candidate at 32x32, whose
+    patch rows widen from 27 to 1152 values as its stages narrow."""
+    if kind == "conv":
+        return (candidate_net([LayerShape(kernel=3, in_spatial=(8, 8)),
+                               LayerShape(kernel=3, in_spatial=(4, 4)),
+                               LayerShape.fc()], [4, 8, 2], input_channels=1,
+                              seed=CODE_SEED, dtype=dtype),
+                make_patterns(16, seed=1).data)
+    if kind == "fc":
+        return (fc_net([2, 8, 6, 2], seed=CODE_SEED, dtype=dtype),
+                make_blobs(16, seed=1).data)
+    space = vgg16_space()
+    model = homogeneous_model(space, space.cs_options[0], space.at_options[0],
+                              ap=6, ip=8, cd_index=0)
+    return (build_refnet(model, space.class_count, seed=CODE_SEED, dtype=dtype),
+            make_patterns(4, channels=3, height=32, width=32,
+                          n_classes=space.class_count, seed=1).data)
 
 
 def _forward_with_codes(net, x):
@@ -485,25 +503,27 @@ def _forward_with_codes(net, x):
     return logits, np.concatenate(stages, axis=1)
 
 
-@pytest.mark.parametrize("kind", ["conv", "fc"])
-@pytest.mark.parametrize("n", [1, 7, 9, 16])
+@pytest.mark.parametrize("n, kind", [(n, kind) for kind in ("conv", "fc")
+                                     for n in (1, 7, 9, 16)] + [(4, "vgg")])
 def test_forward_with_codes_in_blocks_matches_one_block(monkeypatch, kind, n):
-    net, data = _code_nets()[kind]
+    net, data = _code_net(kind)
     x = data[:n]
-    first = math.prod(x.shape[2:])  # the first stage's rows per sample
     # the streamed score, whatever the blocks, is the whole-matrix score
     # of the float32 net build_refnet draws from the same seed
-    net32, _ = _code_nets(np.float32)[kind]
+    net32, _ = _code_net(kind, np.float32)
     want = whole_matrix_score(net32, x.astype(np.float32))
-    # the whole batch in one block per stage
-    monkeypatch.setattr(network, "CODE_ROWS", n * first)
+    # the whole batch in one block per stage: 2**24 values hold 16 samples
+    # of the small nets and 4 of the VGG16 net's widest stage (32 x 32
+    # patch rows of 16 x 3 x 3 values), and keep each Gram chunk exact
+    monkeypatch.setattr(network, "CODE_VALUES", 1 << 24)
     one_logits, one_codes = _forward_with_codes(net, x)
     assert one_codes.dtype == bool and one_codes.shape[0] == n
     assert hd_score(net, x, CODE_SEED) == want
-    # one sample per block throughout; then 3 samples per block in the
-    # first stage, 12 at the conv net's 4x4 and all of its dense stage
-    for rows in (1, 3 * first):
-        monkeypatch.setattr(network, "CODE_ROWS", rows)
+    # one sample per block throughout; then the default budget, which
+    # runs the VGG16 net's 32x32 stage in blocks of 3 samples, the last
+    # one partial, and its later stages whole
+    for budget in (1, CODE_VALUES):
+        monkeypatch.setattr(network, "CODE_VALUES", budget)
         logits, codes = _forward_with_codes(net, x)
         assert np.array_equal(codes, one_codes)
         # a product over fewer rows may round differently: ulps, not signs
@@ -511,26 +531,29 @@ def test_forward_with_codes_in_blocks_matches_one_block(monkeypatch, kind, n):
         assert hd_score(net, x, CODE_SEED) == want
 
 
-@pytest.mark.parametrize("rows", [64, 100, network.CODE_ROWS])
-def test_forward_with_codes_patch_matrices_stay_within_code_rows(monkeypatch,
-                                                                 rows):
-    net, x = _code_nets()["conv"]
+@pytest.mark.parametrize("budget", [100, 2000, CODE_VALUES])
+def test_forward_with_codes_patch_matrices_stay_within_code_values(monkeypatch,
+                                                                   budget):
+    net, x = _code_net("conv")
     x = np.concatenate([x] * 4)  # 64 samples
-    seen = []
+    seen = []  # (input size, samples, patch values) per patch matrix
     gather = network.im2col
 
     def spy(x, kernel, stride, pad):
         cols, out_hw = gather(x, kernel, stride, pad)
-        seen.append((x.shape[2:], cols.shape[0]))
+        seen.append((x.shape[2:], x.shape[0], cols.size))
         return cols, out_hw
 
     monkeypatch.setattr(network, "im2col", spy)
-    monkeypatch.setattr(network, "CODE_ROWS", rows)
+    monkeypatch.setattr(network, "CODE_VALUES", budget)
     _forward_with_codes(net, x)
-    assert max(r for _, r in seen) <= rows
-    # each stage fills its blocks: as many samples as fit, at most the batch
-    for hw, size in (((8, 8), 64), ((4, 4), 16)):
-        assert max(r for s, r in seen if s == hw) == min(64, rows // size) * size
+    assert all(size <= budget for _, samples, size in seen if samples > 1)
+    # each stage fills its blocks: as many samples as fit at its widest
+    # layer input (1 x 3 x 3 values per pixel at 8x8, 4 x 3 x 3 at 4x4),
+    # at least one, at most the batch
+    for hw, per_sample in (((8, 8), 64 * 9), ((4, 4), 16 * 36)):
+        assert (max(samples for s, samples, _ in seen if s == hw)
+                == max(1, min(64, budget // per_sample)))
 
 
 @pytest.mark.parametrize("slab", [5, 2 * 27 + 5, network.DRAW_SLAB])

@@ -12,8 +12,15 @@ from imcsearch.nnsim import (
     make_patterns,
     refnet_layers,
 )
-from imcsearch.nnsim.network import BatchNorm, Conv2D, Dense, RefNet, ReLU
-from imcsearch.nnsim.score import GRAM_CHUNK, LAMBDA_RATIO, hamming_kernel
+from imcsearch.nnsim.network import (
+    CODE_VALUES,
+    BatchNorm,
+    Conv2D,
+    Dense,
+    RefNet,
+    ReLU,
+)
+from imcsearch.nnsim.score import LAMBDA_RATIO, hamming_kernel
 
 from conftest import candidate_net, fc_net
 
@@ -34,9 +41,10 @@ def test_hamming_kernel_against_hand_counts():
 
 
 def test_hamming_kernel_equals_agreeing_ones_plus_agreeing_zeros():
-    # wider than two Gram chunks, the last one partial
+    # wider than two Gram chunks of CODE_VALUES // 7 columns, the last
+    # one partial
     rng = np.random.default_rng(2)
-    codes = rng.random((7, 2 * GRAM_CHUNK + 37)) < 0.3
+    codes = rng.random((7, 2 * (CODE_VALUES // 7) + 37)) < 0.3
     c = codes.astype(float)
     want = c @ c.T + (1.0 - c) @ (1.0 - c).T
     for given in (codes, codes.astype(np.int64)):

@@ -222,10 +222,14 @@ def rank_batch():
 
 def test_rank_candidates_golden(rank_batch, monkeypatch):
     # the scores predate the blocked code forward: they hold with the batch
-    # in one block per stage and in blocks of 4 samples at 8x8
-    assert len(rank_batch) * 8 * 8 <= network.CODE_ROWS
-    for rows in (network.CODE_ROWS, 4 * 8 * 8):
-        monkeypatch.setattr(network, "CODE_ROWS", rows)
+    # in one block per stage (the default budget holds 16 samples of the
+    # widest 8x8 patch rows, 8 x 3 x 3 values), in blocks of 4 samples at
+    # 8x8 for the 8-wide first convs (8 for the 4-wide ones) and in blocks
+    # of one sample, with one-column Gram chunks
+    widest = 8 * 8 * 8 * 3 * 3
+    assert len(rank_batch) * widest <= network.CODE_VALUES
+    for budget in (network.CODE_VALUES, 4 * widest, 1):
+        monkeypatch.setattr(network, "CODE_VALUES", budget)
         pool = rank_pool(RANK_SPECS)
         selected = search.rank_candidates(pool, rank_batch, RANK_SEED, 2)
         assert [e.hd_score for e in pool.entries] == RANK_SCORES
