@@ -38,14 +38,13 @@ from . import __version__
 from .config import (
     AppConfig,
     ConfigError,
-    FixtureConfig,
     check_class_count,
     check_costs_fit,
     check_cs_fits,
     load_config,
 )
 from .costmodel import CostReport, model_cost
-from .designspace import ADCType, CandidateModel, DesignSpace, validate_candidate
+from .designspace import ADCType, CandidateModel, validate_candidate
 from .io import (
     load_model,
     model_to_dict,
@@ -130,15 +129,13 @@ class _RunDir:
             self.record()
 
 
-def _fixture_batch(fixture: FixtureConfig, space: DesignSpace, n: int,
-                   seed: int) -> TensorBatch:
-    if fixture.kind == "blobs":
-        return make_blobs(n, n_classes=space.class_count,
-                          n_features=space.input_channels, seed=seed)
-    shape = space.layer_shapes[0]
-    return make_patterns(n, channels=space.input_channels,
-                         height=shape.in_spatial[0], width=shape.in_spatial[1],
-                         n_classes=space.class_count, noise=fixture.noise,
+def _fixture_batch(cfg: AppConfig, n: int, seed: int) -> TensorBatch:
+    """``n`` fixture samples of the space's input (``FixtureConfig``)."""
+    space, first = cfg.space, cfg.space.layer_shapes[0]
+    if first.is_fc:
+        return make_blobs(n, space.class_count, space.input_channels, seed=seed)
+    return make_patterns(n, space.input_channels, *first.in_spatial,
+                         n_classes=space.class_count, noise=cfg.fixture.noise,
                          seed=seed)
 
 
@@ -233,8 +230,7 @@ def _phase1(cfg: AppConfig, config_path: Path, out_dir: Path, command: str,
             write_pool(result.pool, run.path / "pool.json", area_constraint)
             run.finish("pool.json")
             raise EmptyPoolError(_empty_pool_message(result.pool, cfg.search))
-        hd_batch = _fixture_batch(cfg.fixture, cfg.space,
-                                  cfg.search.hd_batch_size, cfg.search.seed)
+        hd_batch = _fixture_batch(cfg, cfg.search.hd_batch_size, cfg.search.seed)
         selected = rank_candidates(result.pool, hd_batch, cfg.search.seed,
                                    cfg.space.class_count)
         write_pool(result.pool, run.path / "pool.json", area_constraint,
@@ -273,13 +269,11 @@ def cmd_phase2(config_path: Path, phase1_dir: Path, weights_path: Path,
     _check_weights(net, weights_path, model, model_file, cfg.space.class_count)
     with _RunDir(out_dir, "phase2", config_path, cfg.search.seed) as run:
         fixture = cfg.fixture
-        train_batch = _fixture_batch(fixture, cfg.space, fixture.train_samples,
-                                     cfg.search.seed)
+        train_batch = _fixture_batch(cfg, fixture.train_samples, cfg.search.seed)
         n_adapt = max(fixture.adapt_batch_size,
                       int(fixture.adapt_fraction * fixture.train_samples))
         adapt = TensorBatch(train_batch.data[:n_adapt], train_batch.labels[:n_adapt])
-        eval_batch = _fixture_batch(fixture, cfg.space, fixture.eval_samples,
-                                    cfg.search.seed + 1)
+        eval_batch = _fixture_batch(cfg, fixture.eval_samples, cfg.search.seed + 1)
         data = Phase2Data(adapt_batches=split_batches(adapt,
                                                       fixture.adapt_batch_size),
                           eval_batch=eval_batch)

@@ -5,7 +5,8 @@ that does not cast, a key the table does not know and a missing required
 key each raise a ``ConfigError`` that names the section and the key.  The
 unit-cost calibration table lives in its own data file (units in the
 header); the packaged desk-calibration default is used when the config
-names none.
+names none.  The fixture section sets sizes and noise only: what the data
+is follows the design space (``FixtureConfig``).
 
 Both files are parsed by ``_YAML_LOADER``: libyaml's ``CSafeLoader`` when
 PyYAML was built with libyaml (``yaml.__with_libyaml__``), else PyYAML's
@@ -37,6 +38,7 @@ from .designspace import (
     UnitCostTable,
     vgg16_space,
 )
+from .nnsim import layer_pools
 from .search import SearchConfig
 
 
@@ -50,20 +52,18 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class FixtureConfig:
-    """Synthetic-data settings for HD scoring and phase 2."""
+    """Synthetic-data settings for HD scoring and phase 2.  The data follows
+    the design space: blobs of ``input_channels`` features for an FC first
+    layer, else grating images at the first layer's ``in_h x in_w``;
+    ``noise`` is the images' noise, which blobs ignore."""
 
-    kind: str = "patterns"  # blobs | patterns
     train_samples: int = 256
     eval_samples: int = 128
     adapt_fraction: float = 0.25
     adapt_batch_size: int = 32
     noise: float = 0.15
-    train_epochs: int = 30
-    train_lr: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.kind not in ("blobs", "patterns"):
-            raise ValueError(f"kind must be blobs|patterns, got {self.kind!r}")
         if not 0 < self.adapt_fraction <= 1:
             raise ValueError("adapt_fraction must be in (0, 1]")
         for name in ("train_samples", "eval_samples", "adapt_batch_size"):
@@ -232,9 +232,8 @@ _SEARCH_KEYS = {
     "lr_phase2": ("lr2", _float),
 }
 _FIXTURE_KEYS = {
-    **_same(_int, "train_samples", "eval_samples", "adapt_batch_size", "train_epochs"),
-    **_same(_float, "adapt_fraction", "noise", "train_lr"),
-    "kind": ("kind", str),
+    **_same(_int, "train_samples", "eval_samples", "adapt_batch_size"),
+    **_same(_float, "adapt_fraction", "noise"),
 }
 _SECTIONS = ("platform", "design_space", "search", "fixture")
 
@@ -297,6 +296,14 @@ def check_cs_fits(space: DesignSpace, platform: PlatformParams) -> None:
             f"platform.xbar_size {platform.xbar_size}")
 
 
+def check_layer_chain(space: DesignSpace) -> None:
+    """Every layer takes an input ``refnet_layers`` builds (``layer_pools``)."""
+    try:
+        layer_pools(space.layer_shapes)
+    except ValueError as exc:
+        raise ConfigError(f"design_space.{exc}") from exc
+
+
 def check_costs_fit(space: DesignSpace, platform: PlatformParams) -> None:
     """Every integer product of every layer's cost tables fits int64.
 
@@ -346,9 +353,10 @@ MAX_BATCH_VALUES = 1 << 27
 
 def check_batches_fit(space: DesignSpace, search: SearchConfig,
                       fixture: FixtureConfig) -> None:
-    """Every fixture batch a run draws holds at most ``MAX_BATCH_VALUES``."""
-    h, w = space.layer_shapes[0].in_spatial
-    per_sample = space.input_channels * (1 if fixture.kind == "blobs" else h * w)
+    """Every fixture batch a run draws holds at most ``MAX_BATCH_VALUES``;
+    an FC layer's 1 x 1 extent makes a sample its ``input_channels`` blob
+    features (``FixtureConfig``)."""
+    per_sample = space.input_channels * math.prod(space.layer_shapes[0].in_spatial)
     for name, n in (("search.hd_batch_size", search.hd_batch_size),
                     ("fixture.train_samples", fixture.train_samples),
                     ("fixture.eval_samples", fixture.eval_samples)):
@@ -381,6 +389,7 @@ def load_config(path: str | Path) -> AppConfig:
                             "search", required=("area_constraint_mm2",)))
     fixture = _build(FixtureConfig, "fixture",
                      **_read(raw.get("fixture"), _FIXTURE_KEYS, "fixture"))
+    check_layer_chain(space)
     check_cs_fits(space, platform)
     check_costs_fit(space, platform)
     check_batches_fit(space, search, fixture)

@@ -173,13 +173,6 @@ class UnitCostTable:
     def __getitem__(self, name: str) -> UnitCost:
         return self.components[name]
 
-    def scaled(self, factor: float) -> "UnitCostTable":
-        scaled = {
-            name: UnitCost(c.area * factor, c.energy * factor, c.latency * factor)
-            for name, c in self.components.items()
-        }
-        return UnitCostTable(f"{self.calibration_id}*{factor:g}", scaled)
-
 
 @dataclass(frozen=True)
 class PlatformParams:

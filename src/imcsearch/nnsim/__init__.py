@@ -16,6 +16,7 @@ from .network import (
     TensorBatch,
     TrainingDiverged,
     cross_entropy,
+    layer_pools,
     load_net,
     refnet_layers,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "WalkState",
     "cross_entropy",
     "hd_score",
+    "layer_pools",
     "load_net",
     "make_blobs",
     "make_patterns",

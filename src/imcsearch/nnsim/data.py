@@ -15,12 +15,10 @@ from .network import TensorBatch
 def make_blobs(n_samples: int, n_classes: int = 2, n_features: int = 2,
                spread: float = 0.35, seed: int = 0) -> TensorBatch:
     """Linearly separable Gaussian blobs in the positive orthant."""
-    if n_samples < n_classes:
-        raise ValueError("need at least one sample per class")
     rng = np.random.default_rng(seed)
     angles = np.linspace(0.0, np.pi / 2, n_classes)
-    centers = 1.0 + 2.0 * np.stack(
-        [np.cos(angles), np.sin(angles)], axis=1)  # well separated, positive
+    centers = 1.0 + 2.0 * np.stack(  # well separated, positive
+        [np.cos(angles), np.sin(angles)], axis=1)[:, :n_features]
     if n_features > 2:
         extra = rng.uniform(0.5, 2.5, size=(n_classes, n_features - 2))
         centers = np.concatenate([centers, extra], axis=1)

@@ -569,39 +569,41 @@ def build_refnet(model, class_count: int, seed: int = 0,
     return net
 
 
-def refnet_layers(model, class_count: int) -> list[Layer]:
-    """The layers of ``build_refnet``'s network, no weights drawn.
+def layer_pools(shapes) -> list[Layer | None]:
+    """The pool ``refnet_layers`` puts before each layer of ``shapes``: a
+    global pool from a conv to a fully-connected layer, an average pool by
+    the one integer factor that downscales a conv's output to the next
+    conv's input, else none; a ValueError names any other ``layers[i]``."""
+    pools = [None]
+    for i, (prev, shape) in enumerate(zip(shapes, shapes[1:]), 1):
+        (oh, ow), (h, w) = prev.out_spatial(), shape.in_spatial
+        if shape.is_fc:
+            pools.append(None if prev.is_fc else GlobalAvgPool())
+        elif prev.is_fc:
+            raise ValueError(f"layers[{i}]: a conv layer cannot follow an FC layer")
+        elif oh % h or ow % w or oh // h != ow // w:
+            raise ValueError(f"layers[{i}]: its input {h}x{w} is not the previous "
+                             f"output {oh}x{ow} downscaled by one integer factor")
+        else:
+            pools.append(AvgPool2D(oh // h) if oh > h else None)
+    return pools
 
-    Convolution layers become conv-BN-ReLU blocks (with an average pool
-    wherever the candidate's fixed shapes halve the spatial extent); the
-    final fully-connected layer becomes the classifier after a global
-    average pool.  The candidate's last layer must produce ``class_count``
-    channels.
-    """
+
+def refnet_layers(model, class_count: int) -> list[Layer]:
+    """The layers of ``build_refnet``'s network, no weights drawn: each a
+    conv- or dense-BN-ReLU block after its pool (``layer_pools``), but a
+    fully-connected last layer is the bare classifier of ``class_count``."""
     layers: list[Layer] = []
     prev_cd = model.input_channels
-    entries = list(model.layers)
-    last = len(entries) - 1
-    for idx, (shape, choice) in enumerate(entries):
-        if shape.is_fc:
-            if idx != last:
-                layers += [Dense(prev_cd, choice.cd_out),
-                           BatchNorm(choice.cd_out), ReLU()]
-            else:
-                layers.append(Dense(prev_cd, choice.cd_out))
-        else:
-            layers += [Conv2D(prev_cd, choice.cd_out, shape.kernel, shape.stride),
-                       BatchNorm(choice.cd_out), ReLU()]
-            out_sp = shape.out_spatial()
-            next_sp = None
-            if idx < last and not entries[idx + 1][0].is_fc:
-                next_sp = entries[idx + 1][0].in_spatial
-            if next_sp is not None and next_sp[0] < out_sp[0]:
-                if out_sp[0] % next_sp[0]:
-                    raise ValueError(f"layer {idx}: cannot pool {out_sp} to {next_sp}")
-                layers.append(AvgPool2D(out_sp[0] // next_sp[0]))
-            if idx < last and entries[idx + 1][0].is_fc:
-                layers.append(GlobalAvgPool())
+    last = len(model.layers) - 1
+    pools = layer_pools([shape for shape, _ in model.layers])
+    for idx, ((shape, choice), pool) in enumerate(zip(model.layers, pools)):
+        if pool is not None:
+            layers.append(pool)
+        layers.append(Dense(prev_cd, choice.cd_out) if shape.is_fc else
+                      Conv2D(prev_cd, choice.cd_out, shape.kernel, shape.stride))
+        if not shape.is_fc or idx != last:
+            layers += [BatchNorm(choice.cd_out), ReLU()]
         prev_cd = choice.cd_out
     if prev_cd != class_count:
         raise ValueError(f"candidate's last layer yields {prev_cd} outputs, "

@@ -472,6 +472,68 @@ def test_oversized_fixture_batch_exits_2_naming_the_field(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("first, second, message", [
+    # the net would pool the 8x6 output to 4x3, not the costed 4x6
+    ({"in_h": 8, "in_w": 6}, {"in_h": 4, "in_w": 6},
+     "its input 4x6 is not the previous output 8x6 downscaled by one "
+     "integer factor"),
+    # no pool upsamples: the net would run it at 8x8
+    ({"in_h": 8}, {"in_h": 16}, "its input 16x16 is not the previous output 8x8"),
+    ({"in_h": 8}, {"in_h": 3}, "its input 3x3 is not the previous output 8x8"),
+    ({"is_fc": True}, {"in_h": 8}, "a conv layer cannot follow an FC layer"),
+], ids=["8x6-to-4x6", "8x8-to-16x16", "8x8-to-3x3", "fc-to-conv"])
+def test_layer_chain_the_net_cannot_build_exits_2_naming_the_layer(
+        tmp_path, capsys, first, second, message):
+    layers = [dict(first, cd_options=[8]), dict(second, cd_options=[2]),
+              CONFIG["design_space"]["layers"][-1]]
+    raw = dict(CONFIG, design_space=dict(CONFIG["design_space"], layers=layers),
+               search=dict(CONFIG["search"], area_constraint_mm2=1.0))
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "run"
+    assert cli.main(["phase1", "--config", str(path), "--out-dir",
+                     str(out)]) == cli.EXIT_CONFIG
+    assert f"error: design_space.layers[1]: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("first, shape", [
+    ({"is_fc": True}, (5, 3)),
+    ({"in_h": 8, "in_w": 6}, (5, 3, 8, 6)),
+], ids=["fc", "conv"])
+def test_fixture_batch_follows_the_first_layer(tmp_path, first, shape):
+    # blob features for an FC first layer, else images at its input
+    space = dict(CONFIG["design_space"], input_channels=3, layers=[
+        dict(first, cd_options=[8]), CONFIG["design_space"]["layers"][-1]])
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(dict(CONFIG, design_space=space, search={
+        "area_constraint_mm2": 1.0})))
+    batch = cli._fixture_batch(load_config(path), 5, seed=0)
+    assert batch.data.shape == shape
+
+
+def test_all_fc_space_runs_both_phases_on_the_default_fixture(tmp_path):
+    # one input feature, and fewer HD samples than classes
+    space = {"input_channels": 1, "class_count": 3, "cs_options": [4, 8],
+             "layers": [{"is_fc": True, "cd_options": [8, 16]},
+                        {"is_fc": True, "cd_options": [3]}]}
+    search = {"phase1_steps": 5, "seed": 0, "hd_batch_size": 2,
+              "phase2_steps": 1, "area_constraint_mm2": 0.78}
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({"design_space": space, "search": search}))
+    phase1_dir = tmp_path / "phase1"
+    assert cli.main(["phase1", "--config", str(path),
+                     "--out-dir", str(phase1_dir)]) == cli.EXIT_OK
+    weights = tmp_path / "net.bin"
+    save_net(build_refnet(load_model(phase1_dir / "selected_model.json"), 3),
+             weights)
+    out = tmp_path / "phase2"
+    assert cli.main(["phase2", "--config", str(path), "--phase1-dir",
+                     str(phase1_dir), "--weights", str(weights),
+                     "--out-dir", str(out)]) == cli.EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["finished_at"]
+
+
 def _selected_with(phase2_inputs, tmp_path, cd_out: int):
     """The phase-1 selected model document with its first layer's width set."""
     raw = json.loads((phase2_inputs[1] / "selected_model.json").read_text())

@@ -29,6 +29,8 @@ from imcsearch.designspace import (
     LayerChoice,
     LayerShape,
     PlatformParams,
+    UnitCost,
+    UnitCostTable,
     enumerate_options,
     vgg16_space,
 )
@@ -199,7 +201,11 @@ def test_breakdown_closure():
 
 def test_unit_cost_scaling_is_linear():
     platform = make_platform()
-    scaled = PlatformParams(unit_costs=platform.unit_costs.scaled(3.0),
+    table = platform.unit_costs
+    tripled = UnitCostTable(f"{table.calibration_id}*3", {
+        name: UnitCost(c.area * 3.0, c.energy * 3.0, c.latency * 3.0)
+        for name, c in table.components.items()})
+    scaled = PlatformParams(unit_costs=tripled,
                             clock_period=platform.clock_period * 3.0)
     shape = conv_shape()
     c = choice(cd_out=32, at=ADCType.SAR)
@@ -212,7 +218,9 @@ def test_unit_cost_scaling_is_linear():
 
 @pytest.mark.parametrize("platform", [
     make_platform(),
-    PlatformParams(unit_costs=load_unit_costs().scaled(1.7), xbar_size=128,
+    PlatformParams(unit_costs=UnitCostTable("desk32nm-v1*1.7", {
+        name: UnitCost(c.area * 1.7, c.energy * 1.7, c.latency * 1.7)
+        for name, c in load_unit_costs().components.items()}), xbar_size=128,
                    xbars_per_tile=16, clock_period=1.3,
                    hierarchy=HierarchyParams(xbars_per_pe=3, htree_bus_bytes=24)),
 ], ids=["default", "scaled-128"])

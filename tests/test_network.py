@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -36,6 +37,7 @@ from imcsearch.nnsim.network import (
     build_refnet,
     cross_entropy_grad,
     im2col,
+    layer_pools,
     save_net,
     train_tiny,
 )
@@ -298,6 +300,20 @@ def test_fixture_data_nonnegative_and_seeded():
     assert p.data.min() >= 0.0 and p.data.max() <= 1.0
 
 
+@pytest.mark.parametrize("n_features, digest", [
+    (1, None),
+    (2, ("1ef721a879103853", "8ebad23fcc850caa")),
+    (3, ("d81f0b1e0d41711f", "c166683b60bc79c0")),
+], ids=["1", "2", "3"])
+def test_make_blobs_draws_n_features_for_any_sample_count(n_features, digest):
+    for n in (1, 2, 50):  # fewer samples than classes too
+        batch = make_blobs(n, n_classes=3, n_features=n_features, seed=9)
+        assert batch.data.shape == (n, n_features) and batch.data.min() >= 0.0
+    if digest is not None:  # the draws of two or more features, pinned
+        assert (hashlib.sha256(batch.data.tobytes()).hexdigest()[:16],
+                hashlib.sha256(batch.labels.tobytes()).hexdigest()[:16]) == digest
+
+
 def test_tensorbatch_validates():
     with pytest.raises(ValueError):
         TensorBatch(data=np.array([[np.inf]]))
@@ -440,6 +456,48 @@ def test_build_refnet_rejects_class_mismatch():
     model = CandidateModel(layers=layers, input_channels=4)
     with pytest.raises(ValueError):
         build_refnet(model, class_count=3, seed=0)
+
+
+def test_build_refnet_runs_each_conv_at_its_costed_input():
+    # an 8x6 output pooled by 2 to 4x3, and a stride-2 4x3 conv's 2x2
+    # output pooled by 2 to 1x1
+    shapes = [LayerShape(kernel=3, in_spatial=(8, 6)),
+              LayerShape(kernel=3, in_spatial=(4, 3), stride=2),
+              LayerShape(kernel=1, in_spatial=(1, 1)), LayerShape.fc()]
+    net = candidate_net(shapes, [4, 4, 4, 2], input_channels=1, seed=0)
+    x = make_patterns(3, channels=1, height=8, width=6, seed=0).data
+    inputs = []
+    for layer in net.layers:
+        if isinstance(layer, Conv2D):
+            inputs.append(x.shape[2:])
+        x = layer.forward(x)
+    assert inputs == [shape.in_spatial for shape in shapes[:3]]
+    assert x.shape == (3, 2)
+
+
+@pytest.mark.parametrize("first, second, message", [
+    # pooled by 2, an 8x6 output is 4x3, not the costed 4x6
+    ((8, 6), (4, 6), "its input 4x6 is not the previous output 8x6"),
+    # no pool upsamples: the net would run it at 8x8
+    ((8, 8), (16, 16), "its input 16x16 is not the previous output 8x8"),
+    ((8, 8), (3, 3), "its input 3x3 is not the previous output 8x8"),
+    (None, (8, 8), "a conv layer cannot follow an FC layer"),
+], ids=["8x6-to-4x6", "8x8-to-16x16", "8x8-to-3x3", "fc-to-conv"])
+def test_build_refnet_refuses_a_chain_it_cannot_build_as_costed(first, second,
+                                                                 message):
+    shapes = [LayerShape.fc() if first is None
+              else LayerShape(kernel=3, in_spatial=first),
+              LayerShape(kernel=3, in_spatial=second), LayerShape.fc()]
+    with pytest.raises(ValueError, match=re.escape(f"layers[1]: {message}")):
+        candidate_net(shapes, [4, 4, 2], input_channels=1, seed=0)
+
+
+def test_vgg16_preset_pools_wherever_its_extent_halves():
+    pools = layer_pools(vgg16_space().layer_shapes)
+    assert [pool.size if isinstance(pool, AvgPool2D) else pool
+            for pool in pools[:-1]] == [None, None, 2, None, 2, None, None,
+                                        2, None, None, 2, None, None]
+    assert isinstance(pools[-1], GlobalAvgPool)
 
 
 def test_build_refnet_in_float32_is_the_float64_net_cast():
