@@ -8,8 +8,10 @@ bilinearly; under independent per-layer categoricals it is still exact,
 and its gradients are available in closed form.
 
 The state is stacked over layers, so a step is a fixed number of array
-operations.  With K the largest option count, the logits are one
-``(L, K)`` array and the cost tables one ``(2, L, K, K)`` array.  A
+operations: the same stacked products whatever the layer count, with
+each stage's arithmetic done in place on one fresh array of its own.
+Inputs are never written.  With K the largest option count, the logits
+are one ``(L, K)`` array and the cost tables one ``(2, L, K, K)`` array.  A
 layer with fewer options is padded: its padded logits are -inf, so their
 probability and gradient are exactly 0 and ``argmax`` never picks them,
 and its padded table entries are 0.
@@ -42,8 +44,9 @@ class LogitMatrix:
     @classmethod
     def from_rows(cls, rows: list[np.ndarray],
                   temperature: float = 1.0) -> "LogitMatrix":
-        if temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {temperature}")
+        if not (math.isfinite(temperature) and temperature > 0):
+            raise ValueError(f"temperature must be positive and finite, got "
+                             f"{temperature}")
         rows = [np.asarray(r, dtype=float) for r in rows]
         if not rows or any(r.ndim != 1 or not r.size or not np.isfinite(r).all()
                            for r in rows):
@@ -60,10 +63,15 @@ class LogitMatrix:
         return cls.from_rows([np.zeros(n) for n in option_counts], temperature)
 
     def probs(self) -> np.ndarray:
-        """Max-shifted softmax of each row, ``(L, K)``; each row sums to 1."""
-        z = self.values / self.temperature
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
+        """Max-shifted softmax of each row, ``(L, K)``; each row sums to 1.
+
+        One fresh array is shifted, exponentiated and normalized in place.
+        """
+        p = self.values / self.temperature
+        p -= np.maximum.reduce(p, axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= np.add.reduce(p, axis=1, keepdims=True)
+        return p
 
     def argmax(self) -> np.ndarray:
         """Each layer's maximal-logit option; ties break to the lowest index."""
@@ -74,14 +82,16 @@ def sgd_step(logits: LogitMatrix, grads: np.ndarray,
              learning_rate: float) -> LogitMatrix:
     """One SGD update of the whole stack: logits - learning_rate * grads.
 
-    ``grads`` has the logits' ``(L, K)`` shape.  A non-finite updated
-    logit raises FloatingPointError.
+    ``grads`` has the logits' ``(L, K)`` shape.  The update owns a fresh
+    stack; neither input is changed.  A non-finite updated logit raises
+    FloatingPointError.
     """
     grads = np.asarray(grads, dtype=float)
     if grads.shape != logits.values.shape:
         raise ValueError(f"gradient shape {grads.shape} != logits shape "
                          f"{logits.values.shape}")
-    values = logits.values - learning_rate * grads
+    values = grads * learning_rate
+    np.subtract(logits.values, values, out=values)
     # padding stays non-finite, so a short finite count means a bad real logit
     if np.count_nonzero(np.isfinite(values)) != sum(logits.counts):
         raise FloatingPointError("SGD step made a logit non-finite")
@@ -95,7 +105,8 @@ class CostTables:
     ``costs`` is ``(2, L, K, K)``: ``costs[0, l, i, j]`` is layer ``l``'s
     area at option ``j`` after previous-layer option ``i``; ``costs[1]``
     holds delays.  Layer 0's one previous option is the fixed input channel
-    count, so only its row 0 is real.  Entries past the counts are 0.
+    count, so only its row 0 is real, and that row is layer 0's whole term
+    of the expectation.  Entries past the counts are 0.
     """
 
     costs: np.ndarray
@@ -134,21 +145,33 @@ def _expectation_with_grad(costs: np.ndarray,
     previous probabilities are the one-hot e_0.  Returns the ``(M,)``
     expectations and their ``(M, L, K)`` gradients w.r.t. the
     probabilities, p_{l-1}^T C_l + C_{l+1} p_{l+1} for layer l.
+
+    Layer 0's row e_0^T C_0 is the table's row 0 itself, bit for bit: the
+    product's other terms are exact zeros times finite, non-negative costs.
+    Its column product C_0 p_0 has no previous layer to feed, so it is
+    not formed.
     """
-    prev = np.concatenate((np.eye(1, probs.shape[1]), probs[:-1]))
-    row = prev[:, None, :] @ costs  # (M, L, 1, K): p_{l-1}^T C_l
-    col = costs @ probs[:, :, None]  # (M, L, K, 1): C_l p_l
-    value = (row @ probs[:, :, None]).sum(axis=(1, 2, 3))
+    row = np.empty(costs.shape[:2] + (1, costs.shape[3]))  # p_{l-1}^T C_l
+    row[:, 0, 0] = costs[:, 0, 0]
+    np.matmul(probs[:-1, None, :], costs[:, 1:], out=row[:, 1:])
+    col = costs[:, 1:] @ probs[1:, :, None]  # (M, L-1, K, 1): C_l p_l, l >= 1
+    value = np.add.reduce(row @ probs[:, :, None], axis=(1, 2, 3))
     grads = row[:, :, 0]
-    grads[:, :-1] += col[:, 1:, :, 0]
+    grads[:, :-1] += col[..., 0]
     return value, grads
 
 
 def _chain_softmax(probs: np.ndarray, dprobs: np.ndarray,
                    temperature: float) -> np.ndarray:
-    """Pull ``(..., L, K)`` probability gradients back through each softmax."""
+    """Pull ``(..., L, K)`` probability gradients back through each softmax.
+
+    Returns a fresh array; ``probs`` and ``dprobs`` are left as they are.
+    """
     inner = probs[:, None, :] @ dprobs[..., None]  # (..., L, 1, 1): p_l . g_l
-    return probs * (dprobs - inner[..., 0]) / temperature
+    grads = dprobs - inner[..., 0]
+    grads *= probs
+    grads /= temperature
+    return grads
 
 
 def expected_model_cost(logits: LogitMatrix, tables: CostTables):
@@ -200,5 +223,8 @@ def phase1_loss_grad(logits: LogitMatrix, tables: CostTables,
     e_area, e_delay, darea, ddelay = expected_model_cost(logits, tables)
     loss, dl_ddelay, dl_darea = phase1_loss(
         e_delay, e_area, area_constraint, lambda1, delay_ref)
-    grads = dl_ddelay * ddelay + dl_darea * darea
-    return loss, e_area, e_delay, grads
+    # both are this call's own arrays: combine them in place
+    ddelay *= dl_ddelay
+    darea *= dl_darea
+    ddelay += darea
+    return loss, e_area, e_delay, ddelay

@@ -76,16 +76,20 @@ class SearchConfig:
             raise ValueError("area_constraint must be positive")
         if self.n1_steps < 0 or self.n2_steps < 0:
             raise ValueError("step counts must be >= 0")
+        # comparisons are False for NaN, so finiteness is checked first
         for name in ("lr1", "lr2", "temperature"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         # a blend weight: above 1 the blended running variance can go negative
         if not 0 < self.adapt_momentum <= 1:
             raise ValueError(f"adapt_momentum must lie in (0, 1], got "
                              f"{self.adapt_momentum}")
         # zero disables the respective penalty term; negative flips its sign
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("lambda1 and lambda2 must be >= 0")
+        for name in ("lambda1", "lambda2"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not (1 <= self.phase1_ap <= 8 and 1 <= self.phase1_ip <= 8):
             raise ValueError("phase1_ap and phase1_ip must lie in [1, 8]")
         if self.hd_batch_size < 1:

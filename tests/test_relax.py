@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -12,15 +14,18 @@ from imcsearch.designspace import (
     LayerChoice,
     LayerShape,
     enumerate_options,
+    vgg16_space,
 )
 from imcsearch.relax import (
     LogitMatrix,
+    _chain_softmax,
     build_cost_tables,
     expected_model_cost,
     phase1_loss,
     phase1_loss_grad,
     sgd_step,
 )
+from imcsearch.search import SearchConfig, phase1_run
 
 from conftest import make_platform, toy_space
 
@@ -341,8 +346,6 @@ def test_sgd_nonfinite_gradient_raises():
 
 
 def test_default_learning_rates_are_paper_settings():
-    from imcsearch.search import SearchConfig
-
     cfg = SearchConfig(area_constraint=1.0)
     assert cfg.lr1 == 13.0
     assert cfg.lr2 == 0.1
@@ -350,3 +353,91 @@ def test_default_learning_rates_are_paper_settings():
     assert cfg.lambda2 == 0.001
     assert cfg.n1_steps == 2000
     assert cfg.n2_steps == 20
+
+
+# ---------------------------------------------------------------------------
+# inputs stay untouched
+# ---------------------------------------------------------------------------
+
+def _ragged_state(tables, temperature=0.5):
+    rng = np.random.default_rng(41)
+    return LogitMatrix.from_rows([rng.standard_normal(n) for n in tables.counts],
+                                 temperature)
+
+
+def test_step_functions_leave_logits_and_tables_unchanged(ragged):
+    _, _, tables = ragged
+    logits = _ragged_state(tables)
+    values, costs = logits.values.copy(), tables.costs.copy()
+    logits.probs()
+    expected_model_cost(logits, tables)
+    grads = phase1_loss_grad(logits, tables, 1.0, 0.01, 1e4)[3]
+    assert np.array_equal(logits.values, values)
+    assert np.array_equal(tables.costs, costs)
+    kept = grads.copy()
+    out = sgd_step(logits, grads, 13.0)
+    assert np.array_equal(grads, kept) and np.array_equal(logits.values, values)
+    assert not np.shares_memory(out.values, grads)
+
+
+@pytest.mark.parametrize("shape", [(2,), ()], ids=["area_delay", "phase2"])
+def test_chain_softmax_leaves_probs_and_dprobs_unchanged(ragged, shape):
+    # phase 1 pulls back an (area, delay) pair, phase 2 one (L, K) gradient
+    _, _, tables = ragged
+    probs = _ragged_state(tables).probs()
+    rng = np.random.default_rng(43)
+    dprobs = rng.standard_normal(shape + probs.shape)
+    kept_probs, kept_dprobs = probs.copy(), dprobs.copy()
+    grads = _chain_softmax(probs, dprobs, 0.5)
+    assert grads.shape == dprobs.shape
+    assert np.array_equal(probs, kept_probs)
+    assert np.array_equal(dprobs, kept_dprobs)
+    assert not np.shares_memory(grads, dprobs)
+
+
+# ---------------------------------------------------------------------------
+# exactness: whole phase-1 runs, digested before the step bodies were
+# rewritten to work in place
+# ---------------------------------------------------------------------------
+
+def _run_digests(result):
+    """sha256 of the trace (floats as their repr, so bit for bit) and of
+    the final logits' little-endian float64 bytes."""
+    trace = json.dumps(result.trace).encode()
+    logits = result.logits.values.astype("<f8").tobytes()
+    return hashlib.sha256(trace).hexdigest(), hashlib.sha256(logits).hexdigest()
+
+
+def test_phase1_run_digest_at_paper_settings():
+    # VGG16, lambda1 0.01, lr1 13, 2000 steps: the benchmark's run
+    config = SearchConfig(area_constraint=20.0)
+    result = phase1_run(vgg16_space(), make_platform(), config)
+    assert _run_digests(result) == (
+        "94b0c27b1a892176d8ef08c96cd2409c29ff65bd69a2df354ac889dad06eb5b7",
+        "3e8ead0b35ca7d497d5f0b2c69b9f1223872daf1f458f886d8ef88a5cb58a556")
+
+
+def test_phase1_run_digest_at_temperature_half(ragged):
+    # every softmax and its chain rule divide by a temperature other than 1
+    space, platform, _ = ragged
+    config = SearchConfig(area_constraint=1.0, n1_steps=300, temperature=0.5)
+    result = phase1_run(space, platform, config)
+    assert result.pool.admitted()
+    assert _run_digests(result) == (
+        "71c8e6be402047501510bfd3487f8ba86fb055816c6fdd37f94f79119ad7e672",
+        "a4183635c72bde1f36dab87f68c464bc12e6c15204a8c4068d969c2a54c549f4")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["lr1", "lr2", "temperature", "lambda1",
+                                   "lambda2"])
+def test_search_config_refuses_non_finite_rates_and_weights(field, value):
+    # NaN compares False with everything, so a bare sign check lets it by
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        SearchConfig(area_constraint=1.0, **{field: value})
+
+
+@pytest.mark.parametrize("temperature", [math.nan, math.inf, 0.0, -1.0])
+def test_logit_rows_refuse_a_non_positive_or_non_finite_temperature(temperature):
+    with pytest.raises(ValueError, match="temperature"):
+        LogitMatrix.from_rows([np.zeros(3)], temperature)
