@@ -69,6 +69,9 @@ class FixtureConfig:
         for name in ("train_samples", "eval_samples", "adapt_batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # a standard deviation; NaN fails the comparison too
+        if not self.noise >= 0:
+            raise ValueError(f"noise must be >= 0, got {self.noise}")
 
 
 @dataclass

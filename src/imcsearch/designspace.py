@@ -246,15 +246,18 @@ class DesignSpace:
                 raise ValueError(f"{name} must be non-empty positive")
             if list(opts) != sorted(set(opts)):
                 raise ValueError(f"{name} must be strictly ascending")
-        if any(not 1 <= b <= 8 for b in self.ap_options + self.ip_options):
-            raise ValueError("ap/ip options must lie in [1, 8]")
+        for name, opts in (("ap_options", self.ap_options),
+                           ("ip_options", self.ip_options)):
+            if any(not 1 <= b <= 8 for b in opts):
+                raise ValueError(f"{name} must lie in [1, 8]")
         if not self.at_options:
             raise ValueError("at_options must be non-empty")
         # a repeated type would split its softmax mass over equal options
         if len(set(self.at_options)) != len(self.at_options):
             raise ValueError("at_options must not repeat a converter type")
-        if self.input_channels < 1 or self.class_count < 1:
-            raise ValueError("input_channels and class_count must be >= 1")
+        for name in ("input_channels", "class_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     @property
     def num_layers(self) -> int:

@@ -64,12 +64,23 @@ def im2col(x: np.ndarray, kernel: int, stride: int,
     Rows run over (n, out_y, out_x) and columns over (c, ky, kx).  The
     matrix is the transpose view of a C-contiguous (C * k * k, N * outH *
     outW) array, so each patch column is one contiguous run.  The input is
-    zero-padded into a channels-first (C, N, H + 2p, W + 2p) buffer, whose
-    strided window view, transposed to (c, ky, kx, n, out_y, out_x) order,
-    is copied once: every copied run is an output row of ``outW`` values,
-    where a row-major patch matrix would copy runs of ``k``.  The matrix
-    keeps the input's dtype; in a float32 forward a row-major gather cost
-    about twice the product with the weights.
+    zero-padded into a channels-first (C, N, H + 2p, W + 2p) buffer, which
+    one of two gathers reads:
+
+    - output rows of 8 pixels or more: its strided window view,
+      transposed to (c, ky, kx, n, out_y, out_x) order, is copied once, so
+      every copied run is an output row of ``outW`` values, where a
+      row-major patch matrix would copy runs of ``k``;
+    - shorter rows: one ``np.take`` over a flat window index into each
+      channel's (N, H + 2p, W + 2p) block, which copies value by value and
+      so pays nothing per run.  On VGG16's 4x4 and 2x2 convs (runs of 4
+      and 2 values) it took an ``hd_rank_vgg16`` candidate's gathers from
+      16.1 to 8.0 ms (best of 3 passes in-process, one BLAS thread, shared
+      2-vCPU host).  At 8-pixel rows the window copy was still the faster
+      (0.73 against 0.77 ms per 2**19-value block of 8 x 8 x 128 inputs).
+
+    The matrix keeps the input's dtype; in a float32 forward a row-major
+    gather cost about twice the product with the weights.
     """
     n, c, h, w = x.shape
     xt = x.transpose(1, 0, 2, 3)
@@ -79,10 +90,19 @@ def im2col(x: np.ndarray, kernel: int, stride: int,
         padded = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
         padded[:, :, pad:pad + h, pad:pad + w] = xt
         xt = padded
-    windows = sliding_window_view(xt, (kernel, kernel),
-                                  axis=(2, 3))[:, :, ::stride, ::stride]
-    out_h, out_w = windows.shape[2:4]
-    cols = np.ascontiguousarray(windows.transpose(0, 4, 5, 1, 2, 3))
+    hp, wp = xt.shape[2:]
+    out_h, out_w = (hp - kernel) // stride + 1, (wp - kernel) // stride + 1
+    if out_w < 8:
+        ky, kx = np.divmod(np.arange(kernel * kernel), kernel)
+        starts = (np.arange(n)[:, None, None] * (hp * wp)
+                  + np.arange(out_h)[:, None] * (stride * wp)
+                  + np.arange(out_w) * stride)
+        index = (ky * wp + kx)[:, None] + starts.ravel()
+        cols = np.take(xt.reshape(c, -1), index, axis=1)
+    else:
+        windows = sliding_window_view(xt, (kernel, kernel),
+                                      axis=(2, 3))[:, :, ::stride, ::stride]
+        cols = np.ascontiguousarray(windows.transpose(0, 4, 5, 1, 2, 3))
     return cols.reshape(c * kernel * kernel, -1).T, (out_h, out_w)
 
 
@@ -282,10 +302,21 @@ class BatchNorm(Layer):
         def v(a: np.ndarray) -> np.ndarray:
             return self._shape(x, a.astype(x.dtype, copy=False))
 
-        out = x - v(mean)
-        out /= np.sqrt(v(var) + self.eps)
-        out *= v(self.gamma)
-        out += v(self.beta)
+        # A zero mean, a unit gamma or a zero beta is left out, so a fresh
+        # layer costs one division: x - 0 and x * 1 are exact, and x + 0
+        # only turns -0.0 into +0.0.  The division holds -0.0 only where x
+        # does (it cannot underflow for var <= 1, as a fresh layer's is),
+        # and conv and dense outputs hold none: their sums start from +0.
+        std = np.sqrt(v(var) + self.eps)
+        if mean.any():
+            out = x - v(mean)
+            out /= std
+        else:
+            out = x / std
+        if (self.gamma != 1).any():
+            out *= v(self.gamma)
+        if self.beta.any():
+            out += v(self.beta)
         return out
 
     def forward(self, x, train=False):
@@ -416,7 +447,12 @@ class RefNet:
         with ReLUs then calls ``on_codes`` with its ``(n, stage bits)``
         bool matrix, its ReLUs' codes side by side in layer order, which
         is freed when the call returns.  So no more than one stage's
-        weights and codes are held at a time.
+        weights and codes are held at a time.  Within a ReLU, a sample's
+        codes run in its input's memory order: (h, w, c) after a conv,
+        whose output is channels-last, so one contiguous comparison writes
+        them.  The same ReLU, pixel and channel land in the same column
+        for every sample, and a Hamming kernel sums over columns, so the
+        order cannot change a score (``score.hamming_kernel``).
 
         A stage runs the whole batch in blocks of ``CODE_VALUES // (h * w
         * width)`` samples (at least one, at most the batch), where h x w
@@ -485,9 +521,18 @@ def _stage_with_codes(layers: list[Layer], x: np.ndarray,
         out = x[start:start + block]
         rows = slice(start, start + out.shape[0])
         for i, layer in enumerate(layers):
-            if i in columns:  # its code columns, in its input's shape
-                np.greater(out, 0, out=codes[rows, columns[i]].reshape(out.shape))
-            out = layer.forward(out)
+            if i not in columns:
+                out = layer.forward(out)
+                continue
+            # the ReLU's codes in its input's memory order: (h, w, c) per
+            # pixel after a conv, whose output is channels-last in memory
+            mask = codes[rows, columns[i]]
+            if out.ndim == 4:
+                b, c, h, w = out.shape
+                mask = mask.reshape(b, h, w, c).transpose(0, 3, 1, 2)
+            np.greater(out, 0, out=mask)
+            # ReLU.forward's x * (x > 0), in place unless out is the input
+            out = np.multiply(out, mask, out=out if i else None)
         stage_out[rows] = out
     if relus:
         on_codes(codes)

@@ -35,7 +35,10 @@ def hamming_kernel(codes: np.ndarray) -> np.ndarray:
     0/1 products counts at most that many ones, and float32 holds every
     integer up to 2**24 exactly, so each chunk's product is exact in any
     summation order.  Every entry of K is an integer, so K is exact
-    too, whatever the chunks.
+    too, whatever the chunks.  For the same reason K does not depend on
+    the order of the columns, only on which bits each pair of rows shares:
+    ``RefNet.forward_with_codes`` writes a conv ReLU's codes in (h, w, c)
+    order, and any permutation of the columns gives the same K bit for bit.
     """
     codes = np.asarray(codes)
     n, bits = codes.shape
@@ -65,7 +68,10 @@ def hd_score(net: RefNet, batch: TensorBatch | np.ndarray, seed: int) -> float:
     weights, codes and kernel chunk at a time, never the whole network
     or the whole code matrix.  K is the sum of the stages' kernels, which
     equals the kernel of all codes at once exactly: every stage's K is
-    integer-valued float64, and so is every partial sum.  The stages draw
+    integer-valued float64, and so is every partial sum.  A stage's codes
+    run in layer order, and within a conv ReLU in (h, w, c) order, its
+    activation's memory order; K sums exact integers over the columns, so
+    no column order can change it or the score.  The stages draw
     in layer order, each weight one float64 draw times its He scale
     rounded once to float32, so the weights are those of ``build_refnet(
     ..., seed, dtype=np.float32)`` and the score is that net's.

@@ -74,8 +74,9 @@ class SearchConfig:
                              f"{self.area_constraint}")
         if self.area_constraint <= 0:
             raise ValueError("area_constraint must be positive")
-        if self.n1_steps < 0 or self.n2_steps < 0:
-            raise ValueError("step counts must be >= 0")
+        for name in ("n1_steps", "n2_steps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         # comparisons are False for NaN, so finiteness is checked first
         for name in ("lr1", "lr2", "temperature"):
             value = getattr(self, name)
@@ -90,8 +91,10 @@ class SearchConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not (1 <= self.phase1_ap <= 8 and 1 <= self.phase1_ip <= 8):
-            raise ValueError("phase1_ap and phase1_ip must lie in [1, 8]")
+        for name in ("phase1_ap", "phase1_ip"):
+            if not 1 <= getattr(self, name) <= 8:
+                raise ValueError(f"{name} must lie in [1, 8], got "
+                                 f"{getattr(self, name)}")
         if self.hd_batch_size < 1:
             raise ValueError("hd_batch_size must be >= 1")
 

@@ -180,12 +180,23 @@ def test_malformed_value_kinds_exit_2_naming_the_key(tmp_path, capsys, path,
 
 
 @pytest.mark.parametrize("path, value, message", [
-    (("search", "phase1_ap"), 9, "search: phase1_ap and phase1_ip"),
-    (("search", "phase1_ip"), 0, "search: phase1_ap and phase1_ip"),
+    # each refusal names the one field it refuses
+    (("search", "phase1_ap"), 9, "search: phase1_ap must lie in [1, 8], got 9"),
+    (("search", "phase1_ip"), 0, "search: phase1_ip must lie in [1, 8], got 0"),
+    (("search", "phase1_steps"), -1, "search: n1_steps must be >= 0, got -1"),
+    (("search", "phase2_steps"), -1, "search: n2_steps must be >= 0, got -1"),
+    (("design_space", "ap_options"), [5, 9],
+     "design_space: ap_options must lie in [1, 8]"),
+    (("design_space", "ip_options"), [3, 9],
+     "design_space: ip_options must lie in [1, 8]"),
+    (("design_space", "class_count"), 0,
+     "design_space: class_count must be >= 1"),
+    (("fixture", "noise"), -0.1, "fixture: noise must be >= 0, got -0.1"),
     (("platform", "weight_slice_bits"), 0, "platform: weight_bits (6)"),
     (("platform", "weight_bits"), 0, "platform: weight_bits (0)"),
     (("platform", "weight_bits"), 1, "platform: weight_bits (1)"),
-    (("design_space", "input_channels"), 0, "design_space: input_channels"),
+    (("design_space", "input_channels"), 0,
+     "design_space: input_channels must be >= 1"),
     (("design_space", "at_options"), ["sar", "sar"], "design_space: at_options"),
     (("search", "hd_batch_size"), 0, "search: hd_batch_size must be >= 1"),
     (("fixture", "train_samples"), 0, "fixture: train_samples must be >= 1"),

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from imcsearch.designspace import (
     ADCType,
@@ -35,6 +36,7 @@ from imcsearch.nnsim.network import (
     ReLU,
     accuracy,
     build_refnet,
+    col2im,
     cross_entropy_grad,
     im2col,
     layer_pools,
@@ -147,6 +149,64 @@ def test_im2col_matches_per_pixel_loop(kernel, stride, pad, channels_last):
     assert cols.T.flags.c_contiguous
 
 
+#: Input sizes on both sides of im2col's 8-pixel output-row boundary.
+GATHER_SIZES = [(s, s) for s in range(1, 10)] + [(3, 9), (9, 2), (8, 5),
+                                                 (5, 8), (1, 9), (9, 1)]
+
+
+def _gather_cases(kernel, pad):
+    """Inputs of every size whose padded extent holds a window."""
+    rng = np.random.default_rng(kernel + 2 * pad)
+    for n in (1, 3):
+        for c in (1, 4):
+            for h, w in GATHER_SIZES:
+                if min(h, w) + 2 * pad >= kernel:
+                    # channels-last memory, as a conv layer's output has
+                    yield rng.standard_normal((n, h, w, c)).transpose(0, 3, 1, 2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("kernel", [1, 3])
+def test_im2col_both_gathers_match_a_window_view(kernel, stride, pad, dtype):
+    # rows shorter than 8 pixels are gathered by index, longer ones by a
+    # window copy: both give the same values, layout and dtype
+    widths = set()
+    for x in _gather_cases(kernel, pad):
+        x = x.astype(dtype)
+        n, c = x.shape[:2]
+        cols, (oh, ow) = im2col(x, kernel, stride, pad)
+        widths.add(ow >= 8)
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        win = sliding_window_view(xp, (kernel, kernel),
+                                  axis=(2, 3))[:, :, ::stride, ::stride]
+        assert win.shape[2:4] == (oh, ow)
+        want = np.ascontiguousarray(
+            win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kernel ** 2, -1)).T
+        assert cols.dtype == want.dtype == dtype
+        assert cols.shape == want.shape == (n * oh * ow, c * kernel ** 2)
+        assert cols.strides == want.strides
+        assert np.array_equal(cols, want)
+    # stride 2, or a 3x3 kernel without padding, keeps every row below 8
+    assert widths == ({False} if stride == 2 or (kernel, pad) == (3, 0)
+                      else {False, True})
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("kernel, pad", [(1, 0), (3, 0), (3, 1)])
+def test_col2im_is_the_adjoint_of_both_gathers(kernel, stride, pad):
+    # <im2col(x), y> == <x, col2im(y)> exactly on small integers
+    rng = np.random.default_rng(4)
+    for x in _gather_cases(kernel, pad):
+        x = rng.integers(-4, 5, size=x.shape).astype(float)
+        cols, _ = im2col(x, kernel, stride, pad)
+        y = rng.integers(-4, 5, size=cols.shape).astype(float)
+        back = col2im(y, x.shape, kernel, stride, pad)
+        assert back.shape == x.shape
+        assert np.sum(cols * y) == np.sum(x * back)
+
+
 def test_conv_backward():
     rng = np.random.default_rng(3)
     layer = Conv2D(2, 3, kernel=3, stride=1)
@@ -210,6 +270,26 @@ def test_batchnorm_normalize_matches_the_expression_bit_for_bit(shape):
     want = v(layer.gamma) * xhat + v(layer.beta)
     assert np.array_equal(out, want)
     assert np.array_equal(x, before)
+    # a fresh layer (zero mean, unit variance and gamma, zero beta) leaves
+    # three terms out and divides once: on inputs without -0.0, exact
+    # zeros included, it gives the whole expression's bits in either dtype,
+    # in a fresh array
+    fresh = BatchNorm(3)
+    x.flat[::7] = 0.0
+    for xd in (x, x.astype(np.float32)):
+        assert not np.any(np.signbit(xd) & (xd == 0))
+        before = xd.copy()
+        out = fresh.normalize(xd, fresh.running_mean, fresh.running_var)
+        cast = {k: v(getattr(fresh, k).astype(xd.dtype)) for k in
+                ("gamma", "beta", "running_mean", "running_var")}
+        want = cast["gamma"] * ((xd - cast["running_mean"])
+                                / np.sqrt(cast["running_var"] + fresh.eps)) \
+            + cast["beta"]
+        assert out.dtype == want.dtype == xd.dtype
+        assert np.array_equal(out, want)
+        assert np.array_equal(np.signbit(out), np.signbit(want))
+        assert not np.shares_memory(out, xd)
+        assert np.array_equal(xd, before)
 
 
 def test_batchnorm_normalizes_in_the_activation_dtype():

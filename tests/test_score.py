@@ -1,10 +1,17 @@
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from imcsearch.designspace import LayerShape, homogeneous_model, vgg16_space
+from imcsearch.designspace import (
+    CandidateModel,
+    LayerChoice,
+    LayerShape,
+    homogeneous_model,
+    vgg16_space,
+)
 from imcsearch.nnsim import (
     TensorBatch,
     hd_score,
@@ -12,6 +19,7 @@ from imcsearch.nnsim import (
     make_patterns,
     refnet_layers,
 )
+from imcsearch.nnsim import network
 from imcsearch.nnsim.network import (
     CODE_VALUES,
     BatchNorm,
@@ -51,6 +59,19 @@ def test_hamming_kernel_equals_agreeing_ones_plus_agreeing_zeros():
         k = hamming_kernel(given)
         assert k.dtype == np.float64
         assert np.array_equal(k, want)
+
+
+def test_hamming_kernel_does_not_depend_on_code_order(monkeypatch):
+    # the code forward writes a conv ReLU's codes in (h, w, c) order, not
+    # (c, h, w): permuted columns give the same K bit for bit, here across
+    # Gram chunks of 5 columns
+    monkeypatch.setattr(network, "CODE_VALUES", 7 * 5)
+    rng = np.random.default_rng(11)
+    codes = rng.random((7, 53)) < 0.4
+    want = hamming_kernel(codes)
+    for _ in range(20):
+        perm = rng.permutation(codes.shape[1])
+        assert np.array_equal(hamming_kernel(codes[:, perm]), want)
 
 
 def test_hand_set_weights_reproduce_hand_determinant(monkeypatch):
@@ -140,6 +161,60 @@ def test_hd_score_does_not_mutate_input_net():
     for layer in net.layers:
         for name in layer.arrays:
             assert getattr(layer, name).dtype == np.float64
+
+
+@pytest.mark.parametrize("kind", ["conv", "relu first"])
+def test_hd_score_leaves_its_batch_unchanged(kind):
+    # a float32 batch is forwarded as it is, not copied, and the stages
+    # multiply their ReLU outputs in place: never into the batch, even
+    # where a stage starts with a ReLU
+    if kind == "conv":
+        net = candidate_net([LayerShape(kernel=3, in_spatial=(8, 8)),
+                             LayerShape(kernel=3, in_spatial=(4, 4)),
+                             LayerShape.fc()], [4, 8, 2], input_channels=1,
+                            seed=0)
+        x = make_patterns(8, seed=2).data
+    else:
+        net = RefNet([ReLU(), Dense(2, 6), ReLU(), Dense(6, 2)], class_count=2)
+        x = make_blobs(8, seed=2).data
+    x = (x - x.mean()).astype(np.float32)
+    assert np.any(x < 0)
+    before = x.copy()
+    assert math.isfinite(hd_score(net, x, seed=0))
+    assert np.array_equal(x, before)
+
+
+#: sha256 of ``repr(hd_score(...))`` of two VGG16 candidates, captured
+#: before the code forward wrote codes in memory order, gathered short
+#: patch rows by index and let a fresh batchnorm divide once: all quarter
+#: widths, and the quarter (0) / half (1) mix of the first candidate of
+#: ``hd_rank_vgg16``'s seed-1 first pool; both at that pool's weight seed.
+VGG16_HD_DIGESTS = {
+    "quarter": "8c9634dda7b5db63ab5986afc3bfc60773f349af03af570a78f3a5c1bd586fd7",
+    "mix": "541d560c25720451d4b6298fadf4003b7dc7f0a7e625cdb7afa1c6ea17374e58",
+}
+VGG16_MIX = (0, 1, 1, 1, 0, 0, 1, 1, 0, 0, 1, 0, 0)
+VGG16_MIX_SEED = 544083118
+
+
+@pytest.mark.parametrize("name", sorted(VGG16_HD_DIGESTS))
+def test_hd_score_vgg16_digest(name):
+    # every stage of the benchmark's nets: patch rows of 32, 16 and 8
+    # pixels (window copy) and of 4 and 2 (gathered by index)
+    space = vgg16_space()
+    mix = (0,) * len(VGG16_MIX) if name == "quarter" else VGG16_MIX
+    layers = tuple(
+        (shape, LayerChoice(cd_out=cds[i], cs=space.cs_options[0],
+                            at=space.at_options[0], ap=6, ip=8))
+        for shape, cds, i in zip(space.layer_shapes,
+                                 space.cd_options_per_layer, mix + (0,)))
+    model = CandidateModel(layers=layers, input_channels=space.input_channels)
+    net = RefNet(refnet_layers(model, space.class_count), space.class_count)
+    batch = make_patterns(16, channels=3, height=32, width=32,
+                          n_classes=space.class_count, seed=0)
+    score = hd_score(net, batch, VGG16_MIX_SEED)
+    assert hashlib.sha256(repr(score).encode()).hexdigest() == \
+        VGG16_HD_DIGESTS[name]
 
 
 def test_hd_score_collects_codes_in_float32(monkeypatch):

@@ -313,6 +313,15 @@ def test_rank_casts_the_hd_batch_once(rank_batch, monkeypatch):
     assert np.array_equal(first, rank_batch.data.astype(np.float32))
 
 
+def test_rank_candidates_leaves_its_batch_unchanged(rank_batch):
+    # the code forward multiplies ReLU outputs in place, never into the
+    # batch
+    data, labels = rank_batch.data.copy(), rank_batch.labels.copy()
+    search.rank_candidates(rank_pool(RANK_SPECS), rank_batch, RANK_SEED, 2)
+    assert np.array_equal(rank_batch.data, data)
+    assert np.array_equal(rank_batch.labels, labels)
+
+
 def test_rank_tie_resolves_to_the_earliest_step(rank_batch):
     # identical candidates tie on both objectives; listed latest step first
     pool = rank_pool([RANK_SPECS[1]] * 3)
