@@ -25,6 +25,7 @@ largest code:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import struct
 import sys
@@ -83,6 +84,29 @@ EXIT_EMPTY_POOL = 3
 EXIT_NUMERIC = 4
 
 
+def _environment() -> dict:
+    """What a run's floats depend on besides its inputs: the numpy version,
+    its BLAS library, and the kernel ("core") OpenBLAS picked for this CPU,
+    which sets the order of a product's sums (None where the library does
+    not report it)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "openblas_core": _openblas_core()}
+
+
+def _openblas_core() -> str | None:
+    # numpy's bundled OpenBLAS is loaded with its extension module, whose
+    # handle finds the library's symbols
+    try:
+        from numpy._core import _multiarray_umath
+        corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 class _RunDir:
     """Run-directory bookkeeping: snapshot first, manifest before results.
 
@@ -106,6 +130,7 @@ class _RunDir:
             "finished_at": None,
             "outputs": ["config_snapshot.yaml"],
             **manifest,
+            "environment": _environment(),
         }
         self.record()
 

@@ -373,10 +373,12 @@ def homogeneous_model(space: DesignSpace, cs: int, at: ADCType, ap: int,
     """Build a candidate using one (CS, AT, AP, IP) setting for all layers.
 
     ``cd_index`` selects the channel-depth option per layer (-1 = widest),
-    which yields the standard full-width backbone.
+    which yields the standard full-width backbone.  It is clamped to each
+    layer's own options, so a layer with one option (the VGG16 preset's
+    classifier) always takes its only width.
     """
     layers = []
-    for idx, shape in enumerate(space.layer_shapes):
-        cd = space.cd_options_per_layer[idx][cd_index]
+    for shape, options in zip(space.layer_shapes, space.cd_options_per_layer):
+        cd = options[max(-len(options), min(cd_index, len(options) - 1))]
         layers.append((shape, LayerChoice(cd_out=cd, cs=cs, at=at, ap=ap, ip=ip)))
     return CandidateModel(layers=tuple(layers), input_channels=space.input_channels)

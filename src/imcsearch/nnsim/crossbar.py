@@ -27,17 +27,15 @@ class NoiseSpec:
         if self.sigma_over_mu < 0:
             raise ValueError("sigma_over_mu must be >= 0")
 
-    def multipliers(self, shape: tuple[int, ...],
-                    key: tuple[int, ...] = (0,)) -> np.ndarray | None:
-        """Per-cell conductance multipliers, or None without variation.
-
-        The same (seed, key) always yields the same draw.
+    def generator(self, key: tuple[int, ...] = (0,)) -> np.random.Generator | None:
+        """The stream of one key's N(0, 1) variation draws, or None without
+        variation; a cell's conductance multiplier is 1 + sigma_over_mu
+        times its draw.  The same (seed, key) always yields the same stream.
         """
         if self.sigma_over_mu == 0:
             return None
-        rng = np.random.default_rng(
+        return np.random.default_rng(
             np.random.SeedSequence(self.rng_seed, spawn_key=tuple(key)))
-        return 1.0 + self.sigma_over_mu * rng.standard_normal(shape)
 
 
 def chunk_rows(n_rows: int, xbar_size: int) -> list[slice]:
@@ -67,6 +65,13 @@ class CellArrays:
         return self.columns.shape[1] // (2 * self.n_slices)
 
 
+#: Weight values per slab of ``prepare_cells``: the cells are made from
+#: slabs of whole weight rows of at most this many values (at least one
+#: row), so the float64 cells and variation draws of a whole layer (18 MiB
+#: each for VGG16's 4608 x 512 convolutions) never exist at once.
+CELL_SLAB = 1 << 16
+
+
 def prepare_cells(weight_matrix: np.ndarray, noise: NoiseSpec,
                   weight_bits: int, slice_bits: int,
                   key: tuple[int, ...] = (0,)) -> CellArrays:
@@ -77,7 +82,9 @@ def prepare_cells(weight_matrix: np.ndarray, noise: NoiseSpec,
     multiplier is drawn once per slice and sign polarity and reused for
     every bit plane and row chunk, matching cells that are programmed once
     per inference run.  Each cell, its slice value times its float64
-    multiplier, is rounded once to the float32 ``columns``.
+    multiplier, is rounded once to the float32 ``columns``.  The cells are
+    made in row slabs (``CELL_SLAB``), each slice and polarity reading its
+    own variation stream on, so they equal those of one whole draw.
     """
     from .quantize import quantize_weights
 
@@ -85,15 +92,22 @@ def prepare_cells(weight_matrix: np.ndarray, noise: NoiseSpec,
     if weight_bits % slice_bits != 0:
         raise ValueError(f"weight_bits ({weight_bits}) must be divisible by "
                          f"slice_bits ({slice_bits})")
-    magnitude, polarities = np.abs(codes), (codes > 0, codes < 0)
     rows, cols = codes.shape
     n_slices = weight_bits // slice_bits
     columns = np.empty((rows, n_slices, 2, cols), dtype=np.float32)
-    for s in range(n_slices):
-        level = (magnitude >> (slice_bits * s)) & ((1 << slice_bits) - 1)
-        for polarity, mask in enumerate(polarities):
-            cells = np.where(mask, level, 0).astype(float)
-            mult = noise.multipliers(cells.shape, key + (s, polarity))
-            columns[:, s, polarity] = cells if mult is None else cells * mult
+    streams = [[noise.generator(key + (s, polarity)) for polarity in (0, 1)]
+               for s in range(n_slices)]
+    step = max(1, CELL_SLAB // max(1, cols))
+    for start in range(0, rows, step):
+        slab = codes[start:start + step]
+        magnitude, polarities = np.abs(slab), (slab > 0, slab < 0)
+        for s in range(n_slices):
+            level = (magnitude >> (slice_bits * s)) & ((1 << slice_bits) - 1)
+            for polarity, mask in enumerate(polarities):
+                cells = np.where(mask, level, 0).astype(float)
+                rng = streams[s][polarity]
+                if rng is not None:
+                    cells *= 1.0 + noise.sigma_over_mu * rng.standard_normal(cells.shape)
+                columns[start:start + step, s, polarity] = cells
     return CellArrays(columns=columns.reshape(rows, -1), n_slices=n_slices,
                       scale=scale, slice_bits=slice_bits)

@@ -37,6 +37,22 @@ are shared, and only the ADC pass and the accumulation run once per AP.
 ``probe_layer`` runs the layer a state stopped at this way, and a walk
 resumes from each of its per-AP states; phase 2 thus walks a step's
 shared prefix once and runs the probed layer once per IP.
+
+A layer's working arrays (padded input, patches and input levels, input
+codes, bit planes, analog sums, accumulators, ADC levels and codes) are
+views of a ``work`` dict of role-keyed byte buffers (``_scratch``), which
+the same ufuncs and BLAS calls write into with ``out=``, so outputs do
+not depend on them.  A role's buffer grows to its largest request.
+Phase 2 keeps one dict for a run, so its walks allocate each role's
+buffer once, in the first step that asks for its largest size, and
+reuse it after that; nothing keeps the buffers across runs.  Without a dict, each layer call allocates its own.  Each
+view has the memory layout of the array it is computed from (a conv
+layer's codes are in ``im2col``'s transposed layout): a ufunc that writes
+across layouts transposes as it goes and was several times slower.  Roles
+whose lifetimes do not overlap share a buffer: the levels are written
+over the patches, and the calibration's on-matrix and the kernel's
+float32 bit plane take the patch buffer once the codes exist.  Layer
+outputs are always fresh, since the ``WalkState``s keep them.
 """
 
 from __future__ import annotations
@@ -48,7 +64,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .crossbar import CellArrays, NoiseSpec, chunk_rows, prepare_cells
-from .network import BatchNorm, Conv2D, Dense, RefNet, TensorBatch, im2col
+from .network import (BatchNorm, Conv2D, Dense, RefNet, TensorBatch,
+                      conv_out_size, im2col)
 from .quantize import adc_quantize, quantize_inputs
 
 
@@ -66,9 +83,27 @@ class AdcRange:
             raise ValueError(f"unknown ADC range mode {self.mode!r}")
 
 
+def _scratch(work: dict, role, shape: tuple[int, ...], dtype,
+             transposed: bool = False) -> np.ndarray:
+    """A view of ``work[role]`` as an array of ``shape`` and ``dtype``.
+
+    The view is C-ordered, or with ``transposed`` the transpose of a
+    C-ordered array, which is ``im2col``'s patch layout.  A role's buffer
+    is flat bytes that grow to the largest request and are otherwise
+    reused, so one buffer serves every shape and dtype of its role.
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buf = work.get(role)
+    if buf is None or buf.size < nbytes:
+        buf = work[role] = np.empty(nbytes, np.uint8)
+    if transposed:
+        return np.ndarray(shape[::-1], dtype, buf).T
+    return np.ndarray(shape, dtype, buf)
+
+
 def _noisy_matmul(cells: CellArrays, aps: tuple[int, ...], ip: int,
                   in_codes: np.ndarray, xbar_size: int,
-                  full_range: float) -> list[np.ndarray]:
+                  full_range: float, work: dict | None = None) -> list[np.ndarray]:
     """Bit-serial sliced matmul of integer input codes against cell arrays.
 
     ``in_codes`` is the (batch, rows) uint8 code matrix, whatever dtype
@@ -83,7 +118,13 @@ def _noisy_matmul(cells: CellArrays, aps: tuple[int, ...], ip: int,
     float64, and the result scales by the ADC step once.  The work runs
     on (column, batch) arrays so that every elementwise step sweeps the
     batch in one contiguous run.
+
+    The bit planes, accumulators, analog sums and ADC levels and codes
+    are ``work`` buffers (see ``_scratch``); the float32 plane takes the
+    ``"patches"`` buffer, which the caller no longer needs once the codes
+    exist.  Without ``work`` they are allocated for this call.
     """
+    work = {} if work is None else work
     n, rows = in_codes.shape
     n_slices, cols = cells.n_slices, cells.n_cols
     chunks = chunk_rows(rows, xbar_size)
@@ -95,18 +136,23 @@ def _noisy_matmul(cells: CellArrays, aps: tuple[int, ...], ip: int,
     # a conv layer's codes keep im2col's transposed layout, so this copies
     # only a dense layer's
     codes = np.ascontiguousarray(in_codes.T)
-    bits, plane = np.empty_like(codes), np.empty(codes.shape, dtype=np.float32)
-    accs = [np.zeros((n_slices * 2 * cols, n), np.int32) for _ in aps]
+    bits = _scratch(work, "bits", codes.shape, codes.dtype)
+    plane = _scratch(work, "patches", codes.shape, np.float32)
+    sums_shape = (n_slices * 2 * cols, n)
+    sums = _scratch(work, "sums", sums_shape, np.float32)
+    adc = {"levels": _scratch(work, "adc_levels", sums_shape, np.float32),
+           "out": _scratch(work, "adc_codes", sums_shape, np.uint8)}
+    accs = _scratch(work, "accs", (len(aps),) + sums_shape, np.int32)
+    accs.fill(0)
     for b in reversed(range(ip)):
         np.right_shift(codes, b, out=bits)
         bits &= 1
         plane[...] = bits
-        for acc in accs:
-            acc += acc  # Horner: each plane weighs twice the next one
+        accs += accs  # Horner: each plane weighs twice the next one
         for sl in chunks:
-            sums = cells.columns[sl].T @ plane[sl]
+            np.matmul(cells.columns[sl].T, plane[sl], out=sums)
             for ap, acc in zip(aps, accs):
-                acc += adc_quantize(sums, ap, full_range)
+                acc += adc_quantize(sums, ap, full_range, **adc)
     # slice s weighs 2^(slice_bits*s); on integer codes every sum is exact
     weight = 2.0 ** (cells.slice_bits * np.arange(n_slices))[:, None, None]
     outs = []
@@ -121,7 +167,8 @@ def _quantized_layer_outputs(layer: Conv2D | Dense, adapt: list[np.ndarray],
                              x_eval: np.ndarray | None, ip: int,
                              aps: tuple[int, ...], noise: NoiseSpec, platform,
                              key: tuple[int, ...],
-                             cells: dict[tuple[int, ...], CellArrays]
+                             cells: dict[tuple[int, ...], CellArrays],
+                             work: dict | None = None
                              ) -> tuple[list[list[np.ndarray]], list | None]:
     """Run one conv/dense layer on a walk's activations, one output per AP.
 
@@ -138,7 +185,14 @@ def _quantized_layer_outputs(layer: Conv2D | Dense, adapt: list[np.ndarray],
     activation's dtype after the float64 scaling (and a dense layer's
     bias).  ``cells`` memoizes programmed cells per key; the device
     variation is frozen per key, so a memoized entry equals a fresh one.
+
+    The padded input, the patches (with the input levels written over
+    them), each activation's codes and the calibration's on-matrix and
+    products are ``work`` buffers (see ``_scratch``), as are the kernel's;
+    only the outputs are fresh.  Without ``work`` the buffers are
+    allocated for this call.
     """
+    work = {} if work is None else work
     programmed = cells.get(key)
     if programmed is None:
         w = layer.weight_matrix() if isinstance(layer, Conv2D) else layer.weight
@@ -151,27 +205,45 @@ def _quantized_layer_outputs(layer: Conv2D | Dense, adapt: list[np.ndarray],
                                  f"activation maxima {maxima}")
     calibration = slice(len(adapt) or len(xs))
     amax = max(maxima[calibration], default=0.0)
+    conv = isinstance(layer, Conv2D)
     coded = []  # (codes, batch, out height, out width, dtype) per activation
-    for x in xs:
-        if isinstance(layer, Conv2D):
-            cols, (oh, ow) = im2col(x, layer.kernel, layer.stride, layer.pad)
+    for j, x in enumerate(xs):
+        n = x.shape[0]
+        if conv:
+            _, c_in, h, w = x.shape
+            k, s, p = layer.kernel, layer.stride, layer.pad
+            oh, ow = (conv_out_size(d, k, s, p) for d in (h, w))
+            cols, _ = im2col(
+                x, k, s, p,
+                out=_scratch(work, "patches", (n * oh * ow, c_in * k * k),
+                             x.dtype, transposed=True),
+                padded=_scratch(work, "padded", (c_in, n, h + 2 * p, w + 2 * p),
+                                x.dtype) if p else None)
+            levels = cols
         else:
-            cols, (oh, ow) = x, (1, 1)
+            cols, oh, ow = x, 1, 1
+            levels = _scratch(work, "patches", x.shape, x.dtype)
         # negative inputs take code 0: the path reads only their
         # non-negative part
-        c, in_scale = quantize_inputs(cols, ip, amax)
-        coded.append((c, x.shape[0], oh, ow, x.dtype))
+        c, in_scale = quantize_inputs(
+            cols, ip, amax, levels=levels,
+            out=_scratch(work, ("codes", j), cols.shape, np.uint8, transposed=conv))
+        coded.append((c, n, oh, ow, x.dtype))
     full_range = 1.0
     for c, *_ in coded[calibration]:
-        on = (c > 0).astype(np.float32)
+        # in the codes' layout: a transposing comparison is several times slower
+        on = _scratch(work, "patches", c.shape, np.float32, transposed=conv)
+        np.greater(c, 0, out=on)
+        products = _scratch(work, "sums", (c.shape[0], programmed.columns.shape[1]),
+                            np.float32)
         for sl in chunk_rows(c.shape[1], platform.xbar_size):
-            full_range = max(full_range, float(
-                (on[:, sl] @ programmed.columns[sl]).max(initial=0.0)))
+            np.matmul(on[:, sl], programmed.columns[sl], out=products)
+            full_range = max(full_range, float(products.max(initial=0.0)))
     outs = []
     for c, n, oh, ow, dtype in coded:
         outs.append([])
         for acc in _noisy_matmul(programmed, aps, ip, c, platform.xbar_size,
-                                 full_range):
+                                 full_range, work):
             out = acc * programmed.scale * in_scale
             out = (out + layer.bias if isinstance(layer, Dense) else
                    out.reshape(n, oh, ow, layer.c_out).transpose(0, 3, 1, 2))
@@ -219,7 +291,8 @@ def _quantizable_index(net: RefNet) -> list[int]:
 def walk_layers(net: RefNet, state: WalkState, plan: list[tuple[int, int]],
                 noise: NoiseSpec, platform, stop: int | None = None,
                 momentum: float = 0.1,
-                cells: dict[tuple[int, ...], CellArrays] | None = None) -> WalkState:
+                cells: dict[tuple[int, ...], CellArrays] | None = None,
+                work: dict | None = None) -> WalkState:
     """Walk ``net.layers`` from ``state.at`` to quantizable layer ``stop``.
 
     ``plan`` holds one (ap, ip) pair per conv/dense layer, in network
@@ -234,6 +307,8 @@ def walk_layers(net: RefNet, state: WalkState, plan: list[tuple[int, int]],
     blended statistics.  A walk thus gives the same result in one piece
     or split at any layer.  ``cells`` keeps programmed cells across walks
     (see ``_quantized_layer_outputs``); without it, for this walk only.
+    ``work`` keeps the layers' working arrays across walks (see the module
+    docstring); without it, each layer call allocates its own.
     """
     q_index = _quantizable_index(net)
     n = len(q_index)
@@ -269,7 +344,8 @@ def walk_layers(net: RefNet, state: WalkState, plan: list[tuple[int, int]],
         if isinstance(layer, (Conv2D, Dense)):
             ap, ip = plan[qi]
             outs, eval_outs = _quantized_layer_outputs(
-                layer, adapt, x_eval, ip, (ap,), noise, platform, (qi,), cells)
+                layer, adapt, x_eval, ip, (ap,), noise, platform, (qi,), cells,
+                work)
             qi += 1
             adapt = [out for out, in outs]
             x_eval = None if eval_outs is None else eval_outs[0]
@@ -281,8 +357,8 @@ def walk_layers(net: RefNet, state: WalkState, plan: list[tuple[int, int]],
 
 def probe_layer(net: RefNet, state: WalkState, ip: int, aps: tuple[int, ...],
                 noise: NoiseSpec, platform,
-                cells: dict[tuple[int, ...], CellArrays] | None = None
-                ) -> list[WalkState]:
+                cells: dict[tuple[int, ...], CellArrays] | None = None,
+                work: dict | None = None) -> list[WalkState]:
     """Run the quantizable layer at ``state.at`` once for one IP and its APs.
 
     Returns one state per AP, at ``state.at + 1``, from which
@@ -290,13 +366,14 @@ def probe_layer(net: RefNet, state: WalkState, ip: int, aps: tuple[int, ...],
     each walk equals one that ran the layer itself.  The layer runs
     through ``_quantized_layer_outputs`` once, so its calibration,
     patches, input codes and matmuls are shared by all of ``aps``.
+    ``cells`` and ``work`` are as in ``walk_layers``.
     """
     q_index = _quantizable_index(net)
     if state.at not in q_index:
         raise ValueError(f"no quantizable layer to probe at layer {state.at}")
     adapt, x_eval = _quantized_layer_outputs(
         net.layers[state.at], state.adapt, state.eval, ip, aps, noise, platform,
-        (q_index.index(state.at),), {} if cells is None else cells)
+        (q_index.index(state.at),), {} if cells is None else cells, work)
     return [replace(state, at=state.at + 1, adapt=tuple(outs[k] for outs in adapt),
                     eval=None if x_eval is None else x_eval[k])
             for k in range(len(aps))]

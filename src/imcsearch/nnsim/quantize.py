@@ -27,30 +27,40 @@ def quantize_weights(weights: np.ndarray,
     return codes, scale
 
 
-def quantize_inputs(activations: np.ndarray, ip: int,
-                    amax: float) -> tuple[np.ndarray, float]:
+def quantize_inputs(activations: np.ndarray, ip: int, amax: float,
+                    out: np.ndarray | None = None,
+                    levels: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Float activations -> uint8 codes in [0, 2^ip - 1] plus scale; the
     calibrated max ``amax`` maps to 2^ip - 1, larger values clip to it and
     negative values to code 0.  The levels are computed in the
     activations' dtype (float32 in phase 2's walks).  The codes keep the
     activations' memory layout, so the transposed patch matrix of
-    ``im2col`` gives codes whose columns are contiguous."""
+    ``im2col`` gives codes whose columns are contiguous.
+
+    ``levels`` (an array of the activations' shape and dtype, which may be
+    ``activations`` itself) and ``out`` (the uint8 codes) are written
+    into when given, and allocated otherwise; the codes are ``out``.
+    """
     qmax = 2 ** ip - 1
     scale = amax / qmax if amax > 0 else 1.0
-    levels = np.divide(activations, scale, out=np.empty_like(activations))
+    levels = np.divide(activations, scale,
+                       out=np.empty_like(activations) if levels is None else levels)
     np.round(levels, out=levels)
-    np.clip(levels, 0, qmax, out=levels)
-    return levels.astype(np.uint8), scale
+    levels.clip(0, qmax, out=levels)
+    return _as_codes(levels, out), scale
 
 
-def adc_quantize(column_sum: np.ndarray, ap: int,
-                 full_range: float) -> np.ndarray:
+def adc_quantize(column_sum: np.ndarray, ap: int, full_range: float,
+                 out: np.ndarray | None = None,
+                 levels: np.ndarray | None = None) -> np.ndarray:
     """Uniform quantization of float partial sums to 2^ap-level codes.
 
     The step is full_range / 2^ap; values round to the nearest code
     (ties up) and clip to [0, 2^ap - 1].  The sums are converted in their
-    own dtype (float32 for the kernel's analog sums) into a fresh
-    ``uint8`` code array of their shape.
+    own dtype (float32 for the kernel's analog sums) into a ``uint8``
+    code array of their shape.  ``levels`` (in the sums' shape and dtype)
+    and ``out`` (the codes) are written into when given, and allocated
+    otherwise; the codes are ``out``.
     """
     if not 1 <= ap <= 8:
         raise ValueError(f"ap must be in [1, 8], got {ap}")
@@ -60,10 +70,21 @@ def adc_quantize(column_sum: np.ndarray, ap: int,
     # to uint8 truncates the clipped, non-negative levels, which is the
     # floor of round-half-up
     levels = np.divide(column_sum, full_range / (2 ** ap),
-                       out=np.empty_like(column_sum))
+                       out=np.empty_like(column_sum) if levels is None else levels)
     levels += 0.5
-    np.clip(levels, 0, 2 ** ap - 1, out=levels)
-    return levels.astype(np.uint8)
+    # the method skips np.clip's Python dispatch, ~2 us of each of the
+    # kernel's many small conversions
+    levels.clip(0, 2 ** ap - 1, out=levels)
+    return _as_codes(levels, out)
+
+
+def _as_codes(levels: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """Clipped, non-negative float levels truncated to uint8 codes, in
+    ``out`` or in a fresh array of the levels' memory layout."""
+    if out is None:
+        return levels.astype(np.uint8)
+    np.copyto(out, levels, casting="unsafe")
+    return out
 
 
 def adc_dequantize(codes: np.ndarray, ap: int, full_range: float) -> np.ndarray:

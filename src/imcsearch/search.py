@@ -336,7 +336,10 @@ def phase2_run(trained_net: RefNet, phase1_model: CandidateModel,
     resumes the walk from its own output.  One IP group's walks finish
     before the next group's layer outputs are made, so only one group's
     outputs are held at a time.  Each layer's cells are programmed on
-    first use and reused for the rest of the run.
+    first use and reused for the rest of the run.  So are the walks'
+    working arrays: the run keeps one ``work`` dict of buffers (see
+    ``nnsim.inference``), which its first steps with misses allocate, so
+    the later ones fault in no new memory, whatever the caller freed.
     """
     options = enumerate_options(space, 0, phase=2)
     n_layers = len(phase1_model.layers)
@@ -349,13 +352,15 @@ def phase2_run(trained_net: RefNet, phase1_model: CandidateModel,
     rng = np.random.default_rng(config.seed)
     ce_cache: dict[tuple, float] = {}
     cells: dict = {}  # programmed cells per layer key, kept for the run
+    work: dict = {}  # the walks' scratch buffers per role, kept for the run
     start = WalkState.begin([b.data.astype(np.float32) for b in data.adapt_batches],
                             data.eval_batch.data.astype(np.float32))
 
     def walk(state: WalkState, plan: list[tuple[int, int]],
              stop: int | None = None) -> WalkState:
         return walk_layers(trained_net, state, plan, noise, platform, stop,
-                           momentum=config.adapt_momentum, cells=cells)
+                           momentum=config.adapt_momentum, cells=cells,
+                           work=work)
 
     trace: list[dict] = []
     for step in range(config.n2_steps):
@@ -375,7 +380,7 @@ def phase2_run(trained_net: RefNet, phase1_model: CandidateModel,
                 group = [i for i in misses if options[i][1] == ip]
                 states = probe_layer(trained_net, prefix, ip,
                                      tuple(options[i][0] for i in group), noise,
-                                     platform, cells=cells)
+                                     platform, cells=cells, work=work)
                 for i in group:
                     # popped, so each output is freed once its walk is done
                     ce_cache[probes[i]] = cross_entropy(

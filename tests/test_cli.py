@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -790,6 +791,10 @@ def test_every_run_directory_lists_its_files_and_finishes(phase2_inputs,
         files = {p.name for p in run.iterdir() if p.is_file()}
         assert sorted(manifest["outputs"]) == sorted(files - {"manifest.json"})
         assert manifest["finished_at"] is not None
+        environment = manifest["environment"]
+        assert environment["numpy"] == np.__version__
+        assert set(environment["blas"]) == {"name", "version"}
+        assert "openblas_core" in environment
 
 
 def test_weights_check_draws_no_network(phase2_inputs, monkeypatch):

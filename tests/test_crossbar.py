@@ -133,7 +133,8 @@ def test_prepare_cells_rounds_each_noisy_cell_once_to_float32():
             zip(split_cells(cells), split_cells(ideal))):
         for polarity, (got, level) in enumerate(((pos, ideal_pos),
                                                  (neg, ideal_neg))):
-            mult = noise.multipliers(level.shape, (2, s, polarity))
+            draw = noise.generator((2, s, polarity)).standard_normal(level.shape)
+            mult = 1.0 + noise.sigma_over_mu * draw
             assert np.array_equal(got, (level.astype(float) * mult)
                                   .astype(np.float32))
 

@@ -25,6 +25,18 @@ def test_vgg16_space_option_counts():
     assert len(enumerate_options(space, 0, phase=2)) == 12
 
 
+@pytest.mark.parametrize("cd_index", range(-4, 4))
+def test_homogeneous_model_takes_the_ith_width_of_every_layer(cd_index):
+    space = vgg16_space()
+    model = homogeneous_model(space, cs=16, at=ADCType.SAR, ap=6, ip=8,
+                              cd_index=cd_index)
+    widths = [choice.cd_out for _, choice in model.layers]
+    # the classifier has one option, the class count
+    assert widths[-1] == space.class_count
+    assert widths[:-1] == [options[cd_index]
+                           for options in space.cd_options_per_layer[:-1]]
+
+
 def test_enumerate_options_order_is_cd_major():
     space = toy_space()
     opts = enumerate_options(space, 0, phase=1)

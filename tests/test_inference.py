@@ -245,9 +245,9 @@ def test_sums_above_the_calibrated_full_range_clip_to_the_top_adc_code(monkeypat
     ranges = []
     adc_quantize = inference.adc_quantize
 
-    def recording(column_sum, ap, full_range):
+    def recording(column_sum, ap, full_range, **buffers):
         ranges.append(full_range)
-        return adc_quantize(column_sum, ap, full_range)
+        return adc_quantize(column_sum, ap, full_range, **buffers)
 
     monkeypatch.setattr(inference, "adc_quantize", recording)
     _, (out,) = _quantized_layer_outputs(

@@ -188,6 +188,13 @@ def test_im2col_both_gathers_match_a_window_view(kernel, stride, pad, dtype):
         assert cols.shape == want.shape == (n * oh * ow, c * kernel ** 2)
         assert cols.strides == want.strides
         assert np.array_equal(cols, want)
+        # into buffers holding stale values: the same matrix, in ``out``
+        out = np.full((c * kernel ** 2, n * oh * ow), np.nan, dtype).T
+        padded = np.full((c, n) + tuple(d + 2 * pad for d in x.shape[2:]),
+                         np.nan, dtype)
+        got, _ = im2col(x, kernel, stride, pad, out=out, padded=padded)
+        assert np.shares_memory(got, out) and got.strides == want.strides
+        assert np.array_equal(got, want)
     # stride 2, or a 3x3 kernel without padding, keeps every row below 8
     assert widths == ({False} if stride == 2 or (kernel, pad) == (3, 0)
                       else {False, True})
@@ -313,8 +320,8 @@ def test_batchnorm_normalizes_in_the_activation_dtype():
 # training
 # ---------------------------------------------------------------------------
 
-def test_train_tiny_separable_blobs(trained_mlp):
-    assert trained_mlp.train_accuracy >= 0.95
+def test_train_tiny_separable_blobs(trained_mlp, blob_data):
+    assert accuracy(trained_mlp.forward(blob_data.data), blob_data.labels) >= 0.95
 
 
 def test_train_tiny_zero_lr_keeps_weights():

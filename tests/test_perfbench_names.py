@@ -109,9 +109,9 @@ def test_phase2_run_converts_at_the_benchmark_probe_points(toy, monkeypatch):
     original = quantize.adc_quantize
     sums = []
 
-    def recording(column_sum, ap, full_range):
+    def recording(column_sum, ap, full_range, **buffers):
         sums.append((column_sum.dtype, column_sum.shape))
-        return original(column_sum, ap, full_range)
+        return original(column_sum, ap, full_range, **buffers)
 
     aliases = tracer.module_aliases(original)
     assert aliases

@@ -119,6 +119,25 @@ def test_inputs_above_the_calibrated_max_clip_to_the_top_code():
     assert codes.tolist() == [255, 255, 255]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("transposed", [False, True], ids=["C", "im2col"])
+def test_quantize_inputs_into_buffers_matches_fresh_codes(dtype, transposed):
+    # levels written over the activations themselves and codes into a
+    # buffer of the activations' layout give the fresh codes and scale
+    rng = np.random.default_rng(5)
+    x = (rng.standard_normal((72, 40)) * 3).astype(dtype)
+    if transposed:  # im2col's patch layout: the transpose is C-contiguous
+        x = np.ascontiguousarray(x.T).T
+    for ip, amax in ((3, 4.0), (8, 2.5), (8, float(x.max()))):
+        want, want_scale = quantize_inputs(x, ip, amax)
+        levels = x.copy(order="K")
+        out = np.full_like(x, 99, dtype=np.uint8)  # in x's layout
+        got, scale = quantize_inputs(levels, ip, amax, out=out, levels=levels)
+        assert got is out and scale == want_scale
+        assert got.strides == want.strides
+        assert np.array_equal(got, want)
+
+
 def test_float_inputs_quantize_in_their_own_dtype():
     # a value next to a half level, where the two dtypes round apart
     x = np.array([2.122549], np.float32)
@@ -198,6 +217,11 @@ def test_adc_in_place_round_trip_matches_int64_codes(ap):
             codes = adc_quantize(sums, ap, full_range)
             assert codes.dtype == np.uint8 and codes.shape == sums.shape
             assert np.array_equal(codes, int64_adc_codes(sums, ap, full_range))
+            # into buffers holding stale values: the same codes, in ``out``
+            out = np.full(sums.shape, 99, np.uint8)
+            got = adc_quantize(sums, ap, full_range, out=out,
+                               levels=np.full_like(sums, np.nan))
+            assert got is out and np.array_equal(got, codes)
 
 
 def test_adc_quantize_validates_inputs():

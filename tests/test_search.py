@@ -494,6 +494,44 @@ def test_cells_memo_programs_each_layer_once(toy, monkeypatch):
     assert len(cells) == 4
 
 
+#: Four steps that probe layers 2, 1, 0 and 3: the first probes a conv,
+#: whose buffers are as large as any layer's.
+WORK_CONFIG = SearchConfig(area_constraint=1.0, n2_steps=4, seed=8, lr2=2.0)
+
+
+def test_phase2_run_reuses_its_work_buffers_across_steps(toy, monkeypatch):
+    space, model, net, data, platform = toy
+    works, held = [], []  # each walk's work dict; its buffers after each step
+
+    def passing_work(name):
+        original = getattr(search, name)
+
+        def recording(*args, work=None, **kwargs):
+            works.append(work)
+            return original(*args, work=work, **kwargs)
+
+        monkeypatch.setattr(search, name, recording)
+
+    passing_work("walk_layers")
+    passing_work("probe_layer")
+    step = search.sgd_step
+
+    def stepping(*args, **kwargs):
+        # the arrays themselves, so that no id is reused
+        held.append(dict(works[-1]))
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(search, "sgd_step", stepping)
+    result = phase2_run(net, model, space, platform, WORK_CONFIG, data, CAL)
+    assert [row["layer"] for row in result.trace] == [2, 1, 0, 3]
+    # one dict for the run, filled during the first step
+    assert all(work is works[0] for work in works)
+    assert len(held) == 4 and held[0]
+    for later in held[1:]:
+        assert later.keys() == held[0].keys()
+        assert all(later[role] is held[0][role] for role in held[0])
+
+
 #: Captured with every layer calibrated once per walk, on the adaptation
 #: batches, and with float32 cells and analog sums whose ADC codes shift
 #: and add exactly, on activations walked in float32; the seed probes
@@ -573,7 +611,7 @@ def _count_per_step(monkeypatch):
     def walk(net, state, plan, noise, platform, stop=None, **kwargs):
         current["prefix"] += stop is not None
 
-    def quantize(activations, ip, amax):
+    def quantize(activations, ip, amax, **buffers):
         if probing[0]:
             current["ips"].append(ip)
 
