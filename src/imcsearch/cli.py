@@ -297,7 +297,10 @@ def cmd_phase2(config_path: Path, phase1_dir: Path, weights_path: Path,
         train_batch = _fixture_batch(cfg, fixture.train_samples, cfg.search.seed)
         n_adapt = max(fixture.adapt_batch_size,
                       int(fixture.adapt_fraction * fixture.train_samples))
-        adapt = TensorBatch(train_batch.data[:n_adapt], train_batch.labels[:n_adapt])
+        # copies, so the run does not keep the rest of the draw alive
+        adapt = TensorBatch(train_batch.data[:n_adapt].copy(),
+                            train_batch.labels[:n_adapt].copy())
+        del train_batch
         eval_batch = _fixture_batch(cfg, fixture.eval_samples, cfg.search.seed + 1)
         data = Phase2Data(adapt_batches=split_batches(adapt,
                                                       fixture.adapt_batch_size),

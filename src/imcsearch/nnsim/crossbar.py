@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quantize import quantize_weights, weight_scale
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -65,10 +67,11 @@ class CellArrays:
         return self.columns.shape[1] // (2 * self.n_slices)
 
 
-#: Weight values per slab of ``prepare_cells``: the cells are made from
-#: slabs of whole weight rows of at most this many values (at least one
-#: row), so the float64 cells and variation draws of a whole layer (18 MiB
-#: each for VGG16's 4608 x 512 convolutions) never exist at once.
+#: Weight values per slab of ``prepare_cells``: the weights are quantized
+#: and the cells made in slabs of whole weight rows of at most this many
+#: values (at least one row), so the float64 weights, int64 codes, cells and
+#: variation draws of a whole layer (18 MiB each for VGG16's 4608 x 512
+#: convolutions) never exist at once.
 CELL_SLAB = 1 << 16
 
 
@@ -82,32 +85,52 @@ def prepare_cells(weight_matrix: np.ndarray, noise: NoiseSpec,
     multiplier is drawn once per slice and sign polarity and reused for
     every bit plane and row chunk, matching cells that are programmed once
     per inference run.  Each cell, its slice value times its float64
-    multiplier, is rounded once to the float32 ``columns``.  The cells are
-    made in row slabs (``CELL_SLAB``), each slice and polarity reading its
-    own variation stream on, so they equal those of one whole draw.
-    """
-    from .quantize import quantize_weights
+    multiplier, is rounded once to the float32 ``columns``.
 
-    codes, scale = quantize_weights(weight_matrix, weight_bits)
+    The weight scale is read from the whole matrix in its own dtype
+    (``quantize.weight_scale``); the codes and cells are then made in row
+    slabs (``CELL_SLAB``) with that scale, each slice and polarity reading
+    its own variation stream on, so they equal those of one whole matrix
+    and one whole draw, and only the float32 ``columns`` are layer-sized.
+    """
     if weight_bits % slice_bits != 0:
         raise ValueError(f"weight_bits ({weight_bits}) must be divisible by "
                          f"slice_bits ({slice_bits})")
-    rows, cols = codes.shape
+    scale = weight_scale(weight_matrix, weight_bits)
+    rows, cols = weight_matrix.shape
     n_slices = weight_bits // slice_bits
     columns = np.empty((rows, n_slices, 2, cols), dtype=np.float32)
     streams = [[noise.generator(key + (s, polarity)) for polarity in (0, 1)]
                for s in range(n_slices)]
     step = max(1, CELL_SLAB // max(1, cols))
     for start in range(0, rows, step):
-        slab = codes[start:start + step]
-        magnitude, polarities = np.abs(slab), (slab > 0, slab < 0)
-        for s in range(n_slices):
-            level = (magnitude >> (slice_bits * s)) & ((1 << slice_bits) - 1)
-            for polarity, mask in enumerate(polarities):
-                cells = np.where(mask, level, 0).astype(float)
-                rng = streams[s][polarity]
-                if rng is not None:
-                    cells *= 1.0 + noise.sigma_over_mu * rng.standard_normal(cells.shape)
-                columns[start:start + step, s, polarity] = cells
+        _program_slab(columns[start:start + step], weight_matrix[start:start + step],
+                      weight_bits, scale, slice_bits, noise.sigma_over_mu, streams)
     return CellArrays(columns=columns.reshape(rows, -1), n_slices=n_slices,
                       scale=scale, slice_bits=slice_bits)
+
+
+def _program_slab(out: np.ndarray, weights: np.ndarray, weight_bits: int,
+                  scale: float, slice_bits: int, sigma_over_mu: float,
+                  streams: list[list[np.random.Generator | None]]) -> None:
+    """``prepare_cells`` on one slab of weight rows: writes each slice and
+    polarity's cells into ``out``, the slab's (rows, slices, 2, cols)
+    float32 columns.  The codes, slice levels, float64 cells and
+    variation draws are a few slab-sized arrays, freed on return."""
+    codes, _ = quantize_weights(weights, weight_bits, scale)
+    polarities = codes > 0, codes < 0
+    magnitude = np.abs(codes, out=codes)
+    level = np.empty_like(magnitude)
+    cells, draw = np.empty(codes.shape), np.empty(codes.shape)
+    for s, slice_streams in enumerate(streams):
+        np.right_shift(magnitude, slice_bits * s, out=level)
+        level &= (1 << slice_bits) - 1
+        for polarity, (mask, rng) in enumerate(zip(polarities, slice_streams)):
+            np.multiply(level, mask, out=cells)
+            if rng is not None:
+                # 1 + sigma * draw, each step in place
+                rng.standard_normal(out=draw)
+                draw *= sigma_over_mu
+                draw += 1.0
+                cells *= draw
+            out[:, s, polarity] = cells

@@ -15,6 +15,14 @@ stored arrays all derive from that declaration.  No gradient array exists
 before the first ``backward``, and no weight array before the layer draws
 (``init_weights``) or loads its weights: until then its weights read as
 zeros and cannot be written in place.
+
+What a net holds between uses is its declared ``arrays`` and nothing
+else.  Training keeps per-batch state on the layers (each forward's
+cached values, each backward's gradients); ``train_tiny`` drops it when
+it returns or raises.  A built or trained net holds its arrays in the
+dtype it was drawn in (float64 unless asked otherwise); a loaded one
+holds its conv and dense arrays in the container's float32 and its
+batchnorm arrays in float64 (``load_net``).
 """
 
 from __future__ import annotations
@@ -205,6 +213,16 @@ class Layer:
 
     def spec(self) -> dict:
         return {"kind": self.kind, **{a: getattr(self, a) for a in self.args}}
+
+    def drop_training_state(self) -> None:
+        """Free what the last training batch left: the forward values kept
+        for ``backward`` (``_cache``, ``ReLU._mask``) and the gradients."""
+        state = vars(self)
+        for name in ("_cache", "_mask"):
+            if name in state:
+                state[name] = None
+        for name in self.param_names:
+            state.pop("d" + name, None)
 
 
 class Conv2D(Layer):
@@ -594,29 +612,36 @@ def train_tiny(net: RefNet, dataset: TensorBatch, epochs: int, lr: float,
     """Plain minibatch SGD on cross-entropy over the ideal forward pass.
 
     Mutates and returns ``net``.
-    Raises ``TrainingDiverged`` on a non-finite loss.
+    Raises ``TrainingDiverged`` on a non-finite loss.  On return and on
+    a raise alike, every layer drops its training state
+    (``Layer.drop_training_state``), so the net holds only its declared
+    ``arrays``.
     """
     if dataset.labels is None:
         raise ValueError("train_tiny needs a labeled dataset")
     rng = np.random.default_rng(seed)
     n = len(dataset)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            x, y = dataset.data[idx], dataset.labels[idx]
-            logits = net.forward(x, train=True)
-            loss = cross_entropy(logits, y)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"loss became non-finite ({loss})")
-            if lr == 0:
-                continue
-            dout = cross_entropy_grad(logits, y)
-            for layer in reversed(net.layers):
-                dout = layer.backward(dout)
-            for layer in net.layers:
-                for p, g in zip(layer.params(), layer.grads()):
-                    p -= lr * g
+    try:
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, batch_size):
+                idx = order[start:start + batch_size]
+                x, y = dataset.data[idx], dataset.labels[idx]
+                logits = net.forward(x, train=True)
+                loss = cross_entropy(logits, y)
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(f"loss became non-finite ({loss})")
+                if lr == 0:
+                    continue
+                dout = cross_entropy_grad(logits, y)
+                for layer in reversed(net.layers):
+                    dout = layer.backward(dout)
+                for layer in net.layers:
+                    for p, g in zip(layer.params(), layer.grads()):
+                        p -= lr * g
+    finally:
+        for layer in net.layers:
+            layer.drop_training_state()
     return net
 
 
@@ -707,10 +732,18 @@ def save_net(net: RefNet, path) -> None:
 
 
 def load_net(path) -> RefNet:
-    """The network ``save_net`` wrote to ``path``.  A malformed container,
-    a non-finite array or a negative running variance raises a
-    ``ValueError`` naming the array (``layers.<i>.<name>``) where there is
-    one; the caller, which knows the path, names the file."""
+    """The network ``save_net`` wrote to ``path``.
+
+    Conv and dense arrays stay in the container's float32, so a loaded
+    net holds half the bytes of a float64 one; every reader widens them
+    exactly (``quantize_weights`` casts to float64, and a product with a
+    float64 operand promotes).  Batchnorm arrays are float64, because a
+    walk blends running statistics in their own dtype.
+
+    A malformed container, one cut short or with bytes after its last
+    array, a non-finite array or a negative running variance raises a
+    ``ValueError`` naming the array (``layers.<i>.<name>``) where there
+    is one; the caller, which knows the path, names the file."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != _MAGIC:
@@ -733,13 +766,22 @@ def load_net(path) -> RefNet:
             if shape != target.shape:
                 raise ValueError(f"array {name} has shape {list(shape)}, "
                                  f"its layer expects {list(target.shape)}")
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(f.read(4 * count), dtype="<f4").reshape(shape)
+            nbytes = 4 * math.prod(shape)
+            raw = f.read(nbytes)
+            if len(raw) != nbytes:
+                raise ValueError(f"array {name} is cut short: {len(raw)} of "
+                                 f"{nbytes} bytes")
+            data = np.frombuffer(raw, dtype="<f4").reshape(shape)
             _, index, attr = name.split(".")
             # a NaN or a negative variance would run on as silent NaNs
             if not np.all(np.isfinite(data)):
                 raise ValueError(f"array {name} is not finite")
             if attr == "running_var" and np.any(data < 0):
                 raise ValueError(f"array {name} has a negative variance")
-            setattr(net.layers[int(index)], attr, data.astype(float))
+            layer = net.layers[int(index)]
+            setattr(layer, attr, data.astype(
+                float if isinstance(layer, BatchNorm) else np.float32))
+        trailing = len(f.read())
+        if trailing:
+            raise ValueError(f"{trailing} trailing bytes after the last array")
     return net

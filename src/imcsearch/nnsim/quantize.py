@@ -11,20 +11,39 @@ from __future__ import annotations
 import numpy as np
 
 
-def quantize_weights(weights: np.ndarray,
-                     weight_bits: int) -> tuple[np.ndarray, float]:
+def quantize_weights(weights: np.ndarray, weight_bits: int,
+                     scale: float | None = None) -> tuple[np.ndarray, float]:
     """Symmetric uniform quantization: int64 codes in [-q, q], q =
     2^(weight_bits-1) - 1, and the scale that maps the max-magnitude weight
-    to q, so a weight is its code times the scale.  An all-zero tensor gets
-    scale 1 so the mapping stays invertible."""
+    to q, so a weight is its code times the scale (``weight_scale``).
+
+    ``scale``, when given, is the ``weight_scale`` of a whole matrix of
+    which ``weights`` is a slab of rows: ``crossbar.prepare_cells``
+    quantizes slab by slab, so no float64 copy or int64 code matrix of a
+    whole layer exists.  The codes are those of the whole matrix's rows."""
     weights = np.asarray(weights, dtype=float)
-    if not np.all(np.isfinite(weights)):
+    if scale is None:
+        scale = weight_scale(weights, weight_bits)
+    elif not np.all(np.isfinite(weights)):
         raise ValueError("weights must be finite")
     qmax = 2 ** (weight_bits - 1) - 1
-    wmax = float(np.max(np.abs(weights))) if weights.size else 0.0
-    scale = wmax / qmax if wmax > 0 else 1.0
-    codes = np.clip(np.round(weights / scale), -qmax, qmax).astype(np.int64)
-    return codes, scale
+    levels = weights / scale
+    np.round(levels, out=levels)
+    levels.clip(-qmax, qmax, out=levels)
+    return levels.astype(np.int64), scale
+
+
+def weight_scale(weights: np.ndarray, weight_bits: int) -> float:
+    """The weight scale: the largest magnitude over 2^(weight_bits-1) - 1,
+    or 1 for an all-zero tensor, so the mapping stays invertible.  Read in
+    the weights' own float dtype as max(w.max(), -w.min()), which equals
+    max|w| exactly and makes no array.  A non-finite weight raises."""
+    weights = np.asarray(weights)
+    wmax = float(np.maximum(weights.max(), -weights.min())) if weights.size else 0.0
+    if not np.isfinite(wmax):
+        raise ValueError("weights must be finite")
+    qmax = 2 ** (weight_bits - 1) - 1
+    return wmax / qmax if wmax > 0 else 1.0
 
 
 def quantize_inputs(activations: np.ndarray, ip: int, amax: float,

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -379,18 +380,43 @@ def test_phase2_assignment_lists_the_unprobed_layers(phase2_inputs, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["junk", "truncated_header",
-                                  "truncated_arrays", "one_float_arrays"])
+                                  "truncated_arrays", "one_float_arrays",
+                                  "trailing_bytes"])
 def test_malformed_weights_file_exits_2_naming_the_file(phase2_inputs, tmp_path,
                                                         capsys, case):
     blob = phase2_inputs[2].read_bytes()
     weights = tmp_path / "net.bin"
     weights.write_bytes({"junk": b"not a network", "truncated_header": blob[:10],
                          "truncated_arrays": blob[:-4],
-                         "one_float_arrays": one_float_per_array(blob)}[case])
+                         "one_float_arrays": one_float_per_array(blob),
+                         "trailing_bytes": blob + bytes(4)}[case])
     out = tmp_path / "phase2"
     assert run_phase2(phase2_inputs, weights, out) == cli.EXIT_CONFIG
     assert f"error: {weights}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_phase2_holds_only_the_adaptation_rows_of_its_training_draw(
+        phase2_inputs, tmp_path, monkeypatch):
+    # the adaptation batches are copies, so the rest of the draw is freed
+    # before the search runs
+    draws, alive = {}, []
+    draw, run = cli._fixture_batch, cli.phase2_run
+
+    def recording(cfg, n, seed):
+        batch = draw(cfg, n, seed)
+        draws[n] = weakref.ref(batch.data)
+        return batch
+
+    def checking(*args):
+        alive.append(draws[16]() is not None)  # the fixture's train_samples
+        return run(*args)
+
+    monkeypatch.setattr(cli, "_fixture_batch", recording)
+    monkeypatch.setattr(cli, "phase2_run", checking)
+    assert run_phase2(phase2_inputs, phase2_inputs[2],
+                      tmp_path / "phase2") == cli.EXIT_OK
+    assert alive == [False]
 
 
 @pytest.mark.parametrize("name, value", [("running_var", -1.0),

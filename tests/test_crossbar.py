@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from imcsearch.nnsim import crossbar
 from imcsearch.nnsim.crossbar import (
     CellArrays,
     NoiseSpec,
@@ -166,3 +169,52 @@ def test_kernel_refuses_code_sums_that_could_overflow_int32():
     codes = np.zeros((1, 33026), dtype=np.uint8)
     with pytest.raises(ValueError, match="int32"):
         _noisy_matmul(cells, (5, 8), 8, codes, 1, 255.0)
+
+
+def _slab_weights():
+    # the largest magnitude is negative, so the scale reads -w.min()
+    w = np.random.default_rng(9).standard_normal((40, 6))
+    w[17, 2] = -4.0
+    return w
+
+
+@pytest.mark.parametrize("slab", [1, 6, 7 * 6, 40 * 6],
+                         ids=["one_value", "one_row", "partial_last", "whole"])
+def test_prepare_cells_in_slabs_equals_one_slab(monkeypatch, slab):
+    # 1 and 6 values give one-row slabs; 42 gives slabs of 7 rows, the last
+    # of 5; 240 gives one slab of all 40 rows
+    w = _slab_weights()
+    noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=11)
+    want = prepare_cells(w, noise, 8, 4, key=(1,))
+    monkeypatch.setattr(crossbar, "CELL_SLAB", slab)
+    got = prepare_cells(w, noise, 8, 4, key=(1,))
+    assert got.scale == want.scale
+    assert np.array_equal(got.columns, want.columns)
+
+
+def test_prepare_cells_of_float32_weights_equals_their_float64_cast(monkeypatch):
+    # a loaded net's weights are float32; every cell must be the same
+    monkeypatch.setattr(crossbar, "CELL_SLAB", 7 * 6)
+    w = _slab_weights().astype(np.float32)
+    noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=11)
+    got, want = (prepare_cells(v, noise, 8, 4, key=(1,))
+                 for v in (w, w.astype(float)))
+    assert got.scale == want.scale
+    assert np.array_equal(got.columns, want.columns)
+
+
+def test_programming_a_multi_slab_layer_holds_its_cells_and_a_few_slabs():
+    # a 1152 x 256 layer is 4.5 slabs of weights; its float32 cells are
+    # 4.5 MiB and one slab of float64 is 512 KiB
+    w = np.random.default_rng(10).standard_normal((1152, 256)).astype(np.float32)
+    noise = NoiseSpec(sigma_over_mu=0.2, rng_seed=12)
+    prepare_cells(w[:4], noise, 8, 4)  # imports and first-call set-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cells = prepare_cells(w, noise, 8, 4)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert cells.columns.nbytes == 1152 * 256 * 4 * 4
+    assert peak <= cells.columns.nbytes + 6 * crossbar.CELL_SLAB * 8

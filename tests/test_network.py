@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -361,6 +362,27 @@ def test_train_tiny_reports_divergence():
             train_tiny(net, data, epochs=1, lr=0.1, batch_size=16, seed=3)
 
 
+def _held_arrays(layer) -> set[str]:
+    """Names of a layer's attributes that hold arrays, alone or in a tuple."""
+    return {name for name, value in vars(layer).items()
+            if isinstance(value, np.ndarray) or (isinstance(value, tuple) and any(
+                isinstance(v, np.ndarray) for v in value))}
+
+
+def test_train_tiny_leaves_each_layer_only_its_declared_arrays():
+    # the last minibatch's caches, ReLU masks and gradients are dropped
+    data = make_patterns(48, seed=3)
+    net = train_tiny(_every_kind_net(), data, epochs=2, lr=0.05, batch_size=16,
+                     seed=3)
+    assert all(_held_arrays(layer) == set(layer.arrays) for layer in net.layers)
+    # and on a raise: a step this large diverges after backward has run
+    net = fc_net([2, 8, 2], seed=3)
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
+        train_tiny(net, make_blobs(64, seed=3), epochs=5, lr=1e150,
+                   batch_size=16, seed=3)
+    assert all(_held_arrays(layer) == set(layer.arrays) for layer in net.layers)
+
+
 def test_zero_weight_net_constant_logits():
     net = fc_net([2, 4, 2], seed=0)
     for layer in net.layers:
@@ -506,6 +528,35 @@ def test_load_rejects_an_array_of_another_shape(tmp_path):
     path.write_bytes(one_float_per_array(path.read_bytes()))
     with pytest.raises(ValueError, match=r"array layers\.0\.weight has shape "
                                          r"\[1\], its layer expects \[2, 4\]"):
+        load_net(path)
+
+
+def test_load_net_keeps_conv_and_dense_arrays_in_float32(tmp_path):
+    # a walk blends batchnorm statistics in their own dtype, so they widen
+    path = tmp_path / "net.imcn"
+    save_net(_every_kind_net(), path)
+    for layer in load_net(path).layers:
+        want = np.float64 if isinstance(layer, BatchNorm) else np.float32
+        for name in layer.arrays:
+            array = getattr(layer, name)
+            assert array.dtype == want and array.flags.writeable
+
+
+def test_load_rejects_a_container_cut_short_or_with_trailing_bytes(tmp_path):
+    path = tmp_path / "net.imcn"
+    net = _every_kind_net()
+    save_net(net, path)
+    blob = path.read_bytes()
+    (first, weight), *_, (last, _) = network._named_arrays(net)
+    head = 12 + struct.unpack("<I", blob[8:12])[0]
+    for cut, name, got, want in ((head + 6, first, 6, 4 * weight.size),
+                                 (len(blob) - 4, last, 4, 8)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError, match=rf"^array {re.escape(name)} is cut "
+                                             rf"short: {got} of {want} bytes$"):
+            load_net(path)
+    path.write_bytes(blob + bytes(3))
+    with pytest.raises(ValueError, match="^3 trailing bytes after the last array$"):
         load_net(path)
 
 

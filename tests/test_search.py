@@ -564,6 +564,24 @@ def test_phase2_run_golden(toy):
     assert result.assignment == GOLDEN_ASSIGNMENT
 
 
+def test_phase2_run_on_a_loaded_net_equals_its_float64_cast(toy, tmp_path):
+    # the phase2 CLI's situation: the loaded conv and dense arrays stay float32
+    space, model, net, data, platform = toy
+    path = tmp_path / "net.imcn"
+    network.save_net(net, path)
+    loaded, cast = network.load_net(path), network.load_net(path)
+    for layer in cast.layers:
+        for name in layer.arrays:
+            setattr(layer, name, getattr(layer, name).astype(float))
+    assert loaded.layers[0].weight.dtype == np.float32
+    config = SearchConfig(area_constraint=1.0, n2_steps=6, seed=GOLDEN_SEED,
+                          lr2=2.0)
+    got, want = (phase2_run(n, model, space, platform, config, data, CAL)
+                 for n in (loaded, cast))
+    assert got.trace == want.trace
+    assert got.assignment == want.assignment
+
+
 #: Captured with the calibration and kernel of ``GOLDEN_TRACE``: steps 1-3 and 5-7
 #: each find one of their 12 probes in the CE cache, step 4 finds all of
 #: them.
