@@ -8,6 +8,10 @@ puts each phase-1 point's directory at ``point_<value:g>`` under its own,
 with ``"sweep": {"axis", "value"}`` in the point's manifest; ``--values``
 whose directory names clash are refused.
 
+A manifest's ``outputs`` lists, in write order, exactly the files its run
+wrote; ``phase2`` refuses a phase-1 directory whose manifest records a
+failure, is unfinished or does not list ``selected_model.json``.
+
 ``_exit_code`` maps every failure to its exit code.  A run that fails
 after its directory exists records the code and the message in its
 manifest as ``"failure": {"code", "message"}``.  A sweep point's status
@@ -27,6 +31,8 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import hashlib
+import json
 import struct
 import sys
 import time
@@ -46,15 +52,7 @@ from .config import (
 )
 from .costmodel import CostReport, model_cost
 from .designspace import ADCType, CandidateModel, validate_candidate
-from .io import (
-    load_model,
-    model_to_dict,
-    sha256_file,
-    write_json,
-    write_pool,
-    write_report,
-    write_trace,
-)
+from .io import load_model, model_to_dict, pool_to_dict, write_json, write_trace
 from .nnsim import (
     RefNet,
     TensorBatch,
@@ -108,7 +106,9 @@ def _openblas_core() -> str | None:
 
 
 class _RunDir:
-    """Run-directory bookkeeping: snapshot first, manifest before results.
+    """Run-directory bookkeeping.  ``write`` is the one way a file gets in:
+    it writes the file, then lists it in the manifest's ``outputs``, which
+    so names, in write order, exactly the files on disk that this run wrote.
 
     A context manager: a mapped failure (``_exit_code``) raised inside the
     ``with`` block is recorded as the manifest's ``"failure": {"code",
@@ -119,30 +119,41 @@ class _RunDir:
                  seed: int, **manifest):
         self.path = out_dir
         self.path.mkdir(parents=True, exist_ok=True)
-        snapshot = self.path / "config_snapshot.yaml"
-        snapshot.write_bytes(Path(config_path).read_bytes())
+        snapshot = Path(config_path).read_bytes()
         self.manifest = {
             "command": command,
-            "config_hash": f"sha256:{sha256_file(snapshot)}",
+            "config_hash": f"sha256:{hashlib.sha256(snapshot).hexdigest()}",
             "seed": seed,
             "tool_version": __version__,
             "started_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "finished_at": None,
-            "outputs": ["config_snapshot.yaml"],
+            "outputs": [],
             **manifest,
             "environment": _environment(),
         }
+        self.write("config_snapshot.yaml", snapshot)
+
+    def write(self, name: str, payload: bytes | dict | list[dict]) -> None:
+        """Write ``name`` (bytes verbatim, a dict as JSON, rows as CSV) and
+        list it among the manifest's outputs."""
+        path = self.path / name
+        if isinstance(payload, bytes):
+            path.write_bytes(payload)
+        elif isinstance(payload, dict):
+            write_json(path, payload)
+        else:
+            write_trace(path, payload)
+        self.manifest["outputs"].append(name)
         self.record()
 
-    def record(self, *names: str) -> None:
-        self.manifest["outputs"].extend(names)
+    def record(self) -> None:
         write_json(self.path / "manifest.json", self.manifest)
 
-    def finish(self, *names: str) -> None:
-        """Record ``names`` and stamp the run finished."""
+    def finish(self) -> None:
+        """Stamp the run finished."""
         self.manifest["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                                      time.gmtime())
-        self.record(*names)
+        self.record()
 
     def __enter__(self) -> _RunDir:
         return self
@@ -218,8 +229,9 @@ def cmd_eval(config_path: Path, model_path: Path, out_dir: Path,
     cfg = _apply_seed(load_config(config_path), seed)
     _, report = _eval(cfg, config_path, model_path)
     run = _RunDir(out_dir, "eval", config_path, cfg.search.seed)
-    write_report(report, run.path / "report.json", run.path / "report.csv")
-    run.finish("report.json", "report.csv")
+    run.write("report.json", report.to_dict())
+    run.write("report.csv", report.csv_rows())
+    run.finish()
     print(f"eval: area {report.area:.4g} mm^2, delay {report.delay:.4g} ns, "
           f"energy {report.energy:.4g} pJ, EDAP {report.edap:.4g}, "
           f"psi {report.psi:.4g}")
@@ -248,24 +260,23 @@ def _phase1(cfg: AppConfig, config_path: Path, out_dir: Path, command: str,
     with _RunDir(out_dir, command, config_path, cfg.search.seed,
                  **manifest) as run:
         result = phase1_run(cfg.space, cfg.platform, cfg.search)
-        write_trace(result.trace, run.path / "phase1_trace.csv")
-        run.record("phase1_trace.csv")
-        area_constraint = cfg.search.area_constraint
-        if not result.pool.admitted():
-            write_pool(result.pool, run.path / "pool.json", area_constraint)
-            run.finish("pool.json")
+        run.write("phase1_trace.csv", result.trace)
+        selected = None
+        if result.pool.admitted():
+            hd_batch = _fixture_batch(cfg, cfg.search.hd_batch_size,
+                                      cfg.search.seed)
+            selected = rank_candidates(result.pool, hd_batch, cfg.search.seed,
+                                       cfg.space.class_count)
+        run.write("pool.json", pool_to_dict(
+            result.pool, cfg.search.area_constraint,
+            selected_key=None if selected is None else selected.choice_key()))
+        if selected is None:
+            run.finish()
             raise EmptyPoolError(_empty_pool_message(result.pool, cfg.search))
-        hd_batch = _fixture_batch(cfg, cfg.search.hd_batch_size, cfg.search.seed)
-        selected = rank_candidates(result.pool, hd_batch, cfg.search.seed,
-                                   cfg.space.class_count)
-        write_pool(result.pool, run.path / "pool.json", area_constraint,
-                   selected_key=selected.choice_key())
-        write_json(run.path / "selected_model.json",
-                   model_to_dict(selected.model))
-        write_report(selected.report, run.path / "selected_report.json",
-                     run.path / "selected_report.csv")
-        run.finish("pool.json", "selected_model.json", "selected_report.json",
-                   "selected_report.csv")
+        run.write("selected_model.json", model_to_dict(selected.model))
+        run.write("selected_report.json", selected.report.to_dict())
+        run.write("selected_report.csv", selected.report.csv_rows())
+        run.finish()
     return selected
 
 
@@ -278,9 +289,27 @@ def cmd_phase1(config_path: Path, out_dir: Path, seed: int | None = None) -> int
     return EXIT_OK
 
 
+def _phase1_problem(manifest_path: Path) -> str | None:
+    """Why the phase-1 run of ``manifest_path`` has no selected model of
+    its own (it failed, did not finish or wrote none), or None."""
+    manifest = json.loads(manifest_path.read_text())
+    if "failure" in manifest:
+        return f"failed with exit code {manifest['failure']['code']}"
+    if manifest["finished_at"] is None:
+        return "did not finish"
+    if "selected_model.json" not in manifest["outputs"]:
+        return "wrote no selected_model.json"
+    return None
+
+
 def cmd_phase2(config_path: Path, phase1_dir: Path, weights_path: Path,
                out_dir: Path, seed: int | None = None) -> int:
     cfg = _apply_seed(load_config(config_path), seed)
+    # a directory without a manifest, made by hand, is taken as it is
+    manifest = Path(phase1_dir) / "manifest.json"
+    if manifest.is_file() and (problem := _load(_phase1_problem, manifest)):
+        raise ConfigError(f"{manifest}: the phase1 run {problem}; any "
+                          f"selected model in its directory is not its own")
     model_file = Path(phase1_dir) / "selected_model.json"
     if not model_file.is_file():
         raise ConfigError(f"phase1 run directory has no selected model: "
@@ -306,21 +335,20 @@ def cmd_phase2(config_path: Path, phase1_dir: Path, weights_path: Path,
                                                       fixture.adapt_batch_size),
                           eval_batch=eval_batch)
         result = phase2_run(net, model, cfg.space, cfg.platform, cfg.search, data)
-        write_trace(result.trace, run.path / "phase2_trace.csv")
+        run.write("phase2_trace.csv", result.trace)
         final_model = apply_assignment(model, result.assignment)
-        write_json(run.path / "final_model.json", model_to_dict(final_model))
+        run.write("final_model.json", model_to_dict(final_model))
         report = model_cost(final_model, cfg.platform)
-        write_report(report, run.path / "final_report.json",
-                     run.path / "final_report.csv")
+        run.write("final_report.json", report.to_dict())
+        run.write("final_report.csv", report.csv_rows())
         # a layer no step probed ends at its delay-only option, with no CE evidence
         probed = {row["layer"] for row in result.trace}
-        write_json(run.path / "assignment.json",
-                   {"per_layer_ap_ip": [list(a) for a in result.assignment],
-                    "delay_ref_ns": result.delay_ref,
-                    "unprobed_layers": [layer for layer in range(len(result.assignment))
-                                        if layer not in probed]})
-        run.finish("phase2_trace.csv", "final_model.json", "final_report.json",
-                   "final_report.csv", "assignment.json")
+        run.write("assignment.json",
+                  {"per_layer_ap_ip": [list(a) for a in result.assignment],
+                   "delay_ref_ns": result.delay_ref,
+                   "unprobed_layers": [layer for layer in range(len(result.assignment))
+                                       if layer not in probed]})
+        run.finish()
     print(f"phase2: assignment {result.assignment}; final delay "
           f"{report.delay:.4g} ns, EDAP {report.edap:.4g}")
     return EXIT_OK
@@ -352,11 +380,9 @@ def _outcome(fn, *args) -> tuple[int, str, object]:
         return code, str(exc), None
 
 
-#: The sweep status that names each exit code, and its inverse: a sweep
-#: exits with the largest code among its points.
+#: The sweep status that names each exit code.
 _SWEEP_STATUS = {EXIT_OK: "ok", EXIT_CONFIG: "config_error",
                  EXIT_EMPTY_POOL: "empty_pool", EXIT_NUMERIC: "numeric_error"}
-_SWEEP_EXIT = {status: code for code, status in _SWEEP_STATUS.items()}
 
 _SWEEP_AXES = ("area_constraint", "xbar_size")
 _SWEEP_COLUMNS = ("value", "status", "message", "area_mm2", "delay_ns",
@@ -388,11 +414,7 @@ def _point_columns(config_path: Path, axis: str, value: float, point_dir: str,
         model, report = selected.model, selected.report
     n = len(model.layers)
     return {
-        "area_mm2": report.area,
-        "delay_ns": report.delay,
-        "energy_pJ": report.energy,
-        "edap_mJ_ms_mm2": report.edap,
-        "psi": report.psi,
+        **report.totals(),
         "mean_cs": sum(c.cs for _, c in model.layers) / n,
         "sar_fraction": sum(1 for _, c in model.layers
                             if c.at is ADCType.SAR) / n,
@@ -401,10 +423,10 @@ def _point_columns(config_path: Path, axis: str, value: float, point_dir: str,
 
 
 def _sweep_point(args: tuple) -> dict:
-    """One sweep point's row; runs in a worker process."""
+    """One sweep point's row and exit code; runs in a worker process."""
     code, message, columns = _outcome(_point_columns, *args)
-    return {"value": args[2], "status": _SWEEP_STATUS[code], "message": message,
-            **(columns or {})}
+    return {"value": args[2], "code": code, "status": _SWEEP_STATUS[code],
+            "message": message, **(columns or {})}
 
 
 def _sweep_values(text: str) -> list[float]:
@@ -440,13 +462,13 @@ def cmd_sweep(config_path: Path, axis: str, values: list[float], out_dir: Path,
             rows = list(pool.map(_sweep_point, tasks))
     else:
         rows = [_sweep_point(t) for t in tasks]
-    ordered = [{col: row.get(col, "") for col in _SWEEP_COLUMNS} for row in rows]
-    write_trace(ordered, run.path / "sweep.csv")
-    run.finish("sweep.csv")
-    ok = sum(r["status"] == "ok" for r in rows)
+    run.write("sweep.csv", [{col: row.get(col, "") for col in _SWEEP_COLUMNS}
+                            for row in rows])
+    run.finish()
+    ok = sum(r["code"] == EXIT_OK for r in rows)
     print(f"sweep: {ok}/{len(rows)} points ok; "
           f"results in {run.path / 'sweep.csv'}")
-    return max(_SWEEP_EXIT[r["status"]] for r in rows)
+    return max(r["code"] for r in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ class ADCProfile:
     area: float  # mm^2
     energy_per_conversion: float  # pJ
     latency_per_conversion: float  # ns
-    comparator_count: int
 
 
 def adc_profile(at: ADCType, ap: int, platform: PlatformParams) -> ADCProfile:
@@ -69,14 +68,12 @@ def adc_profile(at: ADCType, ap: int, platform: PlatformParams) -> ADCProfile:
             area=n_cmp * cmp_.area + n_cmp * uc["flash_encoder"].area,
             energy_per_conversion=n_cmp * cmp_.energy,
             latency_per_conversion=cmp_.latency,
-            comparator_count=n_cmp,
         )
     sar = uc["sar_logic"]
     return ADCProfile(
         area=cmp_.area + (2 ** ap) * sar.area,
         energy_per_conversion=ap * (cmp_.energy + sar.energy),
         latency_per_conversion=ap * platform.clock_period,
-        comparator_count=1,
     )
 
 
@@ -354,39 +351,31 @@ class CostReport:
     op_count: int
     per_layer: tuple[LayerCost, ...]
 
+    def totals(self) -> dict[str, float]:
+        """The five headline figures, keyed as every run file names them."""
+        return {"area_mm2": self.area, "delay_ns": self.delay,
+                "energy_pJ": self.energy, "edap_mJ_ms_mm2": self.edap,
+                "psi": self.psi}
+
     def to_dict(self) -> dict:
         return {
-            "area_mm2": self.area,
-            "delay_ns": self.delay,
-            "energy_pJ": self.energy,
-            "edap_mJ_ms_mm2": self.edap,
+            **self.totals(),
             "tops_per_watt": self.tops_per_watt,
             "tops_per_mm2": self.tops_per_mm2,
-            "psi": self.psi,
             "op_count": self.op_count,
             "per_layer": [lc.to_dict() for lc in self.per_layer],
         }
 
     def csv_rows(self) -> list[dict[str, object]]:
-        """Flat per-layer rows plus a totals row; units in the column names."""
-        rows: list[dict[str, object]] = []
-        for idx, lc in enumerate(self.per_layer):
-            rows.append({
-                "layer": idx,
-                "tiles": lc.tiles,
-                "read_cycles_per_activation": lc.read_cycles_per_activation,
-                "area_mm2": lc.area,
-                "delay_ns": lc.delay,
-                "energy_pJ": lc.energy,
-            })
-        rows.append({
-            "layer": "total",
-            "tiles": sum(lc.tiles for lc in self.per_layer),
-            "read_cycles_per_activation": "",
-            "area_mm2": self.area,
-            "delay_ns": self.delay,
-            "energy_pJ": self.energy,
-        })
+        """Flat per-layer rows plus a totals row; units in the column names.
+        The totals row leaves blank the columns that have no total."""
+        rows = [
+            {"layer": idx, **{key: value for key, value in lc.to_dict().items()
+                              if key != "breakdown"}}
+            for idx, lc in enumerate(self.per_layer)]
+        total = {"layer": "total", **self.totals(),
+                 "tiles": sum(lc.tiles for lc in self.per_layer)}
+        rows.append({key: total.get(key, "") for key in rows[0]})
         return rows
 
 

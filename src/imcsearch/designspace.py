@@ -31,6 +31,11 @@ class LayerShape:
 
     Fully-connected layers are mapped as 1x1 convolutions over a 1x1
     spatial extent, so the same tile arithmetic applies everywhere.
+
+    Kernels are odd.  The reference network pads ``kernel // 2`` on each
+    side, which keeps an odd kernel's output at ``out_spatial``'s
+    ``ceil(in / stride)``; an even kernel would give one more row and
+    column than the cost model counts.
     """
 
     kernel: int = 3
@@ -39,8 +44,8 @@ class LayerShape:
     is_fc: bool = False
 
     def __post_init__(self) -> None:
-        if self.kernel < 1:
-            raise ValueError(f"kernel must be >= 1, got {self.kernel}")
+        if self.kernel < 1 or self.kernel % 2 == 0:
+            raise ValueError(f"kernel must be odd and >= 1, got {self.kernel}")
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
         h, w = self.in_spatial

@@ -8,12 +8,10 @@ produce byte-identical files.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 from pathlib import Path
 
 from .config import _bool, _int
-from .costmodel import CostReport
 from .designspace import ADCType, CandidateModel, LayerChoice, LayerShape
 from .search import CandidatePool, PoolEntry, relative_area_error
 
@@ -77,11 +75,6 @@ def load_model(path: str | Path) -> CandidateModel:
         return model_from_dict(json.load(f))
 
 
-def write_report(report: CostReport, json_path: Path, csv_path: Path) -> None:
-    write_json(json_path, report.to_dict())
-    write_trace(report.csv_rows(), csv_path)
-
-
 def pool_entry_to_dict(entry: PoolEntry) -> dict:
     return {
         "model": model_to_dict(entry.model),
@@ -91,20 +84,16 @@ def pool_entry_to_dict(entry: PoolEntry) -> dict:
         "hd_norm": entry.hd_norm,
         "delay_norm": entry.delay_norm,
         "rank_score": entry.rank_score,
-        "area_mm2": entry.report.area,
-        "delay_ns": entry.report.delay,
-        "energy_pJ": entry.report.energy,
-        "edap_mJ_ms_mm2": entry.report.edap,
-        "psi": entry.report.psi,
+        **entry.report.totals(),
     }
 
 
-def write_pool(pool: CandidatePool, path: Path, area_constraint: float,
-               selected_key: tuple | None = None) -> None:
+def pool_to_dict(pool: CandidatePool, area_constraint: float,
+                 selected_key: tuple | None = None) -> dict:
     """The pool's entries, the selected entry's choices and, when nothing
     was admitted, the nearest miss: its step, area and relative area error."""
     miss = pool.nearest_miss(area_constraint)
-    payload = {
+    return {
         "entries": [pool_entry_to_dict(e) for e in pool.entries],
         "admitted_count": len(pool.admitted()),
         "selected": list(map(list, selected_key)) if selected_key else None,
@@ -115,10 +104,9 @@ def write_pool(pool: CandidatePool, path: Path, area_constraint: float,
                                                   area_constraint),
         },
     }
-    write_json(path, payload)
 
 
-def write_trace(rows: list[dict], path: Path) -> None:
+def write_trace(path: Path, rows: list[dict]) -> None:
     """CSV with the first row's keys as header; an empty file for no rows."""
     with open(path, "w", newline="") as f:
         if not rows:
@@ -128,11 +116,3 @@ def write_trace(rows: list[dict], path: Path) -> None:
         for row in rows:
             writer.writerow({k: (repr(v) if isinstance(v, float) else v)
                              for k, v in row.items()})
-
-
-def sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()

@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 import weakref
@@ -588,6 +589,41 @@ def test_phase2_weights_of_another_model_exit_2_naming_both_files(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case, problem", [
+    ("failed", "failed with exit code 3"),
+    ("unfinished", "did not finish"),
+    ("unlisted", "wrote no selected_model.json"),
+])
+def test_phase2_refuses_a_phase1_directory_whose_manifest_lacks_its_selection(
+        phase2_inputs, tmp_path, capsys, case, problem):
+    path, phase1_dir, weights = phase2_inputs
+    stale = tmp_path / "phase1"
+    shutil.copytree(phase1_dir, stale)
+    manifest_path = stale / "manifest.json"
+    if case == "failed":
+        # a re-run that admits nothing leaves the first run's selection behind
+        rerun = write_config(tmp_path, dict(CONFIG["search"],
+                                            area_constraint_mm2=1e6))
+        assert cli.main(["phase1", "--config", str(rerun), "--out-dir",
+                         str(stale)]) == cli.EXIT_EMPTY_POOL
+    else:
+        manifest = json.loads(manifest_path.read_text())
+        if case == "unfinished":
+            manifest["finished_at"] = None
+        else:
+            manifest["outputs"].remove("selected_model.json")
+        write_json(manifest_path, manifest)
+    assert (stale / "selected_model.json").is_file()
+    capsys.readouterr()
+    out = tmp_path / "phase2"
+    assert cli.main(["phase2", "--config", str(path), "--phase1-dir", str(stale),
+                     "--weights", str(weights), "--out-dir", str(out)]
+                    ) == cli.EXIT_CONFIG
+    assert (f"error: {manifest_path}: the phase1 run {problem}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_phase2_selected_model_outside_the_space_exits_2_naming_both_files(
         phase2_inputs, tmp_path, capsys):
     path, _, weights = phase2_inputs
@@ -703,7 +739,7 @@ def test_phase1_layer_whose_cost_products_overflow_int64_exits_2(tmp_path,
     # count 2**76 cell reads
     space = copy.deepcopy(CONFIG["design_space"])
     space["cs_options"] = [4, 2 ** 16]
-    space["layers"][0].update(in_h=MAX_EXTENT, kernel=MAX_EXTENT,
+    space["layers"][0].update(in_h=MAX_EXTENT, kernel=MAX_EXTENT - 1,
                               cd_options=[8, MAX_WIDTH])
     raw = dict(CONFIG, design_space=space, platform={"xbar_size": 2 ** 16},
                search=dict(CONFIG["search"], area_constraint_mm2=1.0))
@@ -821,6 +857,29 @@ def test_every_run_directory_lists_its_files_and_finishes(phase2_inputs,
         assert environment["numpy"] == np.__version__
         assert set(environment["blas"]) == {"name", "version"}
         assert "openblas_core" in environment
+
+
+def test_every_manifest_write_lists_only_files_on_disk(phase2_inputs, tmp_path,
+                                                      monkeypatch):
+    path, phase1_dir, _ = phase2_inputs
+    listed = []
+
+    def write_json(target, payload):
+        if target.name == "manifest.json":
+            listed.append([name for name in payload["outputs"]
+                           if not (target.parent / name).is_file()])
+        cli_write_json(target, payload)
+
+    cli_write_json = cli.write_json
+    monkeypatch.setattr(cli, "write_json", write_json)
+    empty = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=5.0))
+    for config, out in ((path, "phase1"), (empty, "empty")):
+        cli.main(["phase1", "--config", str(config), "--out-dir",
+                  str(tmp_path / out)])
+    cli.main(["eval", "--config", str(path), "--model",
+              str(phase1_dir / "selected_model.json"),
+              "--out-dir", str(tmp_path / "eval")])
+    assert listed and not any(listed)
 
 
 def test_weights_check_draws_no_network(phase2_inputs, monkeypatch):

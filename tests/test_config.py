@@ -246,6 +246,18 @@ def test_unknown_key_exits_2_naming_it(tmp_path, capsys, path):
     assert f"{_dotted(path)}: unknown" in err
 
 
+@pytest.mark.parametrize("kernel", [2, 4])
+def test_even_kernel_exits_2_naming_the_layer(tmp_path, capsys, kernel):
+    # the network would pad kernel // 2 a side and compute one more row and
+    # column than the cost model counts
+    raw = with_value(("design_space", "layers", 0, "kernel"), kernel)
+    code, err = run_phase1(tmp_path, raw, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert (f"design_space.layers[0]: kernel must be odd and >= 1, got {kernel}"
+            in err)
+    assert not (tmp_path / "run").exists()
+
+
 def test_every_setting_is_read_outside_config():
     # a setting that only config.py reads is parsed, checked and ignored;
     # a read through ``self``, as in a dataclass checking its own fields,

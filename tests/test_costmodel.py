@@ -133,10 +133,13 @@ def test_read_cycles():
 
 
 def test_adc_profile_flash_comparator_count():
-    platform = make_platform()
-    assert adc_profile(ADCType.FLASH, 6, platform).comparator_count == 63
-    assert adc_profile(ADCType.FLASH, 1, platform).comparator_count == 1
-    assert adc_profile(ADCType.SAR, 6, platform).comparator_count == 1
+    # with only the comparator costing area, an ADC's area counts its
+    # comparators: 2**ap - 1 for flash, one for SAR
+    table = zero_cost_table(comparator=(1.0, 0.0, 0.0))
+    platform = PlatformParams(unit_costs=table)
+    assert adc_profile(ADCType.FLASH, 6, platform).area == 63
+    assert adc_profile(ADCType.FLASH, 1, platform).area == 1
+    assert adc_profile(ADCType.SAR, 6, platform).area == 1
 
 
 def test_adc_profile_sar_latency_is_one_clock_per_bit():
@@ -255,7 +258,7 @@ def test_layer_cost_arrays_equal_layer_cost_at_the_largest_accepted_layer():
     # within a factor of two of int64's limit, and the int64 array view
     # still equals the Python-int scalar view bit for bit
     platform = make_platform()
-    shape = LayerShape(kernel=MAX_EXTENT, in_spatial=(MAX_EXTENT, MAX_EXTENT))
+    shape = LayerShape(kernel=MAX_EXTENT - 1, in_spatial=(MAX_EXTENT, MAX_EXTENT))
     cs_options = tuple(2 ** i for i in range(7))  # 1 ... xbar_size
     assert cs_options[-1] == platform.xbar_size
 

@@ -10,13 +10,14 @@ from imcsearch.io import (
     model_from_dict,
     model_to_dict,
     write_json,
-    write_report,
+    write_trace,
 )
 
 from conftest import make_platform, toy_space
 
-#: ``write_report`` output for the model below, captured before the report
-#: CSV went through ``write_trace``.
+#: The report files the CLI writes for the model below (``report.json`` and
+#: ``report.csv``), captured before the report CSV went through
+#: ``write_trace``.
 REPORT_JSON_SHA256 = "60f81b4f2b2699256cf54a182ae4f47ec34260407c19f9552e9f7bc804d8c217"
 REPORT_CSV = (
     b"layer,tiles,read_cycles_per_activation,area_mm2,delay_ns,energy_pJ\r\n"
@@ -45,7 +46,8 @@ def test_model_dict_round_trip(tmp_path):
 
 def test_write_report_bytes_are_pinned(tmp_path):
     report = model_cost(report_model(), make_platform())
-    write_report(report, tmp_path / "report.json", tmp_path / "report.csv")
+    write_json(tmp_path / "report.json", report.to_dict())
+    write_trace(tmp_path / "report.csv", report.csv_rows())
     json_bytes = (tmp_path / "report.json").read_bytes()
     assert hashlib.sha256(json_bytes).hexdigest() == REPORT_JSON_SHA256
     assert json.loads(json_bytes) == report.to_dict()
