@@ -2,15 +2,20 @@
 
 Subcommands: ``eval`` (cost a fixed model), ``phase1`` / ``phase2`` (run
 one search phase), ``sweep`` (repeat ``eval``, with ``--model``, or else
-``phase1`` along an axis).  Every run writes a self-describing directory:
-a manifest, a verbatim config snapshot, traces and result files.  A sweep
-puts each phase-1 point's directory at ``point_<value:g>`` under its own,
-with ``"sweep": {"axis", "value"}`` in the point's manifest; ``--values``
-whose directory names clash are refused.
+``phase1`` along an axis).  ``--seed`` is the config's ``search.seed``,
+and a sweep point is the run its config file gives with the axis's key
+(``_SWEEP_AXES``) set to the point's value; both go in as ``load_config``
+overrides, so their refusals read like the file's.  Every run writes a
+self-describing directory: a manifest, a verbatim config snapshot, traces
+and result files.  A sweep puts each phase-1 point's directory at
+``point_<value:g>`` under its own, with ``"sweep": {"axis", "value"}`` in
+the point's manifest; ``--values`` whose directory names clash are refused.
 
 A manifest's ``outputs`` lists, in write order, exactly the files its run
-wrote; ``phase2`` refuses a phase-1 directory whose manifest records a
-failure, is unfinished or does not list ``selected_model.json``.
+wrote; a run first deletes the files an earlier run's manifest in its
+directory lists, so the directory holds only its own.  ``phase2`` refuses
+a phase-1 directory whose manifest records a failure, is unfinished or
+does not list ``selected_model.json``.
 
 ``_exit_code`` maps every failure to its exit code.  A run that fails
 after its directory exists records the code and the message in its
@@ -30,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import dataclasses
 import hashlib
 import json
 import struct
@@ -42,16 +46,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (
-    AppConfig,
-    ConfigError,
-    check_class_count,
-    check_costs_fit,
-    check_cs_fits,
-    load_config,
-)
-from .costmodel import CostReport, model_cost
-from .designspace import ADCType, CandidateModel, validate_candidate
+from .config import AppConfig, ConfigError, check_class_count, load_config
+from .costmodel import CostReport, model_cost, psi_terms
+from .designspace import CandidateModel, validate_candidate
 from .io import load_model, model_to_dict, pool_to_dict, write_json, write_trace
 from .nnsim import (
     RefNet,
@@ -119,6 +116,7 @@ class _RunDir:
                  seed: int, **manifest):
         self.path = out_dir
         self.path.mkdir(parents=True, exist_ok=True)
+        self._clear_earlier_outputs()
         snapshot = Path(config_path).read_bytes()
         self.manifest = {
             "command": command,
@@ -132,6 +130,25 @@ class _RunDir:
             "environment": _environment(),
         }
         self.write("config_snapshot.yaml", snapshot)
+
+    def _clear_earlier_outputs(self) -> None:
+        """Delete the files an earlier run's manifest here lists among its
+        outputs, bare file names only; an unreadable manifest raises a
+        ConfigError naming it, and nothing is deleted."""
+        manifest = self.path / "manifest.json"
+        if not manifest.exists():
+            return
+        try:
+            outputs = json.loads(manifest.read_text())["outputs"]
+            if not isinstance(outputs, list):
+                raise TypeError(f"outputs is {outputs!r}, not a list")
+            names = [n for n in outputs if Path(n).name == n and n not in ("", "..")]
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{manifest}: unreadable manifest of an earlier "
+                              f"run, so nothing was deleted: {exc}") from exc
+        for path in (self.path / name for name in names):
+            if path.is_file():
+                path.unlink()
 
     def write(self, name: str, payload: bytes | dict | list[dict]) -> None:
         """Write ``name`` (bytes verbatim, a dict as JSON, rows as CSV) and
@@ -173,13 +190,6 @@ def _fixture_batch(cfg: AppConfig, n: int, seed: int) -> TensorBatch:
     return make_patterns(n, space.input_channels, *first.in_spatial,
                          n_classes=space.class_count, noise=cfg.fixture.noise,
                          seed=seed)
-
-
-def _apply_seed(cfg: AppConfig, seed: int | None) -> AppConfig:
-    if seed is None:
-        return cfg
-    return dataclasses.replace(
-        cfg, search=dataclasses.replace(cfg.search, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +235,8 @@ def _check_weights(net: RefNet, weights_path: Path, model: CandidateModel,
 
 
 def cmd_eval(config_path: Path, model_path: Path, out_dir: Path,
-             seed: int | None = None) -> int:
-    cfg = _apply_seed(load_config(config_path), seed)
+             overrides: tuple = ()) -> int:
+    cfg = load_config(config_path, overrides)
     _, report = _eval(cfg, config_path, model_path)
     run = _RunDir(out_dir, "eval", config_path, cfg.search.seed)
     run.write("report.json", report.to_dict())
@@ -280,8 +290,8 @@ def _phase1(cfg: AppConfig, config_path: Path, out_dir: Path, command: str,
     return selected
 
 
-def cmd_phase1(config_path: Path, out_dir: Path, seed: int | None = None) -> int:
-    cfg = _apply_seed(load_config(config_path), seed)
+def cmd_phase1(config_path: Path, out_dir: Path, overrides: tuple = ()) -> int:
+    cfg = load_config(config_path, overrides)
     selected = _phase1(cfg, config_path, out_dir, "phase1")
     print(f"phase1: admitted pool ranked; selected candidate area "
           f"{selected.report.area:.4g} mm^2, delay "
@@ -303,8 +313,8 @@ def _phase1_problem(manifest_path: Path) -> str | None:
 
 
 def cmd_phase2(config_path: Path, phase1_dir: Path, weights_path: Path,
-               out_dir: Path, seed: int | None = None) -> int:
-    cfg = _apply_seed(load_config(config_path), seed)
+               out_dir: Path, overrides: tuple = ()) -> int:
+    cfg = load_config(config_path, overrides)
     # a directory without a manifest, made by hand, is taken as it is
     manifest = Path(phase1_dir) / "manifest.json"
     if manifest.is_file() and (problem := _load(_phase1_problem, manifest)):
@@ -384,42 +394,29 @@ def _outcome(fn, *args) -> tuple[int, str, object]:
 _SWEEP_STATUS = {EXIT_OK: "ok", EXIT_CONFIG: "config_error",
                  EXIT_EMPTY_POOL: "empty_pool", EXIT_NUMERIC: "numeric_error"}
 
-_SWEEP_AXES = ("area_constraint", "xbar_size")
+#: Each sweep axis and the config key, (section, key), that it sets.
+_SWEEP_AXES = {"area_constraint": ("search", "area_constraint_mm2"),
+               "xbar_size": ("platform", "xbar_size")}
 _SWEEP_COLUMNS = ("value", "status", "message", "area_mm2", "delay_ns",
                   "energy_pJ", "edap_mJ_ms_mm2", "psi", "mean_cs",
                   "sar_fraction", "total_tiles")
 
 
 def _point_columns(config_path: Path, axis: str, value: float, point_dir: str,
-                   model_path: Path | None, seed: int) -> dict:
-    """One sweep point's result columns, with ``axis`` set to ``value``: the
-    cost of the model at ``model_path``, or else of phase 1's selection, run
-    into ``point_dir``."""
-    cfg = _apply_seed(load_config(config_path), seed)
-    if axis == "area_constraint":
-        cfg = dataclasses.replace(cfg, search=dataclasses.replace(
-            cfg.search, area_constraint=value))
-    elif not float(value).is_integer():
-        raise ConfigError(f"xbar_size must be an integer, got {value:g}")
-    else:
-        platform = dataclasses.replace(cfg.platform, xbar_size=int(value))
-        check_cs_fits(cfg.space, platform)
-        check_costs_fit(cfg.space, platform)
-        cfg = dataclasses.replace(cfg, platform=platform)
+                   model_path: Path | None, overrides: tuple) -> dict:
+    """One sweep point's result columns, with ``axis``'s config key set to
+    ``value``: the cost of the model at ``model_path``, or else of phase 1's
+    selection, run into ``point_dir``."""
+    cfg = load_config(config_path, (*overrides, (*_SWEEP_AXES[axis], value)))
     if model_path is not None:
         model, report = _eval(cfg, config_path, model_path)
     else:
         selected = _phase1(cfg, config_path, Path(point_dir), f"sweep:{axis}",
                            sweep={"axis": axis, "value": value})
         model, report = selected.model, selected.report
-    n = len(model.layers)
-    return {
-        **report.totals(),
-        "mean_cs": sum(c.cs for _, c in model.layers) / n,
-        "sar_fraction": sum(1 for _, c in model.layers
-                            if c.at is ADCType.SAR) / n,
-        "total_tiles": sum(lc.tiles for lc in report.per_layer),
-    }
+    mean_cs, sar_fraction = psi_terms(model)
+    return {**report.totals(), "mean_cs": mean_cs, "sar_fraction": sar_fraction,
+            "total_tiles": sum(lc.tiles for lc in report.per_layer)}
 
 
 def _sweep_point(args: tuple) -> dict:
@@ -439,7 +436,7 @@ def _sweep_values(text: str) -> list[float]:
 
 def cmd_sweep(config_path: Path, axis: str, values: list[float], out_dir: Path,
               workers: int = 1, model_path: Path | None = None,
-              seed: int | None = None) -> int:
+              overrides: tuple = ()) -> int:
     if not values:
         raise ConfigError("--values is empty")
     if workers < 1:
@@ -451,10 +448,10 @@ def cmd_sweep(config_path: Path, axis: str, values: list[float], out_dir: Path,
         if (first := names.index(name)) < i:
             raise ConfigError(f"--values: {values[first]!r} and {values[i]!r} "
                               f"both name the point directory {name}")
-    cfg = _apply_seed(load_config(config_path), seed)
+    cfg = load_config(config_path, overrides)
     run = _RunDir(out_dir, f"sweep:{axis}", config_path, cfg.search.seed)
-    tasks = [(config_path, axis, v, str(run.path / name), model_path,
-              cfg.search.seed) for v, name in zip(values, names)]
+    tasks = [(config_path, axis, v, str(run.path / name), model_path, overrides)
+             for v, name in zip(values, names)]
     # the executor starts every worker it may use, so use no more than points
     workers = min(workers, len(tasks))
     if workers > 1:
@@ -509,18 +506,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _COMMANDS = {
-    "eval": lambda a: cmd_eval(a.config, a.model, a.out_dir, a.seed),
-    "phase1": lambda a: cmd_phase1(a.config, a.out_dir, a.seed),
-    "phase2": lambda a: cmd_phase2(a.config, a.phase1_dir, a.weights,
-                                   a.out_dir, a.seed),
-    "sweep": lambda a: cmd_sweep(a.config, a.axis, _sweep_values(a.values),
-                                 a.out_dir, a.workers, a.model, a.seed),
+    "eval": lambda a, o: cmd_eval(a.config, a.model, a.out_dir, o),
+    "phase1": lambda a, o: cmd_phase1(a.config, a.out_dir, o),
+    "phase2": lambda a, o: cmd_phase2(a.config, a.phase1_dir, a.weights,
+                                      a.out_dir, o),
+    "sweep": lambda a, o: cmd_sweep(a.config, a.axis, _sweep_values(a.values),
+                                    a.out_dir, a.workers, a.model, o),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    code, message, result = _outcome(_COMMANDS[args.command], args)
+    # --seed is the config's search.seed, read and checked as the file's is
+    overrides = () if args.seed is None else (("search", "seed", args.seed),)
+    code, message, result = _outcome(_COMMANDS[args.command], args, overrides)
     if code == EXIT_OK:
         return result
     numeric = "numeric failure: " if code == EXIT_NUMERIC else ""

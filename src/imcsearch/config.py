@@ -4,9 +4,10 @@ Each section is read through one table of its keys (``_read``): a value
 that does not cast, a key the table does not know and a missing required
 key each raise a ``ConfigError`` that names the section and the key.  The
 unit-cost calibration table lives in its own data file (units in the
-header); the packaged desk-calibration default is used when the config
-names none.  The fixture section sets sizes and noise only: what the data
-is follows the design space (``FixtureConfig``).
+header), each component's entry read the same way; the packaged
+desk-calibration default is used when the config names none.  The fixture
+section sets sizes and noise only: what the data is follows the design
+space (``FixtureConfig``).
 
 Both files are parsed by ``_YAML_LOADER``: libyaml's ``CSafeLoader`` when
 PyYAML was built with libyaml (``yaml.__with_libyaml__``), else PyYAML's
@@ -29,6 +30,7 @@ import yaml
 
 from .costmodel import INT64_MAX, int_product_bound
 from .designspace import (
+    UNIT_COST_COMPONENTS,
     ADCType,
     DesignSpace,
     HierarchyParams,
@@ -241,6 +243,17 @@ _FIXTURE_KEYS = {
 _SECTIONS = ("platform", "design_space", "search", "fixture")
 
 
+def _unit_cost(name: str):
+    """The cast of a unit-cost table's entry for component ``name``."""
+    context = f"components.{name}"
+    keys = _same(_float, *(f.name for f in fields(UnitCost)))
+    return lambda entry: _build(UnitCost, context, **_read(
+        entry, keys, context, required=tuple(keys)))
+
+
+_COMPONENT_KEYS = {name: (name, _unit_cost(name)) for name in UNIT_COST_COMPONENTS}
+
+
 def load_unit_costs(path: str | Path | None = None) -> UnitCostTable:
     """Load a calibration table; without a path, the packaged default."""
     if path is None:
@@ -253,11 +266,7 @@ def load_unit_costs(path: str | Path | None = None) -> UnitCostTable:
         text, source = path.read_text(), str(path)
     try:
         raw = yaml.load(text, Loader=_YAML_LOADER)
-        components = {
-            name: UnitCost(area=float(entry["area"]), energy=float(entry["energy"]),
-                           latency=float(entry["latency"]))
-            for name, entry in raw["components"].items()
-        }
+        components = _read(raw["components"], _COMPONENT_KEYS, "components")
         return UnitCostTable(calibration_id=str(raw["calibration_id"]),
                              components=components)
     except (KeyError, TypeError, ValueError, yaml.YAMLError) as exc:
@@ -370,8 +379,15 @@ def check_batches_fit(space: DesignSpace, search: SearchConfig,
                 f"bound of {MAX_BATCH_VALUES}")
 
 
-def load_config(path: str | Path) -> AppConfig:
-    """Parse a run configuration file into validated parameter objects."""
+def load_config(path: str | Path,
+                overrides: tuple[tuple[str, str, object], ...] = ()) -> AppConfig:
+    """Parse a run configuration file into validated parameter objects.
+
+    An override ``(section, key, value)`` reads as if the file set
+    ``section.key`` to ``value``: it goes in after parsing, before any
+    section is read, so it gets that key's cast, bounds, cross-checks and
+    messages.  A section the file lacks is created; one that is not a
+    mapping is left for ``_read`` to refuse."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -382,6 +398,11 @@ def load_config(path: str | Path) -> AppConfig:
         raise ConfigError(f"{path}: YAML parse error: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
+    for section, key, value in overrides:
+        if raw.get(section) is None:
+            raw[section] = {}
+        if isinstance(raw[section], dict):
+            raw[section][key] = value
     for name in raw:
         if name not in _SECTIONS:
             raise ConfigError(f"{name}: unknown section")

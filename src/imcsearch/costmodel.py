@@ -321,16 +321,23 @@ def layer_macs(cd_in: int, shape: LayerShape, choice: LayerChoice) -> int:
     return cd_in * shape.kernel ** 2 * choice.cd_out * out_h * out_w
 
 
+def psi_terms(model: CandidateModel) -> tuple[float, float]:
+    """``(mean_cs, sar_fraction)``: the mean column sharing and the fraction
+    of SAR-converter layers, the two factors of ``psi``."""
+    n = len(model.layers)
+    mean_cs = sum(choice.cs for _, choice in model.layers) / n
+    sar_fraction = sum(1 for _, choice in model.layers
+                       if choice.at is ADCType.SAR) / n
+    return mean_cs, sar_fraction
+
+
 def psi(model: CandidateModel) -> float:
     """Mean column sharing times the fraction of SAR-converter layers.
 
     An empirical proxy for crossbar read delay: both factors raise the
     number of serial clock cycles a crossbar read takes.
     """
-    n = len(model.layers)
-    mean_cs = sum(choice.cs for _, choice in model.layers) / n
-    sar_fraction = sum(1 for _, choice in model.layers
-                       if choice.at is ADCType.SAR) / n
+    mean_cs, sar_fraction = psi_terms(model)
     return mean_cs * sar_fraction
 
 

@@ -74,7 +74,8 @@ class SearchConfig:
                              f"{self.area_constraint}")
         if self.area_constraint <= 0:
             raise ValueError("area_constraint must be positive")
-        for name in ("n1_steps", "n2_steps"):
+        # the seed too: numpy's generators refuse a negative one
+        for name in ("n1_steps", "n2_steps", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         # comparisons are False for NaN, so finiteness is checked first

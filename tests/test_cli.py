@@ -222,7 +222,8 @@ def test_sweep_xbar_size_below_max_cs_exits_2_naming_the_field(tmp_path,
     assert small["status"] == fractional["status"] == "config_error"
     assert ("design_space.cs_options: max cs 32 exceeds platform.xbar_size 16"
             in small["message"])
-    assert "xbar_size must be an integer, got 40.5" in fractional["message"]
+    assert ("platform.xbar_size: expected an integer, got 40.5"
+            in fractional["message"])
     assert not (out / "point_16").exists()
 
 
@@ -601,11 +602,12 @@ def test_phase2_refuses_a_phase1_directory_whose_manifest_lacks_its_selection(
     shutil.copytree(phase1_dir, stale)
     manifest_path = stale / "manifest.json"
     if case == "failed":
-        # a re-run that admits nothing leaves the first run's selection behind
+        # a re-run that admits nothing deletes the first run's selection
         rerun = write_config(tmp_path, dict(CONFIG["search"],
                                             area_constraint_mm2=1e6))
         assert cli.main(["phase1", "--config", str(rerun), "--out-dir",
                          str(stale)]) == cli.EXIT_EMPTY_POOL
+        assert not (stale / "selected_model.json").exists()
     else:
         manifest = json.loads(manifest_path.read_text())
         if case == "unfinished":
@@ -613,7 +615,7 @@ def test_phase2_refuses_a_phase1_directory_whose_manifest_lacks_its_selection(
         else:
             manifest["outputs"].remove("selected_model.json")
         write_json(manifest_path, manifest)
-    assert (stale / "selected_model.json").is_file()
+        assert (stale / "selected_model.json").is_file()
     capsys.readouterr()
     out = tmp_path / "phase2"
     assert cli.main(["phase2", "--config", str(path), "--phase1-dir", str(stale),
@@ -835,9 +837,12 @@ def test_every_run_directory_lists_its_files_and_finishes(phase2_inputs,
     write_json(model_path, model_to_dict(
         homogeneous_model(space, cs=8, at=ADCType.SAR, ap=6, ip=8)))
     empty = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=5.0))
+    # an empty-pool re-run into an admitted run's directory
+    shutil.copytree(phase1_dir, tmp_path / "phase1_rerun")
     runs = {
         "eval": ["eval", "--config", str(path), "--model", str(model_path)],
         "phase1_empty": ["phase1", "--config", str(empty)],
+        "phase1_rerun": ["phase1", "--config", str(empty)],
         "phase2": ["phase2", "--config", str(path), "--phase1-dir",
                    str(phase1_dir), "--weights", str(weights)],
         "sweep": ["sweep", "--config", str(path), "--axis", "area_constraint",
@@ -847,7 +852,7 @@ def test_every_run_directory_lists_its_files_and_finishes(phase2_inputs,
         cli.main([*argv, "--out-dir", str(tmp_path / name)])
     dirs = [phase1_dir, *(tmp_path / name for name in runs),
             *(tmp_path / "sweep").glob("point_*")]
-    assert len(dirs) == 7
+    assert len(dirs) == 8
     for run in dirs:
         manifest = json.loads((run / "manifest.json").read_text())
         files = {p.name for p in run.iterdir() if p.is_file()}
@@ -857,6 +862,93 @@ def test_every_run_directory_lists_its_files_and_finishes(phase2_inputs,
         assert environment["numpy"] == np.__version__
         assert set(environment["blas"]) == {"name", "version"}
         assert "openblas_core" in environment
+
+
+def test_rerun_deletes_only_the_bare_file_names_its_manifest_lists(tmp_path):
+    path = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=5.0))
+    out = tmp_path / "run"
+    (out / "sub").mkdir(parents=True)
+    files = [tmp_path / "outside.txt", out / "sub" / "inner.txt",
+             out / "unlisted.txt", out / "listed.txt"]
+    for file in files:
+        file.write_text("earlier run")
+    write_json(out / "manifest.json", {"outputs": [
+        "listed.txt", "../outside.txt", str(tmp_path / "outside.txt"),
+        "sub/inner.txt", "sub", "", ".", ".."]})
+    assert cli.main(["phase1", "--config", str(path),
+                     "--out-dir", str(out)]) == cli.EXIT_EMPTY_POOL
+    assert [file.exists() for file in files] == [True, True, True, False]
+
+
+@pytest.mark.parametrize("text", ["{", "[]", '{"outputs": "listed.txt"}',
+                                  '{"outputs": [1]}'])
+def test_rerun_over_an_unreadable_manifest_exits_2_and_deletes_nothing(
+        tmp_path, capsys, text):
+    path = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=5.0))
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "listed.txt").write_text("earlier run")
+    (out / "manifest.json").write_text(text)
+    assert cli.main(["phase1", "--config", str(path),
+                     "--out-dir", str(out)]) == cli.EXIT_CONFIG
+    assert f"error: {out / 'manifest.json'}: unreadable manifest" in \
+        capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["listed.txt", "manifest.json"]
+    assert (out / "manifest.json").read_text() == text
+
+
+def _run_files(run: Path) -> dict:
+    """Every file under ``run`` by its relative path, manifests with their
+    timestamps and config hash blanked, the config snapshot left out."""
+    files = {}
+    for file in sorted(run.rglob("*")):
+        if not file.is_file() or file.name == "config_snapshot.yaml":
+            continue
+        content = file.read_bytes()
+        if file.name == "manifest.json":
+            content = dict(json.loads(content), started_at=None,
+                           finished_at=None, config_hash=None)
+        files[str(file.relative_to(run))] = content
+    return files
+
+
+def test_seed_flag_runs_as_the_config_seed(tmp_path):
+    search = dict(CONFIG["search"], area_constraint_mm2=1.18)
+    flagged, seeded = tmp_path / "flag", tmp_path / "file"
+    for directory, seed in ((flagged, 0), (seeded, 3)):
+        directory.mkdir()
+        write_config(directory, dict(search, seed=seed))
+    model_path = tmp_path / "model.json"
+    write_json(model_path, model_to_dict(homogeneous_model(
+        load_config(flagged / "config.yaml").space, cs=8, at=ADCType.SAR,
+        ap=6, ip=8)))
+    commands = {"eval": ["eval", "--model", str(model_path)],
+                "phase1": ["phase1"],
+                "sweep": ["sweep", "--axis", "xbar_size", "--values", "32,64"]}
+    for name, argv in commands.items():
+        codes = [cli.main([*argv, "--config", str(directory / "config.yaml"),
+                           *flag, "--out-dir", str(directory / name)])
+                 for directory, flag in ((flagged, ["--seed", "3"]), (seeded, []))]
+        assert codes[0] == codes[1], name
+        assert _run_files(flagged / name) == _run_files(seeded / name), name
+        manifest = json.loads((flagged / name / "manifest.json").read_text())
+        assert manifest["seed"] == 3
+    # ranking drew with the flag's seed, not the file's
+    cli.main(["phase1", "--config", str(flagged / "config.yaml"),
+              "--out-dir", str(flagged / "unflagged")])
+    assert ((flagged / "phase1" / "pool.json").read_bytes()
+            != (flagged / "unflagged" / "pool.json").read_bytes())
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase1"], ["sweep", "--axis", "area_constraint", "--values", "1.18"]])
+def test_negative_seed_flag_exits_2_naming_the_field(tmp_path, capsys, argv):
+    path = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=1.18))
+    out = tmp_path / "run"
+    assert cli.main([*argv, "--config", str(path), "--seed", "-1",
+                     "--out-dir", str(out)]) == cli.EXIT_CONFIG
+    assert "error: search: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_every_manifest_write_lists_only_files_on_disk(phase2_inputs, tmp_path,

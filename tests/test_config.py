@@ -185,6 +185,7 @@ def test_malformed_value_kinds_exit_2_naming_the_key(tmp_path, capsys, path,
     (("search", "phase1_ip"), 0, "search: phase1_ip must lie in [1, 8], got 0"),
     (("search", "phase1_steps"), -1, "search: n1_steps must be >= 0, got -1"),
     (("search", "phase2_steps"), -1, "search: n2_steps must be >= 0, got -1"),
+    (("search", "seed"), -1, "search: seed must be >= 0, got -1"),
     (("design_space", "ap_options"), [5, 9],
      "design_space: ap_options must lie in [1, 8]"),
     (("design_space", "ip_options"), [3, 9],
@@ -294,15 +295,60 @@ def test_preset_takes_the_other_design_space_keys(tmp_path, capsys):
     assert "design_space.layers: the preset defines the layers" in err
 
 
-@pytest.mark.parametrize("text", ["components: [", "components: {}\n",
-                                  "just text\n"])
+#: The packaged unit-cost table's first entry.
+XBAR_CELL = "xbar_cell:          {area: 2.0e-7, energy: 1.0e-4, latency: 2.0}"
+
+
+def _packaged_costs_with(entry: str) -> str:
+    """The packaged unit-cost table with its first entry replaced by ``entry``."""
+    text = (Path(config.__file__).parent / "data" / "default_unit_costs.yaml"
+            ).read_text()
+    assert XBAR_CELL in text
+    return text.replace(XBAR_CELL, entry)
+
+
+@pytest.mark.parametrize("text, named", [
+    *(pytest.param(text, "", id=text)
+      for text in ("components: [", "components: {}\n", "just text\n")),
+    pytest.param("xbar_cell: {area: .nan, energy: 1.0e-4, latency: 2.0}",
+                 "components.xbar_cell.area: expected a finite number, got nan",
+                 id="nan_area"),
+    pytest.param("xbar_cell: {area: 2.0e-7, energy: .inf, latency: 2.0}",
+                 "components.xbar_cell.energy: expected a finite number, got inf",
+                 id="inf_energy"),
+    pytest.param("xbar_cell: {area: true, energy: 1.0e-4, latency: 2.0}",
+                 "components.xbar_cell.area: expected a finite number, got True",
+                 id="bool_area"),
+    # YAML 1.1 reads an exponent without a point as text
+    pytest.param("xbar_cell: {area: 2e-7, energy: 1.0e-4, latency: 2.0}",
+                 "components.xbar_cell.area: expected a finite number, got '2e-7'",
+                 id="text_area"),
+    pytest.param("xbar_cell: {area: 2.0e-7, enrgy: 5, latency: 2.0}",
+                 "components.xbar_cell.enrgy: unknown key", id="unknown_key"),
+    pytest.param("xbar_cell: {area: 2.0e-7, latency: 2.0}",
+                 "components.xbar_cell: missing required key 'energy'",
+                 id="missing_key"),
+    pytest.param(f"{XBAR_CELL}\n  htre: {{area: 5.0e-7, energy: 3.0e-2, "
+                 f"latency: 0.5}}", "components.htre: unknown key",
+                 id="unknown_component"),
+])
 def test_malformed_unit_cost_file_exits_2_naming_the_key(tmp_path, capsys,
-                                                         text):
+                                                         text, named):
+    if text.startswith("xbar_cell:"):
+        text = _packaged_costs_with(text)
     (tmp_path / "bad_costs.yaml").write_text(text)
     raw = with_value(("platform", "unit_costs_file"), "bad_costs.yaml")
     code, err = run_phase1(tmp_path, raw, capsys)
     assert code == cli.EXIT_CONFIG
-    assert "platform.unit_costs_file: invalid unit-cost table" in err
+    assert f"platform.unit_costs_file: invalid unit-cost table " \
+           f"({tmp_path / 'bad_costs.yaml'}): {named}" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_every_sweep_axis_sets_a_key_of_its_section():
+    tables = {"search": config._SEARCH_KEYS, "platform": config._PLATFORM_KEYS}
+    for axis, (section, key) in cli._SWEEP_AXES.items():
+        assert key in tables[section], axis
 
 
 def test_unit_costs_env_var_is_ignored(tmp_path, monkeypatch):
