@@ -12,10 +12,11 @@ and result files.  A sweep puts each phase-1 point's directory at
 the point's manifest; ``--values`` whose directory names clash are refused.
 
 A manifest's ``outputs`` lists, in write order, exactly the files its run
-wrote; a run first deletes the files an earlier run's manifest in its
-directory lists, so the directory holds only its own.  ``phase2`` refuses
-a phase-1 directory whose manifest records a failure, is unfinished or
-does not list ``selected_model.json``.
+wrote.  A run first deletes the files an earlier manifest in its directory
+lists, except its own inputs; a sweep's manifest lists no point
+directories, so a sweep re-run keeps earlier points.  ``phase2`` refuses a
+phase-1 directory whose manifest records a failure, is unfinished or does
+not list ``selected_model.json``.
 
 ``_exit_code`` maps every failure to its exit code.  A run that fails
 after its directory exists records the code and the message in its
@@ -113,11 +114,12 @@ class _RunDir:
     """
 
     def __init__(self, out_dir: Path, command: str, config_path: Path,
-                 seed: int, **manifest):
+                 seed: int, inputs: tuple[Path | None, ...] = (), **manifest):
+        # read before anything is deleted
+        snapshot = Path(config_path).read_bytes()
         self.path = out_dir
         self.path.mkdir(parents=True, exist_ok=True)
-        self._clear_earlier_outputs()
-        snapshot = Path(config_path).read_bytes()
+        self._clear_earlier_outputs((config_path, *inputs))
         self.manifest = {
             "command": command,
             "config_hash": f"sha256:{hashlib.sha256(snapshot).hexdigest()}",
@@ -131,9 +133,10 @@ class _RunDir:
         }
         self.write("config_snapshot.yaml", snapshot)
 
-    def _clear_earlier_outputs(self) -> None:
+    def _clear_earlier_outputs(self, inputs: tuple[Path | None, ...]) -> None:
         """Delete the files an earlier run's manifest here lists among its
-        outputs, bare file names only; an unreadable manifest raises a
+        outputs: bare file names only, and none of ``inputs``, the files this
+        run reads (None for an absent one).  An unreadable manifest raises a
         ConfigError naming it, and nothing is deleted."""
         manifest = self.path / "manifest.json"
         if not manifest.exists():
@@ -142,12 +145,13 @@ class _RunDir:
             outputs = json.loads(manifest.read_text())["outputs"]
             if not isinstance(outputs, list):
                 raise TypeError(f"outputs is {outputs!r}, not a list")
-            names = [n for n in outputs if Path(n).name == n and n not in ("", "..")]
+            stale = [self.path / n for n in outputs if Path(n).name == n != ".."]
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{manifest}: unreadable manifest of an earlier "
                               f"run, so nothing was deleted: {exc}") from exc
-        for path in (self.path / name for name in names):
-            if path.is_file():
+        keep = {Path(p).resolve() for p in inputs if p is not None}
+        for path in stale:
+            if path.is_file() and path.resolve() not in keep:
                 path.unlink()
 
     def write(self, name: str, payload: bytes | dict | list[dict]) -> None:
@@ -238,7 +242,7 @@ def cmd_eval(config_path: Path, model_path: Path, out_dir: Path,
              overrides: tuple = ()) -> int:
     cfg = load_config(config_path, overrides)
     _, report = _eval(cfg, config_path, model_path)
-    run = _RunDir(out_dir, "eval", config_path, cfg.search.seed)
+    run = _RunDir(out_dir, "eval", config_path, cfg.search.seed, (model_path,))
     run.write("report.json", report.to_dict())
     run.write("report.csv", report.csv_rows())
     run.finish()
@@ -331,7 +335,7 @@ def cmd_phase2(config_path: Path, phase1_dir: Path, weights_path: Path,
     model, _ = _eval(cfg, config_path, model_file)
     net = _load(load_net, weights_path)
     _check_weights(net, weights_path, model, model_file, cfg.space.class_count)
-    with _RunDir(out_dir, "phase2", config_path, cfg.search.seed) as run:
+    with _RunDir(out_dir, "phase2", config_path, cfg.search.seed, (model_file,)) as run:
         fixture = cfg.fixture
         train_batch = _fixture_batch(cfg, fixture.train_samples, cfg.search.seed)
         n_adapt = max(fixture.adapt_batch_size,
@@ -449,7 +453,7 @@ def cmd_sweep(config_path: Path, axis: str, values: list[float], out_dir: Path,
             raise ConfigError(f"--values: {values[first]!r} and {values[i]!r} "
                               f"both name the point directory {name}")
     cfg = load_config(config_path, overrides)
-    run = _RunDir(out_dir, f"sweep:{axis}", config_path, cfg.search.seed)
+    run = _RunDir(out_dir, f"sweep:{axis}", config_path, cfg.search.seed, (model_path,))
     tasks = [(config_path, axis, v, str(run.path / name), model_path, overrides)
              for v, name in zip(values, names)]
     # the executor starts every worker it may use, so use no more than points

@@ -183,10 +183,12 @@ def _same(cast, *names: str) -> dict:
     return {name: (name, cast) for name in names}
 
 
-def _hierarchy(section) -> HierarchyParams:
-    keys = _same(_int, *(f.name for f in fields(HierarchyParams)))
-    return _build(HierarchyParams, "platform.hierarchy",
-                  **_read(section, keys, "platform.hierarchy"))
+def _fields_of(cls, cast, name: str, required: bool = False):
+    """The cast of section ``name``, whose keys are ``cls``'s fields, each
+    read by ``cast``; with ``required``, every key must be set."""
+    keys = _same(cast, *(f.name for f in fields(cls)))
+    return lambda section: _build(cls, name, **_read(
+        section, keys, name, required=tuple(keys) if required else ()))
 
 
 def _layers(entries) -> list[tuple[LayerShape, tuple[int, ...]]]:
@@ -211,7 +213,8 @@ _PLATFORM_KEYS = {
     **_same(_int, "xbar_size", "xbars_per_tile", "weight_bits", "weight_slice_bits"),
     **_same(_float, "sigma_over_mu", "clock_period"),
     "unit_costs_file": ("unit_costs_file", Path),
-    "hierarchy": ("hierarchy", _hierarchy),
+    "hierarchy": ("hierarchy", _fields_of(HierarchyParams, _int,
+                                          "platform.hierarchy")),
 }
 _SPACE_KEYS = {
     "input_channels": ("input_channels", _WIDTH),
@@ -243,15 +246,9 @@ _FIXTURE_KEYS = {
 _SECTIONS = ("platform", "design_space", "search", "fixture")
 
 
-def _unit_cost(name: str):
-    """The cast of a unit-cost table's entry for component ``name``."""
-    context = f"components.{name}"
-    keys = _same(_float, *(f.name for f in fields(UnitCost)))
-    return lambda entry: _build(UnitCost, context, **_read(
-        entry, keys, context, required=tuple(keys)))
-
-
-_COMPONENT_KEYS = {name: (name, _unit_cost(name)) for name in UNIT_COST_COMPONENTS}
+_COMPONENT_KEYS = {name: (name, _fields_of(UnitCost, _float, f"components.{name}",
+                                           required=True))
+                   for name in UNIT_COST_COMPONENTS}
 
 
 def load_unit_costs(path: str | Path | None = None) -> UnitCostTable:
@@ -383,11 +380,10 @@ def load_config(path: str | Path,
                 overrides: tuple[tuple[str, str, object], ...] = ()) -> AppConfig:
     """Parse a run configuration file into validated parameter objects.
 
-    An override ``(section, key, value)`` reads as if the file set
-    ``section.key`` to ``value``: it goes in after parsing, before any
-    section is read, so it gets that key's cast, bounds, cross-checks and
-    messages.  A section the file lacks is created; one that is not a
-    mapping is left for ``_read`` to refuse."""
+    An override ``(section, key, value)`` goes in after parsing, before any
+    section is read, as if the file set ``section.key`` to ``value``: it
+    gets that key's cast, bounds, cross-checks and messages.  A missing
+    section is created; one that is not a mapping is left for ``_read``."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")

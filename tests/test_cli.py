@@ -897,6 +897,29 @@ def test_rerun_over_an_unreadable_manifest_exits_2_and_deletes_nothing(
     assert (out / "manifest.json").read_text() == text
 
 
+def test_rerun_into_its_own_directory_keeps_the_inputs_it_reads(phase2_inputs,
+                                                                tmp_path):
+    _, phase1_dir, _ = phase2_inputs
+    run = tmp_path / "phase1"
+    shutil.copytree(phase1_dir, run)
+    snapshot, model = run / "config_snapshot.yaml", run / "selected_model.json"
+    same_config = ["--config", str(snapshot), "--out-dir", str(run)]
+    assert cli.main(["phase1", *same_config]) == cli.EXIT_OK
+    manifest = json.loads((run / "manifest.json").read_text())
+    files = {p.name for p in run.iterdir() if p.is_file()}
+    assert sorted(manifest["outputs"]) == sorted(files - {"manifest.json"})
+    assert model.read_bytes() == (phase1_dir / "selected_model.json").read_bytes()
+    # the sweep's points read the model after its directory is cleared
+    assert cli.main(["sweep", *same_config, "--model", str(model), "--axis",
+                     "area_constraint", "--values", "1.18,2"]) == cli.EXIT_OK
+    assert [row["status"] for row in read_sweep(run)] == ["ok", "ok"]
+    assert cli.main(["eval", *same_config, "--model", str(model)]) == cli.EXIT_OK
+    assert sorted(p.name for p in run.iterdir()) == [
+        "config_snapshot.yaml", "manifest.json", "report.csv", "report.json",
+        "selected_model.json"]
+    assert snapshot.read_bytes() == (phase1_dir / "config_snapshot.yaml").read_bytes()
+
+
 def _run_files(run: Path) -> dict:
     """Every file under ``run`` by its relative path, manifests with their
     timestamps and config hash blanked, the config snapshot left out."""
