@@ -10,10 +10,10 @@ Library layout:
   io           deterministic model, report, pool and trace files
   cli          command-line front end (eval, phase1, phase2, sweep)
 
-Functions are imported from the module that defines them.  The package
-root re-exports only the classes named in ``__all__``, and none may leave
-it: the benchmark tracer in ``perfbench/`` times the public methods of
-exactly the classes named there.
+Functions are imported from the module that defines them, never through
+a package.  The package root, like ``nnsim``, re-exports only the classes
+named in its ``__all__``, and none may leave it: the benchmark tracer in
+``perfbench/`` times the public methods of exactly the classes named there.
 """
 
 __version__ = "0.1.0"

@@ -12,11 +12,11 @@ and result files.  A sweep puts each phase-1 point's directory at
 the point's manifest; ``--values`` whose directory names clash are refused.
 
 A manifest's ``outputs`` lists, in write order, exactly the files its run
-wrote.  A run first deletes the files an earlier manifest in its directory
-lists, except its own inputs; a sweep's manifest lists no point
-directories, so a sweep re-run keeps earlier points.  ``phase2`` refuses a
-phase-1 directory whose manifest records a failure, is unfinished or does
-not list ``selected_model.json``.
+wrote, and a sweep's ``points`` its phase-1 points' directories.  A run
+first deletes the files an earlier manifest in its directory lists, and
+empties the point directories it names of what their manifests list, except
+its own inputs.  ``phase2`` refuses a phase-1 directory whose manifest
+records a failure, is unfinished or lacks ``selected_model.json``.
 
 ``_exit_code`` maps every failure to its exit code.  A run that fails
 after its directory exists records the code and the message in its
@@ -51,15 +51,9 @@ from .config import AppConfig, ConfigError, check_class_count, load_config
 from .costmodel import CostReport, model_cost, psi_terms
 from .designspace import CandidateModel, validate_candidate
 from .io import load_model, model_to_dict, pool_to_dict, write_json, write_trace
-from .nnsim import (
-    RefNet,
-    TensorBatch,
-    load_net,
-    make_blobs,
-    make_patterns,
-    refnet_layers,
-    split_batches,
-)
+from .nnsim import RefNet, TensorBatch
+from .nnsim.data import make_blobs, make_patterns, split_batches
+from .nnsim.network import load_net, refnet_layers
 from .search import (
     ADMISSION_MARGIN,
     CandidatePool,
@@ -103,6 +97,24 @@ def _openblas_core() -> str | None:
     return corename().decode()
 
 
+def _listed(directory: Path) -> tuple[list[Path], list[Path]]:
+    """The bare-named outputs and point directories that the manifest in
+    ``directory`` lists; an unreadable manifest raises a ConfigError."""
+    manifest = directory / "manifest.json"
+    if not manifest.exists():
+        return [], []
+    try:
+        listed = json.loads(manifest.read_text())
+        groups = listed["outputs"], listed.get("points", [])
+        if not all(isinstance(names, list) for names in groups):
+            raise TypeError(f"outputs or points is not a list: {groups!r}")
+        return tuple([directory / n for n in names if Path(n).name == n != ".."]
+                     for names in groups)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{manifest}: unreadable manifest of an earlier "
+                          f"run, so nothing was deleted: {exc}") from exc
+
+
 class _RunDir:
     """Run-directory bookkeeping.  ``write`` is the one way a file gets in:
     it writes the file, then lists it in the manifest's ``outputs``, which
@@ -134,25 +146,20 @@ class _RunDir:
         self.write("config_snapshot.yaml", snapshot)
 
     def _clear_earlier_outputs(self, inputs: tuple[Path | None, ...]) -> None:
-        """Delete the files an earlier run's manifest here lists among its
-        outputs: bare file names only, and none of ``inputs``, the files this
-        run reads (None for an absent one).  An unreadable manifest raises a
-        ConfigError naming it, and nothing is deleted."""
-        manifest = self.path / "manifest.json"
-        if not manifest.exists():
-            return
-        try:
-            outputs = json.loads(manifest.read_text())["outputs"]
-            if not isinstance(outputs, list):
-                raise TypeError(f"outputs is {outputs!r}, not a list")
-            stale = [self.path / n for n in outputs if Path(n).name == n != ".."]
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{manifest}: unreadable manifest of an earlier "
-                              f"run, so nothing was deleted: {exc}") from exc
+        """Delete the outputs an earlier run's manifest here lists, and in each
+        point directory it lists, that point's outputs and manifest, then the
+        directory if left empty.  Bare names only; never ``inputs``, the files
+        this run reads.  An unreadable manifest raises, deleting nothing."""
+        stale, points = _listed(self.path)
+        for point in points:
+            stale += [*_listed(point)[0], point / "manifest.json"]
         keep = {Path(p).resolve() for p in inputs if p is not None}
         for path in stale:
             if path.is_file() and path.resolve() not in keep:
                 path.unlink()
+        for point in points:
+            if point.is_dir() and not any(point.iterdir()):
+                point.rmdir()
 
     def write(self, name: str, payload: bytes | dict | list[dict]) -> None:
         """Write ``name`` (bytes verbatim, a dict as JSON, rows as CSV) and
@@ -453,7 +460,8 @@ def cmd_sweep(config_path: Path, axis: str, values: list[float], out_dir: Path,
             raise ConfigError(f"--values: {values[first]!r} and {values[i]!r} "
                               f"both name the point directory {name}")
     cfg = load_config(config_path, overrides)
-    run = _RunDir(out_dir, f"sweep:{axis}", config_path, cfg.search.seed, (model_path,))
+    run = _RunDir(out_dir, f"sweep:{axis}", config_path, cfg.search.seed,
+                  (model_path,), points=[] if model_path else names)
     tasks = [(config_path, axis, v, str(run.path / name), model_path, overrides)
              for v, name in zip(values, names)]
     # the executor starts every worker it may use, so use no more than points

@@ -3,11 +3,11 @@
 Each section is read through one table of its keys (``_read``): a value
 that does not cast, a key the table does not know and a missing required
 key each raise a ``ConfigError`` that names the section and the key.  The
-unit-cost calibration table lives in its own data file (units in the
-header), each component's entry read the same way; the packaged
-desk-calibration default is used when the config names none.  The fixture
-section sets sizes and noise only: what the data is follows the design
-space (``FixtureConfig``).
+unit-cost table lives in its own data file, read the same way from its top
+level down; its optional ``units`` header may name only the cost model's
+units: area ``mm^2``, energy ``pJ``, latency ``ns``.  The packaged default
+is used when the config names none.  The fixture section sets sizes and
+noise only: what the data is follows the design space (``FixtureConfig``).
 
 Both files are parsed by ``_YAML_LOADER``: libyaml's ``CSafeLoader`` when
 PyYAML was built with libyaml (``yaml.__with_libyaml__``), else PyYAML's
@@ -40,7 +40,7 @@ from .designspace import (
     UnitCostTable,
     vgg16_space,
 )
-from .nnsim import layer_pools
+from .nnsim.network import layer_pools
 from .search import SearchConfig
 
 
@@ -95,25 +95,26 @@ def _read(section, keys: dict, name: str, required: tuple[str, ...] = ()) -> dic
 
     ``keys`` maps each YAML key to (field name, cast); the result maps
     field names to cast values.  A cast may itself read a nested section
-    and raise a ``ConfigError`` that names it.
+    and raise a ``ConfigError`` that names it.  An empty ``name`` is the top level.
     """
+    where, prefix = (name, f"{name}.") if name else ("top level", "")
     if section is None:
         section = {}
     if not isinstance(section, dict):
-        raise ConfigError(f"{name}: must be a mapping, got {section!r}")
+        raise ConfigError(f"{where}: must be a mapping, got {section!r}")
     kwargs = {}
     for key, value in section.items():
         if key not in keys:
-            raise ConfigError(f"{name}.{key}: unknown key")
+            raise ConfigError(f"{prefix}{key}: unknown key")
         field_name, cast = keys[key]
         try:
             kwargs[field_name] = cast(value)
         except ConfigError:
             raise
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{name}.{key}: {exc}") from exc
+            raise ConfigError(f"{prefix}{key}: {exc}") from exc
     for key in required:
-        _require(section, key, name)
+        _require(section, key, where)
     return kwargs
 
 
@@ -251,6 +252,25 @@ _COMPONENT_KEYS = {name: (name, _fields_of(UnitCost, _float, f"components.{name}
                    for name in UNIT_COST_COMPONENTS}
 
 
+def _text(want: str | None = None):
+    """A cast to non-empty text; with ``want``, to that text only."""
+    def cast(value) -> str:
+        if not (isinstance(value, str) and value) or want not in (None, value):
+            raise ValueError(f"expected {repr(want) if want else 'non-empty text'}, "
+                             f"got {value!r}")
+        return value
+    return cast
+
+
+_UNITS_KEYS = {"area": ("area", _text("mm^2")), "energy": ("energy", _text("pJ")),
+               "latency": ("latency", _text("ns"))}
+_UNIT_COST_KEYS = {
+    "calibration_id": ("calibration_id", _text()),
+    "units": ("units", lambda units: _read(units, _UNITS_KEYS, "units")),
+    "components": ("components", lambda c: _read(c, _COMPONENT_KEYS, "components")),
+}
+
+
 def load_unit_costs(path: str | Path | None = None) -> UnitCostTable:
     """Load a calibration table; without a path, the packaged default."""
     if path is None:
@@ -262,11 +282,10 @@ def load_unit_costs(path: str | Path | None = None) -> UnitCostTable:
             raise ConfigError(f"unit-cost file not found: {path}")
         text, source = path.read_text(), str(path)
     try:
-        raw = yaml.load(text, Loader=_YAML_LOADER)
-        components = _read(raw["components"], _COMPONENT_KEYS, "components")
-        return UnitCostTable(calibration_id=str(raw["calibration_id"]),
-                             components=components)
-    except (KeyError, TypeError, ValueError, yaml.YAMLError) as exc:
+        kw = _read(yaml.load(text, Loader=_YAML_LOADER), _UNIT_COST_KEYS, "",
+                   required=("calibration_id", "components"))
+        return UnitCostTable(kw["calibration_id"], kw["components"])
+    except (ValueError, yaml.YAMLError) as exc:
         raise ConfigError(f"invalid unit-cost table ({source}): {exc}") from exc
 
 

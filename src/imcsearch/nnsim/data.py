@@ -40,10 +40,10 @@ def make_patterns(n_samples: int, channels: int = 1, height: int = 8,
         wave = np.sin(freq * (np.cos(angle) * xx + np.sin(angle) * yy))
         bases.append(0.5 + 0.5 * wave)
     labels = rng.integers(0, n_classes, size=n_samples)
+    images = noise * rng.standard_normal((n_samples, height, width))
+    images += np.stack(bases)[labels]
     data = np.empty((n_samples, channels, height, width))
-    for i, lab in enumerate(labels):
-        img = bases[lab] + noise * rng.standard_normal((height, width))
-        data[i] = np.clip(img, 0.0, 1.0)[None, :, :]
+    data[:] = np.clip(images, 0.0, 1.0, out=images)[:, None]
     return TensorBatch(data=data, labels=labels)
 
 

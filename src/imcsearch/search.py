@@ -23,18 +23,10 @@ from .designspace import (
     PlatformParams,
     enumerate_options,
 )
-from .nnsim import (
-    AdcRange,
-    NoiseSpec,
-    RefNet,
-    TensorBatch,
-    WalkState,
-    cross_entropy,
-    hd_score,
-    probe_layer,
-    refnet_layers,
-    walk_layers,
-)
+from .nnsim import AdcRange, NoiseSpec, RefNet, TensorBatch, WalkState
+from .nnsim.inference import probe_layer, walk_layers
+from .nnsim.network import cross_entropy, refnet_layers
+from .nnsim.score import hd_score
 from .relax import (
     LogitMatrix,
     _chain_softmax,

@@ -18,8 +18,9 @@ from imcsearch.designspace import (
     UnitCost,
     UnitCostTable,
 )
-from imcsearch.nnsim import NoiseSpec, make_blobs, make_patterns
+from imcsearch.nnsim import NoiseSpec
 from imcsearch.nnsim.crossbar import chunk_rows
+from imcsearch.nnsim.data import make_blobs, make_patterns
 from imcsearch.nnsim.network import ReLU, accuracy, build_refnet, train_tiny
 from imcsearch.nnsim.quantize import adc_quantize
 from imcsearch.nnsim.score import LAMBDA_RATIO, hamming_kernel

@@ -18,8 +18,8 @@ from imcsearch import cli, search
 from imcsearch.config import MAX_BATCH_VALUES, MAX_EXTENT, MAX_WIDTH, load_config
 from imcsearch.designspace import ADCType, homogeneous_model
 from imcsearch.io import load_model, model_to_dict, write_json
-from imcsearch.nnsim import RefNet, load_net
-from imcsearch.nnsim.network import build_refnet, save_net
+from imcsearch.nnsim import RefNet
+from imcsearch.nnsim.network import build_refnet, load_net, save_net
 
 from conftest import one_float_per_array
 
@@ -827,6 +827,31 @@ def test_sweep_point_manifest_names_its_axis_and_value(tmp_path):
         assert manifest["command"] == "sweep:area_constraint"
         assert manifest["sweep"] == {"axis": "area_constraint", "value": value}
     assert "sweep" not in json.loads((out / "manifest.json").read_text())
+
+
+def test_sweep_rerun_clears_the_earlier_point_directories(tmp_path):
+    path = write_config(tmp_path, dict(CONFIG["search"], area_constraint_mm2=1.0))
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(path), "--axis", "area_constraint",
+            "--out-dir", str(out)]
+    cli.main([*argv, "--values", "1.18,5,20"])
+    assert json.loads((out / "manifest.json").read_text())["points"] == [
+        "point_1.18", "point_5", "point_20"]
+    (out / "point_20" / "notes.txt").write_text("placed by hand")
+    cli.main([*argv, "--values", "1.18"])
+    assert json.loads((out / "manifest.json").read_text())["points"] == [
+        "point_1.18"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config_snapshot.yaml", "manifest.json", "point_1.18", "point_20",
+        "sweep.csv"]
+    assert [p.name for p in (out / "point_20").iterdir()] == ["notes.txt"]
+    point = out / "point_1.18"
+    manifest = json.loads((point / "manifest.json").read_text())
+    assert manifest["sweep"] == {"axis": "area_constraint", "value": 1.18}
+    assert sorted(manifest["outputs"]) == sorted(
+        p.name for p in point.iterdir() if p.name != "manifest.json")
+    with open(out / "sweep.csv") as f:
+        assert [row["value"] for row in csv.DictReader(f)] == ["1.18"]
 
 
 def test_every_run_directory_lists_its_files_and_finishes(phase2_inputs,

@@ -297,14 +297,16 @@ def test_preset_takes_the_other_design_space_keys(tmp_path, capsys):
 
 #: The packaged unit-cost table's first entry.
 XBAR_CELL = "xbar_cell:          {area: 2.0e-7, energy: 1.0e-4, latency: 2.0}"
+CALIBRATION_ID = "calibration_id: desk32nm-v1"
 
 
-def _packaged_costs_with(entry: str) -> str:
-    """The packaged unit-cost table with its first entry replaced by ``entry``."""
+def _packaged_costs_with(entry: str, old: str = XBAR_CELL) -> str:
+    """The packaged unit-cost table with ``old``, by default its first
+    entry, replaced by ``entry``."""
     text = (Path(config.__file__).parent / "data" / "default_unit_costs.yaml"
             ).read_text()
-    assert XBAR_CELL in text
-    return text.replace(XBAR_CELL, entry)
+    assert old in text
+    return text.replace(old, entry)
 
 
 @pytest.mark.parametrize("text, named", [
@@ -331,6 +333,21 @@ def _packaged_costs_with(entry: str) -> str:
     pytest.param(f"{XBAR_CELL}\n  htre: {{area: 5.0e-7, energy: 3.0e-2, "
                  f"latency: 0.5}}", "components.htre: unknown key",
                  id="unknown_component"),
+    # the top level goes through its own key table
+    pytest.param(_packaged_costs_with("calibration_id:", CALIBRATION_ID),
+                 "calibration_id: expected non-empty text, got None",
+                 id="empty_calibration_id"),
+    pytest.param(_packaged_costs_with("calibration_id: 3.0", CALIBRATION_ID),
+                 "calibration_id: expected non-empty text, got 3.0",
+                 id="number_calibration_id"),
+    pytest.param(_packaged_costs_with("", CALIBRATION_ID),
+                 "top level: missing required key 'calibration_id'",
+                 id="missing_calibration_id"),
+    pytest.param(_packaged_costs_with("  area: um^2", "  area: mm^2"),
+                 "units.area: expected 'mm^2', got 'um^2'",
+                 id="foreign_unit"),
+    pytest.param(_packaged_costs_with("component: {}\ncomponents:", "components:"),
+                 "component: unknown key", id="unknown_top_level_key"),
 ])
 def test_malformed_unit_cost_file_exits_2_naming_the_key(tmp_path, capsys,
                                                          text, named):

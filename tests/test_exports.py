@@ -1,7 +1,9 @@
 """The package export lists name only what the package defines, and every
-public definition has a user outside the tests."""
+public definition has a user outside the tests.  Functions are imported
+from the module that defines them, never through a package."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -19,6 +21,36 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def test_every_exported_name_resolves(package):
     missing = [name for name in package.__all__ if not hasattr(package, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("package", [imcsearch, imcsearch.nnsim],
+                         ids=lambda p: p.__name__)
+def test_every_exported_name_is_a_class(package):
+    assert [name for name in package.__all__
+            if not inspect.isclass(getattr(package, name))] == []
+
+
+def _imported_from(path: Path, package: str):
+    """The names ``path`` imports with ``from ... import`` out of ``package``
+    itself, relative imports resolved against ``path``'s own package."""
+    here = list(path.relative_to(SRC.parent).parts[:-1])
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        base = here[:len(here) + 1 - node.level] if node.level else []
+        source = ".".join(base + ([node.module] if node.module else []))
+        if source == package:
+            yield from (alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize("package", [imcsearch, imcsearch.nnsim],
+                         ids=lambda p: p.__name__)
+def test_no_module_imports_a_function_through_a_package(package):
+    functions = [(path.relative_to(SRC).as_posix(), name)
+                 for path in SRC.rglob("*.py")
+                 for name in _imported_from(path, package.__name__)
+                 if inspect.isroutine(getattr(package, name))]
+    assert functions == []
 
 
 def _loaded_names(path: Path, strings: bool):

@@ -1,22 +1,17 @@
 import numpy as np
 import pytest
 
-from imcsearch.nnsim import (
-    NoiseSpec,
-    TensorBatch,
-    WalkState,
-    make_blobs,
-    split_batches,
-    walk_layers,
-)
+from imcsearch.nnsim import NoiseSpec, TensorBatch, WalkState
 from imcsearch.nnsim import inference
 from imcsearch.nnsim.crossbar import chunk_rows, prepare_cells
+from imcsearch.nnsim.data import make_blobs, split_batches
 from imcsearch.nnsim.inference import (
     _quantizable_index,
     _quantized_layer_outputs,
     bn_adapt,
     noisy_forward,
     probe_layer,
+    walk_layers,
 )
 from imcsearch.nnsim.network import (
     BatchNorm,

@@ -16,16 +16,9 @@ from imcsearch.designspace import (
     homogeneous_model,
     vgg16_space,
 )
-from imcsearch.nnsim import (
-    TensorBatch,
-    TrainingDiverged,
-    cross_entropy,
-    hd_score,
-    load_net,
-    make_blobs,
-    make_patterns,
-)
+from imcsearch.nnsim import TensorBatch, TrainingDiverged
 from imcsearch.nnsim import network
+from imcsearch.nnsim.data import make_blobs, make_patterns
 from imcsearch.nnsim.network import (
     CODE_VALUES,
     AvgPool2D,
@@ -38,12 +31,15 @@ from imcsearch.nnsim.network import (
     accuracy,
     build_refnet,
     col2im,
+    cross_entropy,
     cross_entropy_grad,
     im2col,
     layer_pools,
+    load_net,
     save_net,
     train_tiny,
 )
+from imcsearch.nnsim.score import hd_score
 
 from conftest import candidate_net, fc_net, one_float_per_array, whole_matrix_score
 

@@ -12,14 +12,9 @@ from imcsearch.designspace import (
     homogeneous_model,
     vgg16_space,
 )
-from imcsearch.nnsim import (
-    TensorBatch,
-    hd_score,
-    make_blobs,
-    make_patterns,
-    refnet_layers,
-)
+from imcsearch.nnsim import TensorBatch
 from imcsearch.nnsim import network
+from imcsearch.nnsim.data import make_blobs, make_patterns
 from imcsearch.nnsim.network import (
     CODE_VALUES,
     BatchNorm,
@@ -27,8 +22,9 @@ from imcsearch.nnsim.network import (
     Dense,
     RefNet,
     ReLU,
+    refnet_layers,
 )
-from imcsearch.nnsim.score import LAMBDA_RATIO, hamming_kernel
+from imcsearch.nnsim.score import LAMBDA_RATIO, hamming_kernel, hd_score
 
 from conftest import candidate_net, fc_net
 

@@ -14,18 +14,12 @@ from imcsearch.designspace import (
     enumerate_options,
     vgg16_space,
 )
-from imcsearch.nnsim import (
-    AdcRange,
-    NoiseSpec,
-    WalkState,
-    cross_entropy,
-    hd_score,
-    make_patterns,
-    probe_layer,
-    refnet_layers,
-    walk_layers,
-)
+from imcsearch.nnsim import AdcRange, NoiseSpec, WalkState
 from imcsearch.nnsim import inference, network
+from imcsearch.nnsim.data import make_patterns
+from imcsearch.nnsim.inference import probe_layer, walk_layers
+from imcsearch.nnsim.network import cross_entropy, refnet_layers
+from imcsearch.nnsim.score import hd_score
 from imcsearch.search import SearchConfig, phase1_run, phase2_run
 
 from conftest import make_platform, whole_matrix_score
