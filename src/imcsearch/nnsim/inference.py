@@ -45,14 +45,23 @@ the same ufuncs and BLAS calls write into with ``out=``, so outputs do
 not depend on them.  A role's buffer grows to its largest request.
 Phase 2 keeps one dict for a run, so its walks allocate each role's
 buffer once, in the first step that asks for its largest size, and
-reuse it after that; nothing keeps the buffers across runs.  Without a dict, each layer call allocates its own.  Each
-view has the memory layout of the array it is computed from (a conv
-layer's codes are in ``im2col``'s transposed layout): a ufunc that writes
-across layouts transposes as it goes and was several times slower.  Roles
-whose lifetimes do not overlap share a buffer: the levels are written
-over the patches, and the calibration's on-matrix and the kernel's
-float32 bit plane take the patch buffer once the codes exist.  Layer
-outputs are always fresh, since the ``WalkState``s keep them.
+reuse it after that; nothing keeps the buffers across runs.  Without a
+dict, each layer call allocates its own.  Each view has the memory
+layout of the array it is computed from (a conv layer's codes are in
+``im2col``'s transposed layout): a ufunc that writes across layouts
+transposes as it goes and was several times slower.  Roles whose
+lifetimes do not overlap share a buffer: the levels are written over the
+patches, the calibration's on-matrix and the kernel's float32 bit plane
+take the patch buffer once the codes exist, and the calibration's
+products take the analog sums' buffer.  Layer outputs are always fresh,
+since the ``WalkState``s keep them.
+
+The kernel and the calibration run over blocks of ``PATCH_BLOCK`` patch
+columns, so the bit planes, float32 plane, analog sums, ADC levels and
+codes, accumulators and the calibration's on-matrix and products hold
+one block, whatever the batch.  The padded input, the patches and input
+levels, each activation's codes and the layer outputs still grow with
+the batch.
 """
 
 from __future__ import annotations
@@ -101,28 +110,63 @@ def _scratch(work: dict, role, shape: tuple[int, ...], dtype,
     return np.ndarray(shape, dtype, buf)
 
 
+#: Patch columns per block of the crossbar kernel and of its calibration.
+#: The bit planes, float32 plane, analog sums, ADC levels and codes,
+#: accumulators and the calibration's on-matrix and products hold one
+#: block, whatever the batch.  On a VGG-like layer (576 rows, 256 cell
+#: columns, 8192 patch columns, IP 8, APs 5 and 6; one BLAS thread) a call
+#: took 0.66, 0.73, 0.88 and 1.38 s with blocks of 512, 1024, 2048 and 4096
+#: columns; on ``phase2_toy`` (up to 4096 columns a call) 512-column blocks
+#: ran about 10% slower than 1024 or 2048.
+PATCH_BLOCK = 1024
+
+
+def _column_blocks(n: int) -> list[slice]:
+    """Consecutive ``PATCH_BLOCK``-column slices that cover ``n`` patch
+    columns.  A 1-column remainder joins the block before it: a one-column
+    product takes BLAS's matrix-vector path, which rounds differently."""
+    starts = list(range(0, n, PATCH_BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def _noisy_matmul(cells: CellArrays, aps: tuple[int, ...], ip: int,
-                  in_codes: np.ndarray, xbar_size: int,
-                  full_range: float, work: dict | None = None) -> list[np.ndarray]:
+                  in_codes: np.ndarray, xbar_size: int, full_range: float,
+                  work: dict | None = None, scales: tuple[float, ...] = (),
+                  bias: np.ndarray | None = None,
+                  dtype=np.float64) -> list[np.ndarray]:
     """Bit-serial sliced matmul of integer input codes against cell arrays.
 
     ``in_codes`` is the (batch, rows) uint8 code matrix, whatever dtype
     the activations it codes were in.  Returns, for each ADC precision in
-    ``aps``, the (batch, cols) float64 sums before the weight and input
-    scales.  The analog half runs in float32: each (bit plane, row
-    chunk) is one float32 matmul of a 0/1 plane against all slice and
-    sign columns, shared by every AP, and one ADC pass per AP gives its
-    integer codes.  The digital half is an exact shift-and-add: each AP's
-    codes accumulate in one int32 array, most significant plane first,
-    doubling between planes; slices and signs then combine exactly in
-    float64, and the result scales by the ADC step once.  The work runs
-    on (column, batch) arrays so that every elementwise step sweeps the
-    batch in one contiguous run.
+    ``aps``, the (batch, cols) sums in ``dtype``: the float64 sums are
+    multiplied by each of ``scales`` in turn, ``bias`` is added, and the
+    result is cast.  With the defaults they are the float64 sums before
+    the weight and input scales.  The analog half runs in float32: each
+    (bit plane, row chunk) is one float32 matmul of a 0/1 plane against
+    all slice and sign columns, shared by every AP, and one ADC pass per
+    AP gives its integer codes.  The digital half is an exact
+    shift-and-add: each AP's codes accumulate in one int32 array, most
+    significant plane first, doubling between planes; slices and signs
+    then combine exactly in float64, and the result scales by the ADC step
+    once.  The work runs on (column, batch) arrays so that every
+    elementwise step sweeps the batch in one contiguous run.
+
+    The batch runs in blocks of ``PATCH_BLOCK`` columns (``_column_blocks``),
+    each through the whole plane, chunk and AP loop and its output scaling,
+    so the working set is one block's whatever the batch.  Blocking keeps
+    every output bit for bit only while the BLAS sgemm gives a column the
+    same sums whatever the column count; the kernels tried do for two
+    columns or more, and a 1-column remainder joins the block before it,
+    since one column takes the matrix-vector path.
 
     The bit planes, accumulators, analog sums and ADC levels and codes
-    are ``work`` buffers (see ``_scratch``); the float32 plane takes the
-    ``"patches"`` buffer, which the caller no longer needs once the codes
-    exist.  Without ``work`` they are allocated for this call.
+    are ``work`` buffers (see ``_scratch``); the ADC codes are int32, so
+    that adding them into the accumulators is a same-type add.  The float32
+    plane takes the ``"patches"`` buffer, which the caller no longer needs
+    once the codes exist.  Without ``work`` they are allocated for this
+    call.  The outputs are fresh.
     """
     work = {} if work is None else work
     n, rows = in_codes.shape
@@ -136,30 +180,37 @@ def _noisy_matmul(cells: CellArrays, aps: tuple[int, ...], ip: int,
     # a conv layer's codes keep im2col's transposed layout, so this copies
     # only a dense layer's
     codes = np.ascontiguousarray(in_codes.T)
-    bits = _scratch(work, "bits", codes.shape, codes.dtype)
-    plane = _scratch(work, "patches", codes.shape, np.float32)
-    sums_shape = (n_slices * 2 * cols, n)
-    sums = _scratch(work, "sums", sums_shape, np.float32)
-    adc = {"levels": _scratch(work, "adc_levels", sums_shape, np.float32),
-           "out": _scratch(work, "adc_codes", sums_shape, np.uint8)}
-    accs = _scratch(work, "accs", (len(aps),) + sums_shape, np.int32)
-    accs.fill(0)
-    for b in reversed(range(ip)):
-        np.right_shift(codes, b, out=bits)
-        bits &= 1
-        plane[...] = bits
-        accs += accs  # Horner: each plane weighs twice the next one
-        for sl in chunks:
-            np.matmul(cells.columns[sl].T, plane[sl], out=sums)
-            for ap, acc in zip(aps, accs):
-                acc += adc_quantize(sums, ap, full_range, **adc)
     # slice s weighs 2^(slice_bits*s); on integer codes every sum is exact
     weight = 2.0 ** (cells.slice_bits * np.arange(n_slices))[:, None, None]
-    outs = []
-    for ap, acc in zip(aps, accs):
-        signed = acc.reshape(n_slices, 2, cols, n)
-        total = ((signed[:, 0] - signed[:, 1]) * weight).sum(axis=0)
-        outs.append((total * (full_range / 2 ** ap)).T.copy())
+    outs = [np.empty((n, cols), dtype) for _ in aps]
+    for blk in _column_blocks(n):
+        width = blk.stop - blk.start
+        bits = _scratch(work, "bits", (rows, width), codes.dtype)
+        plane = _scratch(work, "patches", (rows, width), np.float32)
+        sums_shape = (n_slices * 2 * cols, width)
+        sums = _scratch(work, "sums", sums_shape, np.float32)
+        adc = {"levels": _scratch(work, "adc_levels", sums_shape, np.float32),
+               "out": _scratch(work, "adc_codes", sums_shape, np.int32)}
+        accs = _scratch(work, "accs", (len(aps),) + sums_shape, np.int32)
+        accs.fill(0)
+        for b in reversed(range(ip)):
+            np.right_shift(codes[:, blk], b, out=bits)
+            bits &= 1
+            plane[...] = bits
+            accs += accs  # Horner: each plane weighs twice the next one
+            for sl in chunks:
+                np.matmul(cells.columns[sl].T, plane[sl], out=sums)
+                for ap, acc in zip(aps, accs):
+                    acc += adc_quantize(sums, ap, full_range, **adc)
+        for ap, acc, out in zip(aps, accs, outs):
+            signed = acc.reshape(n_slices, 2, cols, width)
+            total = ((signed[:, 0] - signed[:, 1]) * weight).sum(axis=0)
+            total *= full_range / 2 ** ap
+            for scale in scales:
+                total *= scale
+            if bias is not None:
+                total += bias[:, None]
+            out[blk] = total.T
     return outs
 
 
@@ -183,14 +234,17 @@ def _quantized_layer_outputs(layer: Conv2D | Dense, adapt: list[np.ndarray],
     that AP alone.  Patches and input levels are in each activation's
     dtype, negative inputs take code 0, and each output is cast to its
     activation's dtype after the float64 scaling (and a dense layer's
-    bias).  ``cells`` memoizes programmed cells per key; the device
-    variation is frozen per key, so a memoized entry equals a fresh one.
+    bias), which ``_noisy_matmul`` runs block by block into the output.
+    ``cells`` memoizes programmed cells per key; the device variation is
+    frozen per key, so a memoized entry equals a fresh one.
 
     The padded input, the patches (with the input levels written over
     them), each activation's codes and the calibration's on-matrix and
     products are ``work`` buffers (see ``_scratch``), as are the kernel's;
-    only the outputs are fresh.  Without ``work`` the buffers are
-    allocated for this call.
+    only the outputs are fresh.  The calibration takes its maximum over
+    the kernel's blocks of patch columns, so its on-matrix and products
+    hold one block.  Without ``work`` the buffers are allocated for this
+    call.
     """
     work = {} if work is None else work
     programmed = cells.get(key)
@@ -231,23 +285,28 @@ def _quantized_layer_outputs(layer: Conv2D | Dense, adapt: list[np.ndarray],
         coded.append((c, n, oh, ow, x.dtype))
     full_range = 1.0
     for c, *_ in coded[calibration]:
-        # in the codes' layout: a transposing comparison is several times slower
-        on = _scratch(work, "patches", c.shape, np.float32, transposed=conv)
-        np.greater(c, 0, out=on)
-        products = _scratch(work, "sums", (c.shape[0], programmed.columns.shape[1]),
-                            np.float32)
-        for sl in chunk_rows(c.shape[1], platform.xbar_size):
-            np.matmul(on[:, sl], programmed.columns[sl], out=products)
-            full_range = max(full_range, float(products.max(initial=0.0)))
+        rows = c.shape[1]
+        for blk in _column_blocks(len(c)):
+            # in the codes' layout: a transposing comparison is several
+            # times slower
+            on = _scratch(work, "patches", (blk.stop - blk.start, rows),
+                          np.float32, transposed=conv)
+            np.greater(c[blk], 0, out=on)
+            products = _scratch(work, "sums", (len(on), programmed.columns.shape[1]),
+                                np.float32)
+            for sl in chunk_rows(rows, platform.xbar_size):
+                np.matmul(on[:, sl], programmed.columns[sl], out=products)
+                full_range = max(full_range, float(products.max(initial=0.0)))
     outs = []
     for c, n, oh, ow, dtype in coded:
-        outs.append([])
-        for acc in _noisy_matmul(programmed, aps, ip, c, platform.xbar_size,
-                                 full_range, work):
-            out = acc * programmed.scale * in_scale
-            out = (out + layer.bias if isinstance(layer, Dense) else
-                   out.reshape(n, oh, ow, layer.c_out).transpose(0, 3, 1, 2))
-            outs[-1].append(out.astype(dtype, copy=False))
+        layer_outs = _noisy_matmul(
+            programmed, aps, ip, c, platform.xbar_size, full_range, work,
+            scales=(programmed.scale, in_scale),
+            bias=None if conv else layer.bias, dtype=dtype)
+        if conv:
+            layer_outs = [out.reshape(n, oh, ow, layer.c_out).transpose(0, 3, 1, 2)
+                          for out in layer_outs]
+        outs.append(layer_outs)
     return outs[:len(adapt)], (None if x_eval is None else outs[-1])
 
 

@@ -76,10 +76,12 @@ def adc_quantize(column_sum: np.ndarray, ap: int, full_range: float,
 
     The step is full_range / 2^ap; values round to the nearest code
     (ties up) and clip to [0, 2^ap - 1].  The sums are converted in their
-    own dtype (float32 for the kernel's analog sums) into a ``uint8``
-    code array of their shape.  ``levels`` (in the sums' shape and dtype)
-    and ``out`` (the codes) are written into when given, and allocated
-    otherwise; the codes are ``out``.
+    own dtype (float32 for the kernel's analog sums) into an integer code
+    array of their shape.  ``levels`` (in the sums' shape and dtype) and
+    ``out`` (the codes, an array of any integer dtype that holds 2^ap - 1)
+    are written into when given, and allocated otherwise, the codes as
+    ``uint8``; the codes are ``out``.  The kernel passes an int32 ``out``,
+    the dtype of its accumulators.
     """
     if not 1 <= ap <= 8:
         raise ValueError(f"ap must be in [1, 8], got {ap}")
@@ -98,8 +100,8 @@ def adc_quantize(column_sum: np.ndarray, ap: int, full_range: float,
 
 
 def _as_codes(levels: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """Clipped, non-negative float levels truncated to uint8 codes, in
-    ``out`` or in a fresh array of the levels' memory layout."""
+    """Clipped, non-negative float levels truncated to integer codes, in
+    ``out`` or in a fresh uint8 array of the levels' memory layout."""
     if out is None:
         return levels.astype(np.uint8)
     np.copyto(out, levels, casting="unsafe")

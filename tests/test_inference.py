@@ -1,3 +1,9 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +12,7 @@ from imcsearch.nnsim import inference
 from imcsearch.nnsim.crossbar import chunk_rows, prepare_cells
 from imcsearch.nnsim.data import make_blobs, split_batches
 from imcsearch.nnsim.inference import (
+    _noisy_matmul,
     _quantizable_index,
     _quantized_layer_outputs,
     bn_adapt,
@@ -256,6 +263,126 @@ def test_sums_above_the_calibrated_full_range_clip_to_the_top_adc_code(monkeypat
     want = acc * (1.0 / 127) * (2.0 / (2 ** ip - 1))  # weight and input scales
     assert np.array_equal(out[0], out[1])
     assert out[0] == pytest.approx(np.full(2, want), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# blocks of patch columns
+# ---------------------------------------------------------------------------
+
+def blocked_layer(kind, rng):
+    """A layer of 3 * PATCH_BLOCK + 1 patch columns, so the last block takes
+    a 1-column remainder, and its noiseless uint8 input codes in the layout
+    the kernel gets them in.  Both have more rows than two 8-row chunks."""
+    n = 3 * inference.PATCH_BLOCK + 1
+    if kind == "conv":
+        # 1 x 1 inputs give one patch per sample; the padding zeros of the
+        # 3 x 3 window are input code 0
+        layer, x = Conv2D(3, 4), np.abs(rng.standard_normal((n, 3, 1, 1)))
+        rows = 27
+    else:
+        layer, x = Dense(20, 4), np.abs(rng.standard_normal((n, 20)))
+        rows = 20
+    layer.init_weights(rng)
+    if kind == "dense":
+        layer.bias = rng.standard_normal(4)
+    codes = rng.integers(0, 2 ** 6, size=(rows, n), dtype=np.uint8)
+    return layer, x, (codes.T if kind == "conv" else codes.T.copy())
+
+
+@pytest.mark.parametrize("kind", ["conv", "dense"])
+def test_patch_blocks_give_the_one_block_result_bit_for_bit(monkeypatch, kind):
+    # noiseless cells make every float32 sum an exact integer, so neither
+    # the blocks nor the BLAS kernel can change a bit; a full range that is
+    # not a power of two still makes the ADC round
+    layer, x, codes = blocked_layer(kind, np.random.default_rng(40))
+    n = len(x)
+    w = layer.weight_matrix() if kind == "conv" else layer.weight
+    cells = prepare_cells(w, NO_VARIATION, 8, 4)
+    platform = small_platform()
+    assert [b.stop - b.start for b in inference._column_blocks(n)] \
+        == [inference.PATCH_BLOCK] * 2 + [inference.PATCH_BLOCK + 1]
+    ranges = []
+    adc_quantize = inference.adc_quantize
+
+    def recording(column_sum, ap, full_range, **buffers):
+        ranges.append(full_range)
+        return adc_quantize(column_sum, ap, full_range, **buffers)
+
+    def run():
+        kernel = _noisy_matmul(cells, (4, 8), 6, codes, 8, 37.3)
+        ranges.clear()
+        (adapt,), eval_ = _quantized_layer_outputs(
+            layer, [x], x[:5], 6, (4, 8), NO_VARIATION, platform, (0,), {})
+        return kernel, adapt + eval_, set(ranges)
+
+    monkeypatch.setattr(inference, "adc_quantize", recording)
+    blocked = run()
+    monkeypatch.setattr(inference, "PATCH_BLOCK", n)
+    assert inference._column_blocks(n) == [slice(0, n)]
+    whole = run()
+    assert len(blocked[2]) == 1 and blocked[2] == whole[2]
+    for got, want in zip(blocked[0] + blocked[1], whole[0] + whole[1], strict=True):
+        assert got.dtype == want.dtype and got.strides == want.strides
+        assert np.array_equal(got, want)
+
+
+def test_patch_blocks_are_exact_under_a_second_blas_kernel():
+    # another sgemm kernel may sum a column in another order, and so give
+    # sums that depend on the column count; the noiseless sums above are
+    # exact integers, so the blocks must agree under it too
+    test = Path(__file__).resolve()
+    node = f"{test}::test_patch_blocks_give_the_one_block_result_bit_for_bit"
+    src = str(Path(inference.__file__).resolve().parents[2])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    script = ("import sys, pytest\n"
+              "from imcsearch.cli import _openblas_core\n"
+              "if _openblas_core() != 'Haswell':\n"
+              "    sys.exit(99)\n"
+              f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', {node!r}]))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, cwd=test.parents[1])
+    if proc.returncode == 99:
+        pytest.skip("this OpenBLAS cannot select its Haswell kernel")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "2 passed" in proc.stdout
+
+
+def test_kernel_and_calibration_buffers_do_not_grow_with_the_batch(monkeypatch):
+    # 8 x 8 inputs give 64 patches a sample: 2 and 8 blocks of patch columns.
+    # Float64 activations make every float32 request of the patch buffer the
+    # kernel's bit plane or the calibration's on-matrix, which share it.
+    block = inference.PATCH_BLOCK
+    rng = np.random.default_rng(41)
+    layer = Conv2D(2, 3)  # 18 rows, 2 slices x 2 signs x 3 = 12 cell columns
+    layer.init_weights(rng)
+    requests = []
+    scratch = inference._scratch
+
+    def recording(work, role, shape, dtype, transposed=False):
+        requests.append((role, np.dtype(dtype), math.prod(shape)))
+        return scratch(work, role, shape, dtype, transposed)
+
+    monkeypatch.setattr(inference, "_scratch", recording)
+    noise, platform = NoiseSpec(sigma_over_mu=0.2, rng_seed=4), small_platform()
+    work, sizes, planes = {}, [], []
+    for blocks in (2, 8):
+        x = np.abs(rng.standard_normal((blocks * block // 64, 2, 8, 8)))
+        requests.clear()
+        _quantized_layer_outputs(layer, [x], x, 6, (4, 8), noise, platform,
+                                 (0,), {}, work)
+        sizes.append({role: buf.nbytes for role, buf in work.items()})
+        planes.append({values for role, dtype, values in requests
+                       if role == "patches" and dtype == np.float32})
+    # one block of each role: the calibration's products take the sums' buffer
+    want = {"bits": 18 * block, "sums": 12 * block * 4,
+            "adc_levels": 12 * block * 4, "adc_codes": 12 * block * 4,
+            "accs": 2 * 12 * block * 4}
+    for size in sizes:
+        assert {role: size[role] for role in want} == want
+    assert planes == [{18 * block}] * 2
+    grown = {role for role in sizes[1] if sizes[1][role] != sizes[0][role]}
+    assert grown == {"padded", "patches", ("codes", 0), ("codes", 1)}
 
 
 # ---------------------------------------------------------------------------

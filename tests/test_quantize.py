@@ -200,7 +200,7 @@ def int64_adc_codes(sums, ap, full_range):
 @pytest.mark.parametrize("ap", range(1, 9))
 def test_adc_in_place_round_trip_matches_int64_codes(ap):
     # the kernel's float32 sums and float64 sums each convert in their own
-    # dtype, to uint8 codes
+    # dtype, to uint8 codes or into the kernel's int32 codes
     rng = np.random.default_rng(ap)
     for dtype in (np.float32, np.float64):
         for full_range in (37.3, 64.0, 960.0):
@@ -218,10 +218,12 @@ def test_adc_in_place_round_trip_matches_int64_codes(ap):
             assert codes.dtype == np.uint8 and codes.shape == sums.shape
             assert np.array_equal(codes, int64_adc_codes(sums, ap, full_range))
             # into buffers holding stale values: the same codes, in ``out``
-            out = np.full(sums.shape, 99, np.uint8)
-            got = adc_quantize(sums, ap, full_range, out=out,
-                               levels=np.full_like(sums, np.nan))
-            assert got is out and np.array_equal(got, codes)
+            for stale in (np.uint8(99), np.int32(-7)):
+                out = np.full(sums.shape, stale)
+                got = adc_quantize(sums, ap, full_range, out=out,
+                                   levels=np.full_like(sums, np.nan))
+                assert got is out and got.dtype == stale.dtype
+                assert np.array_equal(got, codes)
 
 
 def test_adc_quantize_validates_inputs():
